@@ -8,7 +8,7 @@ override file values, which override the documented defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .drive import DriveConfig, Scheme
 from .experiments import NoiseSpec
@@ -149,6 +149,11 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
     def fail(key: str, message: str):
         raise ConfigError(message, lines.get(key))
 
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            fail(f.name, f"{f.name} must be finite, got {value!r}")
+
     try:
         Scheme.parse(cfg.scheme)
     except ValueError as exc:
@@ -258,8 +263,3 @@ def emit_config(cfg: RunConfig, *, include_runtime: bool = True) -> str:
         parts.append(f"{f.name} = {rendered}")
     return "\n".join(parts) + "\n"
 
-
-def apply_overrides(cfg: RunConfig, **kwargs) -> RunConfig:
-    """Replace fields, revalidating the result."""
-    updated = replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})
-    return _validate(updated, {})

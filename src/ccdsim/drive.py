@@ -225,13 +225,17 @@ class Hamiltonian:
 
     ``coefficients`` maps an array of times to an (..., 3) array of real
     Pauli coefficients; ``fastest_period`` is the shortest oscillation period
-    present, used by integrators to pick step sizes. Instances are callable:
-    ``h(t)`` returns the Hermitian matrix at time ``t``.
+    present, used by integrators to pick step sizes. ``period`` is an exact
+    period of H(t), which lets the propagators power one-period unitaries:
+    ``math.inf`` marks an aperiodic H, ``0.0`` a constant one (periodic with
+    every period). Instances are callable: ``h(t)`` returns the Hermitian
+    matrix at time ``t``.
     """
 
     coefficients: Callable[[np.ndarray], np.ndarray]
     fastest_period: float
     label: str = ""
+    period: float = math.inf
 
     def matrix(self, t: float) -> np.ndarray:
         hx, hy, hz = np.asarray(self.coefficients(np.asarray(t, dtype=float)))
@@ -310,7 +314,13 @@ def first_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
         out[..., 2] = half_delta + phase_scale * np.cos(m)
         return out
 
-    return Hamiltonian(coeffs, _fastest_period(cfg, lab=False), "first-frame")
+    constant = amp_scale == 0.0 and phase_scale == 0.0
+    return Hamiltonian(
+        coeffs,
+        _fastest_period(cfg, lab=False),
+        "first-frame",
+        0.0 if constant else cfg.mod_period,
+    )
 
 
 def second_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
@@ -351,7 +361,13 @@ def second_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
         out[..., 2] = hz
         return out
 
-    return Hamiltonian(coeffs, _fastest_period(cfg, lab=False), "second-frame")
+    constant = half_delta == 0.0 and counter == 0.0
+    return Hamiltonian(
+        coeffs,
+        _fastest_period(cfg, lab=False),
+        "second-frame",
+        0.0 if constant else cfg.mod_period,
+    )
 
 
 def counter_rotating_coefficient(cfg: DriveConfig) -> float:

@@ -65,7 +65,7 @@ class SweepGrid:
         expected = (self.y_axis.values.size, self.x_axis.values.size)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != axes {expected}")
-        if np.any(self.values < -1e-9) or np.any(self.values > 1.0 + 1e-9):
+        if not np.all((self.values >= -1e-9) & (self.values <= 1.0 + 1e-9)):
             raise ValueError("sweep values must lie in [0, 1]")
 
 

@@ -13,6 +13,21 @@ Both build per-step SU(2) exponentials in closed form (axis-angle) and are
 vectorized over steps and over batches of Hamiltonians, so long multi-scale
 lab-frame traces stay cheap. Total unitaries are accumulated by pairwise
 tree reduction, which keeps rounding growth logarithmic in the step count.
+
+``evolve`` (without ``t_eval``), ``propagator_unitary`` and ``evolve_grid``
+take one of three paths, chosen from ``Hamiltonian.period`` and the
+requested times:
+
+* **closed form** — every Hamiltonian in the batch is constant
+  (``period == 0``): U(t, t0) = exp(-i (t - t0) H) at any times;
+* **Floquet power** — the batch shares one finite period T (constant
+  members count as T-periodic) and t0 and every requested time sit on the
+  lattice t = k T within ``LATTICE_TOLERANCE`` periods: U(T) is integrated
+  once per Hamiltonian with the stepper over [0, T] at the usual step, and
+  U(t, t0) = U(T)^(k - k0) follows from :func:`su2_power`;
+* **stepped** — everything else (the lab frame, wrapped callables, off-lattice
+  times, ``evolve`` with ``t_eval``): the integrator steps through each
+  interval. It is also the oracle the two fast paths are tested against.
 """
 from __future__ import annotations
 
@@ -31,6 +46,7 @@ __all__ = [
     "LAB_SPEC",
     "ROTATING_SPEC",
     "su2_exp",
+    "su2_power",
     "evolve",
     "propagator_unitary",
     "evolve_grid",
@@ -40,6 +56,10 @@ __all__ = [
 
 #: Accumulated norm drift beyond this is treated as an integrator failure.
 NORM_DRIFT_LIMIT = 1e-8
+
+#: Lattice tolerance: a time t is on the period-T lattice if t / T lies within
+#: this many periods of an integer (shared with the pulse-boundary rule).
+LATTICE_TOLERANCE = 1e-9
 
 #: Steps per chunk when accumulating very long products (memory bound).
 _CHUNK = 1 << 20
@@ -99,20 +119,55 @@ LAB_SPEC = IntegratorSpec(steps_per_fastest_period=40)
 ROTATING_SPEC = IntegratorSpec(steps_per_fastest_period=200)
 
 
-def su2_exp(coeffs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt (c . sigma)) for an (..., 3) array of real Pauli coefficients."""
+def _su2_matrix(cos: np.ndarray, fac: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """cos I - i fac (v . sigma), broadcasting cos and fac against v[..., 0]."""
+    shape = np.broadcast_shapes(np.shape(cos), np.shape(fac), v.shape[:-1])
+    u = np.empty(shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = cos - 1j * fac * v[..., 2]
+    u[..., 0, 1] = -1j * fac * (v[..., 0] - 1j * v[..., 1])
+    u[..., 1, 0] = -1j * fac * (v[..., 0] + 1j * v[..., 1])
+    u[..., 1, 1] = cos + 1j * fac * v[..., 2]
+    return u
+
+
+def su2_exp(coeffs: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
+    """exp(-i dt (c . sigma)) for an (..., 3) array of real Pauli coefficients.
+
+    ``dt`` is a scalar or an array broadcasting against ``coeffs[..., 0]``.
+    """
     c = np.asarray(coeffs, dtype=float)
     r = np.sqrt(np.einsum("...i,...i->...", c, c))
     theta = r * dt
-    cos = np.cos(theta)
     # dt * sinc(theta/pi) == sin(theta)/r, exact and smooth at r == 0
-    fac = dt * np.sinc(theta / np.pi)
-    u = np.empty(c.shape[:-1] + (2, 2), dtype=complex)
-    u[..., 0, 0] = cos - 1j * fac * c[..., 2]
-    u[..., 0, 1] = -1j * fac * (c[..., 0] - 1j * c[..., 1])
-    u[..., 1, 0] = -1j * fac * (c[..., 0] + 1j * c[..., 1])
-    u[..., 1, 1] = cos + 1j * fac * c[..., 2]
-    return u
+    return _su2_matrix(np.cos(theta), dt * np.sinc(theta / np.pi), c)
+
+
+def su2_power(u: np.ndarray, k) -> np.ndarray:
+    """u**k for (..., 2, 2) SU(2) matrices and integer powers ``k``, in closed form.
+
+    Writes u = r (cos(theta) I - i sin(theta) n . sigma), theta = atan2 in
+    [0, pi], and returns r**k (cos(k theta) I - i sin(k theta) n . sigma).
+    The leading dimensions of ``u`` broadcast against ``k``. U = +-I gives
+    (+-1)**k I exactly and k = 0 gives I; r carries any norm defect of ``u``
+    into the result, as repeated multiplication would.
+    """
+    u = np.asarray(u, dtype=complex)
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu":
+        raise TypeError(f"su2_power needs integer powers, got dtype {k.dtype}")
+    # project onto r [[a, -b*], [b, a*]] with a = cos - i sin n_z, b = sin (n_y - i n_x)
+    a = 0.5 * (u[..., 0, 0] + u[..., 1, 1].conj())
+    b = 0.5 * (u[..., 1, 0] - u[..., 0, 1].conj())
+    v = np.stack([-b.imag, b.real, -a.imag], axis=-1)  # r sin(theta) n
+    sin = np.sqrt(np.einsum("...i,...i->...", v, v))
+    cos = a.real
+    theta = np.arctan2(sin, cos)
+    scale = np.hypot(sin, cos) ** k
+    axial = sin > 0.0
+    angle = k * theta
+    fac = np.where(axial, scale * np.sin(angle) / np.where(axial, sin, 1.0), 0.0)
+    cos_k = np.where(axial, scale * np.cos(angle), cos**k)
+    return _su2_matrix(cos_k, fac, v)
 
 
 def as_hamiltonian(h, fastest_period: float | None = None) -> Hamiltonian:
@@ -198,10 +253,49 @@ def _interval_unitary(
     return total
 
 
+def _lattice_unitaries(
+    hams: Sequence[Hamiltonian],
+    coefficients: Callable[[np.ndarray], np.ndarray],
+    t0: float,
+    times: np.ndarray,
+    step: float,
+    method: str,
+) -> np.ndarray | None:
+    """U(t, t0) for every t in ``times`` without stepping, or None to step.
+
+    Takes the closed-form or Floquet-power path (see the module docstring);
+    the result has shape batch + (len(times), 2, 2).
+    """
+    periods = {h.period for h in hams}
+    period = max(periods)
+    if not period < math.inf or periods - {0.0, period}:
+        return None
+    if period == 0.0:
+        c = coefficients(np.asarray(t0, dtype=float))
+        return su2_exp(c[..., None, :], times - t0)
+    marks = np.append(times, t0) / period
+    counts = np.rint(marks)
+    if not np.all(np.abs(marks - counts) <= LATTICE_TOLERANCE):
+        return None
+    counts = counts.astype(np.int64)
+    u_period = _interval_unitary(coefficients, 0.0, period, step, method)
+    return su2_power(u_period[..., None, :, :], counts[:-1] - counts[-1])
+
+
+def _total_unitary(
+    ham: Hamiltonian, t0: float, t1: float, step: float, method: str
+) -> np.ndarray:
+    """U(t1, t0) by the lattice paths where they apply, else by stepping."""
+    us = _lattice_unitaries([ham], ham.coefficients, t0, np.array([t1]), step, method)
+    if us is None:
+        return _interval_unitary(ham.coefficients, t0, t1, step, method)
+    return us[0]
+
+
 def _check_norm(amps: np.ndarray, context: str) -> np.ndarray:
     norms = np.sqrt(np.einsum("...i,...i->...", amps, amps.conj()).real)
     drift = float(np.abs(norms - 1.0).max())
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:
         raise IntegratorError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e} during {context}"
         )
@@ -228,7 +322,7 @@ def evolve(
     ham = as_hamiltonian(h)
     step = spec.effective_step(ham.fastest_period)
     if t_eval is None:
-        u = _interval_unitary(ham.coefficients, t0, t1, step, spec.method)
+        u = _total_unitary(ham, t0, t1, step, spec.method)
         amps = _check_norm(u @ psi0.amplitudes, f"evolve over [{t0}, {t1}]")
         return QubitState(amps)
     times = np.asarray(t_eval, dtype=float)
@@ -255,9 +349,9 @@ def propagator_unitary(
         raise ValueError("t1 must be >= t0")
     ham = as_hamiltonian(h)
     step = spec.effective_step(ham.fastest_period)
-    u = _interval_unitary(ham.coefficients, t0, t1, step, spec.method)
+    u = _total_unitary(ham, t0, t1, step, spec.method)
     defect = float(np.abs(u.conj().T @ u - np.eye(2)).max())
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise IntegratorError(f"propagator unitarity defect {defect:.3e}")
     return u
 
@@ -286,15 +380,21 @@ def evolve_grid(
     def coefficients(ts: np.ndarray) -> np.ndarray:
         return np.stack([h.coefficients(ts) for h in hamiltonians], axis=0)
 
-    out = np.empty((batch, times.size, 2), dtype=complex)
-    amps = np.broadcast_to(psi0.amplitudes, (batch, 2)).copy()
-    prev = 0.0
-    for j, t in enumerate(times):
-        u = _interval_unitary(coefficients, prev, float(t), step, spec.method)
-        amps = np.einsum("bij,bj->bi", u, amps)
-        out[:, j, :] = amps
-        prev = float(t)
-    _check_norm(out[:, -1, :] if times.size else amps, "grid evolution")
+    us = _lattice_unitaries(hamiltonians, coefficients, 0.0, times, step, spec.method)
+    if us is not None:
+        out = us @ psi0.amplitudes
+    else:
+        out = np.empty((batch, times.size, 2), dtype=complex)
+        amps = np.broadcast_to(psi0.amplitudes, (batch, 2)).copy()
+        prev = 0.0
+        for j, t in enumerate(times):
+            u = _interval_unitary(coefficients, prev, float(t), step, spec.method)
+            amps = np.einsum("bij,bj->bi", u, amps)
+            out[:, j, :] = amps
+            prev = float(t)
+    if times.size:
+        # lattice columns do not build on each other, so every column is checked
+        _check_norm(out, "grid evolution")
     return out
 
 

@@ -25,7 +25,7 @@ from .drive import (
     first_frame_hamiltonian,
     second_frame_hamiltonian,
 )
-from .propagator import ROTATING_SPEC, IntegratorSpec, evolve
+from .propagator import LATTICE_TOLERANCE, ROTATING_SPEC, IntegratorSpec, evolve
 from .qubit import QubitState
 
 __all__ = [
@@ -47,8 +47,9 @@ __all__ = [
 GATE_MOD_PHASE = math.pi / 2
 IDLE_MOD_PHASE = 0.0
 
-#: Boundary alignment tolerance on Omega_0 t, as a fraction of 2 pi.
-BOUNDARY_TOLERANCE = 1e-9
+#: Boundary alignment tolerance on Omega_0 t, as a fraction of 2 pi; the same
+#: rule decides when the propagators may power one-period unitaries.
+BOUNDARY_TOLERANCE = LATTICE_TOLERANCE
 
 
 class CompileError(ValueError):
@@ -176,7 +177,7 @@ def compile_program(program: PulseProgram) -> list[CompiledSegment]:
         t_end = t + seg.duration
         frac = t_end / period
         misalignment = abs(frac - round(frac))
-        if misalignment > BOUNDARY_TOLERANCE:
+        if not misalignment <= BOUNDARY_TOLERANCE:
             raise CompileError(
                 f"segment {index} ({seg.label or seg.kind.value}) ends at "
                 f"{frac:.6f} modulation periods; boundaries must fall on the "

@@ -72,7 +72,7 @@ class QubitState:
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(2)
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
+        if not abs(norm - 1.0) <= NORM_TOLERANCE:
             raise NormalizationError(
                 f"state norm {norm!r} deviates from 1 by more than {NORM_TOLERANCE}"
             )

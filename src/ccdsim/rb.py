@@ -31,9 +31,9 @@ from .clifford import (
     clifford_group,
     recovery_clifford,
 )
-from .drive import DriveConfig, Scheme, second_frame_hamiltonian
+from .drive import DriveConfig, Scheme, first_frame_hamiltonian, second_frame_hamiltonian
 from .experiments import NoiseSpec
-from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_unitary, su2_exp
+from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_unitary
 from .pulses import GATE_MOD_PHASE
 
 __all__ = ["RBResult", "randomized_benchmarking"]
@@ -81,20 +81,12 @@ def _primitive_unitaries(
         if scheme is Scheme.BARE:
             # constant first-frame drive about sigma_azimuth at Omega_0 + error
             duration = angle / errd.rabi
-            coeffs = np.array(
-                [
-                    (errd.rabi + errd.rabi_error) / 2.0 * math.cos(azimuth),
-                    (errd.rabi + errd.rabi_error) / 2.0 * math.sin(azimuth),
-                    errd.detuning / 2.0,
-                ]
-            )
-            out[name] = su2_exp(coeffs, duration)
+            ham = first_frame_hamiltonian(errd.with_pulse(errd.mod_phase, azimuth))
         else:
             duration = angle / errd.mod_strength
             pulse_cfg = errd.with_pulse(GATE_MOD_PHASE, azimuth - math.pi / 2.0)
-            out[name] = propagator_unitary(
-                second_frame_hamiltonian(pulse_cfg), 0.0, duration, spec
-            )
+            ham = second_frame_hamiltonian(pulse_cfg)
+        out[name] = propagator_unitary(ham, 0.0, duration, spec)
     return out
 
 

@@ -83,6 +83,21 @@ class TestConfigPrecedence:
     def test_missing_out_is_config_error(self):
         assert main(["chevron", "--detuning-points", "2", "--durations", "4"]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["chevron", "--mod-ratio", "nan", "--detuning-points", "3"],
+            ["infidelity", "--detuning-span-hz", "nan"],
+        ],
+    )
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "o.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "config"
+        assert "finite" in record["error"]["message"]
+
     def test_io_error_exit_code(self, tmp_path):
         code = main(
             [

@@ -85,6 +85,17 @@ class TestParse:
         assert cfg.rabi_hz == 2e6
         assert cfg.seed == 0
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_floats_rejected_with_line(self, text):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"scheme = cm\nrabi_hz = {text}\n")
+        assert info.value.line == 2
+        assert "finite" in str(info.value)
+
+    def test_non_finite_override_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config("", overrides={"mod_ratio": float("nan")})
+
     def test_bad_scheme_named(self):
         with pytest.raises(ConfigError, match="unknown scheme"):
             parse_config("scheme = xyz\n")

@@ -5,7 +5,9 @@ import pytest
 
 from ccdsim.drive import Scheme, default_config, first_frame_hamiltonian, second_frame_hamiltonian
 from ccdsim.experiments import (
+    AxisDef,
     NoiseSpec,
+    SweepGrid,
     bloch_trajectory,
     chevron_sweep,
     dressed_sequence_experiment,
@@ -198,6 +200,15 @@ class TestDressedSequences:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             dressed_sequence_experiment("spin_echo", CFG, np.array([0.0]))
+
+
+class TestSweepGridGuard:
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.1])
+    def test_rejects_values_outside_unit_interval(self, bad):
+        axis = AxisDef("duration", "s", np.array([0.0, 1.0]))
+        values = np.array([[0.5, bad]])
+        with pytest.raises(ValueError):
+            SweepGrid(x_axis=axis, y_axis=AxisDef("detuning", "rad/s", np.zeros(1)), values=values)
 
 
 def bare_rabi_experiment(times):

@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ccdsim import propagator
 from ccdsim.drive import (
     Scheme,
     default_config,
     first_frame_hamiltonian,
+    lab_hamiltonian,
     second_frame_hamiltonian,
 )
 from ccdsim.propagator import (
@@ -21,6 +24,7 @@ from ccdsim.propagator import (
     propagator_unitary,
     richardson_check,
     su2_exp,
+    su2_power,
 )
 from ccdsim.qubit import IDENTITY, QubitState, SIGMA_X, state_fidelity
 
@@ -204,3 +208,201 @@ class TestSpecValidation:
     def test_lab_spec_default(self):
         assert LAB_SPEC.steps_per_fastest_period == 40
         assert ROTATING_SPEC.steps_per_fastest_period == 200
+
+
+def repeated_product(u, k):
+    out = np.eye(2, dtype=complex)
+    for _ in range(k):
+        out = u @ out
+    return out
+
+
+class TestSu2Power:
+    def test_matches_repeated_multiplication(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            u = su2_exp(rng.normal(size=3), rng.uniform(0.1, 3.0))
+            for k in (0, 1, 2, 3, 17, 256, 301):
+                assert np.abs(su2_power(u, k) - repeated_product(u, k)).max() < 1e-12
+
+    def test_identity_and_minus_identity_exact(self):
+        eye = np.eye(2, dtype=complex)
+        # 10**9 + 1 periods: k * pi in floating point is no longer a multiple of pi
+        for k in (0, 1, 2, 7, 256, 257, 10**9, 10**9 + 1):
+            assert np.array_equal(su2_power(eye, k), eye)
+            assert np.array_equal(su2_power(-eye, k), (-1) ** k * eye)
+
+    def test_zero_power_is_identity(self):
+        u = su2_exp(np.array([0.3, -1.2, 0.7]), 0.9)
+        assert np.array_equal(su2_power(u, 0), np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("theta", [1e-12, 3e-13, math.pi - 1e-12, math.pi - 3e-13])
+    def test_angles_near_zero_and_pi(self, theta):
+        axis = np.array([0.48, -0.6, 0.64])  # unit vector
+        u = su2_exp(axis, theta)
+        for k in (1, 2, 5, 256, 300):
+            exact = su2_exp(axis, k * theta)
+            assert np.abs(su2_power(u, k) - exact).max() < 1e-12
+            assert np.abs(su2_power(u, k) - repeated_product(u, k)).max() < 1e-12
+
+    def test_batched_powers_broadcast(self):
+        rng = np.random.default_rng(8)
+        us = su2_exp(rng.normal(size=(4, 3)), 0.7)
+        ks = np.array([0, 1, 5, 256, 1000])
+        out = su2_power(us[:, None], ks)
+        assert out.shape == (4, 5, 2, 2)
+        for i in range(4):
+            for j, k in enumerate(ks):
+                assert np.abs(out[i, j] - su2_power(us[i], int(k))).max() == 0.0
+                assert np.abs(out[i, j] - repeated_product(us[i], int(k))).max() < 1e-11
+
+    def test_negative_power_inverts(self):
+        u = su2_exp(np.array([0.2, 0.9, -0.4]), 1.1)
+        assert np.abs(su2_power(u, -3) @ su2_power(u, 3) - np.eye(2)).max() < 1e-14
+
+    def test_rejects_fractional_powers(self):
+        with pytest.raises(TypeError):
+            su2_power(np.eye(2), 0.5)
+
+
+def _random_hamiltonians(scheme, build, count, seed):
+    rng = np.random.default_rng(seed)
+    base = default_config(scheme)
+    return [
+        build(base.with_errors(detuning=d * RABI, rabi_error=e * RABI))
+        for d, e in rng.uniform(-0.3, 0.3, size=(count, 2))
+    ]
+
+
+class _PathSpy:
+    """Records whether each propagation took a lattice path (True) or stepped."""
+
+    def __init__(self, monkeypatch):
+        self.paths = []
+        inner = propagator._lattice_unitaries
+
+        def spy(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            self.paths.append(result is not None)
+            return result
+
+        monkeypatch.setattr(propagator, "_lattice_unitaries", spy)
+
+
+LATTICE_COUNTS = np.array([0, 1, 2, 5, 256, 263])
+
+
+class TestLatticePaths:
+    @pytest.mark.parametrize("build", [first_frame_hamiltonian, second_frame_hamiltonian])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_fast_path_matches_stepped_cf4(self, scheme, build, monkeypatch):
+        spy = _PathSpy(monkeypatch)
+        hams = _random_hamiltonians(scheme, build, 3, seed=list(Scheme).index(scheme))
+        period = default_config(scheme).mod_period
+        times = LATTICE_COUNTS * period
+        fast = evolve_grid(hams, times, QubitState.zero())
+        if hams[0].period == 0.0:
+            # constant H is in closed form at any time; step it by clearing the period
+            stepped = evolve_grid(
+                [replace(h, period=math.inf) for h in hams], times, QubitState.zero()
+            )
+        else:
+            # one extra sample half a period past the lattice forces stepping
+            nudged = np.append(times, times[-1] + 0.5 * period)
+            stepped = evolve_grid(hams, nudged, QubitState.zero())[:, :-1]
+        assert spy.paths == [True, False]
+        assert np.abs(fast - stepped).max() <= 1e-7
+
+    @pytest.mark.parametrize("build", [first_frame_hamiltonian, second_frame_hamiltonian])
+    def test_single_propagation_matches_stepped(self, build, monkeypatch):
+        spy = _PathSpy(monkeypatch)
+        for scheme in Scheme:
+            ham = _random_hamiltonians(scheme, build, 1, seed=31)[0]
+            stepped_ham = replace(ham, period=math.inf)
+            period = default_config(scheme).mod_period
+            t0, t1 = 3 * period, 259 * period
+            u_fast = propagator_unitary(ham, t0, t1)
+            u_step = propagator_unitary(stepped_ham, t0, t1)
+            assert np.abs(u_fast - u_step).max() <= 1e-7
+            psi_fast = evolve(ham, QubitState.plus(), t0, t1)
+            psi_step = evolve(stepped_ham, QubitState.plus(), t0, t1)
+            assert np.abs(psi_fast.amplitudes - psi_step.amplitudes).max() <= 1e-7
+        assert spy.paths == [True, False, True, False] * len(Scheme)
+
+    def test_constant_hamiltonian_closed_form_off_lattice(self):
+        cfg = default_config(Scheme.BARE, detuning=0.4 * RABI, rabi_error=-0.1 * RABI)
+        ham = first_frame_hamiltonian(cfg)
+        assert ham.period == 0.0
+        times = np.linspace(0.0, 7.3e-6, 57)
+        closed = evolve_grid([ham], times, QubitState.zero())
+        stepped = evolve_grid([replace(ham, period=math.inf)], times, QubitState.zero())
+        assert np.abs(closed - stepped).max() <= 1e-9
+        u = propagator_unitary(ham, 0.13e-6, 2.9e-6)
+        coeffs = ham.coefficients(np.array(0.0))
+        assert np.abs(u - su2_exp(coeffs, 2.9e-6 - 0.13e-6)).max() <= 1e-15
+
+    def test_mixed_constant_and_periodic_batch_powers(self, monkeypatch):
+        # a constant member is periodic with every period, so the batch keeps the fast path
+        base = default_config(Scheme.CMCCD)
+        hams = [
+            second_frame_hamiltonian(base.with_errors(detuning=d))
+            for d in (-0.1 * RABI, 0.0, 0.1 * RABI)
+        ]
+        assert [h.period for h in hams] == [base.mod_period, 0.0, base.mod_period]
+        spy = _PathSpy(monkeypatch)
+        times = LATTICE_COUNTS * base.mod_period
+        fast = evolve_grid(hams, times, QubitState.zero())
+        stepped = evolve_grid(
+            [replace(h, period=math.inf) for h in hams], times, QubitState.zero()
+        )
+        assert spy.paths == [True, False]
+        assert np.abs(fast - stepped).max() <= 1e-7
+
+    def test_off_lattice_grid_is_stepped_bit_for_bit(self, monkeypatch):
+        hams = _random_hamiltonians(Scheme.PMCCD, first_frame_hamiltonian, 3, seed=4)
+        period = default_config(Scheme.PMCCD).mod_period
+        times = np.array([0.0, 1.0, 2.5, 4.0, 9.0]) * period
+        spy = _PathSpy(monkeypatch)
+        grid = evolve_grid(hams, times, QubitState.zero())
+        reference = evolve_grid(
+            [replace(h, period=math.inf) for h in hams], times, QubitState.zero()
+        )
+        assert spy.paths == [False, False]
+        assert np.array_equal(grid, reference)
+
+    def test_hamiltonian_without_period_never_powers(self, monkeypatch):
+        spy = _PathSpy(monkeypatch)
+        cfg = default_config(Scheme.CMCCD, detuning=0.05 * RABI)
+        period = cfg.mod_period
+        times = np.arange(4) * period
+        aperiodic = replace(second_frame_hamiltonian(cfg), period=math.inf)
+        wrapped = as_hamiltonian(aperiodic.matrix, fastest_period=aperiodic.fastest_period)
+        assert lab_hamiltonian(cfg).period == math.inf
+        assert wrapped.period == math.inf
+        for ham in (aperiodic, wrapped):
+            evolve_grid([ham], times, QubitState.zero())
+            evolve(ham, QubitState.zero(), 0.0, 2 * period)
+            propagator_unitary(ham, period, 3 * period)
+        assert spy.paths == [False] * 6
+
+    def test_mixed_periods_in_batch_step(self, monkeypatch):
+        spy = _PathSpy(monkeypatch)
+        slow = default_config(Scheme.CMCCD, rabi=RABI / 2, detuning=0.1 * RABI)
+        fast = default_config(Scheme.CMCCD, detuning=0.1 * RABI)
+        hams = [first_frame_hamiltonian(slow), first_frame_hamiltonian(fast)]
+        evolve_grid(hams, np.arange(3) * slow.mod_period, QubitState.zero())
+        assert spy.paths == [False]
+
+    def test_nan_on_fast_path_raises(self):
+        cfg = default_config(Scheme.CMCCD, detuning=0.1 * RABI)
+        ham = replace(
+            second_frame_hamiltonian(cfg),
+            coefficients=lambda t: np.full(np.shape(t) + (3,), np.nan),
+        )
+        times = np.arange(1, 4) * cfg.mod_period
+        with pytest.raises(IntegratorError):
+            evolve_grid([ham], times, QubitState.zero())
+        with pytest.raises(IntegratorError):
+            propagator_unitary(ham, 0.0, times[-1])
+        with pytest.raises(IntegratorError):
+            evolve(ham, QubitState.zero(), 0.0, times[-1])

@@ -26,6 +26,12 @@ def test_construction_rejects_bad_norm():
         QubitState(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_construction_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(NormalizationError):
+        QubitState(np.array([bad, 0.0]))
+
+
 def test_construction_renormalizes_small_drift():
     state = QubitState(np.array([1.0 + 3e-9, 0.0], dtype=complex))
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-15
