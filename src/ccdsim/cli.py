@@ -40,8 +40,8 @@ from .experiments import (
     spectrum,
 )
 from .propagator import IntegratorError, IntegratorSpec, evolve
-from .pulses import readout_pad
-from .qubit import QubitState, state_fidelity
+from .pulses import readout_pad, require_gate_lattice
+from .qubit import NormalizationError, QubitState, state_fidelity
 from .rb import randomized_benchmarking
 
 __all__ = ["main"]
@@ -254,23 +254,10 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     return _write(args, cfg, data)
 
 
-def _require_lattice_mod_ratio(drive: DriveConfig) -> None:
-    """Programs with gates need eps_m = Omega_0 / (4 n) so that every
-    primitive spans whole modulation periods."""
-    if drive.mod_strength <= 0.0:
-        raise ConfigError("pulse programs need mod_ratio > 0")
-    ratio = drive.rabi / (4.0 * drive.mod_strength)
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ConfigError(
-            f"mod_ratio = {drive.mod_strength / drive.rabi!r} breaks the segment "
-            "boundary rule; use mod_ratio = 1/(4 n) for gate sequences"
-        )
-
-
 def _cmd_dressed(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     drive = cfg.drive_config()
-    _require_lattice_mod_ratio(drive)
+    require_gate_lattice(drive)
     if getattr(args, "program", None):
         return _run_program_file(args, cfg, drive)
     if cfg.dressed_kind == "two_axis":
@@ -602,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (IntegratorError, FloatingPointError) as exc:
+    except (IntegratorError, NormalizationError, FloatingPointError) as exc:
         _report_error("numerical", exc)
         return 3
     except OSError as exc:

@@ -29,6 +29,8 @@ __all__ = [
     "clifford_group",
     "compose_cliffords",
     "recovery_clifford",
+    "multiplication_table",
+    "recovery_indices",
     "equal_up_to_phase",
     "AVERAGE_PRIMITIVES_PER_CLIFFORD",
     "clifford_sequence_program",
@@ -58,6 +60,12 @@ class Primitive:
         if self.axis == "i":
             raise ValueError("identity primitive has no rotation axis")
         return 0.0 if self.axis == "x" else math.pi / 2
+
+    @property
+    def rotation_azimuth(self) -> float:
+        """Axis azimuth realizing this primitive as a positive rotation by
+        ``abs(angle)``: negative angles turn about the opposite axis."""
+        return self.drive_azimuth + (math.pi if self.angle < 0.0 else 0.0)
 
 
 PRIMITIVES: dict[str, Primitive] = {
@@ -175,6 +183,46 @@ def recovery_clifford(applied: list[CliffordGate], target: str) -> CliffordGate:
     )
 
 
+@functools.cache
+def multiplication_table() -> np.ndarray:
+    """``table[a, b]`` is the index of C_a C_b (C_b applied first), up to phase."""
+    mats = np.array([gate.matrix for gate in clifford_group()])
+    products = mats[:, None] @ mats[None, :]
+    # the equal_up_to_phase rule for every (a, b, candidate g) at once
+    overlap = np.abs(np.einsum("gij,abij->abg", mats.conj(), products))
+    return np.argmax(np.abs(overlap - 2.0) <= 1e-9, axis=-1)
+
+
+@functools.cache
+def _recovery_table() -> np.ndarray:
+    """``table[t, c]``: ``recovery_clifford([C_c], target)`` index, t = 0 down, 1 up."""
+    group = clifford_group()
+    return np.array(
+        [[recovery_clifford([gate], target).index for gate in group] for target in ("down", "up")]
+    )
+
+
+def recovery_indices(strings: np.ndarray, target: str) -> np.ndarray:
+    """``recovery_clifford`` for each row of a (K, M) array of Clifford indices.
+
+    Each row is composed on the multiplication table, first column applied
+    first, and the recovery is read from a 24-entry table built with
+    ``recovery_clifford``, so the lowest-index rule is the same.
+    """
+    if target not in ("up", "down"):
+        raise ValueError("target must be 'up' or 'down'")
+    strings = np.asarray(strings)
+    if strings.ndim != 2 or strings.shape[1] == 0:
+        raise ValueError("strings must be a (K, M) array with M >= 1")
+    if not (strings.min() >= 0 and strings.max() < 24):
+        raise ValueError("Clifford indices must be in [0, 24)")
+    table = multiplication_table()
+    net = strings[:, 0]
+    for column in strings.T[1:]:
+        net = table[column, net]
+    return _recovery_table()[1 if target == "up" else 0, net]
+
+
 def clifford_sequence_program(
     gates: list[CliffordGate],
     cfg: DriveConfig,
@@ -194,9 +242,9 @@ def clifford_sequence_program(
         for prim in gate.primitives():
             if prim.axis == "i" or prim.angle == 0.0:
                 continue
-            angle = abs(prim.angle)
-            azimuth = prim.drive_azimuth + (math.pi if prim.angle < 0.0 else 0.0)
-            seg = gate_pulse(angle, azimuth - math.pi / 2.0, cfg, label=prim.name)
+            seg = gate_pulse(
+                abs(prim.angle), prim.rotation_azimuth - math.pi / 2.0, cfg, label=prim.name
+            )
             segments.append(seg)
             elapsed += seg.duration
     if pad_readout:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -140,11 +140,15 @@ class DriveConfig:
     alpha_P: float = 0.0
 
     def __post_init__(self) -> None:
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not abs(value) < math.inf:
+                raise ValueError(f"{item.name} must be finite, got {value!r}")
         if not self.rabi > 0.0:
             raise ValueError(f"rabi must be positive, got {self.rabi!r}")
-        if self.mod_strength < 0.0:
+        if not self.mod_strength >= 0.0:
             raise ValueError(f"mod_strength must be >= 0, got {self.mod_strength!r}")
-        if self.alpha_A < 0.0 or self.alpha_P < 0.0:
+        if not (self.alpha_A >= 0.0 and self.alpha_P >= 0.0):
             raise ValueError("modulation ratios must be non-negative")
         total = self.alpha_A + self.alpha_P
         if not (abs(total - 1.0) <= 1e-12 or total == 0.0):

@@ -40,6 +40,7 @@ __all__ = [
     "compile_program",
     "simulate_program",
     "parse_program",
+    "require_gate_lattice",
     "GATE_MOD_PHASE",
     "IDLE_MOD_PHASE",
 ]
@@ -77,6 +78,23 @@ class PulseSegment:
             raise ValueError("segment duration must be >= 0")
         if self.theta_m not in (GATE_MOD_PHASE, IDLE_MOD_PHASE):
             raise ValueError("theta_m must be 0 (idle) or pi/2 (gate)")
+
+
+def require_gate_lattice(cfg: DriveConfig) -> None:
+    """Refuse eps_m other than Omega_0 / (4 n), n >= 1.
+
+    Only then does every pi/2 and pi gate (duration angle / eps_m) span a
+    whole number of modulation periods, so gate sequences keep their
+    segment boundaries on the period lattice.
+    """
+    if not cfg.mod_strength > 0.0:
+        raise CompileError("gate sequences need mod_ratio > 0 (no dressed drive)")
+    ratio = cfg.rabi / (4.0 * cfg.mod_strength)
+    if not (abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1):
+        raise CompileError(
+            f"mod_ratio = {cfg.mod_strength / cfg.rabi!r} breaks the segment "
+            "boundary rule; use mod_ratio = 1/(4 n) for gate sequences"
+        )
 
 
 def gate_pulse(angle: float, phi_mw: float, cfg: DriveConfig, label: str = "") -> PulseSegment:

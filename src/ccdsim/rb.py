@@ -7,17 +7,23 @@ the two recovery variants, which decays as A (2 F_c - 1)^M from 1 toward 0.
 The average single-gate fidelity follows as F = 1 - (1 - F_c) / 1.875.
 
 Gate draws use a counter-based generator keyed on (seed, M, k), so each
-sequence is reproducible independently of execution order. CCD gates are
+sequence is reproducible independently of execution order; the recovery
+Cliffords are read from the group's multiplication table. CCD gates are
 simulated at pulse level in the second rotating frame; primitive propagators
-are cached per noise shot, which is exact because every primitive spans an
-integer number of modulation periods and the second-frame Hamiltonian is
-periodic over one such period.
+are computed once per noise shot, which is exact because every primitive
+spans an integer number of modulation periods and the second-frame
+Hamiltonian is periodic over one such period.
+
+Shots are a batch axis: the Clifford unitaries of all shots form one array,
+and for each length the states C|0> of all K strings are carried through
+the M gate columns together. Shots run in blocks of ``_SHOT_BLOCK`` to bound
+memory and are reduced in shot order, so results do not depend on the block
+size. There is no worker pool.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,19 +32,20 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from .clifford import (
     AVERAGE_PRIMITIVES_PER_CLIFFORD,
-    CliffordGate,
     PRIMITIVES,
     clifford_group,
-    recovery_clifford,
+    recovery_indices,
 )
 from .drive import DriveConfig, Scheme, first_frame_hamiltonian, second_frame_hamiltonian
 from .experiments import NoiseSpec
 from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_unitary
-from .pulses import GATE_MOD_PHASE
+from .pulses import GATE_MOD_PHASE, require_gate_lattice
 
 __all__ = ["RBResult", "randomized_benchmarking"]
 
-_ZERO = np.array([1.0, 0.0], dtype=complex)
+#: Noise shots composed at once. Each gate step of a block holds the gathered
+#: gates and the states, 160 bytes per shot and string.
+_SHOT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -57,12 +64,6 @@ class RBResult:
     meta: dict = field(default_factory=dict)
 
 
-def _axis_azimuth(prim) -> float:
-    """Equatorial rotation-axis azimuth, folding negative angles."""
-    azimuth = prim.drive_azimuth
-    return azimuth + math.pi if prim.angle < 0.0 else azimuth
-
-
 def _primitive_unitaries(
     scheme: Scheme,
     cfg: DriveConfig,
@@ -77,7 +78,7 @@ def _primitive_unitaries(
         if prim.axis == "i":
             continue
         angle = abs(prim.angle)
-        azimuth = _axis_azimuth(prim)
+        azimuth = prim.rotation_azimuth
         if scheme is Scheme.BARE:
             # constant first-frame drive about sigma_azimuth at Omega_0 + error
             duration = angle / errd.rabi
@@ -90,15 +91,50 @@ def _primitive_unitaries(
     return out
 
 
-def _clifford_unitaries(primitive_us: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Pulse-level unitary of each Clifford, first primitive applied first."""
+def _clifford_unitaries(primitive_us: dict[str, np.ndarray]) -> np.ndarray:
+    """Pulse-level unitary of each Clifford, first primitive applied first.
+
+    The primitives may carry leading batch axes (..., 2, 2); the result is
+    (..., 24, 2, 2).
+    """
     out = []
     for gate in clifford_group():
-        u = np.eye(2, dtype=complex)
-        for name in gate.decomposition:
+        u = primitive_us[gate.decomposition[0]]
+        for name in gate.decomposition[1:]:
             u = primitive_us[name] @ u
         out.append(u)
-    return out
+    return np.stack(out, axis=-3)
+
+
+def _real_form(u: np.ndarray) -> np.ndarray:
+    """Unitaries (..., 2, 2) as real weights (..., 4, 4) on real state vectors.
+
+    A state a|0> + b|1> is stored as (Re a, Im a, Re b, Im b), and
+    ``w[..., c, r]`` is the weight of input component c in output component r.
+    """
+    w = np.empty(u.shape[:-2] + (2, 2, 2, 2))  # (input j, re/im, output i, re/im)
+    re, im = u.real.swapaxes(-1, -2), u.imag.swapaxes(-1, -2)
+    w[..., 0, :, 0] = re
+    w[..., 1, :, 1] = re
+    w[..., 0, :, 1] = im
+    w[..., 1, :, 0] = -im
+    return w.reshape(u.shape[:-2] + (4, 4))
+
+
+def _apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Real-form product over the leading axes (see ``_real_form``).
+
+    Elementwise real multiplies and adds in a fixed order compute every value
+    by the same correctly rounded operations whatever the array shapes, so
+    the result cannot depend on the shot block. Complex multiplies and
+    matmul leave fused multiply-adds to the SIMD or BLAS kernel.
+    """
+    return (
+        w[..., 0, :] * x[..., 0:1]
+        + w[..., 1, :] * x[..., 1:2]
+        + w[..., 2, :] * x[..., 2:3]
+        + w[..., 3, :] * x[..., 3:4]
+    )
 
 
 def _sequence_indices(seed: int, m: int, k: int) -> np.ndarray:
@@ -155,7 +191,8 @@ def randomized_benchmarking(
     ``ideal=True`` replaces pulse dynamics with the ideal Clifford matrices
     (engine self-check; errors and noise are then irrelevant). Otherwise CCD
     schemes need eps_m = Omega_0 / (4 n) so that each primitive spans whole
-    modulation periods.
+    modulation periods. ``threads`` is accepted and ignored: all shots are
+    composed as one batch.
     """
     lengths = np.asarray(m_list, dtype=int)
     if lengths.size == 0 or np.any(lengths <= 0) or np.any(np.diff(lengths) <= 0):
@@ -165,26 +202,13 @@ def randomized_benchmarking(
     noise = noise or NoiseSpec()
     base = cfg.with_scheme(scheme)
     if not ideal and scheme is not Scheme.BARE:
-        ratio = base.rabi / (4.0 * base.mod_strength) if base.mod_strength > 0 else 0.0
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError(
-                "pulse-level CCD benchmarking needs mod_strength = rabi / (4 n)"
-            )
+        require_gate_lattice(base)
 
-    group = clifford_group()
-    sequences: list[tuple[int, int, list[CliffordGate], CliffordGate, CliffordGate]] = []
-    for m in lengths:
-        for k in range(k_randomizations):
-            gates = [group[i] for i in _sequence_indices(noise.seed, int(m), k)]
-            sequences.append(
-                (
-                    int(m),
-                    k,
-                    gates,
-                    recovery_clifford(gates, "up"),
-                    recovery_clifford(gates, "down"),
-                )
-            )
+    strings = [
+        np.array([_sequence_indices(noise.seed, int(m), k) for k in range(k_randomizations)])
+        for m in lengths
+    ]
+    recoveries = [(recovery_indices(s, "up"), recovery_indices(s, "down")) for s in strings]
 
     rng = np.random.default_rng(noise.seed)
     # total error per shot: config-borne + static injection + quasi-static draw
@@ -198,38 +222,36 @@ def randomized_benchmarking(
         + static_rabi_error
         + rng.normal(0.0, noise.sigma_rabi_frac * base.rabi, noise.samples)
     )
-
-    def run_shot(shot: int) -> np.ndarray:
-        if ideal:
-            clifford_us = [g.matrix for g in group]
-        else:
-            prims = _primitive_unitaries(
-                scheme, base, float(delta_draws[shot]), float(rabi_draws[shot]), spec
-            )
-            clifford_us = _clifford_unitaries(prims)
-        diffs = np.empty(len(sequences))
-        for idx, (_m, _k, gates, rec_up, rec_down) in enumerate(sequences):
-            u = np.eye(2, dtype=complex)
-            for gate in gates:
-                u = clifford_us[gate.index] @ u
-            p_up = abs((clifford_us[rec_up.index] @ u @ _ZERO)[1]) ** 2
-            p_down = abs((clifford_us[rec_down.index] @ u @ _ZERO)[1]) ** 2
-            diffs[idx] = p_up - p_down
-        return diffs
-
-    n_shots = 1 if ideal else noise.samples
-    workers = max(1, threads or 1)
-    if workers == 1 or n_shots == 1:
-        shots = [run_shot(s) for s in range(n_shots)]
+    if ideal:
+        clifford_us = np.stack([g.matrix for g in clifford_group()])[None]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shots = list(pool.map(run_shot, range(n_shots)))
-    per_sequence = np.zeros(len(sequences))
-    for shot in shots:  # ordered reduction, worker-count invariant
-        per_sequence += shot
-    per_sequence /= n_shots
+        shots = [
+            _primitive_unitaries(scheme, base, float(delta), float(rabi_error), spec)
+            for delta, rabi_error in zip(delta_draws, rabi_draws)
+        ]
+        clifford_us = _clifford_unitaries(
+            {name: np.stack([prims[name] for prims in shots]) for name in PRIMITIVES}
+        )
+    weights = _real_form(clifford_us)  # (shots, 24, 4, 4)
 
-    matrix = per_sequence.reshape(lengths.size, k_randomizations)
+    zero = np.array([1.0, 0.0, 0.0, 0.0])
+    matrix = np.zeros((lengths.size, k_randomizations))
+    for first in range(0, len(weights), _SHOT_BLOCK):
+        block = weights[first : first + _SHOT_BLOCK]
+        shot = np.arange(len(block))[:, None]
+        for row, string, (up, down) in zip(matrix, strings, recoveries):
+            state = np.broadcast_to(zero, (len(block), k_randomizations, 4))
+            for column in string.T:
+                state = _apply(block[shot, column], state)
+            final_up = _apply(block[shot, up], state)
+            final_down = _apply(block[shot, down], state)
+            diffs = (final_up[..., 2] ** 2 + final_up[..., 3] ** 2) - (
+                final_down[..., 2] ** 2 + final_down[..., 3] ** 2
+            )
+            for diff in diffs:  # shot order, whatever the block size
+                row += diff
+    matrix /= len(weights)
+
     signal = matrix.mean(axis=1)
     amplitude, p, residual, converged = _fit_decay(lengths, signal)
     f_c = (1.0 + p) / 2.0

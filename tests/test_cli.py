@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from ccdsim import cli
 from ccdsim.cli import main
 from ccdsim.drive import default_config, drive_coefficient, Scheme
+from ccdsim.qubit import NormalizationError
 
 
 def read_csv(path):
@@ -97,6 +99,15 @@ class TestConfigPrecedence:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["kind"] == "config"
         assert "finite" in record["error"]["message"]
+
+    def test_normalization_error_is_numerical(self, monkeypatch, capsys):
+        def handler(args):
+            raise NormalizationError("state norm 1.1 is off by more than 1e-08")
+
+        monkeypatch.setattr(cli, "_cmd_selftest", handler)
+        assert main(["selftest"]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "numerical"
 
     def test_io_error_exit_code(self, tmp_path):
         code = main(

@@ -45,6 +45,19 @@ class TestDriveConfig:
         with pytest.raises(ValueError):
             DriveConfig(omega_L=1.0, omega_mw=1.0, rabi=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(mod_ratio=float("nan")),
+            dict(detuning=float("nan")),
+            dict(rabi=float("inf")),
+        ],
+        ids=["nan-mod-ratio", "nan-detuning", "inf-rabi"],
+    )
+    def test_non_finite_fields_refused(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            make(Scheme.CMCCD, **kwargs)
+
     def test_detuning_is_derived(self):
         # stored as absolute omega_L; reconstructing a small detuning from the
         # 15 GHz carrier costs ~1e-11 relative rounding, far below any physics

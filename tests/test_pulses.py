@@ -15,6 +15,7 @@ from ccdsim.pulses import (
     idle_pulse,
     parse_program,
     readout_pad,
+    require_gate_lattice,
     simulate_program,
 )
 from ccdsim.qubit import QubitState, state_fidelity
@@ -86,6 +87,16 @@ class TestCompile:
         )
         with pytest.raises(CompileError, match="segment 1"):
             compile_program(program)
+
+    def test_gate_lattice_needs_quarter_over_n_mod_ratio(self):
+        for ratio in (0.25, 0.125, 1.0 / 12.0):
+            require_gate_lattice(default_config(Scheme.CMCCD, mod_ratio=ratio))
+        with pytest.raises(CompileError, match=r"1/\(4 n\)"):
+            require_gate_lattice(default_config(Scheme.CMCCD, mod_ratio=0.3))
+        with pytest.raises(CompileError, match=r"1/\(4 n\)"):
+            require_gate_lattice(default_config(Scheme.CMCCD, mod_ratio=0.5))
+        with pytest.raises(CompileError):
+            require_gate_lattice(default_config(Scheme.BARE))
 
     def test_zero_duration_segments_dropped(self):
         program = PulseProgram([idle_pulse(0.0, CFG), readout_pad(0.0, CFG)], CFG)

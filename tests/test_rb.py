@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from ccdsim.clifford import clifford, clifford_sequence_program, recovery_clifford
+from ccdsim import rb
+from ccdsim.clifford import (
+    clifford,
+    clifford_group,
+    clifford_sequence_program,
+    equal_up_to_phase,
+    multiplication_table,
+    recovery_clifford,
+    recovery_indices,
+)
 from ccdsim.drive import Scheme, default_config
 from ccdsim.experiments import NoiseSpec
+from ccdsim.propagator import ROTATING_SPEC
 from ccdsim.pulses import simulate_program
-from ccdsim.rb import _sequence_indices, randomized_benchmarking
+from ccdsim.rb import _primitive_unitaries, _sequence_indices, randomized_benchmarking
 
 CFG = default_config(Scheme.CMCCD, rabi=2 * math.pi * 2.2e6)
 RABI = CFG.rabi
@@ -141,3 +151,127 @@ class TestPulseLevel:
             randomized_benchmarking(Scheme.CMCCD, CFG, [4, 2], 2, NoiseSpec(seed=0))
         with pytest.raises(ValueError):
             randomized_benchmarking(Scheme.CMCCD, CFG, [], 2, NoiseSpec(seed=0))
+
+
+def looped_signal(scheme, cfg, m_list, k_randomizations, noise, *, ideal=False, **errors):
+    """The RB signal from one 2x2 product per gate, sequence by sequence and
+    shot by shot, with recoveries from the matrix search."""
+    base = cfg.with_scheme(scheme)
+    rng = np.random.default_rng(noise.seed)
+    deltas = (
+        base.detuning
+        + errors.get("static_detuning", 0.0)
+        + rng.normal(0.0, noise.sigma_detuning, noise.samples)
+    )
+    rabi_errors = (
+        base.rabi_error
+        + errors.get("static_rabi_error", 0.0)
+        + rng.normal(0.0, noise.sigma_rabi_frac * base.rabi, noise.samples)
+    )
+    shots = []
+    if ideal:
+        shots.append([gate.matrix for gate in clifford_group()])
+    else:
+        for delta, rabi_error in zip(deltas, rabi_errors):
+            prims = _primitive_unitaries(
+                scheme, base, float(delta), float(rabi_error), ROTATING_SPEC
+            )
+            unitaries = []
+            for gate in clifford_group():
+                u = np.eye(2, dtype=complex)
+                for name in gate.decomposition:
+                    u = prims[name] @ u
+                unitaries.append(u)
+            shots.append(unitaries)
+    zero = np.array([1.0, 0.0], dtype=complex)
+    signal = []
+    for m in m_list:
+        means = []
+        for k in range(k_randomizations):
+            gates = [clifford(int(i)) for i in _sequence_indices(noise.seed, m, k)]
+            up, down = recovery_clifford(gates, "up"), recovery_clifford(gates, "down")
+            total = 0.0
+            for unitaries in shots:
+                u = np.eye(2, dtype=complex)
+                for gate in gates:
+                    u = unitaries[gate.index] @ u
+                total += abs((unitaries[up.index] @ u @ zero)[1]) ** 2
+                total -= abs((unitaries[down.index] @ u @ zero)[1]) ** 2
+            means.append(total / len(shots))
+        signal.append(np.mean(means))
+    return np.array(signal)
+
+
+ALL_SCHEMES = [Scheme.BARE, Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD]
+DRAWS = {
+    "ideal": dict(noise=NoiseSpec(seed=4), ideal=True),
+    "static": dict(
+        noise=NoiseSpec(seed=4), static_detuning=0.03 * RABI, static_rabi_error=-0.02 * RABI
+    ),
+    "noisy": dict(
+        noise=NoiseSpec(sigma_detuning=0.04 * RABI, sigma_rabi_frac=0.02, samples=3, seed=4),
+        static_detuning=0.01 * RABI,
+    ),
+}
+
+
+class TestBatchedComposition:
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
+    def test_matches_per_sequence_loop(self, scheme, draw):
+        kwargs = dict(DRAWS[draw])
+        noise = kwargs.pop("noise")
+        m_list = [1, 3, 8]
+        batched = randomized_benchmarking(scheme, CFG, m_list, 3, noise, **kwargs)
+        looped = looped_signal(scheme, CFG, m_list, 3, noise, **kwargs)
+        assert np.max(np.abs(batched.signal - looped)) <= 1e-12
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_shot_block_does_not_change_a_byte(self, monkeypatch, block):
+        noise = NoiseSpec(sigma_detuning=0.05 * RABI, sigma_rabi_frac=0.01, samples=20, seed=6)
+        args = (Scheme.CMCCD, CFG, M_LIST, 3, noise)
+        default = randomized_benchmarking(*args)
+        monkeypatch.setattr(rb, "_SHOT_BLOCK", block)
+        blocked = randomized_benchmarking(*args)
+        assert blocked.signal.tobytes() == default.signal.tobytes()
+        assert (
+            blocked.meta["signal_matrix"].tobytes() == default.meta["signal_matrix"].tobytes()
+        )
+        assert blocked.average_gate_fidelity == default.average_gate_fidelity
+
+
+class TestRecoveryTable:
+    def test_multiplication_table_matches_matrix_products(self):
+        table = multiplication_table()
+        for a in range(24):
+            for b in range(24):
+                product = clifford(a).matrix @ clifford(b).matrix
+                assert equal_up_to_phase(clifford(int(table[a, b])).matrix, product)
+
+    @pytest.mark.parametrize("target", ["up", "down"])
+    def test_every_ordered_pair_matches_matrix_search(self, target):
+        pairs = np.array([(a, b) for a in range(24) for b in range(24)])
+        expected = [
+            recovery_clifford([clifford(a), clifford(b)], target).index for a, b in pairs
+        ]
+        assert recovery_indices(pairs, target).tolist() == expected
+
+    @pytest.mark.parametrize("length", [1, 17, 64])
+    def test_random_strings_match_matrix_search(self, length):
+        strings = np.random.default_rng(length).integers(0, 24, size=(25, length))
+        for target in ("up", "down"):
+            expected = [
+                recovery_clifford([clifford(int(i)) for i in row], target).index
+                for row in strings
+            ]
+            assert recovery_indices(strings, target).tolist() == expected
+
+    def test_rejects_malformed_strings(self):
+        with pytest.raises(ValueError):
+            recovery_indices(np.zeros((3, 0), dtype=int), "up")
+        with pytest.raises(ValueError):
+            recovery_indices(np.array([[0, 24]]), "up")
+        with pytest.raises(ValueError):
+            recovery_indices(np.array([[-1, 2]]), "down")
+        with pytest.raises(ValueError):
+            recovery_indices(np.array([[0, 1]]), "sideways")
