@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
 error. Failures print a machine-readable JSON error record to stderr.
-Worker count comes from --threads, then the CCD_SIM_THREADS environment
-variable, then the available parallelism.
+No subcommand runs a worker pool. ``--threads``, the ``threads`` config
+key and the CCD_SIM_THREADS environment variable are still accepted and
+validated (exit 2 on a negative count or a non-integer variable), but they
+select nothing.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -49,20 +52,6 @@ __all__ = ["main"]
 TWO_PI = 2.0 * math.pi
 
 
-def _worker_count(cfg: RunConfig) -> int:
-    if cfg.threads > 0:
-        return cfg.threads
-    env = os.environ.get("CCD_SIM_THREADS", "")
-    if env.strip():
-        try:
-            count = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"CCD_SIM_THREADS must be an integer, got {env!r}") from exc
-        if count > 0:
-            return count
-    return os.cpu_count() or 1
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
     text = ""
     if getattr(args, "config", None):
@@ -71,40 +60,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "scheme",
-            "rabi_hz",
-            "detuning_hz",
-            "carrier_hz",
-            "rabi_error_frac",
-            "mod_ratio",
-            "mod_strength_hz",
-            "mod_phase",
-            "mw_phase",
-            "duration_points",
-            "duration_stop_s",
-            "detuning_points",
-            "rabi_error_points",
-            "quarter_turns",
-            "samples_per_quarter_turn",
-            "dressed_kind",
-            "sweep_points",
-            "cliffords",
-            "k_randomizations",
-            "noise_detuning_sigma_hz",
-            "noise_rabi_sigma_frac",
-            "noise_samples",
-            "gate_angle",
-            "sample_rate_hz",
-            "seed",
-            "threads",
-            "out",
-            "format",
-        )
-        if hasattr(args, key)
-    }
+    keys = [f.name for f in fields(RunConfig)] + ["mod_strength_hz"]
+    overrides = {key: getattr(args, key) for key in keys if hasattr(args, key)}
     span = getattr(args, "detuning_span_hz", None)
     if span is not None:
         overrides["detuning_start_hz"] = -span / 2.0
@@ -113,7 +70,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if span is not None:
         overrides["rabi_error_start_frac"] = -span / 2.0
         overrides["rabi_error_stop_frac"] = span / 2.0
-    return parse_config(text, overrides=overrides)
+    cfg = parse_config(text, overrides=overrides)
+    env = os.environ.get("CCD_SIM_THREADS", "")
+    if cfg.threads == 0 and env.strip():
+        try:
+            int(env)
+        except ValueError as exc:
+            raise ConfigError(f"CCD_SIM_THREADS must be an integer, got {env!r}") from exc
+    return cfg
 
 
 def _duration_grid(cfg: RunConfig) -> np.ndarray:
@@ -174,7 +138,6 @@ def _cmd_chevron(args: argparse.Namespace) -> int:
         cfg.drive_config(),
         _detuning_grid(cfg),
         _duration_grid(cfg),
-        threads=_worker_count(cfg),
     )
     return _write(args, cfg, _grid_dataset(cfg, grid, "p_up"))
 
@@ -186,7 +149,6 @@ def _cmd_rabi_error(args: argparse.Namespace) -> int:
         cfg.drive_config(),
         _rabi_error_grid(cfg),
         _duration_grid(cfg),
-        threads=_worker_count(cfg),
     )
     return _write(args, cfg, _grid_dataset(cfg, grid, "p_up"))
 
@@ -195,13 +157,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if args.axis == "detuning":
         grid = chevron_sweep(
-            cfg.scheme_enum(), cfg.drive_config(), _detuning_grid(cfg),
-            _duration_grid(cfg), threads=_worker_count(cfg),
+            cfg.scheme_enum(), cfg.drive_config(), _detuning_grid(cfg), _duration_grid(cfg)
         )
     else:
         grid = rabi_error_sweep(
-            cfg.scheme_enum(), cfg.drive_config(), _rabi_error_grid(cfg),
-            _duration_grid(cfg), threads=_worker_count(cfg),
+            cfg.scheme_enum(), cfg.drive_config(), _rabi_error_grid(cfg), _duration_grid(cfg)
         )
     return _write(args, cfg, _grid_dataset(cfg, spectrum(grid), "magnitude"))
 
@@ -211,10 +171,7 @@ def _cmd_infidelity(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args)
     grid = _detuning_grid(cfg) if args.axis == "detuning" else _rabi_error_grid(cfg)
-    curve = infidelity_curve(
-        cfg.scheme_enum(), cfg.drive_config(), args.axis, grid,
-        threads=_worker_count(cfg),
-    )
+    curve = infidelity_curve(cfg.scheme_enum(), cfg.drive_config(), args.axis, grid)
     errors = np.array([point[0] for point in curve])
     infids = np.array([[point[1]] for point in curve])
     axis_name = "detuning" if args.axis == "detuning" else "rabi_error"
@@ -266,7 +223,6 @@ def _cmd_dressed(args: argparse.Namespace) -> int:
     else:
         sweep = lattice_times(drive, cfg.sweep_points)
         axis = AxisDef("t_c", "s", sweep)
-    noise = cfg.noise_spec()
 
     def run(delta: float, rabi_error: float) -> np.ndarray:
         errd = drive.with_errors(
@@ -275,10 +231,7 @@ def _cmd_dressed(args: argparse.Namespace) -> int:
         points = dressed_sequence_experiment(cfg.dressed_kind, errd, sweep)
         return np.array([p for _, p in points])
 
-    if noise.samples > 1 or noise.sigma_detuning > 0 or noise.sigma_rabi_frac > 0:
-        values = noise_average(run, noise, drive.rabi, threads=_worker_count(cfg))
-    else:
-        values = run(0.0, 0.0)
+    values = noise_average(run, cfg.noise_spec(), drive.rabi)
     data = Dataset(
         meta=_sweep_meta(cfg, {"kind": cfg.dressed_kind}),
         axes=(axis,),
@@ -323,7 +276,6 @@ def _cmd_rb(args: argparse.Namespace) -> int:
         static_detuning=TWO_PI * cfg.rabi_hz * args.static_detuning_frac,
         static_rabi_error=TWO_PI * cfg.rabi_hz * args.static_rabi_error_frac,
         ideal=args.ideal,
-        threads=_worker_count(cfg),
     )
     meta = _sweep_meta(
         cfg,

@@ -78,7 +78,7 @@ class RunConfig:
     sample_rate_hz: float = 1e9
     # run control
     seed: int = 0
-    threads: int = 0  # 0 = use available parallelism
+    threads: int = 0  # accepted and validated (>= 0); selects nothing
     out: str = ""
     format: str = "csv"
 
@@ -245,7 +245,7 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
 
 
 #: execution details that do not affect computed values; excluded from the
-#: config text embedded in datasets so outputs are worker-count invariant
+#: config text embedded in datasets so outputs do not depend on them
 _RUNTIME_KEYS = {"threads", "out"}
 
 

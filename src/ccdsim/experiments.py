@@ -5,16 +5,15 @@ trajectories with quarter-turn markers, Y-pi state-infidelity curves, the
 dressed-qubit pulse sequences (CCD-Rabi, CCD-Ramsey, two-axis control), and
 quasi-static noise averaging.
 
-All sweeps start from |0> and report the spin-up fraction |<1|psi>|^2. Grid
-rows are independent work items; they are computed with a fixed global step
-size and reduced in grid order, so results do not depend on the worker count.
+All sweeps start from |0> and report the spin-up fraction |<1|psi>|^2. Each
+sweep propagates all its grid rows as one ``evolve_grid`` batch, which fixes
+one global step size across the rows.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .drive import (
     second_frame_hamiltonian,
 )
 from .fitting import hann_spectrum
-from .propagator import ROTATING_SPEC, Hamiltonian, IntegratorSpec, evolve, evolve_grid
+from .propagator import ROTATING_SPEC, IntegratorSpec, evolve, evolve_grid
 from .pulses import PulseProgram, gate_pulse, idle_pulse, readout_pad, simulate_program
 from .qubit import BlochVector, QubitState, bloch_vector
 
@@ -103,32 +102,12 @@ class NoiseSpec:
         if self.samples < 1:
             raise ValueError("need at least one noise sample")
 
-
-def _run_rows(
-    hams: Sequence[Hamiltonian],
-    times: np.ndarray,
-    spec: IntegratorSpec,
-    threads: int | None,
-) -> np.ndarray:
-    """Spin-up fractions, shape (rows, len(times)); worker-count invariant."""
-    # Fix one global step before splitting so every partition integrates
-    # identically however the rows are grouped.
-    step = min(spec.effective_step(h.fastest_period) for h in hams)
-    fixed = replace(spec, max_step=step)
-    psi0 = QubitState.zero()
-
-    def block(rows: Sequence[Hamiltonian]) -> np.ndarray:
-        states = evolve_grid(rows, times, psi0, fixed)
-        return np.abs(states[..., 1]) ** 2
-
-    workers = max(1, threads or 1)
-    if workers == 1 or len(hams) == 1:
-        return block(hams)
-    bounds = np.linspace(0, len(hams), workers + 1, dtype=int)
-    chunks = [hams[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(block, chunks))
-    return np.concatenate(parts, axis=0)
+    def draws(self, rabi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-shot (detuning, Rabi-error) draws in rad/s, from ``seed``."""
+        rng = np.random.default_rng(self.seed)
+        deltas = rng.normal(0.0, self.sigma_detuning, self.samples)
+        rabi_errors = rng.normal(0.0, self.sigma_rabi_frac * rabi, self.samples)
+        return deltas, rabi_errors
 
 
 def _coarse_grid_warning(cfg: DriveConfig, durations: np.ndarray) -> list[str]:
@@ -151,7 +130,6 @@ def chevron_sweep(
     duration_grid: np.ndarray,
     *,
     spec: IntegratorSpec = ROTATING_SPEC,
-    threads: int | None = None,
 ) -> SweepGrid:
     """Spin-up fraction vs (detuning, drive duration) in the first frame."""
     detunings = np.asarray(detuning_grid, dtype=float)
@@ -160,7 +138,7 @@ def chevron_sweep(
         raise ValueError("grids must be strictly increasing")
     base = cfg.with_scheme(scheme)
     hams = [first_frame_hamiltonian(base.with_errors(detuning=d)) for d in detunings]
-    values = _run_rows(hams, durations, spec, threads)
+    values = np.abs(evolve_grid(hams, durations, QubitState.zero(), spec)[..., 1]) ** 2
     return SweepGrid(
         x_axis=AxisDef("duration", "s", durations),
         y_axis=AxisDef("detuning", "rad/s", detunings),
@@ -180,7 +158,6 @@ def rabi_error_sweep(
     duration_grid: np.ndarray,
     *,
     spec: IntegratorSpec = ROTATING_SPEC,
-    threads: int | None = None,
 ) -> SweepGrid:
     """Spin-up fraction vs (static Rabi error, duration) at zero detuning."""
     errors = np.asarray(rabi_error_grid, dtype=float)
@@ -189,7 +166,7 @@ def rabi_error_sweep(
         raise ValueError("grids must be strictly increasing")
     base = cfg.with_scheme(scheme).with_errors(detuning=0.0)
     hams = [first_frame_hamiltonian(base.with_errors(rabi_error=e)) for e in errors]
-    values = _run_rows(hams, durations, spec, threads)
+    values = np.abs(evolve_grid(hams, durations, QubitState.zero(), spec)[..., 1]) ** 2
     return SweepGrid(
         x_axis=AxisDef("duration", "s", durations),
         y_axis=AxisDef("rabi_error", "rad/s", errors),
@@ -222,7 +199,6 @@ def infidelity_curve(
     grid: np.ndarray,
     *,
     spec: IntegratorSpec = ROTATING_SPEC,
-    threads: int | None = None,
 ) -> list[tuple[float, float]]:
     """Y-pi gate state infidelity vs detuning or Rabi error.
 
@@ -248,7 +224,8 @@ def infidelity_curve(
             hams.append(build(base.with_errors(detuning=float(err))))
         else:
             hams.append(build(base.with_errors(rabi_error=float(err))))
-    p_up = _run_rows(hams, np.array([duration]), spec, threads)[:, 0]
+    states = evolve_grid(hams, np.array([duration]), QubitState.zero(), spec)
+    p_up = np.abs(states[:, 0, 1]) ** 2
     return [(float(e), float(1.0 - p)) for e, p in zip(errors, p_up)]
 
 
@@ -357,28 +334,17 @@ def noise_average(
     experiment: Callable[[float, float], np.ndarray],
     noise: NoiseSpec,
     rabi: float,
-    *,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Average ``experiment(delta, rabi_error)`` over quasi-static noise draws.
 
-    Draws are generated up front from the seed and shots are reduced in draw
-    order, so the result is identical for any worker count and bit-stable
+    Shots run and are summed in draw order, so the result is bit-stable
     across runs on one platform.
     """
     if noise.sigma_detuning == 0.0 and noise.sigma_rabi_frac == 0.0:
         # every draw is exactly (0, 0); one shot reproduces the average exactly
         return np.asarray(experiment(0.0, 0.0), dtype=float)
-    rng = np.random.default_rng(noise.seed)
-    deltas = rng.normal(0.0, noise.sigma_detuning, noise.samples)
-    rabi_errors = rng.normal(0.0, noise.sigma_rabi_frac * rabi, noise.samples)
-    workers = max(1, threads or 1)
-    if workers == 1:
-        shots = [experiment(d, e) for d, e in zip(deltas, rabi_errors)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shots = list(pool.map(experiment, deltas, rabi_errors))
-    total = np.asarray(shots[0], dtype=float).copy()
-    for shot in shots[1:]:
-        total += shot
+    deltas, rabi_errors = noise.draws(rabi)
+    total = np.asarray(experiment(deltas[0], rabi_errors[0]), dtype=float).copy()
+    for delta, rabi_error in zip(deltas[1:], rabi_errors[1:]):
+        total += experiment(delta, rabi_error)
     return total / noise.samples

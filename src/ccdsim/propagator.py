@@ -61,7 +61,8 @@ NORM_DRIFT_LIMIT = 1e-8
 #: this many periods of an integer (shared with the pulse-boundary rule).
 LATTICE_TOLERANCE = 1e-9
 
-#: Steps per chunk when accumulating very long products (memory bound).
+#: Step unitaries per chunk, summed over the batch, when accumulating very
+#: long products (memory bound).
 _CHUNK = 1 << 20
 
 # Gauss-Legendre nodes and weights of the 4th-order commutator-free scheme.
@@ -226,23 +227,28 @@ def _tree_product(us: np.ndarray) -> np.ndarray:
 
 def _interval_unitary(
     coefficients: Callable[[np.ndarray], np.ndarray],
+    batch: tuple[int, ...],
     t0: float,
     t1: float,
     step: float,
     method: str,
 ) -> np.ndarray:
-    """Total propagator over [t0, t1], chunked to bound memory."""
+    """Total propagator over [t0, t1], shape batch + (2, 2).
+
+    ``batch`` is the leading shape of ``coefficients``' output: () for one
+    Hamiltonian. Each chunk holds at most ``_CHUNK`` step unitaries over the
+    whole batch (at least one step), which bounds memory whatever the batch.
+    """
     span = t1 - t0
     if span == 0.0:
-        probe = np.atleast_2d(coefficients(np.array([t0])))
-        batch = probe.shape[:-2] if probe.ndim > 2 else ()
         return np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
     n_steps = max(1, math.ceil(span / step - 1e-9))
     h = span / n_steps
+    chunk_steps = max(1, _CHUNK // math.prod(batch))
     total = None
     done = 0
     while done < n_steps:
-        m = min(_CHUNK, n_steps - done)
+        m = min(chunk_steps, n_steps - done)
         us = _step_unitaries(coefficients, t0 + done * h, h, m, method)
         # move the step axis first so the tree product broadcasts over batches
         if us.ndim > 3:
@@ -256,6 +262,7 @@ def _interval_unitary(
 def _lattice_unitaries(
     hams: Sequence[Hamiltonian],
     coefficients: Callable[[np.ndarray], np.ndarray],
+    batch: tuple[int, ...],
     t0: float,
     times: np.ndarray,
     step: float,
@@ -278,7 +285,7 @@ def _lattice_unitaries(
     if not np.all(np.abs(marks - counts) <= LATTICE_TOLERANCE):
         return None
     counts = counts.astype(np.int64)
-    u_period = _interval_unitary(coefficients, 0.0, period, step, method)
+    u_period = _interval_unitary(coefficients, batch, 0.0, period, step, method)
     return su2_power(u_period[..., None, :, :], counts[:-1] - counts[-1])
 
 
@@ -286,9 +293,9 @@ def _total_unitary(
     ham: Hamiltonian, t0: float, t1: float, step: float, method: str
 ) -> np.ndarray:
     """U(t1, t0) by the lattice paths where they apply, else by stepping."""
-    us = _lattice_unitaries([ham], ham.coefficients, t0, np.array([t1]), step, method)
+    us = _lattice_unitaries([ham], ham.coefficients, (), t0, np.array([t1]), step, method)
     if us is None:
-        return _interval_unitary(ham.coefficients, t0, t1, step, method)
+        return _interval_unitary(ham.coefficients, (), t0, t1, step, method)
     return us[0]
 
 
@@ -334,7 +341,7 @@ def evolve(
     amps = psi0.amplitudes
     prev = t0
     for t in times:
-        u = _interval_unitary(ham.coefficients, prev, float(t), step, spec.method)
+        u = _interval_unitary(ham.coefficients, (), prev, float(t), step, spec.method)
         amps = u @ amps
         states.append(QubitState(_check_norm(amps, f"evolve to t={t}")))
         prev = float(t)
@@ -365,9 +372,9 @@ def evolve_grid(
     """Evolve one initial state under a batch of Hamiltonians, sampling ``times``.
 
     All Hamiltonians share the global time axis (propagation starts at t=0).
-    Returns a complex array of shape (batch, len(times), 2). The reduction
-    order is fixed by the time grid, so results are independent of how the
-    batch was assembled or scheduled.
+    Returns a complex array of shape (batch, len(times), 2). All rows share
+    the smallest step any of them needs, and the reduction order is fixed by
+    the time grid and the batch size, so a rerun gives the same bits.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or (times.size and times[0] < 0.0):
@@ -380,7 +387,9 @@ def evolve_grid(
     def coefficients(ts: np.ndarray) -> np.ndarray:
         return np.stack([h.coefficients(ts) for h in hamiltonians], axis=0)
 
-    us = _lattice_unitaries(hamiltonians, coefficients, 0.0, times, step, spec.method)
+    us = _lattice_unitaries(
+        hamiltonians, coefficients, (batch,), 0.0, times, step, spec.method
+    )
     if us is not None:
         out = us @ psi0.amplitudes
     else:
@@ -388,7 +397,7 @@ def evolve_grid(
         amps = np.broadcast_to(psi0.amplitudes, (batch, 2)).copy()
         prev = 0.0
         for j, t in enumerate(times):
-            u = _interval_unitary(coefficients, prev, float(t), step, spec.method)
+            u = _interval_unitary(coefficients, (batch,), prev, float(t), step, spec.method)
             amps = np.einsum("bij,bj->bi", u, amps)
             out[:, j, :] = amps
             prev = float(t)

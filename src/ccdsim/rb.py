@@ -184,15 +184,13 @@ def randomized_benchmarking(
     *,
     ideal: bool = False,
     spec: IntegratorSpec = ROTATING_SPEC,
-    threads: int | None = None,
 ) -> RBResult:
     """Run the randomized-benchmarking procedure and fit the decay.
 
     ``ideal=True`` replaces pulse dynamics with the ideal Clifford matrices
     (engine self-check; errors and noise are then irrelevant). Otherwise CCD
     schemes need eps_m = Omega_0 / (4 n) so that each primitive spans whole
-    modulation periods. ``threads`` is accepted and ignored: all shots are
-    composed as one batch.
+    modulation periods. All noise shots are composed as one batch.
     """
     lengths = np.asarray(m_list, dtype=int)
     if lengths.size == 0 or np.any(lengths <= 0) or np.any(np.diff(lengths) <= 0):
@@ -210,18 +208,10 @@ def randomized_benchmarking(
     ]
     recoveries = [(recovery_indices(s, "up"), recovery_indices(s, "down")) for s in strings]
 
-    rng = np.random.default_rng(noise.seed)
     # total error per shot: config-borne + static injection + quasi-static draw
-    delta_draws = (
-        base.detuning
-        + static_detuning
-        + rng.normal(0.0, noise.sigma_detuning, noise.samples)
-    )
-    rabi_draws = (
-        base.rabi_error
-        + static_rabi_error
-        + rng.normal(0.0, noise.sigma_rabi_frac * base.rabi, noise.samples)
-    )
+    deltas, rabi_errors = noise.draws(base.rabi)
+    delta_draws = base.detuning + static_detuning + deltas
+    rabi_draws = base.rabi_error + static_rabi_error + rabi_errors
     if ideal:
         clifford_us = np.stack([g.matrix for g in clifford_group()])[None]
     else:

@@ -1,13 +1,16 @@
+import argparse
 import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ccdsim import cli
-from ccdsim.cli import main
+from ccdsim.cli import build_parser, main
+from ccdsim.config import RunConfig
 from ccdsim.drive import default_config, drive_coefficient, Scheme
 from ccdsim.qubit import NormalizationError
 
@@ -117,6 +120,35 @@ class TestConfigPrecedence:
             ]
         )
         assert code == 4
+
+    def test_every_config_flag_sets_its_field(self, monkeypatch):
+        monkeypatch.delenv("CCD_SIM_THREADS", raising=False)
+        defaults = RunConfig()
+        names = {f.name for f in fields(RunConfig)}
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        checked = 0
+        for command, sub in commands.choices.items():
+            for action in sub._actions:
+                if action.dest not in names:
+                    continue
+                default = getattr(defaults, action.dest)
+                if action.choices:
+                    text = next(c for c in action.choices if c != default)
+                elif isinstance(default, tuple):
+                    text = "1,3"
+                elif isinstance(default, str):
+                    text = default + "elsewhere.csv"
+                else:
+                    text = repr(default + 1)
+                args = parser.parse_args([command, action.option_strings[0], text])
+                cfg = cli._load_config(args)
+                got = getattr(cfg, action.dest)
+                assert got != default and got == getattr(args, action.dest), (
+                    command, action.option_strings[0]
+                )
+                checked += 1
+        assert checked >= 60
 
 
 class TestSubcommands:

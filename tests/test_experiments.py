@@ -68,13 +68,6 @@ class TestChevron:
         assert np.array_equal(a.values, b.values)
         assert a.values.min() >= 0.0 and a.values.max() <= 1.0 + 1e-9
 
-    def test_thread_count_does_not_change_bits(self):
-        detunings = np.linspace(-0.5, 0.5, 6) * RABI
-        durations = lattice_times(CFG, 17)[1:]
-        single = chevron_sweep(Scheme.AMCCD, CFG, detunings, durations, threads=1)
-        multi = chevron_sweep(Scheme.AMCCD, CFG, detunings, durations, threads=4)
-        assert np.array_equal(single.values, multi.values)
-
     def test_coarse_grid_warning_on_lattice_sampling(self):
         durations = lattice_times(CFG, 17)[1:]
         grid = chevron_sweep(Scheme.CMCCD, CFG, np.array([0.0, 0.1 * RABI]), durations)
@@ -233,15 +226,6 @@ class TestNoiseAverage:
         run = bare_rabi_experiment(times)
         spec = NoiseSpec(sigma_detuning=0.2 * RABI, samples=16, seed=42)
         assert np.array_equal(noise_average(run, spec, RABI), noise_average(run, spec, RABI))
-
-    def test_thread_count_invariant(self):
-        times = np.linspace(0.0, 2e-6, 32)[1:]
-        run = bare_rabi_experiment(times)
-        spec = NoiseSpec(sigma_detuning=0.2 * RABI, samples=8, seed=9)
-        assert np.array_equal(
-            noise_average(run, spec, RABI, threads=1),
-            noise_average(run, spec, RABI, threads=4),
-        )
 
     def test_rabi_amplitude_noise_matches_closed_form(self):
         # <P>(t) = (1 - exp(-sigma^2 t^2 / 2) cos(Omega_0 t)) / 2 for bare

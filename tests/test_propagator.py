@@ -195,6 +195,29 @@ class TestEvolveGrid:
         with pytest.raises(ValueError):
             evolve_grid([first_frame_hamiltonian(cfg)], np.array([2e-6, 1e-6]), QubitState.zero())
 
+    def test_stepped_chunks_bound_batch_times_steps(self, monkeypatch):
+        base = default_config(Scheme.CMCCD)
+        hams = [
+            first_frame_hamiltonian(base.with_errors(detuning=d * RABI))
+            for d in (-0.2, 0.0, 0.15)
+        ]
+        times = np.array([0.37, 1.9, 3.3]) * base.mod_period  # off the lattice: stepped
+        reference = evolve_grid(hams, times, QubitState.zero())
+        sizes = []
+        inner = propagator._step_unitaries
+
+        def spy(*args, **kwargs):
+            us = inner(*args, **kwargs)
+            sizes.append(us.size // 4)  # batch x steps
+            return us
+
+        monkeypatch.setattr(propagator, "_CHUNK", 64)
+        monkeypatch.setattr(propagator, "_step_unitaries", spy)
+        chunked = evolve_grid(hams, times, QubitState.zero())
+        assert len(sizes) > 2 * len(times)  # several chunks per interval
+        assert max(sizes) <= 64
+        assert np.abs(chunked - reference).max() < 1e-12
+
 
 class TestSpecValidation:
     def test_minimum_steps_per_period(self):

@@ -41,12 +41,6 @@ class TestDraws:
         assert np.array_equal(a.signal, b.signal)
         assert a.average_gate_fidelity == b.average_gate_fidelity
 
-    def test_thread_count_invariant(self):
-        noise = NoiseSpec(sigma_detuning=0.05 * RABI, samples=6, seed=2)
-        one = randomized_benchmarking(Scheme.PMCCD, CFG, M_LIST, 2, noise, threads=1)
-        many = randomized_benchmarking(Scheme.PMCCD, CFG, M_LIST, 2, noise, threads=4)
-        assert np.array_equal(one.signal, many.signal)
-
 
 class TestIdealEngine:
     def test_ideal_matrices_give_unit_fidelity(self):
