@@ -28,6 +28,7 @@ from .drive import (
     drive_coefficient,
     default_config,
     first_frame_hamiltonian,
+    gate_frame,
     iq_baseband,
     second_frame_hamiltonian,
     to_second_frame,
@@ -74,9 +75,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     env = os.environ.get("CCD_SIM_THREADS", "")
     if cfg.threads == 0 and env.strip():
         try:
-            int(env)
+            threads = int(env)
         except ValueError as exc:
             raise ConfigError(f"CCD_SIM_THREADS must be an integer, got {env!r}") from exc
+        if threads < 0:
+            raise ConfigError(f"CCD_SIM_THREADS: threads must be >= 0, got {threads}")
     return cfg
 
 
@@ -102,33 +105,27 @@ def _rabi_error_grid(cfg: RunConfig) -> np.ndarray:
     return rabi * np.linspace(cfg.rabi_error_start_frac, cfg.rabi_error_stop_frac, cfg.rabi_error_points)
 
 
-def _sweep_meta(cfg: RunConfig, extra: dict | None = None) -> dict:
-    meta = {"scheme": cfg.scheme, "seed": cfg.seed}
-    if extra:
-        meta.update(extra)
-    return meta
+def _write(cfg: RunConfig, axes, value_names, values, **meta) -> int:
+    """Write the run's dataset: scheme, seed, ``meta`` and the canonical config.
 
-
-def _write(args: argparse.Namespace, cfg: RunConfig, data: Dataset) -> int:
+    A ``warnings`` list is joined with "; " and left out when empty.
+    """
     if not cfg.out:
         raise ConfigError("no output path; pass --out or set out in the config")
+    meta = {"scheme": cfg.scheme, "seed": cfg.seed, **meta}
+    warnings = "; ".join(meta.pop("warnings", ()))
+    if warnings:
+        meta["warnings"] = warnings
+    data = Dataset(
+        meta=meta,
+        axes=axes,
+        value_names=value_names,
+        values=values,
+        config_text=emit_config(cfg, include_runtime=False),
+    )
     write_dataset(data, cfg.out, cfg.format)
     print(f"wrote {cfg.out}")
     return 0
-
-
-def _grid_dataset(cfg: RunConfig, grid, value_name: str) -> Dataset:
-    meta = _sweep_meta(cfg)
-    warnings = grid.meta.get("warnings") or []
-    if warnings:
-        meta["warnings"] = "; ".join(warnings)
-    return Dataset(
-        meta=meta,
-        axes=(grid.y_axis, grid.x_axis),
-        value_names=(value_name,),
-        values=grid.values[..., None],
-        config_text=emit_config(cfg, include_runtime=False),
-    )
 
 
 def _cmd_chevron(args: argparse.Namespace) -> int:
@@ -139,7 +136,10 @@ def _cmd_chevron(args: argparse.Namespace) -> int:
         _detuning_grid(cfg),
         _duration_grid(cfg),
     )
-    return _write(args, cfg, _grid_dataset(cfg, grid, "p_up"))
+    return _write(
+        cfg, (grid.y_axis, grid.x_axis), ("p_up",), grid.values[..., None],
+        warnings=grid.meta["warnings"],
+    )
 
 
 def _cmd_rabi_error(args: argparse.Namespace) -> int:
@@ -150,7 +150,10 @@ def _cmd_rabi_error(args: argparse.Namespace) -> int:
         _rabi_error_grid(cfg),
         _duration_grid(cfg),
     )
-    return _write(args, cfg, _grid_dataset(cfg, grid, "p_up"))
+    return _write(
+        cfg, (grid.y_axis, grid.x_axis), ("p_up",), grid.values[..., None],
+        warnings=grid.meta["warnings"],
+    )
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -163,7 +166,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         grid = rabi_error_sweep(
             cfg.scheme_enum(), cfg.drive_config(), _rabi_error_grid(cfg), _duration_grid(cfg)
         )
-    return _write(args, cfg, _grid_dataset(cfg, spectrum(grid), "magnitude"))
+    grid = spectrum(grid)
+    return _write(
+        cfg, (grid.y_axis, grid.x_axis), ("magnitude",), grid.values[..., None],
+        warnings=grid.meta["warnings"],
+    )
 
 
 def _cmd_infidelity(args: argparse.Namespace) -> int:
@@ -175,14 +182,7 @@ def _cmd_infidelity(args: argparse.Namespace) -> int:
     errors = np.array([point[0] for point in curve])
     infids = np.array([[point[1]] for point in curve])
     axis_name = "detuning" if args.axis == "detuning" else "rabi_error"
-    data = Dataset(
-        meta=_sweep_meta(cfg),
-        axes=(AxisDef(axis_name, "rad/s", errors),),
-        value_names=("infidelity",),
-        values=infids,
-        config_text=emit_config(cfg, include_runtime=False),
-    )
-    return _write(args, cfg, data)
+    return _write(cfg, (AxisDef(axis_name, "rad/s", errors),), ("infidelity",), infids)
 
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
@@ -201,14 +201,10 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
             for idx, (_t, b) in enumerate(record.samples)
         ]
     )
-    data = Dataset(
-        meta=_sweep_meta(cfg, {"spread": record.spread, "markers": len(record.markers)}),
-        axes=(AxisDef("t", "s", times),),
-        value_names=("x", "y", "z", "is_marker"),
-        values=rows,
-        config_text=emit_config(cfg, include_runtime=False),
+    return _write(
+        cfg, (AxisDef("t", "s", times),), ("x", "y", "z", "is_marker"), rows,
+        spread=record.spread, markers=len(record.markers),
     )
-    return _write(args, cfg, data)
 
 
 def _cmd_dressed(args: argparse.Namespace) -> int:
@@ -232,14 +228,7 @@ def _cmd_dressed(args: argparse.Namespace) -> int:
         return np.array([p for _, p in points])
 
     values = noise_average(run, cfg.noise_spec(), drive.rabi)
-    data = Dataset(
-        meta=_sweep_meta(cfg, {"kind": cfg.dressed_kind}),
-        axes=(axis,),
-        value_names=("p_up",),
-        values=values[:, None],
-        config_text=emit_config(cfg, include_runtime=False),
-    )
-    return _write(args, cfg, data)
+    return _write(cfg, (axis,), ("p_up",), values[:, None], kind=cfg.dressed_kind)
 
 
 def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConfig) -> int:
@@ -251,17 +240,14 @@ def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConf
         program = parse_program(handle.read(), drive)
     final = simulate_program(program)
     vec = bloch_vector(final)
-    data = Dataset(
-        meta=_sweep_meta(cfg, {
-            "program": os.path.basename(args.program),
-            "segments": len(program.segments),
-        }),
-        axes=(AxisDef("t", "s", np.array([program.total_duration])),),
-        value_names=("p_up", "x", "y", "z"),
-        values=np.array([[final.population_up(), vec.x, vec.y, vec.z]]),
-        config_text=emit_config(cfg, include_runtime=False),
+    return _write(
+        cfg,
+        (AxisDef("t", "s", np.array([program.total_duration])),),
+        ("p_up", "x", "y", "z"),
+        np.array([[final.population_up(), vec.x, vec.y, vec.z]]),
+        program=os.path.basename(args.program),
+        segments=len(program.segments),
     )
-    return _write(args, cfg, data)
 
 
 def _cmd_rb(args: argparse.Namespace) -> int:
@@ -277,44 +263,32 @@ def _cmd_rb(args: argparse.Namespace) -> int:
         static_rabi_error=TWO_PI * cfg.rabi_hz * args.static_rabi_error_frac,
         ideal=args.ideal,
     )
-    meta = _sweep_meta(
+    return _write(
         cfg,
-        {
-            "clifford_fidelity": result.clifford_fidelity,
-            "average_gate_fidelity": result.average_gate_fidelity,
-            "fit_amplitude": result.fit_amplitude,
-            "fit_residual": result.fit_residual,
-            "converged": result.converged,
-        },
+        (AxisDef("m", "cliffords", result.lengths.astype(float)),),
+        ("signal",),
+        result.signal[:, None],
+        clifford_fidelity=result.clifford_fidelity,
+        average_gate_fidelity=result.average_gate_fidelity,
+        fit_amplitude=result.fit_amplitude,
+        fit_residual=result.fit_residual,
+        converged=result.converged,
+        warnings=result.warnings,
     )
-    if result.warnings:
-        meta["warnings"] = "; ".join(result.warnings)
-    data = Dataset(
-        meta=meta,
-        axes=(AxisDef("m", "cliffords", result.lengths.astype(float)),),
-        value_names=("signal",),
-        values=result.signal[:, None],
-        config_text=emit_config(cfg, include_runtime=False),
-    )
-    return _write(args, cfg, data)
 
 
 def _cmd_iq_export(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     drive = cfg.drive_config()
-    dressed = drive.alpha_A + drive.alpha_P > 0.0 and drive.mod_strength > 0.0
-    duration = cfg.gate_angle / (drive.mod_strength if dressed else drive.rabi)
+    _, rate, _ = gate_frame(drive)
+    duration = cfg.gate_angle / rate
     n = max(2, int(round(duration * cfg.sample_rate_hz)))
     times = np.arange(n) / cfg.sample_rate_hz
     i_env, q_env = iq_baseband(drive, times)
-    data = Dataset(
-        meta=_sweep_meta(cfg, {"gate_angle": cfg.gate_angle, "duration_s": duration}),
-        axes=(AxisDef("t", "s", times),),
-        value_names=("i", "q"),
-        values=np.stack([i_env, q_env], axis=-1),
-        config_text=emit_config(cfg, include_runtime=False),
+    return _write(
+        cfg, (AxisDef("t", "s", times),), ("i", "q"), np.stack([i_env, q_env], axis=-1),
+        gate_angle=cfg.gate_angle, duration_s=duration,
     )
-    return _write(args, cfg, data)
 
 
 def _selftest_checks():

@@ -41,6 +41,7 @@ __all__ = [
     "lab_hamiltonian",
     "first_frame_hamiltonian",
     "second_frame_hamiltonian",
+    "gate_frame",
     "first_frame_unitary",
     "second_frame_unitary",
     "to_first_frame",
@@ -383,6 +384,19 @@ def counter_rotating_coefficient(cfg: DriveConfig) -> float:
     return (
         cfg.alpha_P - (1.0 + cfg.rabi_error / cfg.rabi) * cfg.alpha_A
     ) * cfg.mod_strength / 2.0
+
+
+def gate_frame(cfg: DriveConfig) -> tuple[Callable[[DriveConfig], Hamiltonian], float, float]:
+    """The one bare-versus-dressed rule: (Hamiltonian builder, rate, axis offset).
+
+    A dressed drive (alpha_A + alpha_P > 0 and eps_m > 0) turns the dressed
+    qubit at eps_m in the second frame about phi_mw + pi/2, so a gate about
+    azimuth phi is driven at phi - pi/2. Any other drive Rabi-rotates the
+    bare qubit at Omega_0 in the first frame about phi_mw (offset 0).
+    """
+    if cfg.alpha_A + cfg.alpha_P > 0.0 and cfg.mod_strength > 0.0:
+        return second_frame_hamiltonian, cfg.mod_strength, -math.pi / 2.0
+    return first_frame_hamiltonian, cfg.rabi, 0.0
 
 
 def _z_rotation(angle: float) -> np.ndarray:

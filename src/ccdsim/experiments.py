@@ -17,12 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .drive import (
-    DriveConfig,
-    Scheme,
-    first_frame_hamiltonian,
-    second_frame_hamiltonian,
-)
+from .drive import DriveConfig, Scheme, first_frame_hamiltonian, gate_frame
 from .fitting import hann_spectrum
 from .propagator import ROTATING_SPEC, IntegratorSpec, evolve, evolve_grid
 from .pulses import PulseProgram, gate_pulse, idle_pulse, readout_pad, simulate_program
@@ -202,22 +197,17 @@ def infidelity_curve(
 ) -> list[tuple[float, float]]:
     """Y-pi gate state infidelity vs detuning or Rabi error.
 
-    CCD schemes propagate the second-frame Hamiltonian for pi/eps_m; the bare
-    qubit propagates the first frame for pi/Omega_0. Infidelity is
-    1 - |<1|U|0>|^2 against the nominal target.
+    The gate runs for pi over its nominal rate in the frame that
+    :func:`gate_frame` picks: CCD schemes in the second frame at eps_m, the
+    bare qubit (or a CCD scheme with eps_m = 0) in the first frame at
+    Omega_0. Infidelity is 1 - |<1|U|0>|^2 against the nominal target.
     """
     if error_axis not in ("detuning", "rabi"):
         raise ValueError("error_axis must be 'detuning' or 'rabi'")
     errors = np.asarray(grid, dtype=float)
     base = cfg.with_scheme(scheme)
-    if scheme is Scheme.BARE:
-        duration = math.pi / base.rabi
-        build = first_frame_hamiltonian
-    else:
-        if base.mod_strength <= 0.0:
-            raise ValueError("CCD infidelity needs mod_strength > 0")
-        duration = math.pi / base.mod_strength
-        build = second_frame_hamiltonian
+    build, rate, _ = gate_frame(base)
+    duration = math.pi / rate
     hams = []
     for err in errors:
         if error_axis == "detuning":
@@ -239,10 +229,11 @@ def bloch_trajectory(
 ) -> TrajectoryRecord:
     """Bloch trace over a long drive with markers at each nominal pi/2.
 
-    CCD schemes are traced in the second rotating frame at nominal rotation
-    rate eps_m; the bare qubit in the first frame at rate Omega_0. The spread
-    is the largest pairwise marker distance within any of the four
-    quarter-turn classes (markers that ideally coincide).
+    The trace runs in the frame and at the nominal rate that
+    :func:`gate_frame` picks (CCD schemes in the second frame at eps_m, the
+    bare qubit in the first frame at Omega_0). The spread is the largest
+    pairwise marker distance within any of the four quarter-turn classes
+    (markers that ideally coincide).
     """
     quarter_turns = total_angle / (math.pi / 2.0)
     n_markers = round(quarter_turns)
@@ -251,17 +242,10 @@ def bloch_trajectory(
     if samples_per_pi2 < 1:
         raise ValueError("samples_per_pi2 must be >= 1")
     base = cfg.with_scheme(scheme)
-    if scheme is Scheme.BARE:
-        rate = base.rabi
-        ham = first_frame_hamiltonian(base)
-    else:
-        if base.mod_strength <= 0.0:
-            raise ValueError("CCD trajectory needs mod_strength > 0")
-        rate = base.mod_strength
-        ham = second_frame_hamiltonian(base)
+    build, rate, _ = gate_frame(base)
     quarter = (math.pi / 2.0) / rate
     times = np.arange(1, n_markers * samples_per_pi2 + 1) * (quarter / samples_per_pi2)
-    states = evolve(ham, QubitState.zero(), 0.0, float(times[-1]), spec, t_eval=times)
+    states = evolve(build(base), QubitState.zero(), 0.0, float(times[-1]), spec, t_eval=times)
     samples = [(0.0, bloch_vector(QubitState.zero()))]
     samples += [(float(t), bloch_vector(s)) for t, s in zip(times, states)]
     markers = [samples[k * samples_per_pi2][1] for k in range(1, n_markers + 1)]

@@ -14,9 +14,10 @@ vectorized over steps and over batches of Hamiltonians, so long multi-scale
 lab-frame traces stay cheap. Total unitaries are accumulated by pairwise
 tree reduction, which keeps rounding growth logarithmic in the step count.
 
-``evolve`` (without ``t_eval``), ``propagator_unitary`` and ``evolve_grid``
-take one of three paths, chosen from ``Hamiltonian.period`` and the
-requested times:
+``evolve`` (with or without ``t_eval``), ``propagator_unitary`` and
+``evolve_grid`` are thin callers of one core, which returns U(t, t0) for a
+batch of Hamiltonians at every requested time. It takes one of three paths,
+chosen from ``Hamiltonian.period`` and the requested times:
 
 * **closed form** — every Hamiltonian in the batch is constant
   (``period == 0``): U(t, t0) = exp(-i (t - t0) H) at any times;
@@ -26,8 +27,9 @@ requested times:
   once per Hamiltonian with the stepper over [0, T] at the usual step, and
   U(t, t0) = U(T)^(k - k0) follows from :func:`su2_power`;
 * **stepped** — everything else (the lab frame, wrapped callables, off-lattice
-  times, ``evolve`` with ``t_eval``): the integrator steps through each
-  interval. It is also the oracle the two fast paths are tested against.
+  times): the integrator steps through each interval between consecutive
+  times and multiplies it onto the product so far. It is also the oracle the
+  two fast paths are tested against.
 """
 from __future__ import annotations
 
@@ -289,14 +291,32 @@ def _lattice_unitaries(
     return su2_power(u_period[..., None, :, :], counts[:-1] - counts[-1])
 
 
-def _total_unitary(
-    ham: Hamiltonian, t0: float, t1: float, step: float, method: str
+def _unitaries(
+    hams: Sequence[Hamiltonian],
+    coefficients: Callable[[np.ndarray], np.ndarray],
+    batch: tuple[int, ...],
+    t0: float,
+    times: np.ndarray,
+    step: float,
+    method: str,
 ) -> np.ndarray:
-    """U(t1, t0) by the lattice paths where they apply, else by stepping."""
-    us = _lattice_unitaries([ham], ham.coefficients, (), t0, np.array([t1]), step, method)
-    if us is None:
-        return _interval_unitary(ham.coefficients, (), t0, t1, step, method)
-    return us[0]
+    """U(t, t0) for every t in ascending ``times``, shape batch + (len(times), 2, 2).
+
+    The propagation core behind every entry point: a lattice path where one
+    applies, else one stepped interval per sample time, each accumulated onto
+    the product so far.
+    """
+    us = _lattice_unitaries(hams, coefficients, batch, t0, times, step, method)
+    if us is not None:
+        return us
+    us = np.empty(batch + (times.size, 2, 2), dtype=complex)
+    total, prev = None, t0
+    for j, t in enumerate(times):
+        u = _interval_unitary(coefficients, batch, prev, float(t), step, method)
+        total = u if total is None else u @ total
+        us[..., j, :, :] = total
+        prev = float(t)
+    return us
 
 
 def _check_norm(amps: np.ndarray, context: str) -> np.ndarray:
@@ -328,24 +348,16 @@ def evolve(
         raise ValueError("t1 must be >= t0")
     ham = as_hamiltonian(h)
     step = spec.effective_step(ham.fastest_period)
-    if t_eval is None:
-        u = _total_unitary(ham, t0, t1, step, spec.method)
-        amps = _check_norm(u @ psi0.amplitudes, f"evolve over [{t0}, {t1}]")
-        return QubitState(amps)
-    times = np.asarray(t_eval, dtype=float)
-    if np.any(np.diff(times) < 0.0):
+    times = np.array([t1] if t_eval is None else t_eval, dtype=float)
+    if t_eval is not None and np.any(np.diff(times) < 0.0):
         raise ValueError("t_eval must be ascending")
     if times.size and (times[0] < t0 - 1e-15 or times[-1] > t1 + 1e-12):
         raise ValueError("t_eval must lie within [t0, t1]")
-    states = []
-    amps = psi0.amplitudes
-    prev = t0
-    for t in times:
-        u = _interval_unitary(ham.coefficients, (), prev, float(t), step, spec.method)
-        amps = u @ amps
-        states.append(QubitState(_check_norm(amps, f"evolve to t={t}")))
-        prev = float(t)
-    return states
+    us = _unitaries([ham], ham.coefficients, (), t0, times, step, spec.method)
+    amps = _check_norm(us @ psi0.amplitudes, f"evolve over [{t0}, {t1}]")
+    if t_eval is None:
+        return QubitState(amps[0])
+    return [QubitState(a) for a in amps]
 
 
 def propagator_unitary(
@@ -356,7 +368,7 @@ def propagator_unitary(
         raise ValueError("t1 must be >= t0")
     ham = as_hamiltonian(h)
     step = spec.effective_step(ham.fastest_period)
-    u = _total_unitary(ham, t0, t1, step, spec.method)
+    u = _unitaries([ham], ham.coefficients, (), t0, np.array([t1]), step, spec.method)[0]
     defect = float(np.abs(u.conj().T @ u - np.eye(2)).max())
     if not defect <= 1e-10:
         raise IntegratorError(f"propagator unitarity defect {defect:.3e}")
@@ -387,20 +399,8 @@ def evolve_grid(
     def coefficients(ts: np.ndarray) -> np.ndarray:
         return np.stack([h.coefficients(ts) for h in hamiltonians], axis=0)
 
-    us = _lattice_unitaries(
-        hamiltonians, coefficients, (batch,), 0.0, times, step, spec.method
-    )
-    if us is not None:
-        out = us @ psi0.amplitudes
-    else:
-        out = np.empty((batch, times.size, 2), dtype=complex)
-        amps = np.broadcast_to(psi0.amplitudes, (batch, 2)).copy()
-        prev = 0.0
-        for j, t in enumerate(times):
-            u = _interval_unitary(coefficients, (batch,), prev, float(t), step, spec.method)
-            amps = np.einsum("bij,bj->bi", u, amps)
-            out[:, j, :] = amps
-            prev = float(t)
+    us = _unitaries(hamiltonians, coefficients, (batch,), 0.0, times, step, spec.method)
+    out = us @ psi0.amplitudes
     if times.size:
         # lattice columns do not build on each other, so every column is checked
         _check_norm(out, "grid evolution")

@@ -36,7 +36,7 @@ from .clifford import (
     clifford_group,
     recovery_indices,
 )
-from .drive import DriveConfig, Scheme, first_frame_hamiltonian, second_frame_hamiltonian
+from .drive import DriveConfig, Scheme, gate_frame
 from .experiments import NoiseSpec
 from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_unitary
 from .pulses import GATE_MOD_PHASE, require_gate_lattice
@@ -73,21 +73,14 @@ def _primitive_unitaries(
 ) -> dict[str, np.ndarray]:
     """Pulse-level propagators of the seven primitives for one error draw."""
     errd = cfg.with_scheme(scheme).with_errors(detuning=delta, rabi_error=rabi_error)
+    build, rate, axis_offset = gate_frame(errd)
     out = {"I": np.eye(2, dtype=complex)}
     for name, prim in PRIMITIVES.items():
         if prim.axis == "i":
             continue
-        angle = abs(prim.angle)
-        azimuth = prim.rotation_azimuth
-        if scheme is Scheme.BARE:
-            # constant first-frame drive about sigma_azimuth at Omega_0 + error
-            duration = angle / errd.rabi
-            ham = first_frame_hamiltonian(errd.with_pulse(errd.mod_phase, azimuth))
-        else:
-            duration = angle / errd.mod_strength
-            pulse_cfg = errd.with_pulse(GATE_MOD_PHASE, azimuth - math.pi / 2.0)
-            ham = second_frame_hamiltonian(pulse_cfg)
-        out[name] = propagator_unitary(ham, 0.0, duration, spec)
+        # theta_m selects the dressed gate drive; the bare first frame ignores it
+        ham = build(errd.with_pulse(GATE_MOD_PHASE, prim.rotation_azimuth + axis_offset))
+        out[name] = propagator_unitary(ham, 0.0, abs(prim.angle) / rate, spec)
     return out
 
 

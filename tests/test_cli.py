@@ -300,6 +300,18 @@ class TestSubcommands:
         # bare pi pulse lasts pi/Omega_0 = 125 ns at 4 MHz
         assert float(meta["meta.duration_s"]) == pytest.approx(0.125e-6, rel=1e-9)
 
+    @pytest.mark.parametrize("command", [["infidelity"], ["trajectory", "--quarter-turns", "8"]])
+    def test_ccd_scheme_without_modulation_runs_bare(self, tmp_path, command):
+        # eps_m = 0 leaves no dressed qubit: the bare gate runs, as chevron does
+        rows = {}
+        for scheme in ("bare", "cm", "am"):
+            out = tmp_path / f"{scheme}.csv"
+            args = command + ["--scheme", scheme, "--mod-ratio", "0", "--out", str(out)]
+            assert main(args) == 0
+            rows[scheme] = read_csv(out)[2]
+        assert np.abs(rows["cm"] - rows["bare"]).max() <= 1e-12
+        assert np.abs(rows["am"] - rows["bare"]).max() <= 1e-12
+
     def test_dressed_rejects_off_lattice_mod_ratio(self, tmp_path):
         code = main(
             [
@@ -344,3 +356,14 @@ def test_env_thread_fallback(tmp_path, monkeypatch):
     assert main(["chevron", "--detuning-points", "2", "--durations", "4", "--out", str(out)]) == 0
     monkeypatch.setenv("CCD_SIM_THREADS", "zebra")
     assert main(["chevron", "--detuning-points", "2", "--durations", "4", "--out", str(out)]) == 2
+
+
+def test_negative_env_threads_is_config_error(tmp_path, monkeypatch, capsys):
+    # the variable obeys the same >= 0 rule as --threads and the threads key
+    monkeypatch.setenv("CCD_SIM_THREADS", "-3")
+    out = tmp_path / "c.csv"
+    assert main(["chevron", "--detuning-points", "2", "--durations", "4", "--out", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["kind"] == "config"
+    assert "threads must be >= 0" in record["error"]["message"]

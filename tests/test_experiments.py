@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ccdsim.drive import Scheme, default_config, first_frame_hamiltonian, second_frame_hamiltonian
+from ccdsim import experiments
+from ccdsim.cli import main
+from ccdsim.drive import (
+    Scheme,
+    default_config,
+    first_frame_hamiltonian,
+    gate_frame,
+    second_frame_hamiltonian,
+)
 from ccdsim.experiments import (
     AxisDef,
     NoiseSpec,
@@ -159,6 +167,56 @@ class TestTrajectory:
         record = bloch_trajectory(Scheme.CMCCD, CFG, 2 * math.pi, 4)
         assert len(record.markers) == 4
         assert len(record.samples) == 17  # t=0 plus 4*4 samples
+
+
+class TestGateFrame:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rate_used_by_every_gate_experiment(self, scheme, monkeypatch, tmp_path):
+        # CFG has eps_m > 0, so only the bare scheme stays in the first frame
+        rate = RABI if scheme is Scheme.BARE else EM
+        build, got_rate, offset = gate_frame(CFG.with_scheme(scheme))
+        assert got_rate == rate
+        dressed = scheme is not Scheme.BARE
+        assert build is (second_frame_hamiltonian if dressed else first_frame_hamiltonian)
+        assert offset == (-math.pi / 2.0 if dressed else 0.0)
+
+        record = bloch_trajectory(scheme, CFG, 2 * math.pi, 4)
+        assert record.samples[4][0] == pytest.approx((math.pi / 2.0) / rate, rel=1e-12)
+
+        spans = []
+
+        def spy(hams, times, psi0, spec):
+            spans.append(float(times[-1]))
+            return evolve_grid(hams, times, psi0, spec)
+
+        monkeypatch.setattr(experiments, "evolve_grid", spy)
+        infidelity_curve(scheme, CFG, "detuning", np.array([0.0]))
+        assert spans == [pytest.approx(math.pi / rate, rel=1e-12)]
+
+        out = tmp_path / "iq.csv"
+        assert main(["iq-export", "--scheme", scheme.label, "--out", str(out)]) == 0
+        meta = dict(
+            line[2:].strip().split("=", 1) for line in out.read_text().splitlines()
+            if line.startswith("# meta.")
+        )
+        assert float(meta["meta.duration_s"]) == pytest.approx(math.pi / rate, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", [Scheme.CMCCD, Scheme.AMCCD])
+    def test_zero_modulation_gives_the_bare_result(self, scheme):
+        no_mod = default_config(scheme, mod_ratio=0.0)
+        assert gate_frame(no_mod)[:2] == (first_frame_hamiltonian, RABI)
+        grid = np.linspace(-0.3, 0.3, 7) * RABI
+        for axis in ("detuning", "rabi"):
+            ccd = np.array(infidelity_curve(scheme, no_mod, axis, grid))
+            bare = np.array(infidelity_curve(Scheme.BARE, BARE, axis, grid))
+            assert np.abs(ccd - bare).max() <= 1e-12
+        detuned = 0.1 * RABI
+        ccd = bloch_trajectory(scheme, no_mod.with_errors(detuning=detuned), 10 * math.pi, 4)
+        bare = bloch_trajectory(Scheme.BARE, BARE.with_errors(detuning=detuned), 10 * math.pi, 4)
+        ccd_xyz = np.array([(t, *b) for t, b in ccd.samples])
+        bare_xyz = np.array([(t, *b) for t, b in bare.samples])
+        assert np.abs(ccd_xyz - bare_xyz).max() <= 1e-12
+        assert ccd.spread == pytest.approx(bare.spread, abs=1e-12)
 
 
 class TestDressedSequences:
