@@ -238,7 +238,7 @@ def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConf
 
     with open(args.program, "r", encoding="utf-8") as handle:
         program = parse_program(handle.read(), drive)
-    final = simulate_program(program)
+    final = simulate_program([program])[0]
     vec = bloch_vector(final)
     return _write(
         cfg,

@@ -51,8 +51,7 @@ class Primitive:
     def matrix(self) -> np.ndarray:
         if self.axis == "i":
             return IDENTITY.copy()
-        azimuth = 0.0 if self.axis == "x" else math.pi / 2
-        return rotation(azimuth, self.angle)
+        return rotation(self.drive_azimuth, self.angle)
 
     @property
     def drive_azimuth(self) -> float:
@@ -237,16 +236,13 @@ def clifford_sequence_program(
     drive axis sits at phi_mw + pi/2.
     """
     segments: list[PulseSegment] = []
-    elapsed = 0.0
     for gate in gates:
         for prim in gate.primitives():
             if prim.axis == "i" or prim.angle == 0.0:
                 continue
-            seg = gate_pulse(
-                abs(prim.angle), prim.rotation_azimuth - math.pi / 2.0, cfg, label=prim.name
+            segments.append(
+                gate_pulse(abs(prim.angle), prim.rotation_azimuth - math.pi / 2.0, cfg, prim.name)
             )
-            segments.append(seg)
-            elapsed += seg.duration
     if pad_readout:
-        segments.append(readout_pad(elapsed, cfg))
+        segments.append(readout_pad(sum(seg.duration for seg in segments), cfg))
     return PulseProgram(segments, cfg)

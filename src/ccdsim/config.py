@@ -8,7 +8,7 @@ override file values, which override the documented defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .drive import DriveConfig, Scheme
 from .experiments import NoiseSpec
@@ -155,14 +155,12 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
             fail(f.name, f"{f.name} must be finite, got {value!r}")
 
     try:
-        Scheme.parse(cfg.scheme)
-    except ValueError as exc:
-        fail("scheme", str(exc))
-    total = cfg.alpha_a + cfg.alpha_p
-    if cfg.alpha_a < 0 or cfg.alpha_p < 0 or not (total == 0.0 or abs(total - 1.0) <= 1e-12):
+        matched = Scheme.of(cfg.alpha_a, cfg.alpha_p)
+    except ValueError:
         fail(
             "alpha_a",
-            f"alpha_a + alpha_p must equal 1 (or both be 0), got {cfg.alpha_a} + {cfg.alpha_p}",
+            f"alpha_a + alpha_p = {cfg.alpha_a} + {cfg.alpha_p} matches no scheme "
+            "(bare 0 + 0, am 1 + 0, pm 0 + 1, cm 0.5 + 0.5)",
         )
     if cfg.rabi_hz <= 0.0:
         fail("rabi_hz", "rabi_hz must be positive")
@@ -184,6 +182,9 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
         fail("noise_detuning_sigma_hz", "noise sigmas must be >= 0")
     if cfg.sample_rate_hz <= 0:
         fail("sample_rate_hz", "sample_rate_hz must be positive")
+    if matched is not Scheme.parse(cfg.scheme):
+        # explicit alphas win, so the scheme every subcommand reads must be theirs
+        cfg = replace(cfg, scheme=matched.label)
     return cfg
 
 

@@ -95,6 +95,14 @@ class Scheme(enum.Enum):
             raise ValueError(f"unknown scheme {text!r} (expected bare|am|pm|cm)")
         return aliases[key]
 
+    @classmethod
+    def of(cls, alpha_a: float, alpha_p: float) -> "Scheme":
+        """The scheme whose modulation ratios match (alpha_a, alpha_p) within 1e-12."""
+        for scheme in cls:
+            if abs(alpha_a - scheme.alpha_a) <= 1e-12 and abs(alpha_p - scheme.alpha_p) <= 1e-12:
+                return scheme
+        raise ValueError(f"(alpha_A, alpha_P) = ({alpha_a}, {alpha_p}) matches no named scheme")
+
     @property
     def label(self) -> str:
         return {
@@ -164,16 +172,7 @@ class DriveConfig:
 
     @property
     def scheme(self) -> Scheme:
-        for scheme in Scheme:
-            if (
-                abs(self.alpha_A - scheme.alpha_a) <= 1e-12
-                and abs(self.alpha_P - scheme.alpha_p) <= 1e-12
-            ):
-                return scheme
-        raise ValueError(
-            f"(alpha_A, alpha_P) = ({self.alpha_A}, {self.alpha_P}) "
-            "matches no named scheme"
-        )
+        return Scheme.of(self.alpha_A, self.alpha_P)
 
     @property
     def mod_period(self) -> float:

@@ -118,6 +118,35 @@ def _coarse_grid_warning(cfg: DriveConfig, durations: np.ndarray) -> list[str]:
     return []
 
 
+def _duration_sweep(
+    base: DriveConfig,
+    axis: str,
+    error_grid: np.ndarray,
+    duration_grid: np.ndarray,
+    spec: IntegratorSpec,
+) -> SweepGrid:
+    """Spin-up fraction vs (error, duration) in the first frame, as one batch.
+
+    ``axis`` names the :meth:`DriveConfig.with_errors` argument swept.
+    """
+    errors = np.asarray(error_grid, dtype=float)
+    durations = np.asarray(duration_grid, dtype=float)
+    if np.any(np.diff(errors) <= 0.0) or np.any(np.diff(durations) <= 0.0):
+        raise ValueError("grids must be strictly increasing")
+    hams = [first_frame_hamiltonian(base.with_errors(**{axis: e})) for e in errors]
+    values = np.abs(evolve_grid(hams, durations, QubitState.zero(), spec)[..., 1]) ** 2
+    return SweepGrid(
+        x_axis=AxisDef("duration", "s", durations),
+        y_axis=AxisDef(axis, "rad/s", errors),
+        values=values,
+        meta={
+            "scheme": base.scheme.label,
+            "config": base,
+            "warnings": _coarse_grid_warning(base, durations),
+        },
+    )
+
+
 def chevron_sweep(
     scheme: Scheme,
     cfg: DriveConfig,
@@ -127,23 +156,8 @@ def chevron_sweep(
     spec: IntegratorSpec = ROTATING_SPEC,
 ) -> SweepGrid:
     """Spin-up fraction vs (detuning, drive duration) in the first frame."""
-    detunings = np.asarray(detuning_grid, dtype=float)
-    durations = np.asarray(duration_grid, dtype=float)
-    if np.any(np.diff(detunings) <= 0.0) or np.any(np.diff(durations) <= 0.0):
-        raise ValueError("grids must be strictly increasing")
     base = cfg.with_scheme(scheme)
-    hams = [first_frame_hamiltonian(base.with_errors(detuning=d)) for d in detunings]
-    values = np.abs(evolve_grid(hams, durations, QubitState.zero(), spec)[..., 1]) ** 2
-    return SweepGrid(
-        x_axis=AxisDef("duration", "s", durations),
-        y_axis=AxisDef("detuning", "rad/s", detunings),
-        values=values,
-        meta={
-            "scheme": scheme.label,
-            "config": base,
-            "warnings": _coarse_grid_warning(base, durations),
-        },
-    )
+    return _duration_sweep(base, "detuning", detuning_grid, duration_grid, spec)
 
 
 def rabi_error_sweep(
@@ -155,23 +169,8 @@ def rabi_error_sweep(
     spec: IntegratorSpec = ROTATING_SPEC,
 ) -> SweepGrid:
     """Spin-up fraction vs (static Rabi error, duration) at zero detuning."""
-    errors = np.asarray(rabi_error_grid, dtype=float)
-    durations = np.asarray(duration_grid, dtype=float)
-    if np.any(np.diff(errors) <= 0.0) or np.any(np.diff(durations) <= 0.0):
-        raise ValueError("grids must be strictly increasing")
     base = cfg.with_scheme(scheme).with_errors(detuning=0.0)
-    hams = [first_frame_hamiltonian(base.with_errors(rabi_error=e)) for e in errors]
-    values = np.abs(evolve_grid(hams, durations, QubitState.zero(), spec)[..., 1]) ** 2
-    return SweepGrid(
-        x_axis=AxisDef("duration", "s", durations),
-        y_axis=AxisDef("rabi_error", "rad/s", errors),
-        values=values,
-        meta={
-            "scheme": scheme.label,
-            "config": base,
-            "warnings": _coarse_grid_warning(base, durations),
-        },
-    )
+    return _duration_sweep(base, "rabi_error", rabi_error_grid, duration_grid, spec)
 
 
 def spectrum(grid: SweepGrid) -> SpectrumGrid:
@@ -208,12 +207,8 @@ def infidelity_curve(
     base = cfg.with_scheme(scheme)
     build, rate, _ = gate_frame(base)
     duration = math.pi / rate
-    hams = []
-    for err in errors:
-        if error_axis == "detuning":
-            hams.append(build(base.with_errors(detuning=float(err))))
-        else:
-            hams.append(build(base.with_errors(rabi_error=float(err))))
+    key = "detuning" if error_axis == "detuning" else "rabi_error"
+    hams = [build(base.with_errors(**{key: float(err)})) for err in errors]
     states = evolve_grid(hams, np.array([duration]), QubitState.zero(), spec)
     p_up = np.abs(states[:, 0, 1]) ** 2
     return [(float(e), float(1.0 - p)) for e, p in zip(errors, p_up)]
@@ -284,34 +279,26 @@ def dressed_sequence_experiment(
         raise ValueError("kind must be ccd_rabi | ccd_ramsey | two_axis")
     if cfg.mod_strength <= 0.0 or cfg.alpha_A + cfg.alpha_P == 0.0:
         raise ValueError("dressed sequences need an active CCD modulation")
-    results = []
-    for x in np.asarray(sweep_values, dtype=float):
-        segments = []
-        elapsed = 0.0
+    sweep = np.asarray(sweep_values, dtype=float)
+    programs = []
+    for x in sweep:
         if kind == "ccd_rabi":
-            if x > 0.0:
-                segments.append(gate_pulse(cfg.mod_strength * x, 0.0, cfg, "drive"))
-                elapsed += segments[-1].duration
+            segments = [gate_pulse(cfg.mod_strength * x, 0.0, cfg, "drive")] if x > 0.0 else []
         elif kind == "ccd_ramsey":
-            for seg in (
+            segments = [
                 gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2"),
                 idle_pulse(x, cfg, "free evolution"),
                 gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2"),
-            ):
-                segments.append(seg)
-                elapsed += seg.duration
+            ]
         else:
-            for seg in (
+            segments = [
                 gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2 ref"),
                 gate_pulse(math.pi / 2.0, float(x), cfg, "pi/2 swept"),
-            ):
-                segments.append(seg)
-                elapsed += seg.duration
-        segments.append(readout_pad(elapsed, cfg))
-        program = PulseProgram(segments, cfg)
-        final = simulate_program(program, spec=spec)
-        results.append((float(x), final.population_up()))
-    return results
+            ]
+        elapsed = sum(seg.duration for seg in segments)
+        programs.append(PulseProgram(segments + [readout_pad(elapsed, cfg)], cfg))
+    finals = simulate_program(programs, spec=spec)
+    return [(float(x), final.population_up()) for x, final in zip(sweep, finals)]
 
 
 def noise_average(

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 __all__ = [
     "FitResult",
@@ -132,6 +131,8 @@ def fit_decaying_sinusoid(times: np.ndarray, values: np.ndarray) -> FitResult:
     oscillation periods. Non-convergence returns a result flagged
     ``converged=False`` with diagnostics rather than fabricated parameters.
     """
+    from scipy.optimize import curve_fit
+
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size < 16:

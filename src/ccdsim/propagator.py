@@ -15,9 +15,10 @@ lab-frame traces stay cheap. Total unitaries are accumulated by pairwise
 tree reduction, which keeps rounding growth logarithmic in the step count.
 
 ``evolve`` (with or without ``t_eval``), ``propagator_unitary`` and
-``evolve_grid`` are thin callers of one core, which returns U(t, t0) for a
-batch of Hamiltonians at every requested time. It takes one of three paths,
-chosen from ``Hamiltonian.period`` and the requested times:
+``propagator_grid`` (with ``evolve_grid`` on top) are thin callers of one
+core, which returns U(t, t0) for a batch of Hamiltonians at every requested
+time. It takes one of three paths, chosen from ``Hamiltonian.period`` and
+the requested times:
 
 * **closed form** — every Hamiltonian in the batch is constant
   (``period == 0``): U(t, t0) = exp(-i (t - t0) H) at any times;
@@ -51,6 +52,7 @@ __all__ = [
     "su2_power",
     "evolve",
     "propagator_unitary",
+    "propagator_grid",
     "evolve_grid",
     "richardson_check",
     "as_hamiltonian",
@@ -60,8 +62,11 @@ __all__ = [
 NORM_DRIFT_LIMIT = 1e-8
 
 #: Lattice tolerance: a time t is on the period-T lattice if t / T lies within
-#: this many periods of an integer (shared with the pulse-boundary rule).
-LATTICE_TOLERANCE = 1e-9
+#: this many periods of an integer. It only absorbs rounding: t / T of a
+#: lattice time k T is off by a few ulps of k (below 1e-12 for k up to about
+#: 2,000). A time off by more is stepped, never moved onto the lattice, which
+#: would cost up to |H| times the distance moved.
+LATTICE_TOLERANCE = 1e-12
 
 #: Step unitaries per chunk, summed over the batch, when accumulating very
 #: long products (memory bound).
@@ -237,9 +242,9 @@ def _interval_unitary(
 ) -> np.ndarray:
     """Total propagator over [t0, t1], shape batch + (2, 2).
 
-    ``batch`` is the leading shape of ``coefficients``' output: () for one
-    Hamiltonian. Each chunk holds at most ``_CHUNK`` step unitaries over the
-    whole batch (at least one step), which bounds memory whatever the batch.
+    ``batch`` is the leading shape of ``coefficients``' output. Each chunk
+    holds at most ``_CHUNK`` step unitaries over the whole batch (at least
+    one step), which bounds memory whatever the batch.
     """
     span = t1 - t0
     if span == 0.0:
@@ -251,10 +256,8 @@ def _interval_unitary(
     done = 0
     while done < n_steps:
         m = min(chunk_steps, n_steps - done)
-        us = _step_unitaries(coefficients, t0 + done * h, h, m, method)
         # move the step axis first so the tree product broadcasts over batches
-        if us.ndim > 3:
-            us = np.moveaxis(us, -3, 0)
+        us = np.moveaxis(_step_unitaries(coefficients, t0 + done * h, h, m, method), -3, 0)
         chunk = _tree_product(us)
         total = chunk if total is None else chunk @ total
         done += m
@@ -292,20 +295,21 @@ def _lattice_unitaries(
 
 
 def _unitaries(
-    hams: Sequence[Hamiltonian],
-    coefficients: Callable[[np.ndarray], np.ndarray],
-    batch: tuple[int, ...],
-    t0: float,
-    times: np.ndarray,
-    step: float,
-    method: str,
+    hams: Sequence[Hamiltonian], t0: float, times: np.ndarray, spec: IntegratorSpec
 ) -> np.ndarray:
-    """U(t, t0) for every t in ascending ``times``, shape batch + (len(times), 2, 2).
+    """U(t, t0) for every t in ascending ``times``, shape (len(hams), len(times), 2, 2).
 
-    The propagation core behind every entry point: a lattice path where one
+    The propagation core behind every entry point. All Hamiltonians share the
+    smallest step any of them needs. It takes a lattice path where one
     applies, else one stepped interval per sample time, each accumulated onto
     the product so far.
     """
+    step = min(spec.effective_step(h.fastest_period) for h in hams)
+    batch, method = (len(hams),), spec.method
+
+    def coefficients(ts: np.ndarray) -> np.ndarray:
+        return np.stack([h.coefficients(ts) for h in hams], axis=0)
+
     us = _lattice_unitaries(hams, coefficients, batch, t0, times, step, method)
     if us is not None:
         return us
@@ -316,6 +320,13 @@ def _unitaries(
         total = u if total is None else u @ total
         us[..., j, :, :] = total
         prev = float(t)
+    return us
+
+
+def _check_unitary(us: np.ndarray, context: str) -> np.ndarray:
+    defect = float(np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(2)).max(initial=0.0))
+    if not defect <= 1e-10:
+        raise IntegratorError(f"propagator unitarity defect {defect:.3e} during {context}")
     return us
 
 
@@ -346,14 +357,12 @@ def evolve(
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    ham = as_hamiltonian(h)
-    step = spec.effective_step(ham.fastest_period)
     times = np.array([t1] if t_eval is None else t_eval, dtype=float)
     if t_eval is not None and np.any(np.diff(times) < 0.0):
         raise ValueError("t_eval must be ascending")
     if times.size and (times[0] < t0 - 1e-15 or times[-1] > t1 + 1e-12):
         raise ValueError("t_eval must lie within [t0, t1]")
-    us = _unitaries([ham], ham.coefficients, (), t0, times, step, spec.method)
+    us = _unitaries([as_hamiltonian(h)], t0, times, spec)[0]
     amps = _check_norm(us @ psi0.amplitudes, f"evolve over [{t0}, {t1}]")
     if t_eval is None:
         return QubitState(amps[0])
@@ -366,13 +375,28 @@ def propagator_unitary(
     """Accumulated propagator U(t1, t0); unitary within 1e-10 by construction."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    ham = as_hamiltonian(h)
-    step = spec.effective_step(ham.fastest_period)
-    u = _unitaries([ham], ham.coefficients, (), t0, np.array([t1]), step, spec.method)[0]
-    defect = float(np.abs(u.conj().T @ u - np.eye(2)).max())
-    if not defect <= 1e-10:
-        raise IntegratorError(f"propagator unitarity defect {defect:.3e}")
-    return u
+    u = _unitaries([as_hamiltonian(h)], t0, np.array([t1]), spec)[0, 0]
+    return _check_unitary(u, f"propagation over [{t0}, {t1}]")
+
+
+def propagator_grid(
+    hamiltonians: Sequence[Hamiltonian],
+    times: np.ndarray,
+    spec: IntegratorSpec = ROTATING_SPEC,
+) -> np.ndarray:
+    """U(t, 0) for a batch of Hamiltonians at every time, shape (batch, len(times), 2, 2).
+
+    All Hamiltonians share the global time axis (propagation starts at t=0)
+    and the smallest step any of them needs. The reduction order is fixed by
+    the time grid and the batch size, so a rerun gives the same bits.
+    Unitary within 1e-10, as :func:`propagator_unitary`.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or (times.size and times[0] < 0.0):
+        raise ValueError("times must be a 1-D non-negative array")
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be ascending")
+    return _check_unitary(_unitaries(hamiltonians, 0.0, times, spec), "grid propagation")
 
 
 def evolve_grid(
@@ -383,28 +407,11 @@ def evolve_grid(
 ) -> np.ndarray:
     """Evolve one initial state under a batch of Hamiltonians, sampling ``times``.
 
-    All Hamiltonians share the global time axis (propagation starts at t=0).
-    Returns a complex array of shape (batch, len(times), 2). All rows share
-    the smallest step any of them needs, and the reduction order is fixed by
-    the time grid and the batch size, so a rerun gives the same bits.
+    Returns a complex array of shape (batch, len(times), 2): the states
+    :func:`propagator_grid` carries ``psi0`` to. Its unitarity check bounds
+    the norm drift of every column by about 1e-10.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or (times.size and times[0] < 0.0):
-        raise ValueError("times must be a 1-D non-negative array")
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be ascending")
-    batch = len(hamiltonians)
-    step = min(spec.effective_step(h.fastest_period) for h in hamiltonians)
-
-    def coefficients(ts: np.ndarray) -> np.ndarray:
-        return np.stack([h.coefficients(ts) for h in hamiltonians], axis=0)
-
-    us = _unitaries(hamiltonians, coefficients, (batch,), 0.0, times, step, spec.method)
-    out = us @ psi0.amplitudes
-    if times.size:
-        # lattice columns do not build on each other, so every column is checked
-        _check_norm(out, "grid evolution")
-    return out
+    return propagator_grid(hamiltonians, times, spec) @ psi0.amplitudes
 
 
 def richardson_check(

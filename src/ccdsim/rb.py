@@ -8,11 +8,11 @@ The average single-gate fidelity follows as F = 1 - (1 - F_c) / 1.875.
 
 Gate draws use a counter-based generator keyed on (seed, M, k), so each
 sequence is reproducible independently of execution order; the recovery
-Cliffords are read from the group's multiplication table. CCD gates are
-simulated at pulse level in the second rotating frame; primitive propagators
-are computed once per noise shot, which is exact because every primitive
-spans an integer number of modulation periods and the second-frame
-Hamiltonian is periodic over one such period.
+Cliffords are read from the group's multiplication table. Gates are
+simulated at pulse level in the frame and at the rate that
+``drive.gate_frame`` gives. The primitive propagators of all noise shots
+come from one ``propagator_grid`` call: four azimuth Hamiltonians per shot,
+each evaluated at the pi/2 and the pi duration.
 
 Shots are a batch axis: the Clifford unitaries of all shots form one array,
 and for each length the states C|0> of all K strings are carried through
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .clifford import (
     AVERAGE_PRIMITIVES_PER_CLIFFORD,
@@ -38,7 +37,7 @@ from .clifford import (
 )
 from .drive import DriveConfig, Scheme, gate_frame
 from .experiments import NoiseSpec
-from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_unitary
+from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_grid
 from .pulses import GATE_MOD_PHASE, require_gate_lattice
 
 __all__ = ["RBResult", "randomized_benchmarking"]
@@ -67,20 +66,29 @@ class RBResult:
 def _primitive_unitaries(
     scheme: Scheme,
     cfg: DriveConfig,
-    delta: float,
-    rabi_error: float,
+    deltas: np.ndarray,
+    rabi_errors: np.ndarray,
     spec: IntegratorSpec,
 ) -> dict[str, np.ndarray]:
-    """Pulse-level propagators of the seven primitives for one error draw."""
-    errd = cfg.with_scheme(scheme).with_errors(detuning=delta, rabi_error=rabi_error)
-    build, rate, axis_offset = gate_frame(errd)
-    out = {"I": np.eye(2, dtype=complex)}
-    for name, prim in PRIMITIVES.items():
-        if prim.axis == "i":
-            continue
-        # theta_m selects the dressed gate drive; the bare first frame ignores it
-        ham = build(errd.with_pulse(GATE_MOD_PHASE, prim.rotation_azimuth + axis_offset))
-        out[name] = propagator_unitary(ham, 0.0, abs(prim.angle) / rate, spec)
+    """Pulse-level propagators of the seven primitives, (shots, 2, 2) each."""
+    base = cfg.with_scheme(scheme)
+    build, rate, axis_offset = gate_frame(base)
+    pulsed = [prim for prim in PRIMITIVES.values() if prim.axis != "i"]
+    azimuths = sorted({prim.rotation_azimuth for prim in pulsed})
+    angles = sorted({abs(prim.angle) for prim in pulsed})
+    shots = [base.with_errors(detuning=d, rabi_error=e) for d, e in zip(deltas, rabi_errors)]
+    # theta_m selects the dressed gate drive; the bare first frame ignores it
+    hams = [
+        build(shot.with_pulse(GATE_MOD_PHASE, azimuth + axis_offset))
+        for shot in shots
+        for azimuth in azimuths
+    ]
+    us = propagator_grid(hams, [angle / rate for angle in angles], spec)
+    us = us.reshape(len(shots), len(azimuths), len(angles), 2, 2)
+    out = {"I": np.broadcast_to(np.eye(2, dtype=complex), (len(shots), 2, 2))}
+    for prim in pulsed:
+        azimuth, angle = azimuths.index(prim.rotation_azimuth), angles.index(abs(prim.angle))
+        out[prim.name] = us[:, azimuth, angle]
     return out
 
 
@@ -137,6 +145,8 @@ def _sequence_indices(seed: int, m: int, k: int) -> np.ndarray:
 
 def _fit_decay(lengths: np.ndarray, signal: np.ndarray) -> tuple[float, float, float, bool]:
     """Fit A p^M; returns (A, p, residual_rms, converged)."""
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     magnitude = np.abs(signal)
     usable = magnitude > 1e-12
     if usable.sum() >= 2:
@@ -208,13 +218,8 @@ def randomized_benchmarking(
     if ideal:
         clifford_us = np.stack([g.matrix for g in clifford_group()])[None]
     else:
-        shots = [
-            _primitive_unitaries(scheme, base, float(delta), float(rabi_error), spec)
-            for delta, rabi_error in zip(delta_draws, rabi_draws)
-        ]
-        clifford_us = _clifford_unitaries(
-            {name: np.stack([prims[name] for prims in shots]) for name in PRIMITIVES}
-        )
+        primitives = _primitive_unitaries(scheme, base, delta_draws, rabi_draws, spec)
+        clifford_us = _clifford_unitaries(primitives)
     weights = _real_form(clifford_us)  # (shots, 24, 4, 4)
 
     zero = np.array([1.0, 0.0, 0.0, 0.0])

@@ -216,6 +216,34 @@ class TestSubcommands:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("directive", ["gate inf 0", "idle inf", "gate nan 0", "gate 1 nan"])
+    def test_non_finite_program_directive_exit_code(self, tmp_path, directive):
+        program = tmp_path / "bad.seq"
+        program.write_text(f"{directive}\npad\n")
+        out = tmp_path / "x.csv"
+        code = main(["dressed", "--scheme", "cm", "--mod-ratio", "0.25",
+                     "--program", str(program), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_alphas_matching_no_scheme_exit_code(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha_a = 0.3\nalpha_p = 0.7\n")
+        out = tmp_path / "x.csv"
+        code = main(["iq-export", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_explicit_alphas_name_the_scheme_of_every_subcommand(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("scheme = bare\nalpha_a = 0.5\nalpha_p = 0.5\n")
+        explicit, named = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["iq-export", "--config", str(config), "--out", str(explicit)]) == 0
+        assert main(["iq-export", "--scheme", "cm", "--out", str(named)]) == 0
+        meta, _, rows = read_csv(explicit)
+        assert meta["meta.scheme"] == "cm"
+        assert np.array_equal(rows, read_csv(named)[2])
+
     def test_rb_ideal(self, tmp_path):
         out = tmp_path / "rb.csv"
         code = main(

@@ -98,7 +98,7 @@ class TestSequenceProgram:
         for index in rng.integers(0, 24, size=6):
             gate = clifford(int(index))
             program = clifford_sequence_program([gate], cfg)
-            simulated = simulate_program(program)
+            simulated = simulate_program([program])[0]
             ideal = QubitState(gate.matrix @ QubitState.zero().amplitudes)
             assert simulated.population_up() == pytest.approx(
                 ideal.population_up(), abs=1e-8

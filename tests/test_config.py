@@ -60,6 +60,20 @@ class TestParse:
         cfg = parse_config("scheme = cm\nalpha_a = 1.0\nalpha_p = 0.0\n")
         assert (cfg.alpha_a, cfg.alpha_p) == (1.0, 0.0)
 
+    def test_explicit_alphas_set_the_scheme(self):
+        # every subcommand reads the scheme, so it must name the alphas that win
+        cfg = parse_config("scheme = bare\nalpha_a = 0.5\nalpha_p = 0.5\n")
+        assert (cfg.scheme, cfg.scheme_enum()) == ("cm", Scheme.CMCCD)
+        assert cfg.drive_config().scheme is Scheme.CMCCD
+        cfg = parse_config("scheme = cmccd\nalpha_a = 0.5\nalpha_p = 0.5\n")
+        assert cfg.scheme == "cmccd"
+        assert parse_config(emit_config(cfg)) == cfg
+
+    def test_alphas_matching_no_scheme_rejected(self):
+        with pytest.raises(ConfigError, match="matches no scheme") as excinfo:
+            parse_config("scheme = cm\nalpha_a = 0.3\nalpha_p = 0.7\n")
+        assert excinfo.value.line == 2
+
     def test_mod_strength_alternative_key(self):
         cfg = parse_config("rabi_hz = 4e6\nmod_strength_hz = 1e6\n")
         assert cfg.mod_ratio == pytest.approx(0.25)

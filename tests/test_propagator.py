@@ -393,6 +393,20 @@ class TestLatticePaths:
         assert spy.paths == [False, False]
         assert np.array_equal(grid, reference)
 
+    def test_time_just_off_the_lattice_is_stepped(self, monkeypatch):
+        # 1e-10 periods past k T is a real time, not rounding: powering U(T)
+        # there would return U(0) and be off by about |H| 1e-10 T
+        hams = _random_hamiltonians(Scheme.CMCCD, first_frame_hamiltonian, 3, seed=6)
+        period = default_config(Scheme.CMCCD).mod_period
+        times = np.array([0.0, 1e-10, 7.0]) * period
+        spy = _PathSpy(monkeypatch)
+        grid = evolve_grid(hams, times, QubitState.zero())
+        oracle = evolve_grid(
+            [replace(h, period=math.inf) for h in hams], times, QubitState.zero()
+        )
+        assert spy.paths == [False, False]
+        assert np.abs(grid - oracle).max() <= 1e-12
+
     def test_hamiltonian_without_period_never_powers(self, monkeypatch):
         spy = _PathSpy(monkeypatch)
         cfg = default_config(Scheme.CMCCD, detuning=0.05 * RABI)

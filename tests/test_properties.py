@@ -7,10 +7,6 @@ on the modulation-period lattice, off it, or both. ``evolve(t_eval=...)``,
 oracle: the same Hamiltonian with ``period=math.inf`` (so no fast path
 applies), stepped over each interval between consecutive times, with the
 interval unitaries multiplied here rather than in the propagator.
-
-The lattice paths treat a time within ``LATTICE_TOLERANCE`` periods of k T
-as k T, so where a drawn time (or the start) is that close, the bound also
-allows |H| times the distance moved.
 """
 import math
 from dataclasses import replace
@@ -20,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdsim.drive import Scheme, default_config, first_frame_hamiltonian, second_frame_hamiltonian
-from ccdsim.propagator import LATTICE_TOLERANCE, evolve, evolve_grid, propagator_unitary
+from ccdsim.propagator import evolve, evolve_grid, propagator_unitary
 from ccdsim.qubit import QubitState
 
 RABI = 2 * math.pi * 3.6e6
@@ -56,16 +52,6 @@ def cases(draw):
     return hams, draw(time_grids())
 
 
-def bound(hams, times):
-    """TOLERANCE, plus |H| times the start and end shifts of lattice snapping."""
-    k = times / PERIOD
-    offsets = np.abs(k - np.rint(k))
-    snap = offsets[offsets <= LATTICE_TOLERANCE].max(initial=0.0) * PERIOD
-    samples = np.linspace(0.0, PERIOD, 257)
-    norm = max(np.linalg.norm(h.coefficients(samples), axis=-1).max() for h in hams)
-    return TOLERANCE + 2.0 * norm * snap
-
-
 def stepped_oracle(ham, t0, times):
     """U(t, t0) at each time by stepping every interval with the period cleared."""
     ham = replace(ham, period=math.inf)
@@ -84,17 +70,16 @@ def test_entry_points_match_stepped_oracle(case):
     psi0 = QubitState.plus()
     oracles = np.array([stepped_oracle(h, 0.0, times) for h in hams])
     expected = oracles @ psi0.amplitudes  # (batch, times, 2)
-    limit = bound(hams, times)
 
     grid = evolve_grid(hams, times, psi0)
-    assert np.abs(grid - expected).max() <= limit
+    assert np.abs(grid - expected).max() <= TOLERANCE
 
     for ham, oracle, want in zip(hams, oracles, expected):
         states = evolve(ham, psi0, 0.0, float(times[-1]), t_eval=times)
         got = np.array([s.amplitudes for s in states])
-        assert np.abs(got - want).max() <= limit
+        assert np.abs(got - want).max() <= TOLERANCE
         u = propagator_unitary(ham, 0.0, float(times[-1]))
-        assert np.abs(u - oracle[-1]).max() <= limit
+        assert np.abs(u - oracle[-1]).max() <= TOLERANCE
 
 
 @PROPERTY
@@ -102,11 +87,10 @@ def test_entry_points_match_stepped_oracle(case):
 def test_nonzero_start_matches_stepped_oracle(case):
     hams, times = case
     psi0 = QubitState.zero()
-    limit = bound(hams, times)
     for ham in hams:
         oracle = stepped_oracle(ham, float(times[0]), times)
         states = evolve(ham, psi0, float(times[0]), float(times[-1]), t_eval=times)
         got = np.array([s.amplitudes for s in states])
-        assert np.abs(got - oracle @ psi0.amplitudes).max() <= limit
+        assert np.abs(got - oracle @ psi0.amplitudes).max() <= TOLERANCE
         u = propagator_unitary(ham, float(times[0]), float(times[-1]))
-        assert np.abs(u - oracle[-1]).max() <= limit
+        assert np.abs(u - oracle[-1]).max() <= TOLERANCE

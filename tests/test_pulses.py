@@ -1,10 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ccdsim.drive import Scheme, default_config, second_frame_unitary
-from ccdsim.propagator import IntegratorSpec
+from ccdsim import experiments, pulses
+from ccdsim.drive import (
+    Scheme,
+    default_config,
+    first_frame_hamiltonian,
+    second_frame_hamiltonian,
+    second_frame_unitary,
+)
+from ccdsim.experiments import dressed_sequence_experiment, lattice_times
+from ccdsim.propagator import IntegratorSpec, evolve
 from ccdsim.pulses import (
     CompileError,
     PulseProgram,
@@ -112,7 +121,7 @@ class TestCompile:
 class TestSimulate:
     def test_empty_program_is_identity(self):
         program = PulseProgram([], CFG)
-        out = simulate_program(program)
+        out = simulate_program([program])[0]
         assert state_fidelity(out, QubitState.zero()) == pytest.approx(1.0, abs=1e-12)
 
     def test_y_pi_gate_transfers_population(self):
@@ -120,19 +129,19 @@ class TestSimulate:
         program = PulseProgram(
             [gate_pulse(math.pi, 0.0, CFG), readout_pad(2 * PERIOD, CFG)], CFG
         )
-        out = simulate_program(program)
+        out = simulate_program([program])[0]
         assert out.population_up() >= 1.0 - 1e-6
 
     def test_idle_full_turn_is_identity_up_to_phase(self):
         program = PulseProgram([idle_pulse(2 * math.pi / CFG.mod_strength, CFG)], CFG)
-        out = simulate_program(program, QubitState.plus())
+        out = simulate_program([program], QubitState.plus())[0]
         assert state_fidelity(out, QubitState.plus()) == pytest.approx(1.0, abs=1e-9)
 
     def test_idle_quarter_turn_rotates_equator_azimuth(self):
         # z rotation at rate eps_m: after pi/(2 eps_m) the +x state moves to -+y
         duration = (math.pi / 2) / CFG.mod_strength
         program = PulseProgram([idle_pulse(duration, CFG)], CFG)
-        out = simulate_program(program, QubitState.plus())
+        out = simulate_program([program], QubitState.plus())[0]
         vec = out.bloch()
         assert abs(vec.z) < 1e-8
         assert vec.x == pytest.approx(0.0, abs=1e-8)
@@ -151,8 +160,8 @@ class TestSimulate:
             cfg,
         )
         spec = IntegratorSpec(method="cf4", steps_per_fastest_period=400)
-        first = simulate_program(program, frame="first", spec=spec)
-        second = simulate_program(program, frame="second", spec=spec)
+        first = simulate_program([program], frame="first", spec=spec)[0]
+        second = simulate_program([program], frame="second", spec=spec)[0]
         assert first.population_up() == pytest.approx(second.population_up(), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -178,8 +187,8 @@ class TestSimulate:
         segments.append(readout_pad(elapsed, cfg))
         program = PulseProgram(segments, cfg)
         spec = IntegratorSpec(method="cf4", steps_per_fastest_period=400)
-        first = simulate_program(program, frame="first", spec=spec)
-        second = simulate_program(program, frame="second", spec=spec)
+        first = simulate_program([program], frame="first", spec=spec)[0]
+        second = simulate_program([program], frame="second", spec=spec)[0]
         assert first.population_up() == pytest.approx(second.population_up(), abs=1e-9)
 
     def test_two_quarter_gates_phase_sweep_oscillates(self):
@@ -189,10 +198,73 @@ class TestSimulate:
                 [gate_pulse(math.pi / 2, 0.0, CFG), gate_pulse(math.pi / 2, phi, CFG)],
                 CFG,
             )
-            out = simulate_program(program)
+            out = simulate_program([program])[0]
             assert out.population_up() == pytest.approx(
                 (1.0 + math.cos(phi)) / 2.0, abs=1e-6
             )
+
+
+def per_piece_oracle(program, frame):
+    """Final state of ``program`` from |0>: stepped evolve over each compiled
+    piece from its start to its end time, with the Hamiltonian's period cleared
+    so that no lattice path applies."""
+    build = first_frame_hamiltonian if frame == "first" else second_frame_hamiltonian
+    state = QubitState.zero()
+    for piece in compile_program(program):
+        ham = replace(build(piece.cfg), period=math.inf)
+        state = evolve(ham, state, piece.t_start, piece.t_end)
+    return state
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("kind", ["ccd_rabi", "ccd_ramsey", "two_axis"])
+    @pytest.mark.parametrize("scheme", [Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD])
+    def test_dressed_programs_match_per_piece_oracle(self, scheme, kind, monkeypatch):
+        # capture the programs each dressed sweep hands to simulate_program
+        calls = []
+        inner = experiments.simulate_program
+
+        def spy(programs, *args, **kwargs):
+            states = inner(programs, *args, **kwargs)
+            calls.append((list(programs), states))
+            return states
+
+        monkeypatch.setattr(experiments, "simulate_program", spy)
+        rng = np.random.default_rng(list(Scheme).index(scheme))
+        for delta, rabi_error in rng.normal(0.0, 0.05, size=(2, 2)) * CFG.rabi:
+            cfg = default_config(scheme, detuning=delta, rabi_error=rabi_error)
+            if kind == "two_axis":
+                sweep = np.linspace(0.0, 4.0 * math.pi, 5)
+            else:
+                sweep = lattice_times(cfg, 5)
+            dressed_sequence_experiment(kind, cfg, sweep)
+        assert len(calls) == 2  # one batched call per noise draw
+        for programs, states in calls:
+            assert len(states) == len(programs) == 5
+            for frame in ("first", "second"):
+                batched = simulate_program(programs, frame=frame)
+                if frame == "second":
+                    assert all(np.array_equal(a.amplitudes, b.amplitudes)
+                               for a, b in zip(batched, states))
+                for program, state in zip(programs, batched):
+                    oracle = per_piece_oracle(program, frame)
+                    assert np.abs(state.amplitudes - oracle.amplitudes).max() <= 1e-10
+
+    def test_one_propagator_call_over_distinct_configurations(self, monkeypatch):
+        sizes = []
+        inner = pulses.propagator_grid
+
+        def spy(hams, times, spec):
+            sizes.append(len(hams))
+            return inner(hams, times, spec)
+
+        monkeypatch.setattr(pulses, "propagator_grid", spy)
+        cfg = CFG.with_errors(detuning=0.03 * CFG.rabi)
+        dressed_sequence_experiment("ccd_ramsey", cfg, lattice_times(cfg, 6))
+        assert sizes == [2]  # the gate and the idle configuration
+
+    def test_empty_program_list(self):
+        assert simulate_program([]) == []
 
 
 class TestParseProgram:

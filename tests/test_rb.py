@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ccdsim import rb
 from ccdsim.clifford import (
+    PRIMITIVES,
     clifford,
     clifford_group,
     clifford_sequence_program,
@@ -13,10 +15,10 @@ from ccdsim.clifford import (
     recovery_clifford,
     recovery_indices,
 )
-from ccdsim.drive import Scheme, default_config
+from ccdsim.drive import Scheme, default_config, gate_frame
 from ccdsim.experiments import NoiseSpec
-from ccdsim.propagator import ROTATING_SPEC
-from ccdsim.pulses import simulate_program
+from ccdsim.propagator import ROTATING_SPEC, propagator_unitary
+from ccdsim.pulses import GATE_MOD_PHASE, simulate_program
 from ccdsim.rb import _primitive_unitaries, _sequence_indices, randomized_benchmarking
 
 CFG = default_config(Scheme.CMCCD, rabi=2 * math.pi * 2.2e6)
@@ -62,6 +64,26 @@ class TestIdealEngine:
         assert result.signal[0] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestBatchedPrimitives:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_match_per_shot_stepped_propagators(self, scheme):
+        rng = np.random.default_rng(11)
+        deltas, rabi_errors = rng.normal(0.0, 0.05 * RABI, size=(2, 3))
+        prims = _primitive_unitaries(scheme, CFG, deltas, rabi_errors, ROTATING_SPEC)
+        base = CFG.with_scheme(scheme)
+        build, rate, axis_offset = gate_frame(base)
+        for shot, (delta, rabi_error) in enumerate(zip(deltas, rabi_errors)):
+            errd = base.with_errors(detuning=delta, rabi_error=rabi_error)
+            for name, prim in PRIMITIVES.items():
+                if prim.axis == "i":
+                    expected = np.eye(2)
+                else:
+                    pulse = errd.with_pulse(GATE_MOD_PHASE, prim.rotation_azimuth + axis_offset)
+                    stepped = replace(build(pulse), period=math.inf)
+                    expected = propagator_unitary(stepped, 0.0, abs(prim.angle) / rate)
+                assert np.abs(prims[name][shot] - expected).max() <= 1e-10
+
+
 class TestPulseLevel:
     def test_cm_noiseless_fidelity_near_one(self):
         result = randomized_benchmarking(Scheme.CMCCD, CFG, M_LIST, 5, NoiseSpec(seed=7))
@@ -78,7 +100,7 @@ class TestPulseLevel:
         gates = [clifford(int(i)) for i in _sequence_indices(3, 6, 0)]
         recovery = recovery_clifford(gates, "up")
         program = clifford_sequence_program(gates + [recovery], cfg)
-        p_program = simulate_program(program).population_up()
+        p_program = simulate_program([program])[0].population_up()
 
         result = randomized_benchmarking(
             Scheme.CMCCD, cfg, [6], 1, NoiseSpec(seed=3), static_detuning=0.0
@@ -89,9 +111,9 @@ class TestPulseLevel:
         from ccdsim.propagator import ROTATING_SPEC
 
         prims = _primitive_unitaries(
-            Scheme.CMCCD, cfg, cfg.detuning, cfg.rabi_error, ROTATING_SPEC
+            Scheme.CMCCD, cfg, [cfg.detuning], [cfg.rabi_error], ROTATING_SPEC
         )
-        cliff_us = _clifford_unitaries(prims)
+        cliff_us = _clifford_unitaries(prims)[0]
         u = np.eye(2, dtype=complex)
         for gate in gates:
             u = cliff_us[gate.index] @ u
@@ -167,9 +189,12 @@ def looped_signal(scheme, cfg, m_list, k_randomizations, noise, *, ideal=False, 
         shots.append([gate.matrix for gate in clifford_group()])
     else:
         for delta, rabi_error in zip(deltas, rabi_errors):
-            prims = _primitive_unitaries(
-                scheme, base, float(delta), float(rabi_error), ROTATING_SPEC
-            )
+            prims = {
+                name: u[0]
+                for name, u in _primitive_unitaries(
+                    scheme, base, [delta], [rabi_error], ROTATING_SPEC
+                ).items()
+            }
             unitaries = []
             for gate in clifford_group():
                 u = np.eye(2, dtype=complex)
