@@ -1,11 +1,16 @@
 """Command-line interface: sweeps, presets, benchmarking, export, selftest.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-error. Failures print a machine-readable JSON error record to stderr.
-No subcommand runs a worker pool. ``--threads``, the ``threads`` config
-key and the CCD_SIM_THREADS environment variable are still accepted and
-validated (exit 2 on a negative count or a non-integer variable), but they
-select nothing.
+Every data subcommand takes ``--config FILE`` and every config key as a
+flag spelled ``--key-with-dashes``; ``--durations``, ``--kind``, ``--points``
+and ``--k`` are short spellings of duration_points, dressed_kind,
+sweep_points and k_randomizations. A flag value is text that ``parse_config``
+parses as it parses a file value, and a subcommand ignores the keys it does
+not read.
+
+Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure,
+4 I/O error. Failures print a machine-readable JSON error record to stderr.
+No subcommand runs a worker pool: ``--threads`` and the ``threads`` key are
+accepted and validated (exit 2 on a negative count), but select nothing.
 """
 from __future__ import annotations
 
@@ -14,12 +19,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from . import clifford as clifford_mod
-from .config import ConfigError, RunConfig, emit_config, parse_config
+from .config import KEY_TYPES, ConfigError, RunConfig, emit_config, parse_config
 from .dataset import Dataset, write_dataset
 from .drive import (
     DriveConfig,
@@ -52,35 +56,53 @@ __all__ = ["main"]
 
 TWO_PI = 2.0 * math.pi
 
+#: short spellings of config-key flags, besides their ``--key-with-dashes``
+_SHORT_FLAGS = {
+    "duration_points": "--durations",
+    "dressed_kind": "--kind",
+    "sweep_points": "--points",
+    "k_randomizations": "--k",
+}
+#: most samples ``iq-export`` writes; a larger request is refused up front
+MAX_IQ_SAMPLES = 10**7
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _number_flag(args: argparse.Namespace, dest: str) -> float | None:
+    """The finite number a CLI-only flag gives, or None when it is absent."""
+    text = getattr(args, dest)
+    if text is None:
+        return None
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{_flag(dest)} must be a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{_flag(dest)} must be finite, got {text!r}")
+    return value
+
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     text = ""
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    keys = [f.name for f in fields(RunConfig)] + ["mod_strength_hz"]
-    overrides = {key: getattr(args, key) for key in keys if hasattr(args, key)}
-    span = getattr(args, "detuning_span_hz", None)
+    overrides = {key: getattr(args, key) for key in KEY_TYPES}
+    span = _number_flag(args, "detuning_span_hz")
     if span is not None:
         overrides["detuning_start_hz"] = -span / 2.0
         overrides["detuning_stop_hz"] = span / 2.0
-    span = getattr(args, "rabi_error_span_frac", None)
+    span = _number_flag(args, "rabi_error_span_frac")
     if span is not None:
         overrides["rabi_error_start_frac"] = -span / 2.0
         overrides["rabi_error_stop_frac"] = span / 2.0
-    cfg = parse_config(text, overrides=overrides)
-    env = os.environ.get("CCD_SIM_THREADS", "")
-    if cfg.threads == 0 and env.strip():
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"CCD_SIM_THREADS must be an integer, got {env!r}") from exc
-        if threads < 0:
-            raise ConfigError(f"CCD_SIM_THREADS: threads must be >= 0, got {threads}")
-    return cfg
+    return parse_config(text, overrides=overrides)
 
 
 def _duration_grid(cfg: RunConfig) -> np.ndarray:
@@ -89,20 +111,19 @@ def _duration_grid(cfg: RunConfig) -> np.ndarray:
     if cfg.duration_stop_s > 0.0:
         return np.linspace(cfg.duration_start_s, cfg.duration_stop_s, cfg.duration_points)
     drive = cfg.drive_config()
-    if cfg.scheme_enum() is Scheme.BARE or drive.mod_strength <= 0.0:
-        step = 1.0 / (8.0 * cfg.rabi_hz)
-    else:
-        step = drive.mod_period
+    step = drive.mod_period if drive.dressed else 1.0 / (8.0 * cfg.rabi_hz)
     return cfg.duration_start_s + np.arange(cfg.duration_points) * step
 
 
-def _detuning_grid(cfg: RunConfig) -> np.ndarray:
-    return TWO_PI * np.linspace(cfg.detuning_start_hz, cfg.detuning_stop_hz, cfg.detuning_points)
-
-
-def _rabi_error_grid(cfg: RunConfig) -> np.ndarray:
+def _error_grid(cfg: RunConfig, axis: str) -> np.ndarray:
+    """The detuning axis (``axis == "detuning"``) or the Rabi-error axis, rad/s."""
+    if axis == "detuning":
+        hz = np.linspace(cfg.detuning_start_hz, cfg.detuning_stop_hz, cfg.detuning_points)
+        return TWO_PI * hz
     rabi = TWO_PI * cfg.rabi_hz
-    return rabi * np.linspace(cfg.rabi_error_start_frac, cfg.rabi_error_stop_frac, cfg.rabi_error_points)
+    return rabi * np.linspace(
+        cfg.rabi_error_start_frac, cfg.rabi_error_stop_frac, cfg.rabi_error_points
+    )
 
 
 def _write(cfg: RunConfig, axes, value_names, values, **meta) -> int:
@@ -128,47 +149,19 @@ def _write(cfg: RunConfig, axes, value_names, values, **meta) -> int:
     return 0
 
 
-def _cmd_chevron(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """chevron, rabi-error and spectrum: P_up over an error axis and duration,
+    or (spectrum) its Fourier magnitude along duration."""
     cfg = _load_config(args)
-    grid = chevron_sweep(
-        cfg.scheme_enum(),
-        cfg.drive_config(),
-        _detuning_grid(cfg),
-        _duration_grid(cfg),
+    sweep = chevron_sweep if args.axis == "detuning" else rabi_error_sweep
+    grid = sweep(
+        cfg.scheme_enum(), cfg.drive_config(), _error_grid(cfg, args.axis), _duration_grid(cfg)
     )
+    name = "p_up"
+    if args.command == "spectrum":
+        grid, name = spectrum(grid), "magnitude"
     return _write(
-        cfg, (grid.y_axis, grid.x_axis), ("p_up",), grid.values[..., None],
-        warnings=grid.meta["warnings"],
-    )
-
-
-def _cmd_rabi_error(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    grid = rabi_error_sweep(
-        cfg.scheme_enum(),
-        cfg.drive_config(),
-        _rabi_error_grid(cfg),
-        _duration_grid(cfg),
-    )
-    return _write(
-        cfg, (grid.y_axis, grid.x_axis), ("p_up",), grid.values[..., None],
-        warnings=grid.meta["warnings"],
-    )
-
-
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    if args.axis == "detuning":
-        grid = chevron_sweep(
-            cfg.scheme_enum(), cfg.drive_config(), _detuning_grid(cfg), _duration_grid(cfg)
-        )
-    else:
-        grid = rabi_error_sweep(
-            cfg.scheme_enum(), cfg.drive_config(), _rabi_error_grid(cfg), _duration_grid(cfg)
-        )
-    grid = spectrum(grid)
-    return _write(
-        cfg, (grid.y_axis, grid.x_axis), ("magnitude",), grid.values[..., None],
+        cfg, (grid.y_axis, grid.x_axis), (name,), grid.values[..., None],
         warnings=grid.meta["warnings"],
     )
 
@@ -177,7 +170,7 @@ def _cmd_infidelity(args: argparse.Namespace) -> int:
     from .experiments import infidelity_curve
 
     cfg = _load_config(args)
-    grid = _detuning_grid(cfg) if args.axis == "detuning" else _rabi_error_grid(cfg)
+    grid = _error_grid(cfg, args.axis)
     curve = infidelity_curve(cfg.scheme_enum(), cfg.drive_config(), args.axis, grid)
     errors = np.array([point[0] for point in curve])
     infids = np.array([[point[1]] for point in curve])
@@ -252,15 +245,16 @@ def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConf
 
 def _cmd_rb(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    drive = cfg.drive_config()
+    static_detuning = _number_flag(args, "static_detuning_frac")
+    static_rabi_error = _number_flag(args, "static_rabi_error_frac")
     result = randomized_benchmarking(
         cfg.scheme_enum(),
-        drive,
+        cfg.drive_config(),
         list(cfg.cliffords),
         cfg.k_randomizations,
         cfg.noise_spec(),
-        static_detuning=TWO_PI * cfg.rabi_hz * args.static_detuning_frac,
-        static_rabi_error=TWO_PI * cfg.rabi_hz * args.static_rabi_error_frac,
+        static_detuning=TWO_PI * cfg.rabi_hz * static_detuning,
+        static_rabi_error=TWO_PI * cfg.rabi_hz * static_rabi_error,
         ideal=args.ideal,
     )
     return _write(
@@ -282,7 +276,13 @@ def _cmd_iq_export(args: argparse.Namespace) -> int:
     drive = cfg.drive_config()
     _, rate, _ = gate_frame(drive)
     duration = cfg.gate_angle / rate
-    n = max(2, int(round(duration * cfg.sample_rate_hz)))
+    samples = duration * cfg.sample_rate_hz
+    if not samples <= MAX_IQ_SAMPLES:
+        raise ConfigError(
+            f"iq-export would write {samples:.3g} samples, more than {MAX_IQ_SAMPLES}; "
+            "lower sample_rate_hz or gate_angle"
+        )
+    n = max(2, int(round(samples)))
     times = np.arange(n) / cfg.sample_rate_hz
     i_env, q_env = iq_baseband(drive, times)
     return _write(
@@ -404,116 +404,70 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--scheme", choices=["bare", "am", "pm", "cm"])
-    parser.add_argument("--rabi-hz", dest="rabi_hz", type=float)
-    parser.add_argument("--detuning-hz", dest="detuning_hz", type=float)
-    parser.add_argument("--carrier-hz", dest="carrier_hz", type=float)
-    parser.add_argument("--rabi-error-frac", dest="rabi_error_frac", type=float)
-    parser.add_argument("--mod-ratio", dest="mod_ratio", type=float)
-    parser.add_argument("--mod-strength-hz", dest="mod_strength_hz", type=float)
-    parser.add_argument("--mod-phase", dest="mod_phase", type=float)
-    parser.add_argument("--mw-phase", dest="mw_phase", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=["csv", "json"])
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error: exit 2 with the JSON record."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
-def _add_duration_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--durations", dest="duration_points", type=int,
-                        help="number of duration samples")
-    parser.add_argument("--duration-stop-s", dest="duration_stop_s", type=float)
+def _config_flags() -> argparse.ArgumentParser:
+    """Parent parser of the data subcommands: ``--config`` and every config key
+    as text, plus the two CLI-only span flags."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--config", help="key = value configuration file")
+    for key in KEY_TYPES:
+        flags = [_flag(key)]
+        if key in _SHORT_FLAGS:
+            flags.append(_SHORT_FLAGS[key])
+        parent.add_argument(*flags, dest=key)
+    parent.add_argument("--detuning-span-hz", help="detuning axis from -span/2 to +span/2")
+    parent.add_argument("--rabi-error-span-frac", help="Rabi-error axis from -span/2 to +span/2")
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccdsim",
         description="Simulate a single qubit under concatenated continuous driving.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chevron", help="spin-up fraction vs detuning and duration")
-    _add_common(p)
-    _add_duration_flags(p)
-    p.add_argument("--detuning-span-hz", dest="detuning_span_hz", type=float)
-    p.add_argument("--detuning-points", dest="detuning_points", type=int)
-    p.set_defaults(handler=_cmd_chevron)
-
-    p = sub.add_parser("rabi-error", help="spin-up fraction vs Rabi error and duration")
-    _add_common(p)
-    _add_duration_flags(p)
-    p.add_argument("--rabi-error-span-frac", dest="rabi_error_span_frac", type=float)
-    p.add_argument("--rabi-error-points", dest="rabi_error_points", type=int)
-    p.set_defaults(handler=_cmd_rabi_error)
-
-    p = sub.add_parser("spectrum", help="Fourier magnitude of a sweep")
-    _add_common(p)
-    _add_duration_flags(p)
-    p.add_argument("--axis", choices=["detuning", "rabi"], default="detuning")
-    p.add_argument("--detuning-span-hz", dest="detuning_span_hz", type=float)
-    p.add_argument("--detuning-points", dest="detuning_points", type=int)
-    p.add_argument("--rabi-error-span-frac", dest="rabi_error_span_frac", type=float)
-    p.add_argument("--rabi-error-points", dest="rabi_error_points", type=int)
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("infidelity", help="Y_pi state infidelity vs error")
-    _add_common(p)
-    p.add_argument("--axis", choices=["detuning", "rabi"], default="detuning")
-    p.add_argument("--detuning-span-hz", dest="detuning_span_hz", type=float)
-    p.add_argument("--detuning-points", dest="detuning_points", type=int)
-    p.add_argument("--rabi-error-span-frac", dest="rabi_error_span_frac", type=float)
-    p.add_argument("--rabi-error-points", dest="rabi_error_points", type=int)
-    p.set_defaults(handler=_cmd_infidelity)
-
-    p = sub.add_parser("trajectory", help="Bloch trace with quarter-turn markers")
-    _add_common(p)
-    p.add_argument("--quarter-turns", dest="quarter_turns", type=int)
-    p.add_argument("--samples-per-quarter-turn", dest="samples_per_quarter_turn", type=int)
-    p.set_defaults(handler=_cmd_trajectory)
-
-    p = sub.add_parser("dressed", help="CCD-Rabi / CCD-Ramsey / two-axis presets")
-    _add_common(p)
-    p.add_argument("--kind", dest="dressed_kind",
-                   choices=["ccd_rabi", "ccd_ramsey", "two_axis"])
-    p.add_argument("--points", dest="sweep_points", type=int)
-    p.add_argument("--program", help="segment-directive file to run instead of a preset")
-    p.add_argument("--noise-detuning-sigma-hz", dest="noise_detuning_sigma_hz", type=float)
-    p.add_argument("--noise-rabi-sigma-frac", dest="noise_rabi_sigma_frac", type=float)
-    p.add_argument("--noise-samples", dest="noise_samples", type=int)
-    p.set_defaults(handler=_cmd_dressed)
-
-    p = sub.add_parser("rb", help="Clifford randomized benchmarking")
-    _add_common(p)
-    p.add_argument("--cliffords", dest="cliffords",
-                   type=lambda text: tuple(int(x) for x in text.split(",") if x.strip()))
-    p.add_argument("--k", dest="k_randomizations", type=int)
-    p.add_argument("--static-detuning-frac", type=float, default=0.0,
-                   help="static detuning as a fraction of Omega_0")
-    p.add_argument("--static-rabi-error-frac", type=float, default=0.0)
-    p.add_argument("--ideal", action="store_true",
-                   help="use ideal Clifford matrices instead of pulse dynamics")
-    p.add_argument("--noise-detuning-sigma-hz", dest="noise_detuning_sigma_hz", type=float)
-    p.add_argument("--noise-rabi-sigma-frac", dest="noise_rabi_sigma_frac", type=float)
-    p.add_argument("--noise-samples", dest="noise_samples", type=int)
-    p.set_defaults(handler=_cmd_rb)
-
-    p = sub.add_parser("iq-export", help="baseband I/Q samples of one gate pulse")
-    _add_common(p)
-    p.add_argument("--gate-angle", dest="gate_angle", type=float)
-    p.add_argument("--sample-rate-hz", dest="sample_rate_hz", type=float)
-    p.set_defaults(handler=_cmd_iq_export)
-
-    p = sub.add_parser("selftest", help="run the built-in analytic-oracle checks")
-    p.set_defaults(handler=_cmd_selftest)
-
+    parent = _config_flags()
+    commands = {}
+    for name, handler, text in (
+        ("chevron", _cmd_sweep, "spin-up fraction vs detuning and duration"),
+        ("rabi-error", _cmd_sweep, "spin-up fraction vs Rabi error and duration"),
+        ("spectrum", _cmd_sweep, "Fourier magnitude of a sweep"),
+        ("infidelity", _cmd_infidelity, "Y_pi state infidelity vs error"),
+        ("trajectory", _cmd_trajectory, "Bloch trace with quarter-turn markers"),
+        ("dressed", _cmd_dressed, "CCD-Rabi / CCD-Ramsey / two-axis presets"),
+        ("rb", _cmd_rb, "Clifford randomized benchmarking"),
+        ("iq-export", _cmd_iq_export, "baseband I/Q samples of one gate pulse"),
+    ):
+        commands[name] = sub.add_parser(name, help=text, parents=[parent])
+        commands[name].set_defaults(handler=handler)
+    commands["chevron"].set_defaults(axis="detuning")
+    commands["rabi-error"].set_defaults(axis="rabi")
+    for name in ("spectrum", "infidelity"):
+        commands[name].add_argument("--axis", choices=["detuning", "rabi"], default="detuning")
+    commands["dressed"].add_argument(
+        "--program", help="segment-directive file to run instead of a preset"
+    )
+    rb = commands["rb"]
+    rb.add_argument("--static-detuning-frac", default="0",
+                    help="static detuning as a fraction of Omega_0")
+    rb.add_argument("--static-rabi-error-frac", default="0")
+    rb.add_argument("--ideal", action="store_true",
+                    help="use ideal Clifford matrices instead of pulse dynamics")
+    sub.add_parser("selftest", help="run the built-in analytic-oracle checks").set_defaults(
+        handler=_cmd_selftest
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (IntegratorError, NormalizationError, FloatingPointError) as exc:
         _report_error("numerical", exc)

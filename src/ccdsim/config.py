@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from .drive import DriveConfig, Scheme
 from .experiments import NoiseSpec
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "emit_config"]
+__all__ = ["ConfigError", "KEY_TYPES", "RunConfig", "parse_config", "emit_config"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,40 +108,25 @@ class RunConfig:
         )
 
 
-_INT_KEYS = {
-    "duration_points",
-    "detuning_points",
-    "rabi_error_points",
-    "quarter_turns",
-    "samples_per_quarter_turn",
-    "sweep_points",
-    "k_randomizations",
-    "noise_samples",
-    "seed",
-    "threads",
-}
-_STR_KEYS = {"scheme", "dressed_kind", "out", "format"}
-_TUPLE_KEYS = {"cliffords"}
-#: accepted in files/flags, resolved into mod_ratio
-_ALT_KEYS = {"mod_strength_hz"}
-
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-_KNOWN_KEYS = _FIELD_NAMES | _ALT_KEYS
+#: every config key and the type of its value, read from the field defaults;
+#: mod_strength_hz is accepted in files and flags and resolved into mod_ratio
+KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)} | {"mod_strength_hz": float}
 
 
-def _parse_value(key: str, text: str, line: int, column: int):
+def _parse_value(key: str, text: str, line: int | None = None, column: int | None = None):
+    kind = KEY_TYPES[key]
     try:
-        if key in _STR_KEYS:
+        if kind is str:
             return text
-        if key in _TUPLE_KEYS:
+        if kind is tuple:
             return tuple(int(part) for part in text.split(",") if part.strip())
-        if key in _INT_KEYS:
+        if kind is int:
             value = float(text)
             if value != int(value):
                 raise ValueError("expected an integer")
             return int(value)
         return float(text)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})", line, column) from exc
 
 
@@ -191,8 +176,9 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
 def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
     """Parse ``key = value`` lines (``#`` comments) into a validated RunConfig.
 
-    ``overrides`` (e.g. from CLI flags) are applied after the file contents.
-    An empty document yields the documented defaults.
+    ``overrides`` (e.g. from CLI flags) are applied after the file contents;
+    an override given as text is parsed as a file value would be. An empty
+    document yields the documented defaults.
     """
     raw: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -205,7 +191,7 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         column = raw_line.find(key) + 1
-        if key not in _KNOWN_KEYS:
+        if key not in KEY_TYPES:
             raise ConfigError(f"unknown key {key!r}", lineno, column)
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}", lineno, column)
@@ -216,9 +202,9 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
         for key, value in overrides.items():
             if value is None:
                 continue
-            if key not in _KNOWN_KEYS:
+            if key not in KEY_TYPES:
                 raise ConfigError(f"unknown key {key!r}")
-            raw[key] = value
+            raw[key] = _parse_value(key, value) if isinstance(value, str) else value
             lines.pop(key, None)
 
     explicit_alphas = "alpha_a" in raw or "alpha_p" in raw
@@ -237,11 +223,10 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
         rabi_hz = float(raw.get("rabi_hz", RunConfig.rabi_hz))
         raw["mod_ratio"] = float(raw.pop("mod_strength_hz")) / rabi_hz
 
-    values = {key: value for key, value in raw.items() if key in _FIELD_NAMES}
     if not explicit_alphas:
-        values["alpha_a"] = scheme.alpha_a
-        values["alpha_p"] = scheme.alpha_p
-    cfg = RunConfig(**values)
+        raw["alpha_a"] = scheme.alpha_a
+        raw["alpha_p"] = scheme.alpha_p
+    cfg = RunConfig(**raw)
     return _validate(cfg, lines)
 
 
@@ -257,7 +242,7 @@ def emit_config(cfg: RunConfig, *, include_runtime: bool = True) -> str:
         if not include_runtime and f.name in _RUNTIME_KEYS:
             continue
         value = getattr(cfg, f.name)
-        if f.name in _TUPLE_KEYS:
+        if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)

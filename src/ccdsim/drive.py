@@ -175,6 +175,12 @@ class DriveConfig:
         return Scheme.of(self.alpha_A, self.alpha_P)
 
     @property
+    def dressed(self) -> bool:
+        """Whether CCD dresses the qubit: a modulated scheme (alpha_A + alpha_P
+        > 0) at eps_m > 0. Every other drive acts on the bare qubit."""
+        return self.alpha_A + self.alpha_P > 0.0 and self.mod_strength > 0.0
+
+    @property
     def mod_period(self) -> float:
         """One modulation period 2 pi / Omega_0 (s)."""
         return TWO_PI / self.rabi
@@ -386,14 +392,14 @@ def counter_rotating_coefficient(cfg: DriveConfig) -> float:
 
 
 def gate_frame(cfg: DriveConfig) -> tuple[Callable[[DriveConfig], Hamiltonian], float, float]:
-    """The one bare-versus-dressed rule: (Hamiltonian builder, rate, axis offset).
+    """Where a gate runs: (Hamiltonian builder, rate, axis offset).
 
-    A dressed drive (alpha_A + alpha_P > 0 and eps_m > 0) turns the dressed
-    qubit at eps_m in the second frame about phi_mw + pi/2, so a gate about
-    azimuth phi is driven at phi - pi/2. Any other drive Rabi-rotates the
-    bare qubit at Omega_0 in the first frame about phi_mw (offset 0).
+    A dressed drive (``cfg.dressed``) turns the dressed qubit at eps_m in the
+    second frame about phi_mw + pi/2, so a gate about azimuth phi is driven
+    at phi - pi/2. Any other drive Rabi-rotates the bare qubit at Omega_0 in
+    the first frame about phi_mw (offset 0).
     """
-    if cfg.alpha_A + cfg.alpha_P > 0.0 and cfg.mod_strength > 0.0:
+    if cfg.dressed:
         return second_frame_hamiltonian, cfg.mod_strength, -math.pi / 2.0
     return first_frame_hamiltonian, cfg.rabi, 0.0
 

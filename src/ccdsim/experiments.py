@@ -277,7 +277,7 @@ def dressed_sequence_experiment(
     """
     if kind not in ("ccd_rabi", "ccd_ramsey", "two_axis"):
         raise ValueError("kind must be ccd_rabi | ccd_ramsey | two_axis")
-    if cfg.mod_strength <= 0.0 or cfg.alpha_A + cfg.alpha_P == 0.0:
+    if not cfg.dressed:
         raise ValueError("dressed sequences need an active CCD modulation")
     sweep = np.asarray(sweep_values, dtype=float)
     programs = []

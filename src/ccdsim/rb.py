@@ -191,9 +191,10 @@ def randomized_benchmarking(
     """Run the randomized-benchmarking procedure and fit the decay.
 
     ``ideal=True`` replaces pulse dynamics with the ideal Clifford matrices
-    (engine self-check; errors and noise are then irrelevant). Otherwise CCD
-    schemes need eps_m = Omega_0 / (4 n) so that each primitive spans whole
-    modulation periods. All noise shots are composed as one batch.
+    (engine self-check; errors and noise are then irrelevant). Otherwise a
+    dressed drive needs eps_m = Omega_0 / (4 n) so that each primitive spans
+    whole modulation periods; any other drive (a CCD scheme at eps_m = 0
+    included) gates the bare qubit. All noise shots are composed as one batch.
     """
     lengths = np.asarray(m_list, dtype=int)
     if lengths.size == 0 or np.any(lengths <= 0) or np.any(np.diff(lengths) <= 0):
@@ -202,7 +203,7 @@ def randomized_benchmarking(
         raise ValueError("need at least one randomization per length")
     noise = noise or NoiseSpec()
     base = cfg.with_scheme(scheme)
-    if not ideal and scheme is not Scheme.BARE:
+    if not ideal and base.dressed:
         require_gate_lattice(base)
 
     strings = [

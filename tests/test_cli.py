@@ -1,16 +1,17 @@
 import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
-from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ccdsim import cli
 from ccdsim.cli import build_parser, main
-from ccdsim.config import RunConfig
+from ccdsim.config import KEY_TYPES, RunConfig, parse_config
 from ccdsim.drive import default_config, drive_coefficient, Scheme
 from ccdsim.qubit import NormalizationError
 
@@ -121,34 +122,61 @@ class TestConfigPrecedence:
         )
         assert code == 4
 
-    def test_every_config_flag_sets_its_field(self, monkeypatch):
-        monkeypatch.delenv("CCD_SIM_THREADS", raising=False)
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["chevron", "--rabi-hz", "abc"],
+            ["rb", "--cliffords", "1,x"],
+            ["chevron", "--scheme", "foo"],
+            ["chevron", "--durations", "4.5"],
+            ["rb", "--static-detuning-frac", "abc"],
+            ["rb", "--static-rabi-error-frac", "nan"],
+            ["spectrum", "--axis", "foo"],
+            ["chevron", "--bananas", "1"],
+        ],
+    )
+    def test_malformed_flag_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "o.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "config"
+        assert args[2] in record["error"]["message"]
+        if args[1].startswith("--static"):
+            assert args[1] in record["error"]["message"]
+
+    def test_every_config_flag_sets_its_field(self):
+        # a flag's text must give what the same text gives on a config line;
+        # ints are spelled "257.0" and the scheme "cmccd", as files may spell them
         defaults = RunConfig()
-        names = {f.name for f in fields(RunConfig)}
+        texts = {
+            "scheme": "cmccd", "dressed_kind": "two_axis", "format": "json",
+            "out": "elsewhere.csv", "cliffords": "1,3", "mod_strength_hz": "1e6",
+            "alpha_a": "1.0", "alpha_p": "0.0",
+        }
+        for key, kind in KEY_TYPES.items():
+            if key not in texts:
+                default = getattr(defaults, key)
+                texts[key] = f"{default + 1}.0" if kind is int else repr(default + 1)
+        alphas = ("alpha_a", "alpha_p")  # one alone matches no scheme
         parser = build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         checked = 0
         for command, sub in commands.choices.items():
-            for action in sub._actions:
-                if action.dest not in names:
-                    continue
-                default = getattr(defaults, action.dest)
-                if action.choices:
-                    text = next(c for c in action.choices if c != default)
-                elif isinstance(default, tuple):
-                    text = "1,3"
-                elif isinstance(default, str):
-                    text = default + "elsewhere.csv"
-                else:
-                    text = repr(default + 1)
-                args = parser.parse_args([command, action.option_strings[0], text])
-                cfg = cli._load_config(args)
-                got = getattr(cfg, action.dest)
-                assert got != default and got == getattr(args, action.dest), (
-                    command, action.option_strings[0]
-                )
-                checked += 1
-        assert checked >= 60
+            if command == "selftest":
+                continue
+            actions = {a.dest: a for a in sub._actions if a.dest in KEY_TYPES}
+            assert set(actions) == set(KEY_TYPES), command
+            for key, action in actions.items():
+                keys = alphas if key in alphas else (key,)
+                expected = parse_config("".join(f"{k} = {texts[k]}\n" for k in keys))
+                assert expected != defaults, key
+                partner = [f"--{k.replace('_', '-')}={texts[k]}" for k in keys if k != key]
+                for option in action.option_strings:
+                    args = parser.parse_args([command, f"{option}={texts[key]}", *partner])
+                    assert cli._load_config(args) == expected, (command, option)
+                    checked += 1
+        assert checked == 8 * (len(KEY_TYPES) + 4)  # 4 short spellings
 
 
 class TestSubcommands:
@@ -328,9 +356,17 @@ class TestSubcommands:
         # bare pi pulse lasts pi/Omega_0 = 125 ns at 4 MHz
         assert float(meta["meta.duration_s"]) == pytest.approx(0.125e-6, rel=1e-9)
 
-    @pytest.mark.parametrize("command", [["infidelity"], ["trajectory", "--quarter-turns", "8"]])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["infidelity"],
+            ["trajectory", "--quarter-turns", "8"],
+            ["rb", "--cliffords", "1,2,4", "--k", "2"],
+            ["chevron", "--detuning-points", "3", "--durations", "8"],
+        ],
+    )
     def test_ccd_scheme_without_modulation_runs_bare(self, tmp_path, command):
-        # eps_m = 0 leaves no dressed qubit: the bare gate runs, as chevron does
+        # eps_m = 0 leaves no dressed qubit: every subcommand runs the bare qubit
         rows = {}
         for scheme in ("bare", "cm", "am"):
             out = tmp_path / f"{scheme}.csv"
@@ -339,6 +375,15 @@ class TestSubcommands:
             rows[scheme] = read_csv(out)[2]
         assert np.abs(rows["cm"] - rows["bare"]).max() <= 1e-12
         assert np.abs(rows["am"] - rows["bare"]).max() <= 1e-12
+
+    def test_iq_export_refuses_too_many_samples(self, tmp_path, capsys):
+        # 1e16 samples/s over a 556 ns pi pulse would be 5.6e9 samples (45 GB)
+        out = tmp_path / "iq.csv"
+        assert main(["iq-export", "--sample-rate-hz", "1e16", "--out", str(out)]) == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "config"
+        assert str(cli.MAX_IQ_SAMPLES) in record["error"]["message"]
 
     def test_dressed_rejects_off_lattice_mod_ratio(self, tmp_path):
         code = main(
@@ -378,20 +423,13 @@ def test_console_entry_point_runs():
     assert "PASS" in result.stdout
 
 
-def test_env_thread_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("CCD_SIM_THREADS", "2")
-    out = tmp_path / "c.csv"
-    assert main(["chevron", "--detuning-points", "2", "--durations", "4", "--out", str(out)]) == 0
-    monkeypatch.setenv("CCD_SIM_THREADS", "zebra")
-    assert main(["chevron", "--detuning-points", "2", "--durations", "4", "--out", str(out)]) == 2
-
-
-def test_negative_env_threads_is_config_error(tmp_path, monkeypatch, capsys):
-    # the variable obeys the same >= 0 rule as --threads and the threads key
-    monkeypatch.setenv("CCD_SIM_THREADS", "-3")
-    out = tmp_path / "c.csv"
-    assert main(["chevron", "--detuning-points", "2", "--durations", "4", "--out", str(out)]) == 2
-    assert not out.exists()
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"]["kind"] == "config"
-    assert "threads must be >= 0" in record["error"]["message"]
+def test_readme_cli_commands_parse():
+    # every command in README's CLI block must parse, values included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("ccdsim ")]
+    assert len(commands) == 9
+    parser = build_parser()
+    for argv in commands:
+        cli._load_config(parser.parse_args(argv))

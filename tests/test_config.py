@@ -90,6 +90,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("seed = 1.5\n")
 
+    def test_integer_keys_refuse_infinity(self):
+        with pytest.raises(ConfigError, match="seed") as excinfo:
+            parse_config("scheme = cm\nseed = inf\n")
+        assert excinfo.value.line == 2
+
     def test_validation_of_counts(self):
         with pytest.raises(ConfigError, match="duration_points"):
             parse_config("duration_points = 0\n")
@@ -105,6 +110,14 @@ class TestParse:
             parse_config(f"scheme = cm\nrabi_hz = {text}\n")
         assert info.value.line == 2
         assert "finite" in str(info.value)
+
+    def test_text_overrides_parse_as_file_values(self):
+        cfg = parse_config(
+            "", overrides={"seed": "3.0", "cliffords": "1,4", "scheme": "cmccd", "rabi_hz": "2e6"}
+        )
+        assert cfg == parse_config("seed = 3\ncliffords = 1,4\nscheme = cmccd\nrabi_hz = 2e6\n")
+        with pytest.raises(ConfigError, match="duration_points"):
+            parse_config("", overrides={"duration_points": "4.5"})
 
     def test_non_finite_override_rejected(self):
         with pytest.raises(ConfigError):

@@ -65,6 +65,12 @@ class TestDriveConfig:
         assert cfg.detuning == pytest.approx(TWO_PI * 1e5, rel=1e-9)
         assert cfg.detuning == cfg.omega_L - cfg.omega_mw
 
+    def test_dressed_needs_modulation_and_a_ccd_scheme(self):
+        assert make(Scheme.CMCCD).dressed and make(Scheme.AMCCD).dressed
+        assert not make(Scheme.CMCCD, mod_ratio=0.0).dressed
+        assert not make(Scheme.BARE).dressed
+        assert not make(Scheme.CMCCD).with_scheme(Scheme.BARE).dressed
+
     def test_scheme_round_trip(self):
         for scheme in Scheme:
             assert make(scheme).scheme is scheme
