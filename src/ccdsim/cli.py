@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -405,7 +406,12 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a config error: exit 2 with the JSON record."""
+    """Reports a usage error as a config error: exit 2 with the JSON record,
+    and reads a negative number with an exponent (``-4e6``) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str):
         raise ConfigError(message)

@@ -10,9 +10,11 @@ Two unconditionally unitary integrators are provided:
   as an independent cross-check of the default.
 
 Both build per-step SU(2) exponentials in closed form (axis-angle) and are
-vectorized over steps and over batches of Hamiltonians, so long multi-scale
-lab-frame traces stay cheap. Total unitaries are accumulated by pairwise
-tree reduction, which keeps rounding growth logarithmic in the step count.
+vectorized over steps and over batches of Hamiltonians. Each SU(2) value
+u = [[a, -b*], [b, a*]] is held as its Cayley-Klein pair (a, b): a product
+is four complex multiplies, and the 2x2 form is built only for the returned
+unitaries. Steps are reduced as pairwise trees (rounding growth logarithmic
+in the step count) over chunks of at most ``_CHUNK`` steps, which bound memory.
 
 ``evolve`` (with or without ``t_eval``), ``propagator_unitary`` and
 ``propagator_grid`` (with ``evolve_grid`` on top) are thin callers of one
@@ -68,9 +70,9 @@ NORM_DRIFT_LIMIT = 1e-8
 #: would cost up to |H| times the distance moved.
 LATTICE_TOLERANCE = 1e-12
 
-#: Step unitaries per chunk, summed over the batch, when accumulating very
-#: long products (memory bound).
-_CHUNK = 1 << 20
+#: Steps per chunk, summed over the batch, when accumulating very long
+#: products (memory bound: a few MB of pairs and temporaries per chunk).
+_CHUNK = 1 << 16
 
 # Gauss-Legendre nodes and weights of the 4th-order commutator-free scheme.
 _CF4_NODE_A = 0.5 - math.sqrt(3.0) / 6.0
@@ -127,47 +129,47 @@ LAB_SPEC = IntegratorSpec(steps_per_fastest_period=40)
 ROTATING_SPEC = IntegratorSpec(steps_per_fastest_period=200)
 
 
-def _su2_matrix(cos: np.ndarray, fac: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """cos I - i fac (v . sigma), broadcasting cos and fac against v[..., 0]."""
-    shape = np.broadcast_shapes(np.shape(cos), np.shape(fac), v.shape[:-1])
-    u = np.empty(shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = cos - 1j * fac * v[..., 2]
-    u[..., 0, 1] = -1j * fac * (v[..., 0] - 1j * v[..., 1])
-    u[..., 1, 0] = -1j * fac * (v[..., 0] + 1j * v[..., 1])
-    u[..., 1, 1] = cos + 1j * fac * v[..., 2]
-    return u
+def _matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 2x2 form [[a, -b*], [b, a*]] of the Cayley-Klein pair (a, b)."""
+    return np.stack([np.stack([a, -np.conj(b)], -1), np.stack([b, np.conj(a)], -1)], -2)
 
 
-def su2_exp(coeffs: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
+def _product(late, early) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of late @ early: four complex multiplies instead of a 2x2 matmul."""
+    (a1, b1), (a2, b2) = late, early
+    return a1 * a2 - np.conj(b1) * b2, b1 * a2 + np.conj(a1) * b2
+
+
+def su2_exp(coeffs: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i dt (c . sigma)) for an (..., 3) array of real Pauli coefficients.
 
-    ``dt`` is a scalar or an array broadcasting against ``coeffs[..., 0]``.
+    Returns its Cayley-Klein pair (a, b), a = cos(theta) - i f c_z and
+    b = f c_y - i f c_x with f = sin(theta) / |c|. ``dt`` is a scalar or an
+    array broadcasting against ``coeffs[..., 0]``.
     """
     c = np.asarray(coeffs, dtype=float)
     r = np.sqrt(np.einsum("...i,...i->...", c, c))
     theta = r * dt
     # dt * sinc(theta/pi) == sin(theta)/r, exact and smooth at r == 0
-    return _su2_matrix(np.cos(theta), dt * np.sinc(theta / np.pi), c)
+    f = dt * np.sinc(theta / np.pi)
+    return np.cos(theta) - 1j * (f * c[..., 2]), f * c[..., 1] - 1j * (f * c[..., 0])
 
 
-def su2_power(u: np.ndarray, k) -> np.ndarray:
-    """u**k for (..., 2, 2) SU(2) matrices and integer powers ``k``, in closed form.
+def su2_power(u, k) -> tuple[np.ndarray, np.ndarray]:
+    """u**k for Cayley-Klein pairs u = (a, b) and integer powers ``k``, in closed form.
 
     Writes u = r (cos(theta) I - i sin(theta) n . sigma), theta = atan2 in
-    [0, pi], and returns r**k (cos(k theta) I - i sin(k theta) n . sigma).
-    The leading dimensions of ``u`` broadcast against ``k``. U = +-I gives
+    [0, pi], and returns the pair of r**k (cos(k theta) I - i sin(k theta) n . sigma).
+    The shapes of a and b broadcast against ``k``. U = +-I gives
     (+-1)**k I exactly and k = 0 gives I; r carries any norm defect of ``u``
     into the result, as repeated multiplication would.
     """
-    u = np.asarray(u, dtype=complex)
+    a, b = (np.asarray(x, dtype=complex) for x in u)
     k = np.asarray(k)
     if k.dtype.kind not in "iu":
         raise TypeError(f"su2_power needs integer powers, got dtype {k.dtype}")
-    # project onto r [[a, -b*], [b, a*]] with a = cos - i sin n_z, b = sin (n_y - i n_x)
-    a = 0.5 * (u[..., 0, 0] + u[..., 1, 1].conj())
-    b = 0.5 * (u[..., 1, 0] - u[..., 0, 1].conj())
-    v = np.stack([-b.imag, b.real, -a.imag], axis=-1)  # r sin(theta) n
-    sin = np.sqrt(np.einsum("...i,...i->...", v, v))
+    # a = r (cos - i sin n_z), b = r sin (n_y - i n_x)
+    sin = np.sqrt(b.real**2 + b.imag**2 + a.imag**2)
     cos = a.real
     theta = np.arctan2(sin, cos)
     scale = np.hypot(sin, cos) ** k
@@ -175,7 +177,7 @@ def su2_power(u: np.ndarray, k) -> np.ndarray:
     angle = k * theta
     fac = np.where(axial, scale * np.sin(angle) / np.where(axial, sin, 1.0), 0.0)
     cos_k = np.where(axial, scale * np.cos(angle), cos**k)
-    return _su2_matrix(cos_k, fac, v)
+    return cos_k + 1j * (fac * a.imag), fac * b
 
 
 def as_hamiltonian(h, fastest_period: float | None = None) -> Hamiltonian:
@@ -207,8 +209,8 @@ def _step_unitaries(
     h: float,
     n_steps: int,
     method: str,
-) -> np.ndarray:
-    """Per-step unitaries for n uniform steps of size h starting at t0."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of the step unitaries for n uniform steps of size h from t0, steps last."""
     k = np.arange(n_steps)
     if method == "midpoint":
         c = coefficients(t0 + (k + 0.5) * h)
@@ -217,19 +219,17 @@ def _step_unitaries(
     cb = coefficients(t0 + (k + _CF4_NODE_B) * h)
     u_early = su2_exp(_CF4_W2 * ca + _CF4_W1 * cb, h)
     u_late = su2_exp(_CF4_W1 * ca + _CF4_W2 * cb, h)
-    return u_late @ u_early
+    return _product(u_late, u_early)
 
 
-def _tree_product(us: np.ndarray) -> np.ndarray:
-    """Time-ordered product us[-1] @ ... @ us[0] along axis 0 (batch-aware)."""
-    while us.shape[0] > 1:
-        n = us.shape[0]
-        pairs = us[1 : n - (n % 2) : 2] @ us[0 : n - (n % 2) : 2]
-        if n % 2:
-            us = np.concatenate([pairs, us[-1:]], axis=0)
-        else:
-            us = pairs
-    return us[0]
+def _tree_product(u) -> np.ndarray:
+    """Pair of the time-ordered product u[..., -1] ... u[..., 0] along the last axis."""
+    u = np.asarray(u)  # (2, batch..., steps): a and b stacked
+    while u.shape[-1] > 1:
+        even = u.shape[-1] - u.shape[-1] % 2
+        pairs = np.asarray(_product(u[..., 1:even:2], u[..., :even:2]))
+        u = np.concatenate([pairs, u[..., even:]], axis=-1)
+    return u[..., 0]
 
 
 def _interval_unitary(
@@ -239,16 +239,16 @@ def _interval_unitary(
     t1: float,
     step: float,
     method: str,
-) -> np.ndarray:
-    """Total propagator over [t0, t1], shape batch + (2, 2).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair of the total propagator over [t0, t1], each of shape ``batch``.
 
     ``batch`` is the leading shape of ``coefficients``' output. Each chunk
-    holds at most ``_CHUNK`` step unitaries over the whole batch (at least
-    one step), which bounds memory whatever the batch.
+    holds at most ``_CHUNK`` steps over the whole batch (at least one step),
+    which bounds memory whatever the batch.
     """
     span = t1 - t0
     if span == 0.0:
-        return np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
+        return np.ones(batch, dtype=complex), np.zeros(batch, dtype=complex)
     n_steps = max(1, math.ceil(span / step - 1e-9))
     h = span / n_steps
     chunk_steps = max(1, _CHUNK // math.prod(batch))
@@ -256,10 +256,8 @@ def _interval_unitary(
     done = 0
     while done < n_steps:
         m = min(chunk_steps, n_steps - done)
-        # move the step axis first so the tree product broadcasts over batches
-        us = np.moveaxis(_step_unitaries(coefficients, t0 + done * h, h, m, method), -3, 0)
-        chunk = _tree_product(us)
-        total = chunk if total is None else chunk @ total
+        chunk = _tree_product(_step_unitaries(coefficients, t0 + done * h, h, m, method))
+        total = chunk if total is None else _product(chunk, total)
         done += m
     return total
 
@@ -272,11 +270,11 @@ def _lattice_unitaries(
     times: np.ndarray,
     step: float,
     method: str,
-) -> np.ndarray | None:
-    """U(t, t0) for every t in ``times`` without stepping, or None to step.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Pairs of U(t, t0) for every t in ``times`` without stepping, or None to step.
 
     Takes the closed-form or Floquet-power path (see the module docstring);
-    the result has shape batch + (len(times), 2, 2).
+    a and b have shape batch + (len(times),).
     """
     periods = {h.period for h in hams}
     period = max(periods)
@@ -290,8 +288,8 @@ def _lattice_unitaries(
     if not np.all(np.abs(marks - counts) <= LATTICE_TOLERANCE):
         return None
     counts = counts.astype(np.int64)
-    u_period = _interval_unitary(coefficients, batch, 0.0, period, step, method)
-    return su2_power(u_period[..., None, :, :], counts[:-1] - counts[-1])
+    a, b = _interval_unitary(coefficients, batch, 0.0, period, step, method)
+    return su2_power((a[..., None], b[..., None]), counts[:-1] - counts[-1])
 
 
 def _unitaries(
@@ -302,7 +300,7 @@ def _unitaries(
     The propagation core behind every entry point. All Hamiltonians share the
     smallest step any of them needs. It takes a lattice path where one
     applies, else one stepped interval per sample time, each accumulated onto
-    the product so far.
+    the product so far. Every path works on pairs up to the returned 2x2 form.
     """
     step = min(spec.effective_step(h.fastest_period) for h in hams)
     batch, method = (len(hams),), spec.method
@@ -311,16 +309,15 @@ def _unitaries(
         return np.stack([h.coefficients(ts) for h in hams], axis=0)
 
     us = _lattice_unitaries(hams, coefficients, batch, t0, times, step, method)
-    if us is not None:
-        return us
-    us = np.empty(batch + (times.size, 2, 2), dtype=complex)
-    total, prev = None, t0
-    for j, t in enumerate(times):
-        u = _interval_unitary(coefficients, batch, prev, float(t), step, method)
-        total = u if total is None else u @ total
-        us[..., j, :, :] = total
-        prev = float(t)
-    return us
+    if us is None:
+        us = np.empty((2,) + batch + times.shape, dtype=complex)
+        total, prev = None, t0
+        for j, t in enumerate(times):
+            u = _interval_unitary(coefficients, batch, prev, float(t), step, method)
+            total = u if total is None else _product(u, total)
+            us[:, :, j] = total
+            prev = float(t)
+    return _matrix(*us)
 
 
 def _check_unitary(us: np.ndarray, context: str) -> np.ndarray:

@@ -112,6 +112,8 @@ def _real_form(u: np.ndarray) -> np.ndarray:
 
     A state a|0> + b|1> is stored as (Re a, Im a, Re b, Im b), and
     ``w[..., c, r]`` is the weight of input component c in output component r.
+    It is not the propagator's Cayley-Klein pair: it updates states, not
+    products, and its real arithmetic keeps the shot-block results bit-stable.
     """
     w = np.empty(u.shape[:-2] + (2, 2, 2, 2))  # (input j, re/im, output i, re/im)
     re, im = u.real.swapaxes(-1, -2), u.imag.swapaxes(-1, -2)

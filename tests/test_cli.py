@@ -178,6 +178,16 @@ class TestConfigPrecedence:
                     checked += 1
         assert checked == 8 * (len(KEY_TYPES) + 4)  # 4 short spellings
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--detuning-start-hz", "-4e6"), ("--detuning-hz", "-1e5"), ("--detuning-hz", "-1.5E-3")],
+    )
+    def test_negative_exponent_value_follows_its_flag(self, flag, text):
+        # argparse's own pattern reads "-4e6" as an option, leaving the flag without a value
+        args = build_parser().parse_args(["chevron", flag, text])
+        key = flag[2:].replace("-", "_")
+        assert cli._load_config(args) == parse_config(f"{key} = {text}\n")
+
 
 class TestSubcommands:
     def test_infidelity(self, tmp_path):

@@ -31,6 +31,12 @@ from ccdsim.qubit import IDENTITY, QubitState, SIGMA_X, state_fidelity
 RABI = 2 * math.pi * 3.6e6
 
 
+def matrix(pair):
+    """[[a, -b*], [b, a*]] for a Cayley-Klein pair (a, b) of arrays."""
+    a, b = np.asarray(pair[0]), np.asarray(pair[1])
+    return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
+
+
 def rabi_population(rabi, delta, t):
     """Analytic driven two-level transfer probability (independent oracle)."""
     omega_eff = math.sqrt(rabi**2 + delta**2)
@@ -44,14 +50,14 @@ class TestSu2Exp:
             c = rng.normal(size=3)
             dt = rng.uniform(0.01, 2.0)
             h = c[0] * SIGMA_X + c[1] * np.array([[0, -1j], [1j, 0]]) + c[2] * np.diag([1.0, -1.0])
-            assert np.allclose(su2_exp(c, dt), expm(-1j * dt * h), atol=1e-12)
+            assert np.allclose(matrix(su2_exp(c, dt)), expm(-1j * dt * h), atol=1e-12)
 
     def test_zero_coefficients_give_identity(self):
-        assert np.allclose(su2_exp(np.zeros(3), 0.7), IDENTITY)
+        assert np.allclose(matrix(su2_exp(np.zeros(3), 0.7)), IDENTITY)
 
     def test_batched_shapes(self):
         coeffs = np.ones((4, 5, 3))
-        assert su2_exp(coeffs, 0.1).shape == (4, 5, 2, 2)
+        assert matrix(su2_exp(coeffs, 0.1)).shape == (4, 5, 2, 2)
 
 
 class TestEvolve:
@@ -208,7 +214,7 @@ class TestEvolveGrid:
 
         def spy(*args, **kwargs):
             us = inner(*args, **kwargs)
-            sizes.append(us.size // 4)  # batch x steps
+            sizes.append(us[0].size)  # batch x steps
             return us
 
         monkeypatch.setattr(propagator, "_CHUNK", 64)
@@ -244,48 +250,52 @@ class TestSu2Power:
     def test_matches_repeated_multiplication(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            u = su2_exp(rng.normal(size=3), rng.uniform(0.1, 3.0))
+            pair = su2_exp(rng.normal(size=3), rng.uniform(0.1, 3.0))
+            u = matrix(pair)
             for k in (0, 1, 2, 3, 17, 256, 301):
-                assert np.abs(su2_power(u, k) - repeated_product(u, k)).max() < 1e-12
+                assert np.abs(matrix(su2_power(pair, k)) - repeated_product(u, k)).max() < 1e-12
 
     def test_identity_and_minus_identity_exact(self):
         eye = np.eye(2, dtype=complex)
         # 10**9 + 1 periods: k * pi in floating point is no longer a multiple of pi
         for k in (0, 1, 2, 7, 256, 257, 10**9, 10**9 + 1):
-            assert np.array_equal(su2_power(eye, k), eye)
-            assert np.array_equal(su2_power(-eye, k), (-1) ** k * eye)
+            assert np.array_equal(matrix(su2_power((1.0, 0.0), k)), eye)
+            assert np.array_equal(matrix(su2_power((-1.0, 0.0), k)), (-1) ** k * eye)
 
     def test_zero_power_is_identity(self):
         u = su2_exp(np.array([0.3, -1.2, 0.7]), 0.9)
-        assert np.array_equal(su2_power(u, 0), np.eye(2, dtype=complex))
+        assert np.array_equal(matrix(su2_power(u, 0)), np.eye(2, dtype=complex))
 
     @pytest.mark.parametrize("theta", [1e-12, 3e-13, math.pi - 1e-12, math.pi - 3e-13])
     def test_angles_near_zero_and_pi(self, theta):
         axis = np.array([0.48, -0.6, 0.64])  # unit vector
-        u = su2_exp(axis, theta)
+        pair = su2_exp(axis, theta)
+        u = matrix(pair)
         for k in (1, 2, 5, 256, 300):
-            exact = su2_exp(axis, k * theta)
-            assert np.abs(su2_power(u, k) - exact).max() < 1e-12
-            assert np.abs(su2_power(u, k) - repeated_product(u, k)).max() < 1e-12
+            exact = matrix(su2_exp(axis, k * theta))
+            assert np.abs(matrix(su2_power(pair, k)) - exact).max() < 1e-12
+            assert np.abs(matrix(su2_power(pair, k)) - repeated_product(u, k)).max() < 1e-12
 
     def test_batched_powers_broadcast(self):
         rng = np.random.default_rng(8)
-        us = su2_exp(rng.normal(size=(4, 3)), 0.7)
+        a, b = su2_exp(rng.normal(size=(4, 3)), 0.7)
+        us = matrix((a, b))
         ks = np.array([0, 1, 5, 256, 1000])
-        out = su2_power(us[:, None], ks)
+        out = matrix(su2_power((a[:, None], b[:, None]), ks))
         assert out.shape == (4, 5, 2, 2)
         for i in range(4):
             for j, k in enumerate(ks):
-                assert np.abs(out[i, j] - su2_power(us[i], int(k))).max() == 0.0
+                assert np.abs(out[i, j] - matrix(su2_power((a[i], b[i]), int(k)))).max() == 0.0
                 assert np.abs(out[i, j] - repeated_product(us[i], int(k))).max() < 1e-11
 
     def test_negative_power_inverts(self):
         u = su2_exp(np.array([0.2, 0.9, -0.4]), 1.1)
-        assert np.abs(su2_power(u, -3) @ su2_power(u, 3) - np.eye(2)).max() < 1e-14
+        inverse, power = matrix(su2_power(u, -3)), matrix(su2_power(u, 3))
+        assert np.abs(inverse @ power - np.eye(2)).max() < 1e-14
 
     def test_rejects_fractional_powers(self):
         with pytest.raises(TypeError):
-            su2_power(np.eye(2), 0.5)
+            su2_power((1.0, 0.0), 0.5)
 
 
 def _random_hamiltonians(scheme, build, count, seed):
@@ -362,7 +372,7 @@ class TestLatticePaths:
         assert np.abs(closed - stepped).max() <= 1e-9
         u = propagator_unitary(ham, 0.13e-6, 2.9e-6)
         coeffs = ham.coefficients(np.array(0.0))
-        assert np.abs(u - su2_exp(coeffs, 2.9e-6 - 0.13e-6)).max() <= 1e-15
+        assert np.abs(u - matrix(su2_exp(coeffs, 2.9e-6 - 0.13e-6))).max() <= 1e-15
 
     def test_mixed_constant_and_periodic_batch_powers(self, monkeypatch):
         # a constant member is periodic with every period, so the batch keeps the fast path

@@ -7,16 +7,29 @@ on the modulation-period lattice, off it, or both. ``evolve(t_eval=...)``,
 oracle: the same Hamiltonian with ``period=math.inf`` (so no fast path
 applies), stepped over each interval between consecutive times, with the
 interval unitaries multiplied here rather than in the propagator.
+
+The propagator stores each SU(2) value as its Cayley-Klein pair (a, b) of
+u = [[a, -b*], [b, a*]]. Further properties pin the pair products, the tree
+product and ``su2_power`` to plain 2x2 matrix products, and the lab-frame
+stepper to itself under a much smaller chunk bound.
 """
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccdsim.drive import Scheme, default_config, first_frame_hamiltonian, second_frame_hamiltonian
-from ccdsim.propagator import evolve, evolve_grid, propagator_unitary
+from ccdsim import propagator
+from ccdsim.drive import (
+    Scheme,
+    default_config,
+    first_frame_hamiltonian,
+    lab_hamiltonian,
+    second_frame_hamiltonian,
+)
+from ccdsim.propagator import LAB_SPEC, evolve, evolve_grid, propagator_unitary, su2_exp, su2_power
 from ccdsim.qubit import QubitState
 
 RABI = 2 * math.pi * 3.6e6
@@ -94,3 +107,66 @@ def test_nonzero_start_matches_stepped_oracle(case):
         assert np.abs(got - oracle @ psi0.amplitudes).max() <= TOLERANCE
         u = propagator_unitary(ham, float(times[0]), float(times[-1]))
         assert np.abs(u - oracle[-1]).max() <= TOLERANCE
+
+
+def matrix(pair):
+    """[[a, -b*], [b, a*]] for a Cayley-Klein pair (a, b) of arrays."""
+    a, b = np.asarray(pair[0]), np.asarray(pair[1])
+    return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
+
+
+@st.composite
+def step_pairs(draw):
+    """Pairs of random SU(2) steps, shape (batch, steps), odd step counts included."""
+    batch, steps = draw(st.integers(1, 3)), draw(st.integers(1, 65))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.normal(size=(batch, steps, 3))
+    return su2_exp(coeffs, draw(st.floats(1e-3, 10.0)))
+
+
+@PROPERTY
+@given(step_pairs())
+def test_pair_products_match_matrix_products(late):
+    early = tuple(x[..., ::-1] for x in late)  # steps in reverse: mostly another step
+    got = matrix(propagator._product(late, early))
+    assert np.abs(got - matrix(late) @ matrix(early)).max() <= 1e-13
+
+
+@PROPERTY
+@given(step_pairs())
+def test_tree_product_matches_ordered_matrix_product(pairs):
+    us = matrix(pairs)
+    total = us[:, 0]
+    for j in range(1, us.shape[1]):
+        total = us[:, j] @ total
+    assert np.abs(matrix(propagator._tree_product(pairs)) - total).max() <= 1e-13
+
+
+@PROPERTY
+@given(
+    st.floats(0.0, math.pi),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    st.integers(0, 300),
+)
+def test_pair_power_matches_repeated_multiplication(theta, axis, k):
+    axis = np.asarray(axis) / np.linalg.norm(axis)
+    pair = su2_exp(axis, theta)
+    u, total = matrix(pair), np.eye(2, dtype=complex)
+    for _ in range(k):
+        total = u @ total
+    assert np.abs(matrix(su2_power(pair, k)) - total).max() <= 1e-12
+
+
+@PROPERTY
+@given(
+    st.sampled_from(list(Scheme)),
+    errors,
+    st.floats(0.0, 100.0 * PERIOD),
+    st.floats(0.5e-9, 2e-9),  # 300 to 1,200 steps: 5 to 19 chunks of 64
+)
+def test_lab_frame_chunking_does_not_move_the_propagator(scheme, detuning, t0, span):
+    ham = lab_hamiltonian(default_config(scheme, detuning=detuning * RABI))
+    whole = propagator_unitary(ham, t0, t0 + span, LAB_SPEC)
+    with mock.patch.object(propagator, "_CHUNK", 64):
+        chunked = propagator_unitary(ham, t0, t0 + span, LAB_SPEC)
+    assert np.abs(chunked - whole).max() <= 1e-12
