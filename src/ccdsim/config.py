@@ -121,7 +121,10 @@ def _parse_value(key: str, text: str, line: int | None = None, column: int | Non
         if kind is tuple:
             return tuple(int(part) for part in text.split(",") if part.strip())
         if kind is int:
-            value = float(text)
+            try:
+                return int(text)  # exact past 2^53, where floats skip integers
+            except ValueError:
+                value = float(text)  # "257.0" and "1e3" name integers too
             if value != int(value):
                 raise ValueError("expected an integer")
             return int(value)

@@ -275,11 +275,14 @@ def _modulation_angle(cfg: DriveConfig, t: np.ndarray) -> np.ndarray:
 def drive_coefficient(cfg: DriveConfig, t: np.ndarray | float) -> np.ndarray:
     """The sigma_x coefficient W(t) of the lab-frame drive (rad/s)."""
     t = np.asarray(t, dtype=float)
-    m = _modulation_angle(cfg, t)
-    phase_mod = -(2.0 * cfg.alpha_P * cfg.mod_strength / cfg.rabi) * np.sin(m)
-    amp_mod = (2.0 * cfg.alpha_A * cfg.mod_strength / cfg.rabi) * np.sin(m)
+    sin_m = np.sin(_modulation_angle(cfg, t))
+    phase_mod = -(2.0 * cfg.alpha_P * cfg.mod_strength / cfg.rabi) * sin_m
     carrier = cfg.omega_mw * t + cfg.mw_phase + phase_mod
-    return (cfg.rabi + cfg.rabi_error) * (np.cos(carrier) + amp_mod * np.sin(carrier))
+    wave = np.cos(carrier)
+    if cfg.alpha_A != 0.0:
+        amp_mod = (2.0 * cfg.alpha_A * cfg.mod_strength / cfg.rabi) * sin_m
+        wave += amp_mod * np.sin(carrier)
+    return (cfg.rabi + cfg.rabi_error) * wave
 
 
 def lab_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
@@ -291,8 +294,9 @@ def lab_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
 
     def coeffs(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape + (3,))
+        out = np.empty(t.shape + (3,))
         out[..., 0] = drive_coefficient(cfg, t)
+        out[..., 1] = 0.0
         out[..., 2] = cfg.omega_L / 2.0
         return out
 

@@ -19,11 +19,18 @@ and for each length the states C|0> of all K strings are carried through
 the M gate columns together. Shots run in blocks of ``_SHOT_BLOCK`` to bound
 memory and are reduced in shot order, so results do not depend on the block
 size. There is no worker pool.
+
+The decay A p^M is fitted by variable projection with numpy alone, with
+A in [0, 2] and p in [0, 1]: for each p the best A is a clipped linear
+least-squares amplitude, and p comes from a bracketed golden-section search
+(``_fit_decay``). A non-finite signal, a single length, or a best amplitude
+of 0 (an all-zero or negative signal) leaves p unidentified; the fit then
+reports ``converged=False`` with the log-linear estimate, and the result
+carries a warning.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +52,11 @@ __all__ = ["RBResult", "randomized_benchmarking"]
 #: Noise shots composed at once. Each gate step of a block holds the gathered
 #: gates and the states, 160 bytes per shot and string.
 _SHOT_BLOCK = 16
+#: trial decays p on which the RB fit brackets its minimum
+_FIT_GRID = np.linspace(0.0, 1.0, 257)
+#: width of the bracket at which the golden-section search stops
+_FIT_TOLERANCE = 1e-12
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -145,35 +157,74 @@ def _sequence_indices(seed: int, m: int, k: int) -> np.ndarray:
     return gen.integers(0, 24, size=m)
 
 
-def _fit_decay(lengths: np.ndarray, signal: np.ndarray) -> tuple[float, float, float, bool]:
-    """Fit A p^M; returns (A, p, residual_rms, converged)."""
-    from scipy.optimize import OptimizeWarning, curve_fit
+def _projected_fit(p: np.ndarray, m: np.ndarray, signal: np.ndarray):
+    """Best amplitude A in [0, 2] and squared residual for each trial decay p.
 
-    magnitude = np.abs(signal)
-    usable = magnitude > 1e-12
-    if usable.sum() >= 2:
-        slope, intercept = np.polyfit(lengths[usable], np.log(magnitude[usable]), 1)
-        p0 = float(np.clip(math.exp(slope), 1e-6, 1.0))
-        a0 = float(np.clip(math.exp(intercept), 1e-6, 2.0))
-    else:
-        p0, a0 = 0.5, 1.0
-    try:
-        with warnings.catch_warnings():
-            # the covariance is unused; single-length runs make it singular
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                lambda m, a, p: a * p**m,
-                lengths.astype(float),
-                signal,
-                p0=[a0, p0],
-                bounds=([0.0, 0.0], [2.0, 1.0]),
-                maxfev=10000,
-            )
-        a, p = float(popt[0]), float(popt[1])
-        converged = True
-    except (RuntimeError, ValueError):
-        a, p = a0, p0
-        converged = False
+    For a fixed p the model A p^M is linear in A, so the best A is the
+    least-squares amplitude clipped to its bounds; where every p^M underflows
+    to 0, A is 0.
+    """
+    model = p[:, None] ** m
+    norm = np.einsum("ij,ij->i", model, model)
+    overlap = model @ signal
+    ratio = np.divide(overlap, norm, out=np.zeros_like(overlap), where=norm > 0.0)
+    amplitude = np.clip(ratio, 0.0, 2.0)
+    return amplitude, ((signal - amplitude[:, None] * model) ** 2).sum(axis=1)
+
+
+def _search_decay(m: np.ndarray, signal: np.ndarray) -> tuple[float, float]:
+    """(A, p) of least squared residual, p in [0, 1], A from ``_projected_fit``.
+
+    The best point of ``_FIT_GRID`` brackets the minimum, a golden-section
+    search narrows the bracket to ``_FIT_TOLERANCE``, and the best p
+    evaluated, bracket ends included, is returned.
+    """
+
+    def cost(p: float) -> float:
+        return _projected_fit(np.array([p]), m, signal)[1][0]
+
+    best = int(np.argmin(_projected_fit(_FIT_GRID, m, signal)[1]))
+    lo, hi = _FIT_GRID[max(best - 1, 0)], _FIT_GRID[min(best + 1, _FIT_GRID.size - 1)]
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    c1, c2 = cost(x1), cost(x2)
+    while hi - lo > _FIT_TOLERANCE:
+        if c1 <= c2:  # the minimum lies in [lo, x2]
+            hi, x2, c2 = x2, x1, c1
+            x1 = hi - _GOLDEN * (hi - lo)
+            c1 = cost(x1)
+        else:  # the minimum lies in [x1, hi]
+            lo, x1, c1 = x1, x2, c2
+            x2 = lo + _GOLDEN * (hi - lo)
+            c2 = cost(x2)
+    candidates = np.array([lo, x1, x2, hi])
+    amplitudes, costs = _projected_fit(candidates, m, signal)
+    pick = int(np.argmin(costs))
+    return float(amplitudes[pick]), float(candidates[pick])
+
+
+def _fit_decay(lengths: np.ndarray, signal: np.ndarray) -> tuple[float, float, float, bool]:
+    """Fit A p^M with A in [0, 2] and p in [0, 1]; returns (A, p, residual_rms, converged).
+
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973):
+    ``_projected_fit`` eliminates the amplitude and ``_search_decay`` searches
+    p. p is not identified by a non-finite signal, by a single length, or
+    when the best amplitude is 0 (an all-zero or negative signal); the
+    log-linear estimate is then returned with ``converged=False``.
+    """
+    a = 0.0
+    if lengths.size >= 2 and np.all(np.isfinite(signal)):
+        a, p = _search_decay(lengths.astype(float), signal)
+    converged = a > 0.0
+    if not converged:  # the log-linear estimate
+        magnitude = np.abs(signal)
+        usable = np.isfinite(magnitude) & (magnitude > 1e-12)
+        if usable.sum() >= 2:
+            slope, intercept = np.polyfit(lengths[usable], np.log(magnitude[usable]), 1)
+            # capped before exp: a steep drop between two long lengths overflows it
+            p = float(np.clip(math.exp(min(slope, 0.0)), 1e-6, 1.0))
+            a = float(np.clip(math.exp(min(intercept, math.log(2.0))), 1e-6, 2.0))
+        else:
+            a, p = 1.0, 0.5
     residual = float(np.sqrt(np.mean((signal - a * p**lengths) ** 2)))
     return a, p, residual, converged
 

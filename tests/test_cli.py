@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -443,3 +444,44 @@ def test_readme_cli_commands_parse():
     parser = build_parser()
     for argv in commands:
         cli._load_config(parser.parse_args(argv))
+
+
+#: prints the scipy modules loaded by one CLI run, as the last stdout line
+SCIPY_PROBE = (
+    "import json, sys\n"
+    "from ccdsim.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    "sys.exit(code)\n"
+)
+
+
+#: every data subcommand at a small configuration; rb fits four lengths
+SCIPY_FREE_RUNS = {
+    "chevron": ["chevron", "--detuning-points", "3", "--durations", "8"],
+    "rabi-error": ["rabi-error", "--rabi-error-points", "3", "--durations", "8"],
+    "spectrum": ["spectrum", "--detuning-points", "3", "--durations", "8"],
+    "infidelity": ["infidelity", "--detuning-points", "5"],
+    "trajectory": ["trajectory", "--quarter-turns", "4"],
+    "dressed": ["dressed", "--points", "8"],
+    "dressed-program": ["dressed", "--program", "PROGRAM"],
+    "rb": ["rb", "--cliffords", "1,2,4,8"],
+    "iq-export": ["iq-export"],
+}
+
+
+@pytest.mark.parametrize("name", SCIPY_FREE_RUNS)
+def test_no_cli_run_imports_scipy(tmp_path, name):
+    program = tmp_path / "ypi.seq"
+    program.write_text("gate 3.141592653589793 0.0\npad\n")
+    argv = [str(program) if arg == "PROGRAM" else arg for arg in SCIPY_FREE_RUNS[name]]
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv, "--out", str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []

@@ -95,6 +95,10 @@ class TestParse:
             parse_config("scheme = cm\nseed = inf\n")
         assert excinfo.value.line == 2
 
+    def test_integer_keys_parse_exactly_past_2_53(self):
+        assert parse_config("seed = 9007199254740993\n").seed == 2**53 + 1
+        assert parse_config("seed = 1e3\n").seed == 1000
+
     def test_validation_of_counts(self):
         with pytest.raises(ConfigError, match="duration_points"):
             parse_config("duration_points = 0\n")

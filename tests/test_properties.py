@@ -11,10 +11,12 @@ interval unitaries multiplied here rather than in the propagator.
 The propagator stores each SU(2) value as its Cayley-Klein pair (a, b) of
 u = [[a, -b*], [b, a*]]. Further properties pin the pair products, the tree
 product and ``su2_power`` to plain 2x2 matrix products, and the lab-frame
-stepper to itself under a much smaller chunk bound.
+stepper to itself under a much smaller chunk bound. The last property checks
+that any valid ``RunConfig`` survives ``emit_config`` and ``parse_config``.
 """
 import math
-from dataclasses import replace
+import string
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdsim import propagator
+from ccdsim.config import KEY_TYPES, RunConfig, emit_config, parse_config
 from ccdsim.drive import (
     Scheme,
     default_config,
@@ -170,3 +173,54 @@ def test_lab_frame_chunking_does_not_move_the_propagator(scheme, detuning, t0, s
     with mock.patch.object(propagator, "_CHUNK", 64):
         chunked = propagator_unitary(ham, t0, t0 + span, LAB_SPEC)
     assert np.abs(chunked - whole).max() <= 1e-12
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+#: values drawn for each key type; integers reach past 2^53, where floats
+#: stop naming every integer
+BY_TYPE = {
+    float: finite,
+    int: st.integers(-(2**64), 2**64),
+    str: st.text(string.ascii_letters + string.digits + "/._-", max_size=12),
+    tuple: st.lists(st.integers(1, 2**64), unique=True, max_size=6).map(
+        lambda xs: tuple(sorted(xs))
+    ),
+}
+#: keys whose values the parser restricts, with values it accepts
+RESTRICTED = {
+    "rabi_hz": positive,
+    "mod_ratio": non_negative,
+    "noise_detuning_sigma_hz": non_negative,
+    "noise_rabi_sigma_frac": non_negative,
+    "sample_rate_hz": positive,
+    "threads": st.integers(0, 2**64),
+    "format": st.sampled_from(["csv", "json"]),
+    "dressed_kind": st.sampled_from(["ccd_rabi", "ccd_ramsey", "two_axis"]),
+    **{
+        key: st.integers(1, 2**64)
+        for key in ("duration_points", "detuning_points", "rabi_error_points",
+                    "sweep_points", "k_randomizations", "noise_samples")
+    },
+}
+
+
+@st.composite
+def run_configs(draw):
+    values = {
+        f.name: draw(RESTRICTED.get(f.name, BY_TYPE[KEY_TYPES[f.name]]))
+        for f in fields(RunConfig)
+    }
+    name = draw(st.sampled_from(["bare", "am", "amccd", "pm", "pmccd", "cm", "cmccd"]))
+    scheme = Scheme.parse(name)
+    values.update(scheme=name, alpha_a=scheme.alpha_a, alpha_p=scheme.alpha_p)
+    return RunConfig(**values)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(run_configs())
+def test_config_text_round_trip(cfg):
+    assert parse_config(emit_config(cfg)) == cfg
+    dataset_text = emit_config(cfg, include_runtime=False)
+    assert parse_config(dataset_text) == replace(cfg, threads=0, out="")

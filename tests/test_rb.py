@@ -1,8 +1,10 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from ccdsim import rb
 from ccdsim.clifford import (
@@ -15,11 +17,17 @@ from ccdsim.clifford import (
     recovery_clifford,
     recovery_indices,
 )
+from ccdsim.config import parse_config
 from ccdsim.drive import Scheme, default_config, gate_frame
 from ccdsim.experiments import NoiseSpec
 from ccdsim.propagator import ROTATING_SPEC, propagator_unitary
 from ccdsim.pulses import GATE_MOD_PHASE, simulate_program
-from ccdsim.rb import _primitive_unitaries, _sequence_indices, randomized_benchmarking
+from ccdsim.rb import (
+    _fit_decay,
+    _primitive_unitaries,
+    _sequence_indices,
+    randomized_benchmarking,
+)
 
 CFG = default_config(Scheme.CMCCD, rabi=2 * math.pi * 2.2e6)
 RABI = CFG.rabi
@@ -294,3 +302,117 @@ class TestRecoveryTable:
             recovery_indices(np.array([[-1, 2]]), "down")
         with pytest.raises(ValueError):
             recovery_indices(np.array([[0, 1]]), "sideways")
+
+
+def curve_fit_decay(lengths, signal):
+    """Bounded ``curve_fit`` of A p^M from the log-linear start, run to
+    convergence: at its default tolerances it stops up to 5e-9 short of the
+    minimum in p on the noisy ``M_LIST`` signal."""
+    magnitude = np.abs(signal)
+    slope, intercept = np.polyfit(lengths, np.log(magnitude), 1)
+    start = [np.clip(math.exp(intercept), 1e-6, 2.0), np.clip(math.exp(slope), 1e-6, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)  # the covariance is unused
+        (a, p), _ = curve_fit(
+            lambda m, a, p: a * p**m, lengths.astype(float), signal, p0=start,
+            bounds=([0.0, 0.0], [2.0, 1.0]), xtol=1e-15, ftol=1e-15, gtol=1e-15,
+        )
+    return a, p
+
+
+ACCEPTANCE_M = [1, 2, 4, 8, 16, 32, 64]
+RB_LONG = (
+    "scheme = cm\nrabi_hz = 2.2e6\ncliffords = 1,2,4,8,16,32,64,128,256\n"
+    "k_randomizations = 30\nnoise_detuning_sigma_hz = 1e5\nnoise_samples = 64\n"
+)
+
+
+def rb_long(seed):
+    """The perfbench ``rb_long`` run (``ccdsim rb --static-detuning-frac 0.02``)."""
+    cfg = parse_config(RB_LONG + f"seed = {seed}\n")
+    return randomized_benchmarking(
+        Scheme.CMCCD, cfg.drive_config(), list(cfg.cliffords), cfg.k_randomizations,
+        cfg.noise_spec(), static_detuning=0.02 * 2 * math.pi * cfg.rabi_hz,
+    )
+
+
+#: RB runs of the test suite (the noisy M_LIST run, 09b and 09c) and of rb_long
+FIT_RUNS = {
+    "noisy-M_LIST": lambda: randomized_benchmarking(
+        Scheme.BARE, CFG, M_LIST, 6, NoiseSpec(sigma_detuning=0.15 * RABI, samples=25, seed=13)
+    ),
+    **{
+        f"09c-{scheme.label}{'-detuned' * hurt}": (
+            lambda scheme=scheme, hurt=hurt: randomized_benchmarking(
+                scheme, CFG, ACCEPTANCE_M, 15, NoiseSpec(seed=7),
+                static_detuning=0.05 * RABI * hurt,
+            )
+        )
+        for scheme in ALL_SCHEMES
+        for hurt in (False, True)
+    },
+    **{f"rb_long-seed{seed}": (lambda seed=seed: rb_long(seed)) for seed in range(4)},
+}
+
+
+class TestDecayFit:
+    @pytest.mark.parametrize("run", FIT_RUNS)
+    def test_matches_bounded_curve_fit(self, run):
+        result = FIT_RUNS[run]()
+        a, p, _, converged = _fit_decay(result.lengths, result.signal)
+        expected_a, expected_p = curve_fit_decay(result.lengths, result.signal)
+        assert converged and result.converged
+        assert abs(p - expected_p) <= 1e-9
+        assert abs(a - expected_a) <= 1e-8
+
+    def test_amplitude_above_its_bound_is_clipped(self):
+        lengths = np.array(ACCEPTANCE_M)
+        signal = 2.5 * 0.9**lengths
+        a, p, _, converged = _fit_decay(lengths, signal)
+        assert converged and a == 2.0
+        assert abs(p - curve_fit_decay(lengths, signal)[1]) <= 1e-9
+
+    def test_finds_the_lower_of_two_residual_minima(self):
+        # a noisy signal whose residual over p has local minima near 0.878 and 0.981
+        lengths = np.array(ACCEPTANCE_M)
+        signal = np.array([0.6075, 0.4552, 0.4483, 0.0394, 0.2106, 0.2805, 0.23])
+        scan = np.linspace(0.0, 1.0, 100_001)
+        _, costs = rb._projected_fit(scan, lengths.astype(float), signal)
+        a, p, residual, converged = _fit_decay(lengths, signal)
+        assert converged
+        assert abs(p - scan[np.argmin(costs)]) <= 1e-5
+        assert residual**2 * lengths.size <= costs.min()
+
+    def test_flat_signal_gives_unit_decay(self):
+        a, p, residual, converged = _fit_decay(np.array(M_LIST), np.ones(len(M_LIST)))
+        assert converged
+        assert abs(p - 1.0) <= 1e-12 and abs(a - 1.0) <= 1e-12
+        assert residual <= 1e-12
+
+    @pytest.mark.parametrize(
+        "m_list, signal",
+        [
+            (M_LIST, [0.9, np.nan, 0.7, 0.5, 0.3]),
+            (M_LIST, [0.9, np.inf, 0.7, 0.5, 0.3]),
+            (M_LIST, [0.0, 0.0, 0.0, 0.0, 0.0]),
+            (M_LIST, [-0.9, -0.8, -0.7, -0.5, -0.3]),
+            ([255, 256], [-1.0, -1.1e-12]),  # log-linear intercept 7,000: exp overflows
+        ],
+        ids=["nan", "inf", "zero", "negative", "negative-steep"],
+    )
+    def test_unidentified_decay_is_not_converged(self, monkeypatch, m_list, signal):
+        signal = np.array(signal)
+        a, p, _, converged = _fit_decay(np.array(m_list), signal)
+        assert not converged
+        assert 0.0 <= a <= 2.0 and 0.0 <= p <= 1.0
+        # the run reports it: its signal replaced by this one at the fit
+        monkeypatch.setattr(rb, "_fit_decay", lambda lengths, _: _fit_decay(lengths, signal))
+        result = randomized_benchmarking(Scheme.CMCCD, CFG, m_list, 2, NoiseSpec(seed=1))
+        assert not result.converged
+        assert (result.clifford_fidelity, result.fit_amplitude) == ((1.0 + p) / 2.0, a)
+        assert any("did not converge" in w for w in result.warnings)
+
+    def test_single_length_is_not_converged(self):
+        result = randomized_benchmarking(Scheme.CMCCD, CFG, [4], 3, NoiseSpec(seed=1))
+        assert not result.converged
+        assert any("did not converge" in w for w in result.warnings)
