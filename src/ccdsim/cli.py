@@ -1,11 +1,14 @@
 """Command-line interface: sweeps, presets, benchmarking, export, selftest.
 
-Every data subcommand takes ``--config FILE`` and every config key as a
-flag spelled ``--key-with-dashes``; ``--durations``, ``--kind``, ``--points``
-and ``--k`` are short spellings of duration_points, dressed_kind,
-sweep_points and k_randomizations. A flag value is text that ``parse_config``
-parses as it parses a file value, and a subcommand ignores the keys it does
-not read.
+Every data subcommand takes ``--config FILE`` and every key of
+``config.KEY_TYPES``, derived spellings included, as a flag spelled
+``--key-with-dashes``; ``--durations``, ``--kind``, ``--points`` and ``--k``
+are short spellings of duration_points, dressed_kind, sweep_points and
+k_randomizations. A flag value is text that ``parse_config`` parses as it
+parses a file value, so this module parses no number itself, and a
+subcommand ignores the keys it does not read. Besides the keys there are
+only ``--axis`` (spectrum, infidelity), ``--program`` (dressed) and
+``--ideal`` (rb).
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure,
 4 I/O error. Failures print a machine-readable JSON error record to stderr.
@@ -24,7 +27,7 @@ import sys
 import numpy as np
 
 from . import clifford as clifford_mod
-from .config import KEY_TYPES, ConfigError, RunConfig, emit_config, parse_config
+from .config import KEY_TYPES, ConfigError, RunConfig, emit_config, flag, parse_config
 from .dataset import Dataset, write_dataset
 from .drive import (
     DriveConfig,
@@ -68,24 +71,6 @@ _SHORT_FLAGS = {
 MAX_IQ_SAMPLES = 10**7
 
 
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
-def _number_flag(args: argparse.Namespace, dest: str) -> float | None:
-    """The finite number a CLI-only flag gives, or None when it is absent."""
-    text = getattr(args, dest)
-    if text is None:
-        return None
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{_flag(dest)} must be a number, got {text!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{_flag(dest)} must be finite, got {text!r}")
-    return value
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
     text = ""
     if args.config:
@@ -94,16 +79,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    overrides = {key: getattr(args, key) for key in KEY_TYPES}
-    span = _number_flag(args, "detuning_span_hz")
-    if span is not None:
-        overrides["detuning_start_hz"] = -span / 2.0
-        overrides["detuning_stop_hz"] = span / 2.0
-    span = _number_flag(args, "rabi_error_span_frac")
-    if span is not None:
-        overrides["rabi_error_start_frac"] = -span / 2.0
-        overrides["rabi_error_stop_frac"] = span / 2.0
-    return parse_config(text, overrides=overrides)
+    return parse_config(text, overrides={key: getattr(args, key) for key in KEY_TYPES})
 
 
 def _duration_grid(cfg: RunConfig) -> np.ndarray:
@@ -246,16 +222,12 @@ def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConf
 
 def _cmd_rb(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    static_detuning = _number_flag(args, "static_detuning_frac")
-    static_rabi_error = _number_flag(args, "static_rabi_error_frac")
     result = randomized_benchmarking(
         cfg.scheme_enum(),
         cfg.drive_config(),
         list(cfg.cliffords),
         cfg.k_randomizations,
         cfg.noise_spec(),
-        static_detuning=TWO_PI * cfg.rabi_hz * static_detuning,
-        static_rabi_error=TWO_PI * cfg.rabi_hz * static_rabi_error,
         ideal=args.ideal,
     )
     return _write(
@@ -263,6 +235,7 @@ def _cmd_rb(args: argparse.Namespace) -> int:
         (AxisDef("m", "cliffords", result.lengths.astype(float)),),
         ("signal",),
         result.signal[:, None],
+        ideal=args.ideal,
         clifford_fidelity=result.clifford_fidelity,
         average_gate_fidelity=result.average_gate_fidelity,
         fit_amplitude=result.fit_amplitude,
@@ -418,17 +391,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config_flags() -> argparse.ArgumentParser:
-    """Parent parser of the data subcommands: ``--config`` and every config key
-    as text, plus the two CLI-only span flags."""
+    """Parent parser of the data subcommands: ``--config`` and every key as text."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", help="key = value configuration file")
     for key in KEY_TYPES:
-        flags = [_flag(key)]
+        flags = [flag(key)]
         if key in _SHORT_FLAGS:
             flags.append(_SHORT_FLAGS[key])
         parent.add_argument(*flags, dest=key)
-    parent.add_argument("--detuning-span-hz", help="detuning axis from -span/2 to +span/2")
-    parent.add_argument("--rabi-error-span-frac", help="Rabi-error axis from -span/2 to +span/2")
     return parent
 
 
@@ -459,12 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     commands["dressed"].add_argument(
         "--program", help="segment-directive file to run instead of a preset"
     )
-    rb = commands["rb"]
-    rb.add_argument("--static-detuning-frac", default="0",
-                    help="static detuning as a fraction of Omega_0")
-    rb.add_argument("--static-rabi-error-frac", default="0")
-    rb.add_argument("--ideal", action="store_true",
-                    help="use ideal Clifford matrices instead of pulse dynamics")
+    commands["rb"].add_argument(
+        "--ideal", action="store_true", help="use ideal Clifford matrices instead of pulse dynamics"
+    )
     sub.add_parser("selftest", help="run the built-in analytic-oracle checks").set_defaults(
         handler=_cmd_selftest
     )

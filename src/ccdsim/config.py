@@ -2,8 +2,10 @@
 
 Frequencies are configured in Hz (``*_hz`` keys) and converted to angular
 frequencies internally; angles are radians, durations seconds. Unknown keys
-and malformed values are rejected with line/column positions. CLI flags
-override file values, which override the documented defaults.
+and malformed or non-finite values are rejected with line/column positions,
+or by the flag that gave them. CLI flags override file values, which override
+the documented defaults; then each derived spelling (``DERIVED``) is resolved
+into the keys it sets, and is refused if any of them is given too.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from .drive import DriveConfig, Scheme
 from .experiments import NoiseSpec
 
-__all__ = ["ConfigError", "KEY_TYPES", "RunConfig", "parse_config", "emit_config"]
+__all__ = ["ConfigError", "KEY_TYPES", "RunConfig", "flag", "parse_config", "emit_config"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,12 +110,33 @@ class RunConfig:
         )
 
 
-#: every config key and the type of its value, read from the field defaults;
-#: mod_strength_hz is accepted in files and flags and resolved into mod_ratio
-KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)} | {"mod_strength_hz": float}
+def _span(v: float, _rabi_hz: float) -> tuple[float, float]:
+    return -v / 2.0, v / 2.0
 
 
-def _parse_value(key: str, text: str, line: int | None = None, column: int | None = None):
+#: derived spellings: the keys each one sets, as a function of its value v and rabi_hz;
+#: they are never emitted
+DERIVED = {
+    "mod_strength_hz": (("mod_ratio",), lambda v, rabi_hz: (v / rabi_hz,)),
+    "detuning_span_hz": (("detuning_start_hz", "detuning_stop_hz"), _span),
+    "rabi_error_span_frac": (("rabi_error_start_frac", "rabi_error_stop_frac"), _span),
+    "static_detuning_frac": (("detuning_hz",), lambda v, rabi_hz: (v * rabi_hz,)),
+    "static_rabi_error_frac": (("rabi_error_frac",), lambda v, _: (v,)),
+}
+
+#: every key a file line or a flag may set and the type of its value: the
+#: fields' defaults give theirs, and every derived spelling takes a float
+KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)} | dict.fromkeys(DERIVED, float)
+
+
+def flag(key: str) -> str:
+    """The ``--key-with-dashes`` flag that sets ``key``."""
+    return "--" + key.replace("_", "-")
+
+
+def _parse_value(key: str, text: str, name: str, line: int | None = None,
+                 column: int | None = None):
+    """The value ``text`` gives ``key``; errors call the key ``name``."""
     kind = KEY_TYPES[key]
     try:
         if kind is str:
@@ -128,9 +151,12 @@ def _parse_value(key: str, text: str, line: int | None = None, column: int | Non
             if value != int(value):
                 raise ValueError("expected an integer")
             return int(value)
-        return float(text)
+        value = float(text)
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {key}: {text!r} ({exc})", line, column) from exc
+        raise ConfigError(f"bad value for {name}: {text!r} ({exc})", line, column) from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {text!r}", line, column)
+    return value
 
 
 def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
@@ -150,8 +176,6 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
             f"alpha_a + alpha_p = {cfg.alpha_a} + {cfg.alpha_p} matches no scheme "
             "(bare 0 + 0, am 1 + 0, pm 0 + 1, cm 0.5 + 0.5)",
         )
-    if cfg.rabi_hz <= 0.0:
-        fail("rabi_hz", "rabi_hz must be positive")
     if cfg.mod_ratio < 0.0:
         fail("mod_ratio", "mod_ratio must be >= 0")
     for key in ("duration_points", "detuning_points", "rabi_error_points",
@@ -180,11 +204,17 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
     """Parse ``key = value`` lines (``#`` comments) into a validated RunConfig.
 
     ``overrides`` (e.g. from CLI flags) are applied after the file contents;
-    an override given as text is parsed as a file value would be. An empty
-    document yields the documented defaults.
+    an override given as text is parsed as a file value would be, and an
+    error names it by its flag as well as its key. Derived spellings are then
+    resolved. An empty document yields the documented defaults.
     """
     raw: dict[str, object] = {}
     lines: dict[str, int] = {}
+    flagged: set[str] = set()
+
+    def name(key: str) -> str:
+        return f"{flag(key)} ({key})" if key in flagged else key
+
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         stripped = raw_line.split("#", 1)[0].strip()
         if not stripped:
@@ -198,7 +228,7 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"unknown key {key!r}", lineno, column)
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}", lineno, column)
-        raw[key] = _parse_value(key, value.strip(), lineno, column)
+        raw[key] = _parse_value(key, value.strip(), key, lineno, column)
         lines[key] = lineno
 
     if overrides:
@@ -207,7 +237,8 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
                 continue
             if key not in KEY_TYPES:
                 raise ConfigError(f"unknown key {key!r}")
-            raw[key] = _parse_value(key, value) if isinstance(value, str) else value
+            flagged.add(key)
+            raw[key] = _parse_value(key, value, name(key)) if isinstance(value, str) else value
             lines.pop(key, None)
 
     explicit_alphas = "alpha_a" in raw or "alpha_p" in raw
@@ -217,14 +248,26 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), lines.get("scheme")) from exc
 
-    if "mod_strength_hz" in raw:
-        if "mod_ratio" in raw:
+    rabi_hz = float(raw.get("rabi_hz", RunConfig.rabi_hz))
+    if not rabi_hz > 0.0:
+        raise ConfigError("rabi_hz must be positive", lines.get("rabi_hz"))
+    for key, (targets, derive) in DERIVED.items():
+        if key not in raw:
+            continue
+        for target in targets:
+            if target in raw:
+                raise ConfigError(
+                    f"{name(key)} and {name(target)} are mutually exclusive",
+                    lines.get(key, lines.get(target)),
+                )
+        value = float(raw.pop(key))
+        resolved = derive(value, rabi_hz)
+        if not all(map(math.isfinite, resolved)):
             raise ConfigError(
-                "mod_ratio and mod_strength_hz are mutually exclusive",
-                lines.get("mod_strength_hz"),
+                f"{name(key)} = {value!r} gives a non-finite {' or '.join(targets)}",
+                lines.get(key),
             )
-        rabi_hz = float(raw.get("rabi_hz", RunConfig.rabi_hz))
-        raw["mod_ratio"] = float(raw.pop("mod_strength_hz")) / rabi_hz
+        raw.update(zip(targets, resolved))
 
     if not explicit_alphas:
         raw["alpha_a"] = scheme.alpha_a

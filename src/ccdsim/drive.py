@@ -474,9 +474,9 @@ def iq_baseband(
     Array input returns (I, Q) arrays; a scalar time returns one IQSample.
     """
     times = np.asarray(t, dtype=float)
-    m = _modulation_angle(cfg, times)
-    p = -(2.0 * cfg.alpha_P * cfg.mod_strength / cfg.rabi) * np.sin(m)
-    a = (2.0 * cfg.alpha_A * cfg.mod_strength / cfg.rabi) * np.sin(m)
+    sin_m = np.sin(_modulation_angle(cfg, times))
+    p = -(2.0 * cfg.alpha_P * cfg.mod_strength / cfg.rabi) * sin_m
+    a = (2.0 * cfg.alpha_A * cfg.mod_strength / cfg.rabi) * sin_m
     amp = cfg.rabi + cfg.rabi_error
     i = amp * (np.cos(p) + a * np.sin(p))
     q = amp * (np.sin(p) - a * np.cos(p))

@@ -12,7 +12,7 @@ import pytest
 
 from ccdsim import cli
 from ccdsim.cli import build_parser, main
-from ccdsim.config import KEY_TYPES, RunConfig, parse_config
+from ccdsim.config import KEY_TYPES, RunConfig, flag, parse_config
 from ccdsim.drive import default_config, drive_coefficient, Scheme
 from ccdsim.qubit import NormalizationError
 
@@ -146,6 +146,43 @@ class TestConfigPrecedence:
         if args[1].startswith("--static"):
             assert args[1] in record["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--static-detuning-frac", "0.05"], "detuning_hz = 180000.0"),
+            (["--static-rabi-error-frac", "0.05"], "rabi_error_frac = 0.05"),
+        ],
+        ids=["static-detuning", "static-rabi-error"],
+    )
+    def test_static_error_flags_reach_the_dataset_config(self, tmp_path, flags, line):
+        args = ["rb", "--cliffords", "1,2", "--k", "2"]
+        plain, static = tmp_path / "plain.csv", tmp_path / "static.csv"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + flags + ["--out", str(static)]) == 0
+        meta_plain, meta = read_csv(plain)[0], read_csv(static)[0]
+        assert meta["config_hash"] != meta_plain["config_hash"]
+        assert line in meta.values()
+
+    @pytest.mark.parametrize(
+        "file_text, args, keys",
+        [
+            ("detuning_start_hz = -1e6\n", ["chevron", "--detuning-span-hz", "2e6"],
+             ("detuning_span_hz", "detuning_start_hz")),
+            ("", ["rb", "--static-detuning-frac", "0.05", "--detuning-hz", "1e4"],
+             ("static_detuning_frac", "detuning_hz")),
+        ],
+        ids=["span-flag-with-file-start", "static-flag-with-detuning-flag"],
+    )
+    def test_derived_flag_with_its_key_exits_2(self, tmp_path, capsys, file_text, args, keys):
+        config = tmp_path / "run.cfg"
+        config.write_text(file_text)
+        out = tmp_path / "o.csv"
+        assert main(args + ["--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "config"
+        assert all(key in record["error"]["message"] for key in keys)
+
     def test_every_config_flag_sets_its_field(self):
         # a flag's text must give what the same text gives on a config line;
         # ints are spelled "257.0" and the scheme "cmccd", as files may spell them
@@ -153,7 +190,9 @@ class TestConfigPrecedence:
         texts = {
             "scheme": "cmccd", "dressed_kind": "two_axis", "format": "json",
             "out": "elsewhere.csv", "cliffords": "1,3", "mod_strength_hz": "1e6",
-            "alpha_a": "1.0", "alpha_p": "0.0",
+            "alpha_a": "1.0", "alpha_p": "0.0", "detuning_span_hz": "2e6",
+            "rabi_error_span_frac": "0.2", "static_detuning_frac": "0.05",
+            "static_rabi_error_frac": "-0.02",
         }
         for key, kind in KEY_TYPES.items():
             if key not in texts:
@@ -296,6 +335,20 @@ class TestSubcommands:
         assert header == ["m_cliffords", "signal"]
         assert float(meta["meta.average_gate_fidelity"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_rb_ideal_is_recorded(self, tmp_path):
+        # the same config run two ways must not read as the same run
+        results = {"meta.clifford_fidelity", "meta.average_gate_fidelity",
+                   "meta.fit_amplitude", "meta.fit_residual", "meta.converged"}
+        args = ["rb", "--cliffords", "1,2", "--k", "2"]
+        headers = []
+        for extra in (["--ideal"], []):
+            out = tmp_path / f"rb{len(extra)}.csv"
+            assert main(args + extra + ["--out", str(out)]) == 0
+            meta = read_csv(out)[0]
+            headers.append({k: v for k, v in meta.items() if k not in results})
+        assert headers[0] != headers[1]
+        assert (headers[0]["meta.ideal"], headers[1]["meta.ideal"]) == ("true", "false")
+
     def test_rabi_error_sweep(self, tmp_path):
         out = tmp_path / "re.csv"
         code = main(
@@ -434,16 +487,37 @@ def test_console_entry_point_runs():
     assert "PASS" in result.stdout
 
 
-def test_readme_cli_commands_parse():
-    # every command in README's CLI block must parse, values included
+def test_readme_cli_commands_run(tmp_path):
+    # every command in README's CLI block runs, on README's program file
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block, rest = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)
+    (tmp_path / "ypi.seq").write_text(rest.split("```\n", 1)[1].split("```", 1)[0])
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("ccdsim ")]
     assert len(commands) == 9
-    parser = build_parser()
     for argv in commands:
-        cli._load_config(parser.parse_args(argv))
+        argv = [
+            str(tmp_path / arg) if option in ("--out", "--program") else arg
+            for option, arg in zip(["", *argv], argv)
+        ]
+        assert main(argv) == 0, argv
+
+
+def test_data_subcommand_options_are_config_keys():
+    # a data subcommand has a flag for each config key and only these others
+    others = {"--config", "--axis", "--program", "--ideal", "-h", "--help"}
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for command, sub in commands.choices.items():
+        if command == "selftest":
+            continue
+        for action in sub._actions:
+            if action.dest in KEY_TYPES:
+                allowed = {flag(action.dest), cli._SHORT_FLAGS.get(action.dest)}
+            else:
+                allowed = others
+            assert set(action.option_strings) <= allowed, (command, action.option_strings)
 
 
 #: prints the scipy modules loaded by one CLI run, as the last stdout line

@@ -80,6 +80,47 @@ class TestParse:
         with pytest.raises(ConfigError, match="mutually exclusive"):
             parse_config("mod_ratio = 0.25\nmod_strength_hz = 1e6\n")
 
+    @pytest.mark.parametrize(
+        "derived, resolved",
+        [
+            ("detuning_span_hz = 2e6", "detuning_start_hz = -1e6\ndetuning_stop_hz = 1e6"),
+            ("rabi_error_span_frac = 0.4",
+             "rabi_error_start_frac = -0.2\nrabi_error_stop_frac = 0.2"),
+            ("static_detuning_frac = 0.05", "detuning_hz = 110000.0"),
+            ("static_rabi_error_frac = -0.02", "rabi_error_frac = -0.02"),
+        ],
+        ids=["detuning_span", "rabi_error_span", "static_detuning", "static_rabi_error"],
+    )
+    def test_derived_spellings_resolve_into_their_keys(self, derived, resolved):
+        cfg = parse_config(f"rabi_hz = 2.2e6\n{derived}\n")
+        assert cfg == parse_config(f"rabi_hz = 2.2e6\n{resolved}\n")
+        assert derived.split()[0] not in emit_config(cfg)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "detuning_start_hz = -1e6\ndetuning_span_hz = 2e6\n",
+            "rabi_error_stop_frac = 0.1\nrabi_error_span_frac = 0.4\n",
+            "detuning_hz = 1e4\nstatic_detuning_frac = 0.05\n",
+            "rabi_error_frac = 0.01\nstatic_rabi_error_frac = 0.02\n",
+        ],
+        ids=lambda text: text.split()[3],
+    )
+    def test_derived_spelling_with_its_key_rejected(self, text):
+        target, derived = (line.split()[0] for line in text.splitlines())
+        with pytest.raises(ConfigError, match="mutually exclusive") as excinfo:
+            parse_config(text)
+        assert derived in str(excinfo.value) and target in str(excinfo.value)
+        assert excinfo.value.line == 2
+
+    def test_derived_overflow_named_by_its_own_key(self):
+        with pytest.raises(ConfigError, match="^line 1: static_detuning_frac = 1e"):
+            parse_config("static_detuning_frac = 1e303\n")
+
+    def test_mod_strength_with_zero_rabi_rejected(self):
+        with pytest.raises(ConfigError, match="rabi_hz must be positive"):
+            parse_config("rabi_hz = 0\nmod_strength_hz = 1e6\n")
+
     def test_cliffords_list(self):
         cfg = parse_config("cliffords = 1,2,4,8\n")
         assert cfg.cliffords == (1, 2, 4, 8)
@@ -122,6 +163,13 @@ class TestParse:
         assert cfg == parse_config("seed = 3\ncliffords = 1,4\nscheme = cmccd\nrabi_hz = 2e6\n")
         with pytest.raises(ConfigError, match="duration_points"):
             parse_config("", overrides={"duration_points": "4.5"})
+
+    def test_override_errors_name_the_flag(self):
+        with pytest.raises(ConfigError, match="--rabi-hz") as excinfo:
+            parse_config("", overrides={"rabi_hz": "abc"})
+        assert "rabi_hz" in str(excinfo.value)
+        with pytest.raises(ConfigError, match="--static-detuning-frac .* must be finite"):
+            parse_config("", overrides={"static_detuning_frac": "inf"})
 
     def test_non_finite_override_rejected(self):
         with pytest.raises(ConfigError):
