@@ -190,14 +190,10 @@ def _cmd_dressed(args: argparse.Namespace) -> int:
         sweep = lattice_times(drive, cfg.sweep_points)
         axis = AxisDef("t_c", "s", sweep)
 
-    def run(delta: float, rabi_error: float) -> np.ndarray:
-        errd = drive.with_errors(
-            detuning=drive.detuning + delta, rabi_error=drive.rabi_error + rabi_error
-        )
-        points = dressed_sequence_experiment(cfg.dressed_kind, errd, sweep)
-        return np.array([p for _, p in points])
+    def run(shot: DriveConfig) -> np.ndarray:
+        return np.array([p for _, p in dressed_sequence_experiment(cfg.dressed_kind, shot, sweep)])
 
-    values = noise_average(run, cfg.noise_spec(), drive.rabi)
+    values = noise_average(run, cfg.noise_spec(), drive)
     return _write(cfg, (axis,), ("p_up",), values[:, None], kind=cfg.dressed_kind)
 
 

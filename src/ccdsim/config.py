@@ -163,11 +163,6 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
     def fail(key: str, message: str):
         raise ConfigError(message, lines.get(key))
 
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            fail(f.name, f"{f.name} must be finite, got {value!r}")
-
     try:
         matched = Scheme.of(cfg.alpha_a, cfg.alpha_p)
     except ValueError:
@@ -204,9 +199,10 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
     """Parse ``key = value`` lines (``#`` comments) into a validated RunConfig.
 
     ``overrides`` (e.g. from CLI flags) are applied after the file contents;
-    an override given as text is parsed as a file value would be, and an
-    error names it by its flag as well as its key. Derived spellings are then
-    resolved. An empty document yields the documented defaults.
+    each override, typed or text, is parsed from its ``str`` as a file value
+    would be, and an error names it by its flag as well as its key. Derived
+    spellings are then resolved. An empty document yields the documented
+    defaults.
     """
     raw: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -238,7 +234,7 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
             if key not in KEY_TYPES:
                 raise ConfigError(f"unknown key {key!r}")
             flagged.add(key)
-            raw[key] = _parse_value(key, value, name(key)) if isinstance(value, str) else value
+            raw[key] = _parse_value(key, str(value), name(key))
             lines.pop(key, None)
 
     explicit_alphas = "alpha_a" in raw or "alpha_p" in raw

@@ -3,7 +3,7 @@
 Chevron and Rabi-error sweeps, per-column Fourier spectra, Bloch-sphere
 trajectories with quarter-turn markers, Y-pi state-infidelity curves, the
 dressed-qubit pulse sequences (CCD-Rabi, CCD-Ramsey, two-axis control), and
-quasi-static noise averaging.
+quasi-static noise averaging over the per-shot drives of ``NoiseSpec.shots``.
 
 All sweeps start from |0> and report the spin-up fraction |<1|psi>|^2. Each
 sweep propagates all its grid rows as one ``evolve_grid`` batch, which fixes
@@ -92,17 +92,27 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma_detuning < 0.0 or self.sigma_rabi_frac < 0.0:
+        if not (self.sigma_detuning >= 0.0 and self.sigma_rabi_frac >= 0.0):
             raise ValueError("noise sigmas must be >= 0")
         if self.samples < 1:
             raise ValueError("need at least one noise sample")
 
-    def draws(self, rabi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-shot (detuning, Rabi-error) draws in rad/s, from ``seed``."""
+    def shots(self, cfg: DriveConfig) -> list[DriveConfig]:
+        """The drive of each shot: ``cfg`` with one draw added to its errors.
+
+        Draws come from ``seed``, all detunings (rad/s) first, then all Rabi
+        errors (``sigma_rabi_frac`` times ``cfg.rabi``), and the shots keep
+        draw order. Without noise every shot is ``cfg``, so there is one.
+        """
+        if self.sigma_detuning == 0.0 and self.sigma_rabi_frac == 0.0:
+            return [cfg]
         rng = np.random.default_rng(self.seed)
         deltas = rng.normal(0.0, self.sigma_detuning, self.samples)
-        rabi_errors = rng.normal(0.0, self.sigma_rabi_frac * rabi, self.samples)
-        return deltas, rabi_errors
+        rabi_errors = rng.normal(0.0, self.sigma_rabi_frac * cfg.rabi, self.samples)
+        return [
+            cfg.with_errors(detuning=cfg.detuning + d, rabi_error=cfg.rabi_error + e)
+            for d, e in zip(deltas, rabi_errors)
+        ]
 
 
 def _coarse_grid_warning(cfg: DriveConfig, durations: np.ndarray) -> list[str]:
@@ -302,20 +312,17 @@ def dressed_sequence_experiment(
 
 
 def noise_average(
-    experiment: Callable[[float, float], np.ndarray],
+    experiment: Callable[[DriveConfig], np.ndarray],
     noise: NoiseSpec,
-    rabi: float,
+    cfg: DriveConfig,
 ) -> np.ndarray:
-    """Average ``experiment(delta, rabi_error)`` over quasi-static noise draws.
+    """Average ``experiment(shot)`` over the drives of ``noise.shots(cfg)``.
 
     Shots run and are summed in draw order, so the result is bit-stable
     across runs on one platform.
     """
-    if noise.sigma_detuning == 0.0 and noise.sigma_rabi_frac == 0.0:
-        # every draw is exactly (0, 0); one shot reproduces the average exactly
-        return np.asarray(experiment(0.0, 0.0), dtype=float)
-    deltas, rabi_errors = noise.draws(rabi)
-    total = np.asarray(experiment(deltas[0], rabi_errors[0]), dtype=float).copy()
-    for delta, rabi_error in zip(deltas[1:], rabi_errors[1:]):
-        total += experiment(delta, rabi_error)
-    return total / noise.samples
+    shots = noise.shots(cfg)
+    total = np.array(experiment(shots[0]), dtype=float)
+    for shot in shots[1:]:
+        total += experiment(shot)
+    return total / len(shots)

@@ -10,9 +10,11 @@ Gate draws use a counter-based generator keyed on (seed, M, k), so each
 sequence is reproducible independently of execution order; the recovery
 Cliffords are read from the group's multiplication table. Gates are
 simulated at pulse level in the frame and at the rate that
-``drive.gate_frame`` gives. The primitive propagators of all noise shots
-come from one ``propagator_grid`` call: four azimuth Hamiltonians per shot,
-each evaluated at the pi/2 and the pi duration.
+``drive.gate_frame`` gives. Each noise shot is a drive from
+``NoiseSpec.shots``, so a static error is the drive's own detuning or Rabi
+error, and a noiseless run is one shot. The primitive propagators of all
+shots come from one ``propagator_grid`` call: four azimuth Hamiltonians per
+shot, each evaluated at the pi/2 and the pi duration.
 
 Shots are a batch axis: the Clifford unitaries of all shots form one array,
 and for each length the states C|0> of all K strings are carried through
@@ -76,19 +78,16 @@ class RBResult:
 
 
 def _primitive_unitaries(
-    scheme: Scheme,
-    cfg: DriveConfig,
-    deltas: np.ndarray,
-    rabi_errors: np.ndarray,
-    spec: IntegratorSpec,
+    shots: list[DriveConfig], spec: IntegratorSpec
 ) -> dict[str, np.ndarray]:
-    """Pulse-level propagators of the seven primitives, (shots, 2, 2) each."""
-    base = cfg.with_scheme(scheme)
-    build, rate, axis_offset = gate_frame(base)
+    """Pulse-level propagators of the seven primitives, (shots, 2, 2) each.
+
+    Every shot drive gates in the frame and at the rate of the first.
+    """
+    build, rate, axis_offset = gate_frame(shots[0])
     pulsed = [prim for prim in PRIMITIVES.values() if prim.axis != "i"]
     azimuths = sorted({prim.rotation_azimuth for prim in pulsed})
     angles = sorted({abs(prim.angle) for prim in pulsed})
-    shots = [base.with_errors(detuning=d, rabi_error=e) for d, e in zip(deltas, rabi_errors)]
     # theta_m selects the dressed gate drive; the bare first frame ignores it
     hams = [
         build(shot.with_pulse(GATE_MOD_PHASE, azimuth + axis_offset))
@@ -235,8 +234,6 @@ def randomized_benchmarking(
     m_list: list[int],
     k_randomizations: int,
     noise: NoiseSpec | None = None,
-    static_detuning: float = 0.0,
-    static_rabi_error: float = 0.0,
     *,
     ideal: bool = False,
     spec: IntegratorSpec = ROTATING_SPEC,
@@ -247,7 +244,9 @@ def randomized_benchmarking(
     (engine self-check; errors and noise are then irrelevant). Otherwise a
     dressed drive needs eps_m = Omega_0 / (4 n) so that each primitive spans
     whole modulation periods; any other drive (a CCD scheme at eps_m = 0
-    included) gates the bare qubit. All noise shots are composed as one batch.
+    included) gates the bare qubit. Static errors are those of ``cfg``
+    (``cfg.with_errors(...)``); the shots of ``noise.shots`` add their draws
+    to them and are composed as one batch.
     """
     lengths = np.asarray(m_list, dtype=int)
     if lengths.size == 0 or np.any(lengths <= 0) or np.any(np.diff(lengths) <= 0):
@@ -265,15 +264,10 @@ def randomized_benchmarking(
     ]
     recoveries = [(recovery_indices(s, "up"), recovery_indices(s, "down")) for s in strings]
 
-    # total error per shot: config-borne + static injection + quasi-static draw
-    deltas, rabi_errors = noise.draws(base.rabi)
-    delta_draws = base.detuning + static_detuning + deltas
-    rabi_draws = base.rabi_error + static_rabi_error + rabi_errors
     if ideal:
         clifford_us = np.stack([g.matrix for g in clifford_group()])[None]
     else:
-        primitives = _primitive_unitaries(scheme, base, delta_draws, rabi_draws, spec)
-        clifford_us = _clifford_unitaries(primitives)
+        clifford_us = _clifford_unitaries(_primitive_unitaries(noise.shots(base), spec))
     weights = _real_form(clifford_us)  # (shots, 24, 4, 4)
 
     zero = np.array([1.0, 0.0, 0.0, 0.0])
@@ -320,8 +314,6 @@ def randomized_benchmarking(
         meta={
             "scheme": scheme.label,
             "ideal": ideal,
-            "static_detuning": static_detuning,
-            "static_rabi_error": static_rabi_error,
             "noise": noise,
             "signal_matrix": matrix,
         },

@@ -321,8 +321,8 @@ class TestRandomizedBenchmarking:
         for scheme in (Scheme.BARE, Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
             base = randomized_benchmarking(scheme, cfg, self.M_LIST, 15, NoiseSpec(seed=7))
             hurt = randomized_benchmarking(
-                scheme, cfg, self.M_LIST, 15, NoiseSpec(seed=7),
-                static_detuning=0.05 * cfg.rabi,
+                scheme, cfg.with_errors(detuning=0.05 * cfg.rabi), self.M_LIST, 15,
+                NoiseSpec(seed=7),
             )
             drops[scheme] = base.average_gate_fidelity - hurt.average_gate_fidelity
         for scheme in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -13,8 +14,11 @@ import pytest
 from ccdsim import cli
 from ccdsim.cli import build_parser, main
 from ccdsim.config import KEY_TYPES, RunConfig, flag, parse_config
+from ccdsim.dataset import emit_dataset
 from ccdsim.drive import default_config, drive_coefficient, Scheme
+from ccdsim.experiments import noise_average
 from ccdsim.qubit import NormalizationError
+from ccdsim.rb import randomized_benchmarking
 
 
 def read_csv(path):
@@ -559,3 +563,18 @@ def test_no_cli_run_imports_scipy(tmp_path, name):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+#: arguments that perfbench/tracer.py binds by name to count a call's work; a
+#: renamed one drops those counts without an error
+TRACED_ARGUMENTS = {
+    noise_average: ("experiment",),
+    randomized_benchmarking: ("m_list", "k_randomizations", "noise", "ideal"),
+    emit_dataset: ("data",),
+}
+
+
+@pytest.mark.parametrize("function", TRACED_ARGUMENTS, ids=lambda function: function.__name__)
+def test_traced_argument_names_bind(function):
+    parameters = inspect.signature(function).parameters
+    assert [name for name in TRACED_ARGUMENTS[function] if name not in parameters] == []

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ccdsim.config import ConfigError, RunConfig, emit_config, parse_config
+from ccdsim.config import ConfigError, RunConfig, emit_config, flag, parse_config
 from ccdsim.drive import Scheme
 
 
@@ -170,6 +170,13 @@ class TestParse:
         assert "rabi_hz" in str(excinfo.value)
         with pytest.raises(ConfigError, match="--static-detuning-frac .* must be finite"):
             parse_config("", overrides={"static_detuning_frac": "inf"})
+
+    @pytest.mark.parametrize(
+        "key, value", [("duration_points", 4.5), ("seed", 2.5)], ids=["duration_points", "seed"]
+    )
+    def test_typed_override_is_type_checked(self, key, value):
+        with pytest.raises(ConfigError, match=f"^bad value for {flag(key)} \\({key}\\)"):
+            parse_config("", overrides={key: value})
 
     def test_non_finite_override_rejected(self):
         with pytest.raises(ConfigError):

@@ -263,27 +263,58 @@ class TestSweepGridGuard:
 
 
 def bare_rabi_experiment(times):
-    def run(delta, rabi_error):
-        ham = first_frame_hamiltonian(BARE.with_errors(detuning=delta, rabi_error=rabi_error))
-        states = evolve_grid([ham], times, QubitState.zero())
+    def run(shot):
+        states = evolve_grid([first_frame_hamiltonian(shot)], times, QubitState.zero())
         return np.abs(states[0, :, 1]) ** 2
 
     return run
+
+
+class TestNoiseShots:
+    # a drive that already carries static errors, so each draw must add to them
+    ERRD = CFG.with_errors(detuning=0.03 * RABI, rabi_error=-0.01 * RABI)
+
+    @pytest.mark.parametrize(
+        "sigma_detuning, sigma_rabi_frac",
+        [(0.2 * RABI, 0.0), (0.0, 0.05), (0.2 * RABI, 0.05)],
+        ids=["detuning", "rabi", "both"],
+    )
+    def test_shots_add_the_seeded_draws_in_order(self, sigma_detuning, sigma_rabi_frac):
+        noise = NoiseSpec(sigma_detuning, sigma_rabi_frac, samples=5, seed=17)
+        rng = np.random.default_rng(17)
+        deltas = rng.normal(0.0, sigma_detuning, 5)
+        rabi_errors = rng.normal(0.0, sigma_rabi_frac * RABI, 5)
+        expected = [
+            self.ERRD.with_errors(
+                detuning=self.ERRD.detuning + d, rabi_error=self.ERRD.rabi_error + e
+            )
+            for d, e in zip(deltas, rabi_errors)
+        ]
+        assert noise.shots(self.ERRD) == expected
+
+    def test_zero_sigmas_give_the_drive_itself(self):
+        assert NoiseSpec(samples=8, seed=3).shots(self.ERRD) == [self.ERRD]
+
+    @pytest.mark.parametrize("axis", ["sigma_detuning", "sigma_rabi_frac"])
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_nan_or_negative_sigma_rejected(self, axis, bad):
+        with pytest.raises(ValueError, match="sigmas"):
+            NoiseSpec(**{axis: bad})
 
 
 class TestNoiseAverage:
     def test_zero_sigma_identical_to_noiseless(self):
         times = np.linspace(0.0, 2e-6, 32)[1:]
         run = bare_rabi_experiment(times)
-        noiseless = run(0.0, 0.0)
-        averaged = noise_average(run, NoiseSpec(samples=3, seed=1), RABI)
+        noiseless = run(BARE)
+        averaged = noise_average(run, NoiseSpec(samples=3, seed=1), BARE)
         assert np.array_equal(averaged, noiseless)
 
     def test_fixed_seed_reproducible(self):
         times = np.linspace(0.0, 2e-6, 32)[1:]
         run = bare_rabi_experiment(times)
         spec = NoiseSpec(sigma_detuning=0.2 * RABI, samples=16, seed=42)
-        assert np.array_equal(noise_average(run, spec, RABI), noise_average(run, spec, RABI))
+        assert np.array_equal(noise_average(run, spec, BARE), noise_average(run, spec, BARE))
 
     def test_rabi_amplitude_noise_matches_closed_form(self):
         # <P>(t) = (1 - exp(-sigma^2 t^2 / 2) cos(Omega_0 t)) / 2 for bare
@@ -292,7 +323,7 @@ class TestNoiseAverage:
         run = bare_rabi_experiment(times)
         sigma = 0.05 * RABI
         averaged = noise_average(
-            run, NoiseSpec(sigma_rabi_frac=0.05, samples=400, seed=3), RABI
+            run, NoiseSpec(sigma_rabi_frac=0.05, samples=400, seed=3), BARE
         )
         closed = 0.5 * (1.0 - np.exp(-(sigma**2) * times**2 / 2.0) * np.cos(RABI * times))
         fit_mc = fit_decaying_sinusoid(times, averaged)
@@ -313,7 +344,7 @@ class TestNoiseAverage:
         averaged = noise_average(
             bare_rabi_experiment(times),
             NoiseSpec(sigma_detuning=sigma, samples=600, seed=5),
-            RABI,
+            BARE,
         )
         fit_mc = fit_decaying_sinusoid(times, averaged)
         fit_quad = fit_decaying_sinusoid(times, quad)
@@ -325,7 +356,7 @@ class TestNoiseAverage:
         decay_times = []
         for sigma_frac in (0.15, 0.3, 0.45):
             averaged = noise_average(
-                run, NoiseSpec(sigma_detuning=sigma_frac * RABI, samples=300, seed=11), RABI
+                run, NoiseSpec(sigma_detuning=sigma_frac * RABI, samples=300, seed=11), BARE
             )
             decay_times.append(fit_decaying_sinusoid(times, averaged).decay_time)
         assert decay_times[0] > decay_times[1] > decay_times[2]
@@ -336,20 +367,17 @@ class TestNoiseAverage:
 
         noise = NoiseSpec(sigma_detuning=0.3 * RABI, samples=150, seed=11)
         bare_times = np.linspace(0.0, 8 * 2 * math.pi / RABI, 160)[1:]
-        bare_avg = noise_average(bare_rabi_experiment(bare_times), noise, RABI)
+        bare_avg = noise_average(bare_rabi_experiment(bare_times), noise, BARE)
         q_bare = quality_factor(
             fit_decaying_sinusoid(bare_times, bare_avg), math.pi / RABI
         )
 
         ccd_times = lattice_times(CFG, 48)[1:]
 
-        def ccd_run(delta, rabi_error):
-            ham = second_frame_hamiltonian(
-                CFG.with_errors(detuning=delta, rabi_error=rabi_error)
-            )
-            states = evolve_grid([ham], ccd_times, QubitState.zero())
+        def ccd_run(shot):
+            states = evolve_grid([second_frame_hamiltonian(shot)], ccd_times, QubitState.zero())
             return np.abs(states[0, :, 1]) ** 2
 
-        ccd_avg = noise_average(ccd_run, noise, RABI)
+        ccd_avg = noise_average(ccd_run, noise, CFG)
         q_ccd = quality_factor(fit_decaying_sinusoid(ccd_times, ccd_avg), math.pi / EM)
         assert q_ccd >= q_bare

@@ -77,11 +77,11 @@ class TestBatchedPrimitives:
     def test_match_per_shot_stepped_propagators(self, scheme):
         rng = np.random.default_rng(11)
         deltas, rabi_errors = rng.normal(0.0, 0.05 * RABI, size=(2, 3))
-        prims = _primitive_unitaries(scheme, CFG, deltas, rabi_errors, ROTATING_SPEC)
         base = CFG.with_scheme(scheme)
+        shots = [base.with_errors(detuning=d, rabi_error=e) for d, e in zip(deltas, rabi_errors)]
+        prims = _primitive_unitaries(shots, ROTATING_SPEC)
         build, rate, axis_offset = gate_frame(base)
-        for shot, (delta, rabi_error) in enumerate(zip(deltas, rabi_errors)):
-            errd = base.with_errors(detuning=delta, rabi_error=rabi_error)
+        for shot, errd in enumerate(shots):
             for name, prim in PRIMITIVES.items():
                 if prim.axis == "i":
                     expected = np.eye(2)
@@ -110,17 +110,13 @@ class TestPulseLevel:
         program = clifford_sequence_program(gates + [recovery], cfg)
         p_program = simulate_program([program])[0].population_up()
 
-        result = randomized_benchmarking(
-            Scheme.CMCCD, cfg, [6], 1, NoiseSpec(seed=3), static_detuning=0.0
-        )
+        result = randomized_benchmarking(Scheme.CMCCD, cfg, [6], 1, NoiseSpec(seed=3))
         # reconstruct p_up for the up-recovery from signal and the down case
         # signal = p_up(up) - p_up(down); rebuild the up case directly instead
         from ccdsim.rb import _clifford_unitaries, _primitive_unitaries
         from ccdsim.propagator import ROTATING_SPEC
 
-        prims = _primitive_unitaries(
-            Scheme.CMCCD, cfg, [cfg.detuning], [cfg.rabi_error], ROTATING_SPEC
-        )
+        prims = _primitive_unitaries([cfg], ROTATING_SPEC)
         cliff_us = _clifford_unitaries(prims)[0]
         u = np.eye(2, dtype=complex)
         for gate in gates:
@@ -135,7 +131,7 @@ class TestPulseLevel:
         for scheme in (Scheme.BARE, Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
             base = randomized_benchmarking(scheme, CFG, M_LIST, 5, NoiseSpec(seed=7))
             hurt = randomized_benchmarking(
-                scheme, CFG, M_LIST, 5, NoiseSpec(seed=7), static_detuning=0.05 * RABI
+                scheme, CFG.with_errors(detuning=0.05 * RABI), M_LIST, 5, NoiseSpec(seed=7)
             )
             drops[scheme] = base.average_gate_fidelity - hurt.average_gate_fidelity
         for scheme in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
@@ -177,31 +173,24 @@ class TestPulseLevel:
             randomized_benchmarking(Scheme.CMCCD, CFG, [], 2, NoiseSpec(seed=0))
 
 
-def looped_signal(scheme, cfg, m_list, k_randomizations, noise, *, ideal=False, **errors):
+def looped_signal(scheme, cfg, m_list, k_randomizations, noise, *, ideal=False):
     """The RB signal from one 2x2 product per gate, sequence by sequence and
-    shot by shot, with recoveries from the matrix search."""
+    shot by shot, with recoveries from the matrix search. Each shot adds its
+    own seeded draw to the static errors of ``cfg``."""
     base = cfg.with_scheme(scheme)
     rng = np.random.default_rng(noise.seed)
-    deltas = (
-        base.detuning
-        + errors.get("static_detuning", 0.0)
-        + rng.normal(0.0, noise.sigma_detuning, noise.samples)
-    )
-    rabi_errors = (
-        base.rabi_error
-        + errors.get("static_rabi_error", 0.0)
-        + rng.normal(0.0, noise.sigma_rabi_frac * base.rabi, noise.samples)
+    deltas = base.detuning + rng.normal(0.0, noise.sigma_detuning, noise.samples)
+    rabi_errors = base.rabi_error + rng.normal(
+        0.0, noise.sigma_rabi_frac * base.rabi, noise.samples
     )
     shots = []
     if ideal:
         shots.append([gate.matrix for gate in clifford_group()])
     else:
         for delta, rabi_error in zip(deltas, rabi_errors):
+            shot = base.with_errors(detuning=delta, rabi_error=rabi_error)
             prims = {
-                name: u[0]
-                for name, u in _primitive_unitaries(
-                    scheme, base, [delta], [rabi_error], ROTATING_SPEC
-                ).items()
+                name: u[0] for name, u in _primitive_unitaries([shot], ROTATING_SPEC).items()
             }
             unitaries = []
             for gate in clifford_group():
@@ -233,11 +222,12 @@ ALL_SCHEMES = [Scheme.BARE, Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD]
 DRAWS = {
     "ideal": dict(noise=NoiseSpec(seed=4), ideal=True),
     "static": dict(
-        noise=NoiseSpec(seed=4), static_detuning=0.03 * RABI, static_rabi_error=-0.02 * RABI
+        noise=NoiseSpec(seed=4),
+        cfg=CFG.with_errors(detuning=0.03 * RABI, rabi_error=-0.02 * RABI),
     ),
     "noisy": dict(
         noise=NoiseSpec(sigma_detuning=0.04 * RABI, sigma_rabi_frac=0.02, samples=3, seed=4),
-        static_detuning=0.01 * RABI,
+        cfg=CFG.with_errors(detuning=0.01 * RABI),
     ),
 }
 
@@ -248,10 +238,19 @@ class TestBatchedComposition:
     def test_matches_per_sequence_loop(self, scheme, draw):
         kwargs = dict(DRAWS[draw])
         noise = kwargs.pop("noise")
+        cfg = kwargs.pop("cfg", CFG)
         m_list = [1, 3, 8]
-        batched = randomized_benchmarking(scheme, CFG, m_list, 3, noise, **kwargs)
-        looped = looped_signal(scheme, CFG, m_list, 3, noise, **kwargs)
+        batched = randomized_benchmarking(scheme, cfg, m_list, 3, noise, **kwargs)
+        looped = looped_signal(scheme, cfg, m_list, 3, noise, **kwargs)
         assert np.max(np.abs(batched.signal - looped)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
+    def test_noiseless_shots_are_one_shot(self, scheme):
+        # without noise every shot is the drive itself, whatever noise.samples says
+        cfg = CFG.with_errors(detuning=0.03 * RABI)
+        one = randomized_benchmarking(scheme, cfg, M_LIST, 3, NoiseSpec(samples=1, seed=4))
+        eight = randomized_benchmarking(scheme, cfg, M_LIST, 3, NoiseSpec(samples=8, seed=4))
+        assert eight.signal.tobytes() == one.signal.tobytes()
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_shot_block_does_not_change_a_byte(self, monkeypatch, block):
@@ -330,9 +329,10 @@ RB_LONG = (
 def rb_long(seed):
     """The perfbench ``rb_long`` run (``ccdsim rb --static-detuning-frac 0.02``)."""
     cfg = parse_config(RB_LONG + f"seed = {seed}\n")
+    drive = cfg.drive_config()
     return randomized_benchmarking(
-        Scheme.CMCCD, cfg.drive_config(), list(cfg.cliffords), cfg.k_randomizations,
-        cfg.noise_spec(), static_detuning=0.02 * 2 * math.pi * cfg.rabi_hz,
+        Scheme.CMCCD, drive.with_errors(detuning=0.02 * 2 * math.pi * cfg.rabi_hz),
+        list(cfg.cliffords), cfg.k_randomizations, cfg.noise_spec(),
     )
 
 
@@ -344,8 +344,8 @@ FIT_RUNS = {
     **{
         f"09c-{scheme.label}{'-detuned' * hurt}": (
             lambda scheme=scheme, hurt=hurt: randomized_benchmarking(
-                scheme, CFG, ACCEPTANCE_M, 15, NoiseSpec(seed=7),
-                static_detuning=0.05 * RABI * hurt,
+                scheme, CFG.with_errors(detuning=0.05 * RABI * hurt), ACCEPTANCE_M, 15,
+                NoiseSpec(seed=7),
             )
         )
         for scheme in ALL_SCHEMES
