@@ -10,10 +10,12 @@ subcommand ignores the keys it does not read. Besides the keys there are
 only ``--axis`` (spectrum, infidelity), ``--program`` (dressed) and
 ``--ideal`` (rb).
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure,
-4 I/O error. Failures print a machine-readable JSON error record to stderr.
-No subcommand runs a worker pool: ``--threads`` and the ``threads`` key are
-accepted and validated (exit 2 on a negative count), but select nothing.
+Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
+or out of memory, 4 I/O error. Failures print a machine-readable JSON error
+record to stderr. The stepped engine spreads long intervals over up to 4
+threads, one per usable CPU, with the same bytes for any count; ``--threads``
+and the ``threads`` key are accepted and validated (exit 2 on a negative
+count), but select nothing.
 """
 from __future__ import annotations
 
@@ -440,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (IntegratorError, NormalizationError, FloatingPointError) as exc:
         _report_error("numerical", exc)
+        return 3
+    except MemoryError as exc:
+        _report_error("memory", exc)
         return 3
     except OSError as exc:
         _report_error("io", exc)

@@ -234,7 +234,8 @@ class Hamiltonian:
     """Time-dependent 2x2 Hamiltonian H(t) = hx sigma_x + hy sigma_y + hz sigma_z.
 
     ``coefficients`` maps an array of times to an (..., 3) array of real
-    Pauli coefficients; ``fastest_period`` is the shortest oscillation period
+    Pauli coefficients. The stepped propagator may call it from several
+    threads at once, so it must be a pure function of the times; ``fastest_period`` is the shortest oscillation period
     present, used by integrators to pick step sizes. ``period`` is an exact
     period of H(t), which lets the propagators power one-period unitaries:
     ``math.inf`` marks an aperiodic H, ``0.0`` a constant one (periodic with

@@ -19,7 +19,7 @@ import numpy as np
 
 from .drive import DriveConfig, Scheme, first_frame_hamiltonian, gate_frame
 from .fitting import hann_spectrum
-from .propagator import ROTATING_SPEC, IntegratorSpec, evolve, evolve_grid
+from .propagator import ROTATING_SPEC, IntegratorError, IntegratorSpec, evolve, evolve_grid
 from .pulses import PulseProgram, gate_pulse, idle_pulse, readout_pad, simulate_program
 from .qubit import BlochVector, QubitState, bloch_vector
 
@@ -60,7 +60,8 @@ class SweepGrid:
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != axes {expected}")
         if not np.all((self.values >= -1e-9) & (self.values <= 1.0 + 1e-9)):
-            raise ValueError("sweep values must lie in [0, 1]")
+            # a population outside [0, 1] is a numerical failure, not bad input
+            raise IntegratorError("sweep values must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,12 @@ u = [[a, -b*], [b, a*]] is held as its Cayley-Klein pair (a, b): a product
 is four complex multiplies, and the 2x2 form is built only for the returned
 unitaries. Steps are reduced as pairwise trees (rounding growth logarithmic
 in the step count) over chunks of at most ``_CHUNK`` steps, which bound memory.
+A chunk's tree is built from the trees of its aligned power-of-two blocks,
+which give the same bits; when an interval has several blocks they run on a
+module-level thread pool of ``_WORKERS`` threads (one per usable CPU, at most
+``_CHUNK // _BLOCK``), built on first use. The result is the same for any
+thread count, and ``Hamiltonian.coefficients`` is then called from those
+threads concurrently.
 
 ``evolve`` (with or without ``t_eval``), ``propagator_unitary`` and
 ``propagator_grid`` (with ``evolve_grid`` on top) are thin callers of one
@@ -36,7 +42,9 @@ the requested times:
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -70,6 +78,17 @@ LATTICE_TOLERANCE = 1e-12
 #: Steps per chunk, summed over the batch, when accumulating very long
 #: products (memory bound: a few MB of pairs and temporaries per chunk).
 _CHUNK = 1 << 16
+
+#: Steps per block, summed over the batch: a chunk is reduced as aligned
+#: power-of-two blocks of at most this many steps, run on the block pool.
+_BLOCK = 1 << 14
+
+#: Block pool threads: one per usable CPU, and at most _CHUNK // _BLOCK, so
+#: the steps in flight never exceed _CHUNK whatever the CPU count.
+_WORKERS = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    _CHUNK // _BLOCK,
+)
 
 # Gauss-Legendre nodes and weights of the 4th-order commutator-free scheme.
 _CF4_NODE_A = 0.5 - math.sqrt(3.0) / 6.0
@@ -204,11 +223,10 @@ def _step_unitaries(
     coefficients: Callable[[np.ndarray], np.ndarray],
     t0: float,
     h: float,
-    n_steps: int,
+    k: np.ndarray,
     method: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of the step unitaries for n uniform steps of size h from t0, steps last."""
-    k = np.arange(n_steps)
+    """Pairs of the unitaries of the uniform steps k of size h from t0, steps last."""
     if method == "midpoint":
         c = coefficients(t0 + (k + 0.5) * h)
         return su2_exp(c, h)
@@ -229,6 +247,14 @@ def _tree_product(u) -> np.ndarray:
     return u[..., 0]
 
 
+@functools.cache
+def _pool(workers: int):
+    """The block pool, built on first use so that importing starts no thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="ccdsim-block")
+
+
 def _interval_unitary(
     coefficients: Callable[[np.ndarray], np.ndarray],
     batch: tuple[int, ...],
@@ -241,21 +267,34 @@ def _interval_unitary(
 
     ``batch`` is the leading shape of ``coefficients``' output. Each chunk
     holds at most ``_CHUNK`` steps over the whole batch (at least one step),
-    which bounds memory whatever the batch.
+    which bounds memory whatever the batch. A chunk is cut into blocks of a
+    power-of-two step count B, starting at multiples of B, with at most
+    ``_BLOCK`` steps over the batch. Every level of the chunk's pairwise tree
+    below B pairs steps within one block, so the tree over the blocks' trees
+    is the chunk's tree, bit for bit, and the blocks can run on the pool.
     """
     span = t1 - t0
     if span == 0.0:
         return np.ones(batch, dtype=complex), np.zeros(batch, dtype=complex)
     n_steps = max(1, math.ceil(span / step - 1e-9))
     h = span / n_steps
-    chunk_steps = max(1, _CHUNK // math.prod(batch))
+    size = math.prod(batch)
+    chunk_steps = max(1, _CHUNK // size)
+    block = 1 << (min(chunk_steps, max(1, _BLOCK // size)).bit_length() - 1)
     total = None
-    done = 0
-    while done < n_steps:
+    for done in range(0, n_steps, chunk_steps):
         m = min(chunk_steps, n_steps - done)
-        chunk = _tree_product(_step_unitaries(coefficients, t0 + done * h, h, m, method))
+        start = t0 + done * h
+
+        def block_tree(j: int) -> np.ndarray:
+            # sample times count steps from the chunk start, as in one chunk-wide call
+            k = np.arange(j, min(j + block, m))
+            return _tree_product(_step_unitaries(coefficients, start, h, k, method))
+
+        blocks = range(0, m, block)
+        run = _pool(_WORKERS).map if len(blocks) > 1 and _WORKERS > 1 else map
+        chunk = _tree_product(np.stack(list(run(block_tree, blocks)), axis=-1))
         total = chunk if total is None else _product(chunk, total)
-        done += m
     return total
 
 

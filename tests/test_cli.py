@@ -6,12 +6,13 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccdsim import cli
+from ccdsim import cli, experiments, propagator
 from ccdsim.cli import build_parser, main
 from ccdsim.config import KEY_TYPES, RunConfig, flag, parse_config
 from ccdsim.dataset import emit_dataset
@@ -117,6 +118,39 @@ class TestConfigPrecedence:
         assert main(["selftest"]) == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["kind"] == "numerical"
+
+    @pytest.mark.parametrize(
+        "error, kind",
+        [(MemoryError, "memory"), (propagator.IntegratorError, "numerical")],
+    )
+    def test_error_in_a_pool_block_exits_3(self, tmp_path, monkeypatch, capsys, error, kind):
+        threads = []
+
+        def failing_block(*args):
+            threads.append(threading.current_thread().name)
+            raise error("cannot allocate the step unitaries")
+
+        # several blocks per stepped interval, run on the pool
+        monkeypatch.setattr(propagator, "_BLOCK", 4)
+        monkeypatch.setattr(propagator, "_WORKERS", 2)
+        monkeypatch.setattr(propagator, "_step_unitaries", failing_block)
+        out = tmp_path / "t.csv"
+        code = main(["trajectory", "--scheme", "am", "--quarter-turns", "2", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == {"kind": kind, "message": "cannot allocate the step unitaries"}
+        assert threads and all(name.startswith("ccdsim-block") for name in threads)
+
+    def test_sweep_value_outside_unit_interval_is_numerical(self, tmp_path, monkeypatch, capsys):
+        evolve_grid = experiments.evolve_grid
+        monkeypatch.setattr(experiments, "evolve_grid", lambda *args: 2.0 * evolve_grid(*args))
+        out = tmp_path / "c.csv"
+        code = main(["chevron", "--detuning-points", "2", "--durations", "4", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == {"kind": "numerical", "message": "sweep values must lie in [0, 1]"}
 
     def test_io_error_exit_code(self, tmp_path):
         code = main(

@@ -26,7 +26,7 @@ from ccdsim.experiments import (
     spectrum,
 )
 from ccdsim.fitting import dominant_frequency, fit_decaying_sinusoid
-from ccdsim.propagator import evolve_grid
+from ccdsim.propagator import IntegratorError, evolve_grid
 from ccdsim.qubit import QubitState
 
 CFG = default_config(Scheme.CMCCD)
@@ -258,7 +258,7 @@ class TestSweepGridGuard:
     def test_rejects_values_outside_unit_interval(self, bad):
         axis = AxisDef("duration", "s", np.array([0.0, 1.0]))
         values = np.array([[0.5, bad]])
-        with pytest.raises(ValueError):
+        with pytest.raises(IntegratorError, match=r"\[0, 1\]"):
             SweepGrid(x_axis=axis, y_axis=AxisDef("detuning", "rad/s", np.zeros(1)), values=values)
 
 

@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -453,3 +457,100 @@ class TestLatticePaths:
             propagator_unitary(ham, 0.0, times[-1])
         with pytest.raises(IntegratorError):
             evolve(ham, QubitState.zero(), 0.0, times[-1])
+
+
+#: chunk and block sizes at which each case below has several chunks and
+#: several blocks per chunk, partial blocks included
+SMALL = (1 << 12, 1 << 10)
+DEFAULT = (propagator._CHUNK, propagator._BLOCK)
+OFF_LATTICE = np.array([0.37, 1.9, 3.3])  # in modulation periods: stepped
+
+
+def _lab_trace():
+    ham = lab_hamiltonian(default_config(Scheme.CMCCD))
+    return propagator_unitary(ham, 0.0, 2e-8, LAB_SPEC)  # 10,976 steps
+
+
+def _first_frame_rows():
+    base = default_config(Scheme.CMCCD)
+    hams = [
+        first_frame_hamiltonian(base.with_errors(detuning=d * RABI))
+        for d in np.linspace(-0.3, 0.3, 41)
+    ]
+    return propagator.propagator_grid(hams, OFF_LATTICE * base.mod_period)
+
+
+def _second_frame_batch():
+    base = default_config(Scheme.AMCCD)
+    return propagator.propagator_grid(
+        _random_hamiltonians(Scheme.AMCCD, second_frame_hamiltonian, 256, seed=13),
+        OFF_LATTICE[:2] * base.mod_period,  # chunks of 256 steps, blocks of 64
+    )
+
+
+class TestBlockPool:
+    @pytest.mark.parametrize(
+        "compute, sizes",
+        [(_lab_trace, SMALL), (_first_frame_rows, SMALL), (_second_frame_batch, DEFAULT)],
+        ids=["lab", "first_frame_41_rows", "second_frame_256"],
+    )
+    def test_any_worker_count_gives_the_same_bytes(self, monkeypatch, compute, sizes):
+        chunk, block = sizes
+        monkeypatch.setattr(propagator, "_CHUNK", chunk)
+        # one block per chunk reduces each chunk in one tree, as unblocked stepping did
+        monkeypatch.setattr(propagator, "_BLOCK", chunk)
+        monkeypatch.setattr(propagator, "_WORKERS", 1)
+        reference = compute().tobytes()
+        monkeypatch.setattr(propagator, "_BLOCK", block)
+        threads = set()
+        inner = propagator._step_unitaries
+
+        def spy(*args):
+            threads.add(threading.current_thread().name)
+            return inner(*args)
+
+        monkeypatch.setattr(propagator, "_step_unitaries", spy)
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(propagator, "_WORKERS", workers)
+            threads.clear()
+            assert compute().tobytes() == reference, workers
+            on_pool = {name for name in threads if name.startswith("ccdsim-block")}
+            assert bool(on_pool) == (workers > 1) and len(on_pool) <= workers
+
+    def test_steps_in_flight_never_exceed_the_chunk(self, monkeypatch):
+        base = default_config(Scheme.CMCCD)
+        hams = [first_frame_hamiltonian(base.with_errors(detuning=d * RABI)) for d in (-0.2, 0.0, 0.15)]
+        lock, in_flight, peak = threading.Lock(), [0], [0]
+        inner = propagator._step_unitaries
+
+        def spy(coefficients, t0, h, k, method):
+            steps = len(hams) * k.size
+            with lock:
+                in_flight[0] += steps
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                time.sleep(0.002)  # hold each block so that concurrent blocks overlap
+                return inner(coefficients, t0, h, k, method)
+            finally:
+                with lock:
+                    in_flight[0] -= steps
+
+        chunk, block = SMALL
+        monkeypatch.setattr(propagator, "_CHUNK", chunk)
+        monkeypatch.setattr(propagator, "_BLOCK", block)
+        monkeypatch.setattr(propagator, "_WORKERS", chunk // block)
+        monkeypatch.setattr(propagator, "_step_unitaries", spy)
+        times = np.array([0.37, 9.9]) * base.mod_period  # chunks of 1,365 steps x 3
+        propagator.propagator_grid(hams, times)
+        # blocks of 256 steps x 3, the largest power of two <= block // 3: they overlapped
+        assert 256 * len(hams) < peak[0] <= chunk
+        assert in_flight[0] == 0
+
+
+def test_importing_the_cli_starts_no_pool():
+    probe = "import sys, ccdsim.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -146,6 +146,16 @@ def test_tree_product_matches_ordered_matrix_product(pairs):
 
 
 @PROPERTY
+@given(step_pairs(), st.integers(0, 6))
+def test_tree_product_is_the_tree_of_its_aligned_block_trees(pairs, log_block):
+    # the stepped core reduces a chunk as the tree over its blocks' trees
+    u, block = np.asarray(pairs), 1 << log_block
+    blocks = [propagator._tree_product(u[..., j : j + block]) for j in range(0, u.shape[-1], block)]
+    whole = propagator._tree_product(u)
+    assert propagator._tree_product(np.stack(blocks, axis=-1)).tobytes() == whole.tobytes()
+
+
+@PROPERTY
 @given(
     st.floats(0.0, math.pi),
     st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 0.1),
