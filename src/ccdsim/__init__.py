@@ -4,11 +4,10 @@ Modules
 -------
 qubit        SU(2) states, Pauli/axis operators, Bloch conversion, fidelity
 drive        CCD drive model: lab / first / second frame Hamiltonians, frames, I/Q
-propagator   unitary integrators (exponential midpoint, 4th-order commutator-free)
+propagator   4th-order commutator-free unitary propagation, closed-form and Floquet paths
 pulses       pulse segments, programs, compilation, readout matching
 clifford     the 24-element Clifford group over x/y primitive pulses
-fitting      spectral peak estimation, decaying-sinusoid fits
-experiments  chevrons, error sweeps, spectra, trajectories, presets, noise
+experiments  chevrons, error sweeps, Hann spectra, trajectories, presets, noise
 rb           Clifford randomized benchmarking
 config       run configuration (key = value format)
 dataset      deterministic CSV/JSON dataset serialization

@@ -53,7 +53,7 @@ from .experiments import (
     rabi_error_sweep,
     spectrum,
 )
-from .propagator import IntegratorError, IntegratorSpec, evolve
+from .propagator import IntegratorError, evolve
 from .pulses import readout_pad, require_gate_lattice
 from .qubit import NormalizationError, QubitState, state_fidelity
 from .rb import randomized_benchmarking
@@ -293,7 +293,6 @@ def _selftest_checks():
         return None
 
     def check_frame_equivalence():
-        cf4 = IntegratorSpec(method="cf4")
         for _ in range(5):
             scheme = rng.choice([Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD])
             cfg = default_config(
@@ -302,8 +301,8 @@ def _selftest_checks():
                 rabi_error=float(rng.uniform(-0.1, 0.1)) * default_config(scheme).rabi,
             )
             t1 = 2.0 * math.pi / cfg.mod_strength
-            first = evolve(first_frame_hamiltonian(cfg), QubitState.zero(), 0.0, t1, cf4)
-            second = evolve(second_frame_hamiltonian(cfg), QubitState.zero(), 0.0, t1, cf4)
+            first = evolve(first_frame_hamiltonian(cfg), QubitState.zero(), 0.0, t1)
+            second = evolve(second_frame_hamiltonian(cfg), QubitState.zero(), 0.0, t1)
             fidelity = state_fidelity(to_second_frame(first, cfg, t1), second)
             if fidelity < 1.0 - 1e-8:
                 return f"{scheme.label}: frame fidelity {fidelity}"

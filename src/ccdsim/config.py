@@ -87,9 +87,9 @@ class RunConfig:
     def drive_config(self) -> DriveConfig:
         rabi = TWO_PI * self.rabi_hz
         return DriveConfig(
-            omega_L=TWO_PI * (self.carrier_hz + self.detuning_hz),
             omega_mw=TWO_PI * self.carrier_hz,
             rabi=rabi,
+            detuning=TWO_PI * self.detuning_hz,
             rabi_error=self.rabi_error_frac * rabi,
             mod_strength=self.mod_ratio * rabi,
             mod_phase=self.mod_phase,
@@ -189,6 +189,8 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
         fail("noise_detuning_sigma_hz", "noise sigmas must be >= 0")
     if cfg.sample_rate_hz <= 0:
         fail("sample_rate_hz", "sample_rate_hz must be positive")
+    if cfg.gate_angle <= 0:
+        fail("gate_angle", "gate_angle must be positive")
     if matched is not Scheme.parse(cfg.scheme):
         # explicit alphas win, so the scheme every subcommand reads must be theirs
         cfg = replace(cfg, scheme=matched.label)

@@ -7,7 +7,7 @@ I/Q envelopes for waveform export.
 
 Conventions (hbar = 1, all frequencies angular, rad/s):
 
-    H_lab(t)  = (omega_L/2) sigma_z + W(t) sigma_x
+    H_lab(t)  = (omega_L/2) sigma_z + W(t) sigma_x,   omega_L = omega_mw + delta
     W(t)      = (rabi + rabi_error) [cos(carrier + p(t)) + a(t) sin(carrier + p(t))]
     carrier   = omega_mw t + mw_phase
     p(t)      = -(2 alpha_P eps_m / rabi) sin(rabi t - mod_phase)
@@ -119,12 +119,13 @@ class DriveConfig:
 
     Attributes
     ----------
-    omega_L : float
-        Qubit Larmor frequency (rad/s).
     omega_mw : float
         Microwave carrier frequency (rad/s).
     rabi : float
         Nominal Rabi frequency Omega_0 > 0 (rad/s).
+    detuning : float
+        Static detuning delta = omega_L - omega_mw of the qubit Larmor
+        frequency from the carrier (rad/s), stored as given.
     rabi_error : float
         Static Rabi-frequency error Delta_Omega (rad/s).
     mod_strength : float
@@ -138,9 +139,9 @@ class DriveConfig:
         or both are zero (bare qubit).
     """
 
-    omega_L: float
     omega_mw: float
     rabi: float
+    detuning: float = 0.0
     rabi_error: float = 0.0
     mod_strength: float = 0.0
     mod_phase: float = math.pi / 2
@@ -166,9 +167,9 @@ class DriveConfig:
             )
 
     @property
-    def detuning(self) -> float:
-        """delta = omega_L - omega_mw (rad/s)."""
-        return self.omega_L - self.omega_mw
+    def omega_L(self) -> float:
+        """Qubit Larmor frequency omega_mw + delta (rad/s); only the lab frame reads it."""
+        return self.omega_mw + self.detuning
 
     @property
     def scheme(self) -> Scheme:
@@ -190,7 +191,7 @@ class DriveConfig:
         """Copy with the detuning and/or Rabi error replaced."""
         kwargs = {}
         if detuning is not None:
-            kwargs["omega_L"] = self.omega_mw + detuning
+            kwargs["detuning"] = detuning
         if rabi_error is not None:
             kwargs["rabi_error"] = rabi_error
         return replace(self, **kwargs)
@@ -215,11 +216,11 @@ def default_config(
     mw_phase: float = 0.0,
     omega_mw: float = DEFAULT_CARRIER,
 ) -> DriveConfig:
-    """Reference preset: eps_m = rabi * mod_ratio, omega_L = omega_mw + detuning."""
+    """Reference preset: eps_m = rabi * mod_ratio."""
     return DriveConfig(
-        omega_L=omega_mw + detuning,
         omega_mw=omega_mw,
         rabi=rabi,
+        detuning=detuning,
         rabi_error=rabi_error,
         mod_strength=0.0 if scheme is Scheme.BARE else mod_ratio * rabi,
         mod_phase=mod_phase,
@@ -235,17 +236,17 @@ class Hamiltonian:
 
     ``coefficients`` maps an array of times to an (..., 3) array of real
     Pauli coefficients. The stepped propagator may call it from several
-    threads at once, so it must be a pure function of the times; ``fastest_period`` is the shortest oscillation period
-    present, used by integrators to pick step sizes. ``period`` is an exact
-    period of H(t), which lets the propagators power one-period unitaries:
-    ``math.inf`` marks an aperiodic H, ``0.0`` a constant one (periodic with
-    every period). Instances are callable: ``h(t)`` returns the Hermitian
-    matrix at time ``t``.
+    threads at once, so it must be a pure function of the times.
+    ``fastest_period`` is the shortest oscillation period present, used by
+    integrators to pick step sizes. ``period`` is an exact period of H(t),
+    which lets the propagators power one-period unitaries: ``math.inf`` marks
+    an aperiodic H, ``0.0`` a constant one (periodic with every period).
+    Instances are callable: ``h(t)`` returns the Hermitian matrix at time
+    ``t``.
     """
 
     coefficients: Callable[[np.ndarray], np.ndarray]
     fastest_period: float
-    label: str = ""
     period: float = math.inf
 
     def matrix(self, t: float) -> np.ndarray:
@@ -301,7 +302,7 @@ def lab_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
         out[..., 2] = cfg.omega_L / 2.0
         return out
 
-    return Hamiltonian(coeffs, _fastest_period(cfg, lab=True), "lab")
+    return Hamiltonian(coeffs, _fastest_period(cfg, lab=True))
 
 
 def first_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
@@ -333,7 +334,6 @@ def first_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
     return Hamiltonian(
         coeffs,
         _fastest_period(cfg, lab=False),
-        "first-frame",
         0.0 if constant else cfg.mod_period,
     )
 
@@ -380,7 +380,6 @@ def second_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
     return Hamiltonian(
         coeffs,
         _fastest_period(cfg, lab=False),
-        "second-frame",
         0.0 if constant else cfg.mod_period,
     )
 

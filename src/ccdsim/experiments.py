@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .drive import DriveConfig, Scheme, first_frame_hamiltonian, gate_frame
-from .fitting import hann_spectrum
 from .propagator import ROTATING_SPEC, IntegratorError, IntegratorSpec, evolve, evolve_grid
 from .pulses import PulseProgram, gate_pulse, idle_pulse, readout_pad, simulate_program
 from .qubit import BlochVector, QubitState, bloch_vector
@@ -31,6 +30,7 @@ __all__ = [
     "NoiseSpec",
     "chevron_sweep",
     "rabi_error_sweep",
+    "hann_spectrum",
     "spectrum",
     "infidelity_curve",
     "bloch_trajectory",
@@ -182,6 +182,34 @@ def rabi_error_sweep(
     """Spin-up fraction vs (static Rabi error, duration) at zero detuning."""
     base = cfg.with_scheme(scheme).with_errors(detuning=0.0)
     return _duration_sweep(base, "rabi_error", rabi_error_grid, duration_grid, spec)
+
+
+def _check_uniform(times: np.ndarray) -> float:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 4:
+        raise ValueError("need a 1-D time grid with at least 4 points")
+    steps = np.diff(times)
+    dt = float(steps[0])
+    if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-9 * dt):
+        raise ValueError("time grid must be uniform and increasing")
+    return dt
+
+
+def hann_spectrum(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude spectrum of mean-removed, Hann-windowed data.
+
+    ``values`` may be 1-D or (rows, n); the transform runs along the last
+    axis. Returns (frequencies in Hz spanning [0, fs/2], magnitudes).
+    """
+    dt = _check_uniform(times)
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] != times.size:
+        raise ValueError("values last axis must match the time grid")
+    window = np.hanning(times.size)
+    centered = values - values.mean(axis=-1, keepdims=True)
+    mags = np.abs(np.fft.rfft(centered * window, axis=-1))
+    freqs = np.fft.rfftfreq(times.size, dt)
+    return freqs, mags
 
 
 def spectrum(grid: SweepGrid) -> SpectrumGrid:

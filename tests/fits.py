@@ -1,9 +1,15 @@
-"""Spectral peak estimation and decaying-sinusoid fitting.
+"""Spectral peak estimation and decaying-sinusoid fits used by the tests.
 
-The dominant-frequency estimator removes the mean, applies a Hann window,
-and refines the magnitude-spectrum peak by parabolic interpolation on the
-log magnitude (ties break toward lower frequency), which matches how peak
-positions are read off measured Fourier maps while staying deterministic.
+The package itself fits nothing but the RB decay (``rb``); these helpers read
+frequencies and decay times off simulated records for the acceptance and
+experiment tests. ``fit_decaying_sinusoid`` needs scipy, which the package
+does not depend on.
+
+The dominant-frequency estimator removes the mean, applies a Hann window
+(``experiments.hann_spectrum``), and refines the magnitude-spectrum peak by
+parabolic interpolation on the log magnitude (ties break toward lower
+frequency), which matches how peak positions are read off measured Fourier
+maps while staying deterministic.
 """
 from __future__ import annotations
 
@@ -12,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ccdsim.experiments import hann_spectrum
+
 __all__ = [
     "FitResult",
-    "hann_spectrum",
     "dominant_frequency",
     "fit_decaying_sinusoid",
     "quality_factor",
@@ -27,34 +34,6 @@ DECAY_SENTINEL_FACTOR = 50.0
 
 #: Upper bound on the decay time during fitting, as a multiple of the span.
 _DECAY_BOUND_FACTOR = 1e4
-
-
-def _check_uniform(times: np.ndarray) -> float:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 4:
-        raise ValueError("need a 1-D time grid with at least 4 points")
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-9 * dt):
-        raise ValueError("time grid must be uniform and increasing")
-    return dt
-
-
-def hann_spectrum(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude spectrum of mean-removed, Hann-windowed data.
-
-    ``values`` may be 1-D or (rows, n); the transform runs along the last
-    axis. Returns (frequencies in Hz spanning [0, fs/2], magnitudes).
-    """
-    dt = _check_uniform(times)
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] != times.size:
-        raise ValueError("values last axis must match the time grid")
-    window = np.hanning(times.size)
-    centered = values - values.mean(axis=-1, keepdims=True)
-    mags = np.abs(np.fft.rfft(centered * window, axis=-1))
-    freqs = np.fft.rfftfreq(times.size, dt)
-    return freqs, mags
 
 
 def dominant_frequency(times: np.ndarray, values: np.ndarray) -> float:

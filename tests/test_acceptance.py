@@ -42,7 +42,6 @@ from ccdsim.experiments import (
     lattice_times,
     rabi_error_sweep,
 )
-from ccdsim.fitting import dominant_frequency, fit_decaying_sinusoid
 from ccdsim.propagator import (
     IntegratorSpec,
     evolve,
@@ -52,9 +51,11 @@ from ccdsim.propagator import (
 from ccdsim.qubit import QubitState, state_fidelity
 from ccdsim.rb import randomized_benchmarking
 
+from fits import dominant_frequency, fit_decaying_sinusoid
+
 RABI = 2 * math.pi * 3.6e6
 FIG8_RABI = 2 * math.pi * 2.2e6
-LAB_CF4 = IntegratorSpec(method="cf4", steps_per_fastest_period=40)
+LAB_CF4 = IntegratorSpec(steps_per_fastest_period=40)
 
 
 def report(name: str, detail: str = "") -> None:

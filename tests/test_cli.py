@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -487,6 +488,13 @@ class TestSubcommands:
         assert record["error"]["kind"] == "config"
         assert str(cli.MAX_IQ_SAMPLES) in record["error"]["message"]
 
+    @pytest.mark.parametrize("angle", ["-1", "0"])
+    def test_iq_export_refuses_non_positive_gate_angle(self, tmp_path, capsys, angle):
+        out = tmp_path / "iq.csv"
+        assert main(["iq-export", f"--gate-angle={angle}", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
     def test_dressed_rejects_off_lattice_mod_ratio(self, tmp_path):
         code = main(
             [
@@ -597,6 +605,13 @@ def test_no_cli_run_imports_scipy(tmp_path, name):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        dependencies = tomllib.load(handle)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in dependencies] == ["numpy"]
 
 
 #: arguments that perfbench/tracer.py binds by name to count a call's work; a

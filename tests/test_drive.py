@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ccdsim.config import parse_config
 from ccdsim.drive import (
     DriveConfig,
     Scheme,
@@ -37,13 +38,13 @@ class TestDriveConfig:
 
     def test_alpha_constraint_enforced(self):
         with pytest.raises(ValueError):
-            DriveConfig(omega_L=1.0, omega_mw=1.0, rabi=1.0, alpha_A=0.7, alpha_P=0.7)
+            DriveConfig(omega_mw=1.0, rabi=1.0, alpha_A=0.7, alpha_P=0.7)
         with pytest.raises(ValueError):
-            DriveConfig(omega_L=1.0, omega_mw=1.0, rabi=1.0, alpha_A=0.3, alpha_P=0.0)
+            DriveConfig(omega_mw=1.0, rabi=1.0, alpha_A=0.3, alpha_P=0.0)
 
     def test_rabi_must_be_positive(self):
         with pytest.raises(ValueError):
-            DriveConfig(omega_L=1.0, omega_mw=1.0, rabi=0.0)
+            DriveConfig(omega_mw=1.0, rabi=0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -58,12 +59,12 @@ class TestDriveConfig:
         with pytest.raises(ValueError, match="finite"):
             make(Scheme.CMCCD, **kwargs)
 
-    def test_detuning_is_derived(self):
-        # stored as absolute omega_L; reconstructing a small detuning from the
-        # 15 GHz carrier costs ~1e-11 relative rounding, far below any physics
-        cfg = make(Scheme.CMCCD, detuning=TWO_PI * 1e5)
-        assert cfg.detuning == pytest.approx(TWO_PI * 1e5, rel=1e-9)
-        assert cfg.detuning == cfg.omega_L - cfg.omega_mw
+    def test_detuning_is_stored_exactly(self):
+        # stored as given: rebuilt as omega_L - omega_mw it would be rounded
+        # by ~1e-11 relative against the 15 GHz carrier
+        drive = parse_config("detuning_hz = 44000\n").drive_config()
+        assert drive.detuning == TWO_PI * 44000
+        assert drive.omega_L == drive.omega_mw + drive.detuning
 
     def test_dressed_needs_modulation_and_a_ccd_scheme(self):
         assert make(Scheme.CMCCD).dressed and make(Scheme.AMCCD).dressed
@@ -270,7 +271,7 @@ class TestFrameTransforms:
         from ccdsim.qubit import QubitState
 
         rng = np.random.default_rng(int(ratio))
-        lab_spec = IntegratorSpec(method="cf4", steps_per_fastest_period=40)
+        lab_spec = IntegratorSpec(steps_per_fastest_period=40)
         for _ in range(2):
             scheme = [Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD][int(rng.integers(3))]
             cfg = make(scheme, omega_mw=ratio * RABI, mw_phase=float(rng.uniform(0, 2 * np.pi)))

@@ -25,9 +25,10 @@ from ccdsim.experiments import (
     rabi_error_sweep,
     spectrum,
 )
-from ccdsim.fitting import dominant_frequency, fit_decaying_sinusoid
 from ccdsim.propagator import IntegratorError, evolve_grid
 from ccdsim.qubit import QubitState
+
+from fits import dominant_frequency, fit_decaying_sinusoid
 
 CFG = default_config(Scheme.CMCCD)
 BARE = default_config(Scheme.BARE)
@@ -363,7 +364,7 @@ class TestNoiseAverage:
 
     def test_ccd_outlives_bare_in_gate_units(self):
         # equal quasi-static detuning noise: Q = T2 / T_pi favors the dressed drive
-        from ccdsim.fitting import quality_factor
+        from fits import quality_factor
 
         noise = NoiseSpec(sigma_detuning=0.3 * RABI, samples=150, seed=11)
         bare_times = np.linspace(0.0, 8 * 2 * math.pi / RABI, 160)[1:]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ccdsim.fitting import (
+from ccdsim.experiments import hann_spectrum
+
+from fits import (
     DECAY_SENTINEL_FACTOR,
     dominant_frequency,
     fit_decaying_sinusoid,
-    hann_spectrum,
     quality_factor,
 )
 

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from ccdsim import propagator
 from ccdsim.drive import (
+    Hamiltonian,
     Scheme,
     default_config,
     first_frame_hamiltonian,
@@ -22,9 +23,9 @@ from ccdsim.propagator import (
     ROTATING_SPEC,
     IntegratorError,
     IntegratorSpec,
-    as_hamiltonian,
     evolve,
     evolve_grid,
+    propagator_grid,
     propagator_unitary,
     richardson_check,
     su2_exp,
@@ -39,6 +40,12 @@ def matrix(pair):
     """[[a, -b*], [b, a*]] for a Cayley-Klein pair (a, b) of arrays."""
     a, b = np.asarray(pair[0]), np.asarray(pair[1])
     return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
+
+
+def constant(h, fastest_period=math.inf):
+    """The aperiodic (so stepped) Hamiltonian of the constant Hermitian 2x2 ``h``."""
+    coeffs = np.array([h[1, 0].real, h[1, 0].imag, (h[0, 0] - h[1, 1]).real / 2.0])
+    return Hamiltonian(lambda t: np.broadcast_to(coeffs, np.shape(t) + (3,)), fastest_period)
 
 
 def rabi_population(rabi, delta, t):
@@ -66,13 +73,13 @@ class TestSu2Exp:
 
 class TestEvolve:
     def test_zero_hamiltonian_leaves_state(self):
-        ham = as_hamiltonian(lambda t: np.zeros((2, 2), dtype=complex), fastest_period=1.0)
+        ham = constant(np.zeros((2, 2), dtype=complex), fastest_period=1.0)
         out = evolve(ham, QubitState.plus(), 0.0, 3.0)
         assert state_fidelity(out, QubitState.plus()) == pytest.approx(1.0, abs=1e-14)
 
     def test_constant_pi_pulse(self):
         omega = RABI
-        ham = as_hamiltonian(lambda t: omega / 2 * SIGMA_X, fastest_period=2 * math.pi / omega)
+        ham = constant(omega / 2 * SIGMA_X, fastest_period=2 * math.pi / omega)
         out = evolve(ham, QubitState.zero(), 0.0, math.pi / omega)
         assert state_fidelity(out, QubitState.one()) >= 1.0 - 1e-10
 
@@ -94,14 +101,31 @@ class TestEvolve:
             assert state_fidelity(state, single) >= 1.0 - 1e-9
 
     def test_rejects_reversed_interval(self):
-        ham = as_hamiltonian(lambda t: SIGMA_X, fastest_period=1.0)
+        ham = constant(SIGMA_X, fastest_period=1.0)
         with pytest.raises(ValueError):
             evolve(ham, QubitState.zero(), 1.0, 0.0)
 
     def test_requires_step_information(self):
-        ham = as_hamiltonian(lambda t: SIGMA_X)  # no period, unbounded step
+        ham = constant(SIGMA_X)  # no period, unbounded step
         with pytest.raises(IntegratorError):
             evolve(ham, QubitState.zero(), 0.0, 1.0)
+
+
+class TestTimeChecks:
+    HAM = second_frame_hamiltonian(default_config(Scheme.CMCCD, detuning=0.05 * RABI))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: evolve(h, QubitState.zero(), math.nan, 1e-6),
+            lambda h: propagator_unitary(h, 0.0, math.inf),
+            lambda h: propagator_grid([h], [0.0, math.inf]),
+        ],
+        ids=["evolve-nan-t0", "unitary-inf-t1", "grid-inf-time"],
+    )
+    def test_non_finite_time_is_refused(self, call):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(self.HAM)
 
 
 class TestPropagatorUnitary:
@@ -112,7 +136,7 @@ class TestPropagatorUnitary:
 
     def test_constant_hamiltonian_matches_expm(self):
         h = 0.8 * SIGMA_X + 0.3 * np.diag([1.0, -1.0])
-        ham = as_hamiltonian(lambda t: h, fastest_period=2 * math.pi)
+        ham = constant(h, fastest_period=2 * math.pi)
         u = propagator_unitary(ham, 0.0, 1.3)
         assert np.allclose(u, expm(-1.3j * h), atol=1e-12)
 
@@ -156,31 +180,27 @@ class TestAccuracy:
                 _, gap = richardson_check(build(cfg), QubitState.zero(), 0.0, gate_time)
                 assert gap <= 1e-8
 
-    def test_cf4_is_higher_order_than_midpoint(self):
+    def test_cf4_is_fourth_order(self):
         cfg = default_config(Scheme.PMCCD, detuning=0.11 * RABI, mw_phase=0.3)
         ham = first_frame_hamiltonian(cfg)
         t1 = 3 * cfg.mod_period
         reference = evolve(
-            ham, QubitState.zero(), 0.0, t1, IntegratorSpec(method="cf4", steps_per_fastest_period=6400)
+            ham, QubitState.zero(), 0.0, t1, IntegratorSpec(steps_per_fastest_period=6400)
         )
 
         def error(spec):
             out = evolve(ham, QubitState.zero(), 0.0, t1, spec)
             return np.abs(out.amplitudes - reference.amplitudes).max()
 
-        mid_coarse = error(IntegratorSpec(method="midpoint", steps_per_fastest_period=100))
-        mid_fine = error(IntegratorSpec(method="midpoint", steps_per_fastest_period=200))
-        cf4_coarse = error(IntegratorSpec(method="cf4", steps_per_fastest_period=100))
-        cf4_fine = error(IntegratorSpec(method="cf4", steps_per_fastest_period=200))
-        assert 2.5 < mid_coarse / mid_fine < 6.0  # ~ h^2
+        cf4_coarse = error(IntegratorSpec(steps_per_fastest_period=100))
+        cf4_fine = error(IntegratorSpec(steps_per_fastest_period=200))
         assert 11.0 < cf4_coarse / cf4_fine < 21.0  # ~ h^4
-        assert cf4_coarse < mid_coarse / 50.0
 
     def test_two_methods_agree(self):
         cfg = default_config(Scheme.AMCCD, detuning=0.02 * RABI)
         ham = second_frame_hamiltonian(cfg)
         mid = evolve(ham, QubitState.zero(), 0.0, 1e-6, IntegratorSpec(steps_per_fastest_period=800))
-        cf4 = evolve(ham, QubitState.zero(), 0.0, 1e-6, IntegratorSpec(method="cf4"))
+        cf4 = evolve(ham, QubitState.zero(), 0.0, 1e-6, IntegratorSpec())
         assert state_fidelity(mid, cf4) >= 1.0 - 1e-9
 
 
@@ -233,10 +253,6 @@ class TestSpecValidation:
     def test_minimum_steps_per_period(self):
         with pytest.raises(ValueError):
             IntegratorSpec(steps_per_fastest_period=10)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            IntegratorSpec(method="rk4")
 
     def test_lab_spec_default(self):
         assert LAB_SPEC.steps_per_fastest_period == 40
@@ -427,14 +443,11 @@ class TestLatticePaths:
         period = cfg.mod_period
         times = np.arange(4) * period
         aperiodic = replace(second_frame_hamiltonian(cfg), period=math.inf)
-        wrapped = as_hamiltonian(aperiodic.matrix, fastest_period=aperiodic.fastest_period)
         assert lab_hamiltonian(cfg).period == math.inf
-        assert wrapped.period == math.inf
-        for ham in (aperiodic, wrapped):
-            evolve_grid([ham], times, QubitState.zero())
-            evolve(ham, QubitState.zero(), 0.0, 2 * period)
-            propagator_unitary(ham, period, 3 * period)
-        assert spy.paths == [False] * 6
+        evolve_grid([aperiodic], times, QubitState.zero())
+        evolve(aperiodic, QubitState.zero(), 0.0, 2 * period)
+        propagator_unitary(aperiodic, period, 3 * period)
+        assert spy.paths == [False] * 3
 
     def test_mixed_periods_in_batch_step(self, monkeypatch):
         spy = _PathSpy(monkeypatch)
@@ -523,14 +536,14 @@ class TestBlockPool:
         lock, in_flight, peak = threading.Lock(), [0], [0]
         inner = propagator._step_unitaries
 
-        def spy(coefficients, t0, h, k, method):
+        def spy(coefficients, t0, h, k):
             steps = len(hams) * k.size
             with lock:
                 in_flight[0] += steps
                 peak[0] = max(peak[0], in_flight[0])
             try:
                 time.sleep(0.002)  # hold each block so that concurrent blocks overlap
-                return inner(coefficients, t0, h, k, method)
+                return inner(coefficients, t0, h, k)
             finally:
                 with lock:
                     in_flight[0] -= steps

@@ -205,6 +205,7 @@ RESTRICTED = {
     "noise_detuning_sigma_hz": non_negative,
     "noise_rabi_sigma_frac": non_negative,
     "sample_rate_hz": positive,
+    "gate_angle": positive,
     "threads": st.integers(0, 2**64),
     "format": st.sampled_from(["csv", "json"]),
     "dressed_kind": st.sampled_from(["ccd_rabi", "ccd_ramsey", "two_axis"]),

@@ -159,7 +159,7 @@ class TestSimulate:
             ],
             cfg,
         )
-        spec = IntegratorSpec(method="cf4", steps_per_fastest_period=400)
+        spec = IntegratorSpec(steps_per_fastest_period=400)
         first = simulate_program([program], frame="first", spec=spec)[0]
         second = simulate_program([program], frame="second", spec=spec)[0]
         assert first.population_up() == pytest.approx(second.population_up(), abs=1e-9)
@@ -186,7 +186,7 @@ class TestSimulate:
             elapsed += seg.duration
         segments.append(readout_pad(elapsed, cfg))
         program = PulseProgram(segments, cfg)
-        spec = IntegratorSpec(method="cf4", steps_per_fastest_period=400)
+        spec = IntegratorSpec(steps_per_fastest_period=400)
         first = simulate_program([program], frame="first", spec=spec)[0]
         second = simulate_program([program], frame="second", spec=spec)[0]
         assert first.population_up() == pytest.approx(second.population_up(), abs=1e-9)
