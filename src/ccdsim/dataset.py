@@ -1,19 +1,27 @@
 """Dataset container and deterministic CSV/JSON serialization.
 
 CSV files carry ``# key=value`` metadata lines, then a header row, then one
-row per grid point (axis columns followed by value columns). JSON files are
-a single object {meta, axes, value_names, values}. Numbers are written as
-shortest round-trip decimals and metadata keys are sorted, so identical
-inputs serialize to identical bytes. Files are written to a temporary name
-and atomically renamed, so partial output is never left behind.
+row per grid point (axis columns followed by value columns), with the first
+axis varying slowest. JSON files are a single object {meta, axes,
+value_names, values}. Numbers are written as shortest round-trip decimals
+and metadata keys are sorted, so identical inputs serialize to identical
+bytes; a metadata key or value may not hold a line break. Files are written
+to a temporary name and atomically renamed, so partial output is never left
+behind.
+
+The CSV body is rendered column by column: each axis value is rendered once
+and repeated into row order, and each value column is rendered in blocks of
+``_BLOCK_ROWS`` rows, which are joined into lines and encoded block by block.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -22,6 +30,9 @@ from .experiments import AxisDef
 __all__ = ["Dataset", "emit_dataset", "write_dataset", "config_hash", "TOOL_VERSION"]
 
 TOOL_VERSION = "ccdsim 0.1.0"
+
+#: CSV rows rendered, joined and encoded together
+_BLOCK_ROWS = 1024
 
 
 def config_hash(config_text: str) -> str:
@@ -38,6 +49,15 @@ def _render(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
+
+
+def _render_column(values: np.ndarray) -> list[str]:
+    """``_render`` of each element of a 1-D array, without a call per element
+    for float and integer dtypes."""
+    if values.dtype.kind in "fiu" and values.dtype.itemsize <= 8:
+        # tolist gives Python floats and ints, whose repr is what _render writes
+        return list(map(repr, values.tolist()))
+    return [_render(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -73,6 +93,9 @@ class Dataset:
             out[f"meta.{key}"] = _render(value)
         for lineno, line in enumerate(self.config_text.splitlines()):
             out[f"config.{lineno:03d}"] = line
+        for key, value in out.items():
+            if any(brk in key or brk in value for brk in "\r\n"):
+                raise ValueError(f"metadata {key!r} holds a line break")
         return out
 
 
@@ -90,14 +113,22 @@ def _emit_csv(data: Dataset) -> bytes:
     columns = [f"{ax.name}_{ax.units}".replace("/", "_per_") for ax in data.axes]
     columns += list(data.value_names)
     lines.append(",".join(columns))
-    grids = np.meshgrid(*[ax.values for ax in data.axes], indexing="ij") if data.axes else []
-    flat_axes = [g.reshape(-1) for g in grids]
+    parts = [("\n".join(lines) + "\n").encode("utf-8")]
     flat_values = data.values.reshape(-1, len(data.value_names))
-    for i in range(flat_values.shape[0]):
-        cells = [_render(col[i]) for col in flat_axes]
-        cells += [_render(v) for v in flat_values[i]]
-        lines.append(",".join(cells))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    # axis j in indexing="ij" row order: each value repeated once per point of
+    # the later axes, the whole run once per point of the earlier ones
+    lengths = [ax.values.size for ax in data.axes]
+    axis_columns = []
+    for j, ax in enumerate(data.axes):
+        inner, outer = math.prod(lengths[j + 1 :]), math.prod(lengths[:j])
+        rendered = _render_column(ax.values.reshape(-1))
+        axis_columns.append(list(chain.from_iterable(repeat(r, inner) for r in rendered)) * outer)
+    for start in range(0, flat_values.shape[0], _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        cells = [col[start:stop] for col in axis_columns]
+        cells += [_render_column(col) for col in flat_values[start:stop].T]
+        parts.append(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
+    return b"".join(parts)
 
 
 def _emit_json(data: Dataset) -> bytes:

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .clifford import (
     AVERAGE_PRIMITIVES_PER_CLIFFORD,
@@ -152,8 +151,8 @@ def _apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _sequence_indices(seed: int, m: int, k: int) -> np.ndarray:
-    gen = Generator(Philox(key=seed & 0xFFFFFFFFFFFFFFFF, counter=[0, 0, m, k]))
-    return gen.integers(0, 24, size=m)
+    bits = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF, counter=[0, 0, m, k])
+    return np.random.Generator(bits).integers(0, 24, size=m)
 
 
 def _projected_fit(p: np.ndarray, m: np.ndarray, signal: np.ndarray):

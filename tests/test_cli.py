@@ -333,6 +333,18 @@ class TestSubcommands:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_line_break_in_program_name_exit_code(self, tmp_path, capsys):
+        # the name lands in a "# meta.program=" comment line of the CSV
+        program = tmp_path / "a\nx=1,2"
+        program.write_text("gate 3.141592653589793 0.0\npad\n")
+        out = tmp_path / "x.csv"
+        code = main(["dressed", "--scheme", "cm", "--program", str(program), "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "config"
+        assert "meta.program" in record["error"]["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("directive", ["gate inf 0", "idle inf", "gate nan 0", "gate 1 nan"])
     def test_non_finite_program_directive_exit_code(self, tmp_path, directive):
         program = tmp_path / "bad.seq"
@@ -605,6 +617,22 @@ def test_no_cli_run_imports_scipy(tmp_path, name):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs every subcommand start-up time; only rb and the
+    # noise draws need it, and they load it when they run
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, ccdsim.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_numpy_is_the_only_dependency():

@@ -1,10 +1,15 @@
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccdsim.dataset import Dataset, config_hash, emit_dataset, write_dataset
+from ccdsim import dataset
+from ccdsim.dataset import Dataset, _render, config_hash, emit_dataset, write_dataset
 from ccdsim.experiments import AxisDef
 
 
@@ -90,3 +95,73 @@ def test_shape_validation():
             value_names=("y",),
             values=np.zeros((3, 1)),
         )
+
+
+@pytest.mark.parametrize(
+    "meta, key",
+    [({"program": "a\nx=1,2"}, "meta.program"), ({"note": "a\rb"}, "meta.note"),
+     ({"bad\nkey": 1}, "meta.bad\nkey")],
+)
+def test_line_break_in_metadata_rejected(meta, key):
+    data = Dataset(meta=meta, axes=(), value_names=("y",), values=np.zeros(1))
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            emit_dataset(data, fmt)
+
+
+def emit_csv_by_rows(data):
+    """The CSV emitter as one ``_render`` call per cell, row by row: the oracle."""
+    lines = [f"# {key}={value}" for key, value in sorted(data.header().items())]
+    columns = [f"{ax.name}_{ax.units}".replace("/", "_per_") for ax in data.axes]
+    columns += list(data.value_names)
+    lines.append(",".join(columns))
+    grids = np.meshgrid(*[ax.values for ax in data.axes], indexing="ij") if data.axes else []
+    flat_axes = [g.reshape(-1) for g in grids]
+    flat_values = data.values.reshape(-1, len(data.value_names))
+    for i in range(flat_values.shape[0]):
+        cells = [_render(col[i]) for col in flat_axes]
+        cells += [_render(v) for v in flat_values[i]]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def datasets(draw):
+    """0-3 float or integer axes of length 0-6 and 1-3 value columns."""
+    lengths = draw(st.lists(st.integers(0, 6), max_size=3))
+    axes = []
+    for j, n in enumerate(lengths):
+        if draw(st.booleans()):
+            values = np.array(draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n)),
+                              dtype=np.int64)
+        else:
+            values = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+        axes.append(AxisDef(f"x{j}", "rad/s", values))
+    names = tuple(f"v{i}" for i in range(draw(st.integers(1, 3))))
+    shape = (*lengths, len(names))
+    flat = draw(st.lists(cells, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return Dataset(meta={"seed": 3}, axes=tuple(axes), value_names=names,
+                   values=np.array(flat, dtype=float).reshape(shape), config_text="seed = 3\n")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(datasets())
+def test_csv_matches_the_row_by_row_emitter(data):
+    assert emit_dataset(data, "csv") == emit_csv_by_rows(data)
+
+
+def test_csv_over_several_row_blocks_matches_the_row_by_row_emitter():
+    rows = 2 * dataset._BLOCK_ROWS + 26  # two full blocks and a remainder
+    durations = np.arange(rows // 2) * 1.5e-9
+    data = Dataset(
+        meta={"scheme": "cm"},
+        axes=(AxisDef("detuning", "rad/s", np.array([-1.0, 1.0])),
+              AxisDef("duration", "s", durations)),
+        value_names=("p_up", "x"),
+        values=np.sin(np.arange(2 * rows) * 0.37).reshape(2, rows // 2, 2),
+    )
+    assert emit_dataset(data, "csv") == emit_csv_by_rows(data)
