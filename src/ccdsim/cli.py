@@ -11,11 +11,12 @@ only ``--axis`` (spectrum, infidelity), ``--program`` (dressed) and
 ``--ideal`` (rb).
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
-or out of memory, 4 I/O error. Failures print a machine-readable JSON error
-record to stderr. The stepped engine spreads long intervals over up to 4
-threads, one per usable CPU, with the same bytes for any count; ``--threads``
-and the ``threads`` key are accepted and validated (exit 2 on a negative
-count), but select nothing.
+(floating-point overflow, invalid value and division by zero included) or out
+of memory, 4 I/O error. Failures print one JSON error record to stderr, and
+nothing else. The stepped engine spreads long intervals over up to 4 threads,
+one per usable CPU, with the same bytes for any count; ``--threads`` and the
+``threads`` key are accepted and validated (exit 2 on a negative count), but
+select nothing.
 """
 from __future__ import annotations
 
@@ -438,7 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        # raised, not warned, in the block pool too: stderr holds only the JSON record
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.handler(args)
     except (IntegratorError, NormalizationError, FloatingPointError) as exc:
         _report_error("numerical", exc)
         return 3

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drive import DriveConfig
-from .pulses import PulseProgram, PulseSegment, gate_pulse, readout_pad
 from .qubit import IDENTITY, rotation
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "recovery_indices",
     "equal_up_to_phase",
     "AVERAGE_PRIMITIVES_PER_CLIFFORD",
-    "clifford_sequence_program",
 ]
 
 AVERAGE_PRIMITIVES_PER_CLIFFORD = 1.875
@@ -220,29 +217,3 @@ def recovery_indices(strings: np.ndarray, target: str) -> np.ndarray:
     for column in strings.T[1:]:
         net = table[column, net]
     return _recovery_table()[1 if target == "up" else 0, net]
-
-
-def clifford_sequence_program(
-    gates: list[CliffordGate],
-    cfg: DriveConfig,
-    *,
-    pad_readout: bool = True,
-) -> PulseProgram:
-    """Compile a Clifford sequence to a dressed-qubit pulse program.
-
-    Negative-angle primitives are realized as positive rotations about the
-    opposite axis (phi_mw shifted by pi); identity primitives are dropped
-    (zero duration). The drive azimuth is offset by -pi/2 because the dressed
-    drive axis sits at phi_mw + pi/2.
-    """
-    segments: list[PulseSegment] = []
-    for gate in gates:
-        for prim in gate.primitives():
-            if prim.axis == "i" or prim.angle == 0.0:
-                continue
-            segments.append(
-                gate_pulse(abs(prim.angle), prim.rotation_azimuth - math.pi / 2.0, cfg, prim.name)
-            )
-    if pad_readout:
-        segments.append(readout_pad(sum(seg.duration for seg in segments), cfg))
-    return PulseProgram(segments, cfg)

@@ -1,9 +1,10 @@
 """Drive model for concatenated continuous driving (CCD) of a single qubit.
 
 Builds the lab-frame Hamiltonian of the generalized amplitude/phase-modulated
-drive, its first and second rotating-frame reductions, the frame unitaries,
-the counter-rotating coefficient of the doubly-rotating frame, and baseband
-I/Q envelopes for waveform export.
+drive, its first and second rotating-frame reductions (their coefficients
+held as data, evaluated a batch at a time), the second-frame unitary, the
+counter-rotating coefficient of the doubly-rotating frame, and baseband I/Q
+envelopes for waveform export.
 
 Conventions (hbar = 1, all frequencies angular, rad/s):
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,12 +43,10 @@ __all__ = [
     "first_frame_hamiltonian",
     "second_frame_hamiltonian",
     "gate_frame",
-    "first_frame_unitary",
+    "batch_coefficients",
+    "FrameCoefficients",
     "second_frame_unitary",
-    "to_first_frame",
-    "from_first_frame",
     "to_second_frame",
-    "from_second_frame",
     "counter_rotating_coefficient",
     "drive_coefficient",
     "iq_baseband",
@@ -236,27 +235,107 @@ class Hamiltonian:
 
     ``coefficients`` maps an array of times to an (..., 3) array of real
     Pauli coefficients. The stepped propagator may call it from several
-    threads at once, so it must be a pure function of the times.
-    ``fastest_period`` is the shortest oscillation period present, used by
-    integrators to pick step sizes. ``period`` is an exact period of H(t),
-    which lets the propagators power one-period unitaries: ``math.inf`` marks
-    an aperiodic H, ``0.0`` a constant one (periodic with every period).
-    Instances are callable: ``h(t)`` returns the Hermitian matrix at time
-    ``t``.
+    threads at once, so it must be a pure function of the times. The rotating
+    frames give it as data (:class:`FrameCoefficients`), evaluated for a whole
+    batch in one call; any other callable, a replaced one included, is called
+    per Hamiltonian. ``fastest_period`` is the shortest oscillation period
+    present, used by integrators to pick step sizes. ``period`` is an exact
+    period of H(t), which lets the propagators power one-period unitaries:
+    ``math.inf`` marks an aperiodic H, ``0.0`` a constant one (periodic with
+    every period).
     """
 
     coefficients: Callable[[np.ndarray], np.ndarray]
     fastest_period: float
     period: float = math.inf
 
-    def matrix(self, t: float) -> np.ndarray:
-        hx, hy, hz = np.asarray(self.coefficients(np.asarray(t, dtype=float)))
-        return np.array(
-            [[hz, hx - 1j * hy], [hx + 1j * hy, -hz]], dtype=complex
-        )
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.matrix(t)
+@dataclass(frozen=True)
+class FrameCoefficients:
+    """The Pauli coefficients of one rotating-frame drive, held as data.
+
+    ``row`` holds the drive's scalars in the order the subclass's ``_combine``
+    reads them, (Omega_0, theta_m) first. The sines and cosines of the times
+    depend on those two alone (``_trig``), so :meth:`evaluate` computes them
+    once per distinct pair, on the times' own shape, and broadcasts them over
+    the rows: every value takes the same operations in the same order as for
+    one row alone, so a batch gives the same bits as its members one by one.
+    Calling an instance evaluates a batch of one.
+    """
+
+    row: tuple[float, ...]
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        rows = np.array([self.row])
+        return self.evaluate(rows, t, (rows[:, :2], None))[0]
+
+    @classmethod
+    def evaluate(cls, rows: np.ndarray, t: np.ndarray, groups) -> np.ndarray:
+        """Coefficients (len(rows), *t.shape, 3); ``groups`` as from :func:`batch_coefficients`."""
+        t = np.asarray(t, dtype=float)
+        pairs, member = groups
+        trig = [cls._trig(rabi, theta, t) for rabi, theta in pairs]
+        trig = trig[0] if len(trig) == 1 else [np.stack(v)[member] for v in zip(*trig)]
+        out = np.empty((len(rows),) + t.shape + (3,))
+        cls._combine(out, rows.T.reshape(rows.shape[::-1] + (1,) * t.ndim), *trig)
+        return out
+
+
+class _FirstFrame(FrameCoefficients):
+    """Row: Omega_0, theta_m, (Omega_0 + Delta)/2, cos and sin of phi_mw and of
+    phi_mw + pi/2, -amp_scale, delta/2, phase_scale."""
+
+    @staticmethod
+    def _trig(rabi, theta, t):
+        m = rabi * t - theta
+        return np.sin(m), np.cos(m)
+
+    @staticmethod
+    def _combine(out, cols, sin_m, cos_m):
+        _, _, half_rabi, cos_par, sin_par, cos_perp, sin_perp, neg_amp, half_delta, phase = cols
+        perp = neg_amp * sin_m
+        out[..., 0] = half_rabi * cos_par + perp * cos_perp
+        out[..., 1] = half_rabi * sin_par + perp * sin_perp
+        out[..., 2] = half_delta + phase * cos_m
+
+
+class _SecondFrame(FrameCoefficients):
+    """Row: Omega_0, theta_m, delta/2, co_perp, co_z, counter, Delta/2, cos and
+    sin of phi_mw and of phi_mw + pi/2."""
+
+    @staticmethod
+    def _trig(rabi, theta, t):
+        rabi_angle = rabi * t
+        counter_angle = 2.0 * rabi_angle - theta
+        return (np.sin(rabi_angle), np.cos(rabi_angle),
+                np.sin(counter_angle), np.cos(counter_angle))
+
+    @staticmethod
+    def _combine(out, cols, sin_r, cos_r, sin_c, cos_c):
+        _, _, half_delta, co_perp, co_z, counter, half_err, cos_par, sin_par, cos_perp, sin_perp = cols
+        perp = half_delta * sin_r + co_perp + counter * sin_c
+        out[..., 0] = half_err * cos_par + perp * cos_perp
+        out[..., 1] = half_err * sin_par + perp * sin_perp
+        out[..., 2] = half_delta * cos_r + co_z + counter * cos_c
+
+
+def batch_coefficients(hams: Sequence[Hamiltonian]) -> Callable[[np.ndarray], np.ndarray]:
+    """The coefficients of every Hamiltonian in ``hams``, stacked on a new leading axis.
+
+    When every ``coefficients`` is frame data of one frame, the returned
+    callable evaluates the stacked rows in one call; otherwise it calls each
+    one. Both give the same bits.
+    """
+    parts = [h.coefficients for h in hams]
+    frame = type(parts[0])
+    if issubclass(frame, FrameCoefficients) and all(type(p) is frame for p in parts):
+        rows = np.array([p.row for p in parts])
+        # number the distinct (Omega_0, theta_m) by first use, telling them apart by their bits
+        pairs, bits = {}, np.ascontiguousarray(rows[:, :2]).view(np.int64).tolist()
+        member = [pairs.setdefault(tuple(b), len(pairs)) for b in bits]
+        groups = rows[[member.index(g) for g in range(len(pairs))], :2], np.array(member)
+        return lambda ts: frame.evaluate(rows, ts, groups)
+    return lambda ts: np.stack([p(ts) for p in parts], axis=0)
 
 
 def _fastest_period(cfg: DriveConfig, *, lab: bool) -> float:
@@ -312,27 +391,15 @@ def first_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
       - (1 + Delta/Omega_0) alpha_A eps_m sin(Omega_0 t - theta_m) sigma_{phi_mw + pi/2}
       + alpha_P eps_m cos(Omega_0 t - theta_m) sigma_z
     """
-    half_delta = cfg.detuning / 2.0
-    half_rabi = (cfg.rabi + cfg.rabi_error) / 2.0
     amp_scale = (1.0 + cfg.rabi_error / cfg.rabi) * cfg.alpha_A * cfg.mod_strength
     phase_scale = cfg.alpha_P * cfg.mod_strength
     cos_par, sin_par = math.cos(cfg.mw_phase), math.sin(cfg.mw_phase)
     # sigma_{phi+pi/2} = -sin(phi) sigma_x + cos(phi) sigma_y
-    cos_perp, sin_perp = -sin_par, cos_par
-
-    def coeffs(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        m = _modulation_angle(cfg, t)
-        perp = -amp_scale * np.sin(m)
-        out = np.empty(t.shape + (3,))
-        out[..., 0] = half_rabi * cos_par + perp * cos_perp
-        out[..., 1] = half_rabi * sin_par + perp * sin_perp
-        out[..., 2] = half_delta + phase_scale * np.cos(m)
-        return out
-
+    row = (cfg.rabi, cfg.mod_phase, (cfg.rabi + cfg.rabi_error) / 2.0, cos_par, sin_par,
+           -sin_par, cos_par, -amp_scale, cfg.detuning / 2.0, phase_scale)
     constant = amp_scale == 0.0 and phase_scale == 0.0
     return Hamiltonian(
-        coeffs,
+        _FirstFrame(row),
         _fastest_period(cfg, lab=False),
         0.0 if constant else cfg.mod_period,
     )
@@ -346,39 +413,17 @@ def second_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
     the counter-rotating line oscillates at 2 Omega_0.
     """
     half_delta = cfg.detuning / 2.0
-    half_err = cfg.rabi_error / 2.0
     co = (cfg.alpha_P + (1.0 + cfg.rabi_error / cfg.rabi) * cfg.alpha_A) * (
         cfg.mod_strength / 2.0
     )
     counter = counter_rotating_coefficient(cfg)
     cos_par, sin_par = math.cos(cfg.mw_phase), math.sin(cfg.mw_phase)
-    cos_perp, sin_perp = -sin_par, cos_par
-    co_z = co * math.cos(cfg.mod_phase)
-    co_perp = co * math.sin(cfg.mod_phase)
-
-    def coeffs(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        rabi_angle = cfg.rabi * t
-        counter_angle = 2.0 * rabi_angle - cfg.mod_phase
-        perp = (
-            half_delta * np.sin(rabi_angle)
-            + co_perp
-            + counter * np.sin(counter_angle)
-        )
-        hz = (
-            half_delta * np.cos(rabi_angle)
-            + co_z
-            + counter * np.cos(counter_angle)
-        )
-        out = np.empty(t.shape + (3,))
-        out[..., 0] = half_err * cos_par + perp * cos_perp
-        out[..., 1] = half_err * sin_par + perp * sin_perp
-        out[..., 2] = hz
-        return out
-
+    row = (cfg.rabi, cfg.mod_phase, half_delta, co * math.sin(cfg.mod_phase),
+           co * math.cos(cfg.mod_phase), counter, cfg.rabi_error / 2.0,
+           cos_par, sin_par, -sin_par, cos_par)
     constant = half_delta == 0.0 and counter == 0.0
     return Hamiltonian(
-        coeffs,
+        _SecondFrame(row),
         _fastest_period(cfg, lab=False),
         0.0 if constant else cfg.mod_period,
     )
@@ -408,52 +453,15 @@ def gate_frame(cfg: DriveConfig) -> tuple[Callable[[DriveConfig], Hamiltonian], 
     return first_frame_hamiltonian, cfg.rabi, 0.0
 
 
-def _z_rotation(angle: float) -> np.ndarray:
-    phase = np.exp(-1j * angle)
-    return np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
-
-
-def first_frame_phase(cfg: DriveConfig, t: float) -> float:
-    """Accumulated frame angle Phi(t) of the first rotating frame.
-
-    Closed-form integral of omega_mw/2 - alpha_P eps_m cos(Omega_0 t' - theta_m)
-    from 0 to t; Phi(0) = 0 so the frame unitary starts at the identity.
-    """
-    phase = cfg.omega_mw * t / 2.0
-    if cfg.alpha_P > 0.0 and cfg.mod_strength > 0.0:
-        phase -= (cfg.alpha_P * cfg.mod_strength / cfg.rabi) * (
-            math.sin(cfg.rabi * t - cfg.mod_phase) + math.sin(cfg.mod_phase)
-        )
-    return phase
-
-
-def first_frame_unitary(cfg: DriveConfig, t: float) -> np.ndarray:
-    """Frame unitary exp(-i Phi(t) sigma_z) of the first rotating frame."""
-    return _z_rotation(first_frame_phase(cfg, t))
-
-
 def second_frame_unitary(cfg: DriveConfig, t: float) -> np.ndarray:
     """Frame unitary exp(-i (Omega_0 t / 2) sigma_{phi_mw}) of the second frame."""
     angle = cfg.rabi * t / 2.0
     return math.cos(angle) * IDENTITY - 1j * math.sin(angle) * pauli_axis(cfg.mw_phase)
 
 
-def to_first_frame(state: QubitState, cfg: DriveConfig, t: float) -> QubitState:
-    """Map a lab-frame state at time t into the first rotating frame."""
-    return state.apply(first_frame_unitary(cfg, t).conj().T)
-
-
-def from_first_frame(state: QubitState, cfg: DriveConfig, t: float) -> QubitState:
-    return state.apply(first_frame_unitary(cfg, t))
-
-
 def to_second_frame(state: QubitState, cfg: DriveConfig, t: float) -> QubitState:
     """Map a first-frame state at time t into the second rotating frame."""
     return state.apply(second_frame_unitary(cfg, t).conj().T)
-
-
-def from_second_frame(state: QubitState, cfg: DriveConfig, t: float) -> QubitState:
-    return state.apply(second_frame_unitary(cfg, t))
 
 
 class IQSample(NamedTuple):

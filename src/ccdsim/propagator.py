@@ -14,8 +14,11 @@ A chunk's tree is built from the trees of its aligned power-of-two blocks,
 which give the same bits; when an interval has several blocks they run on a
 module-level thread pool of ``_WORKERS`` threads (one per usable CPU, at most
 ``_CHUNK // _BLOCK``), built on first use. The result is the same for any
-thread count, and ``Hamiltonian.coefficients`` is then called from those
-threads concurrently.
+thread count. Each block runs in a copy of the caller's context, so numpy's
+error state holds there too, and evaluates the coefficients of the whole
+batch in one call per cf4 node (``drive.batch_coefficients``): one call for
+rotating-frame data of one frame, else one per Hamiltonian, possibly from
+several pool threads at once.
 
 ``evolve`` (with or without ``t_eval``), ``propagator_unitary`` and
 ``propagator_grid`` (with ``evolve_grid`` on top) are thin callers of one
@@ -37,6 +40,7 @@ three paths, chosen from ``Hamiltonian.period`` and the requested times:
 """
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import os
@@ -45,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drive import Hamiltonian
+from .drive import Hamiltonian, batch_coefficients
 from .qubit import QubitState
 
 __all__ = [
@@ -256,7 +260,10 @@ def _interval_unitary(
 
         blocks = range(0, m, block)
         run = _pool(_WORKERS).map if len(blocks) > 1 and _WORKERS > 1 else map
-        chunk = _tree_product(np.stack(list(run(block_tree, blocks)), axis=-1))
+        # each block runs in a copy of the caller's context, which holds numpy's error state
+        contexts = [contextvars.copy_context() for _ in blocks]
+        trees = run(lambda context, j: context.run(block_tree, j), contexts, blocks)
+        chunk = _tree_product(np.stack(list(trees), axis=-1))
         total = chunk if total is None else _product(chunk, total)
     return total
 
@@ -310,10 +317,7 @@ def _unitaries(
         raise ValueError(f"propagation times must not precede t0 = {t0}")
     step = min(spec.effective_step(h.fastest_period) for h in hams)
     batch = (len(hams),)
-
-    def coefficients(ts: np.ndarray) -> np.ndarray:
-        return np.stack([h.coefficients(ts) for h in hams], axis=0)
-
+    coefficients = batch_coefficients(hams)
     us = _lattice_unitaries(hams, coefficients, batch, t0, times, step)
     if us is None:
         us = np.empty((2,) + batch + times.shape, dtype=complex)

@@ -18,9 +18,10 @@ shot, each evaluated at the pi/2 and the pi duration.
 
 Shots are a batch axis: the Clifford unitaries of all shots form one array,
 and for each length the states C|0> of all K strings are carried through
-the M gate columns together. Shots run in blocks of ``_SHOT_BLOCK`` to bound
-memory and are reduced in shot order, so results do not depend on the block
-size. There is no worker pool.
+the M gate columns together. Shots run in blocks of at most ``_BLOCK_BYTES``
+per gate step, which bounds memory whatever the shot count; ``_apply`` is
+elementwise and blocks are reduced in shot order, so results do not depend
+on the block size.
 
 The decay A p^M is fitted by variable projection with numpy alone, with
 A in [0, 2] and p in [0, 1]: for each p the best A is a clipped linear
@@ -50,9 +51,9 @@ from .pulses import GATE_MOD_PHASE, require_gate_lattice
 
 __all__ = ["RBResult", "randomized_benchmarking"]
 
-#: Noise shots composed at once. Each gate step of a block holds the gathered
-#: gates and the states, 160 bytes per shot and string.
-_SHOT_BLOCK = 16
+#: Bytes one gate step of a shot block may hold: the gathered gates and the
+#: states, 160 bytes per shot and string, so a block holds this // (160 K) shots.
+_BLOCK_BYTES = 1 << 20
 #: trial decays p on which the RB fit brackets its minimum
 _FIT_GRID = np.linspace(0.0, 1.0, 257)
 #: width of the bracket at which the golden-section search stops
@@ -118,36 +119,33 @@ def _clifford_unitaries(primitive_us: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _real_form(u: np.ndarray) -> np.ndarray:
-    """Unitaries (..., 2, 2) as real weights (..., 4, 4) on real state vectors.
+    """Unitaries (..., 2, 2) as real weights (4, 4, ...) on real state vectors.
 
-    A state a|0> + b|1> is stored as (Re a, Im a, Re b, Im b), and
-    ``w[..., c, r]`` is the weight of input component c in output component r.
-    It is not the propagator's Cayley-Klein pair: it updates states, not
-    products, and its real arithmetic keeps the shot-block results bit-stable.
+    A state a|0> + b|1> is stored as (Re a, Im a, Re b, Im b) on its leading
+    axis, and ``w[c, r]`` is the weight of input component c in output
+    component r. The batch axes come last, so each product in ``_apply`` is
+    one long contiguous run. It is not the propagator's Cayley-Klein pair: it
+    updates states, not products, and its real arithmetic keeps the
+    shot-block results bit-stable.
     """
-    w = np.empty(u.shape[:-2] + (2, 2, 2, 2))  # (input j, re/im, output i, re/im)
-    re, im = u.real.swapaxes(-1, -2), u.imag.swapaxes(-1, -2)
-    w[..., 0, :, 0] = re
-    w[..., 1, :, 1] = re
-    w[..., 0, :, 1] = im
-    w[..., 1, :, 0] = -im
-    return w.reshape(u.shape[:-2] + (4, 4))
+    w = np.empty((2, 2, 2, 2) + u.shape[:-2])  # (input j, re/im, output i, re/im, ...)
+    re, im = np.moveaxis(u.real, (-1, -2), (0, 1)), np.moveaxis(u.imag, (-1, -2), (0, 1))
+    w[:, 0, :, 0] = re
+    w[:, 1, :, 1] = re
+    w[:, 0, :, 1] = im
+    w[:, 1, :, 0] = -im
+    return w.reshape((4, 4) + u.shape[:-2])
 
 
 def _apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Real-form product over the leading axes (see ``_real_form``).
+    """Real-form product over the trailing axes (see ``_real_form``).
 
     Elementwise real multiplies and adds in a fixed order compute every value
     by the same correctly rounded operations whatever the array shapes, so
     the result cannot depend on the shot block. Complex multiplies and
     matmul leave fused multiply-adds to the SIMD or BLAS kernel.
     """
-    return (
-        w[..., 0, :] * x[..., 0:1]
-        + w[..., 1, :] * x[..., 1:2]
-        + w[..., 2, :] * x[..., 2:3]
-        + w[..., 3, :] * x[..., 3:4]
-    )
+    return w[0] * x[0] + w[1] * x[1] + w[2] * x[2] + w[3] * x[3]
 
 
 def _sequence_indices(seed: int, m: int, k: int) -> np.ndarray:
@@ -267,25 +265,29 @@ def randomized_benchmarking(
         clifford_us = np.stack([g.matrix for g in clifford_group()])[None]
     else:
         clifford_us = _clifford_unitaries(_primitive_unitaries(noise.shots(base), spec))
-    weights = _real_form(clifford_us)  # (shots, 24, 4, 4)
+    weights = _real_form(clifford_us)  # (4, 4, shots, 24)
+    shots = weights.shape[2]
 
-    zero = np.array([1.0, 0.0, 0.0, 0.0])
+    zero = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None]
     matrix = np.zeros((lengths.size, k_randomizations))
-    for first in range(0, len(weights), _SHOT_BLOCK):
-        block = weights[first : first + _SHOT_BLOCK]
-        shot = np.arange(len(block))[:, None]
+    block_shots = max(1, _BLOCK_BYTES // (160 * k_randomizations))
+    for first in range(0, shots, block_shots):
+        block = weights[:, :, first : first + block_shots]
+        # gate g of shot s sits at 24 s + g; np.take gathers contiguous (4, 4, shot, string)
+        shot = 24 * np.arange(block.shape[2])[:, None]
+        block = block.reshape(4, 4, -1)
         for row, string, (up, down) in zip(matrix, strings, recoveries):
-            state = np.broadcast_to(zero, (len(block), k_randomizations, 4))
+            state = np.broadcast_to(zero, (4, len(shot), k_randomizations))
             for column in string.T:
-                state = _apply(block[shot, column], state)
-            final_up = _apply(block[shot, up], state)
-            final_down = _apply(block[shot, down], state)
-            diffs = (final_up[..., 2] ** 2 + final_up[..., 3] ** 2) - (
-                final_down[..., 2] ** 2 + final_down[..., 3] ** 2
+                state = _apply(np.take(block, shot + column, axis=2), state)
+            final_up = _apply(np.take(block, shot + up, axis=2), state)
+            final_down = _apply(np.take(block, shot + down, axis=2), state)
+            diffs = (final_up[2] ** 2 + final_up[3] ** 2) - (
+                final_down[2] ** 2 + final_down[3] ** 2
             )
             for diff in diffs:  # shot order, whatever the block size
                 row += diff
-    matrix /= len(weights)
+    matrix /= shots
 
     signal = matrix.mean(axis=1)
     amplitude, p, residual, converged = _fit_decay(lengths, signal)

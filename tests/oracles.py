@@ -1,0 +1,133 @@
+"""Code that only the tests reach: oracles and helpers of the drive model.
+
+``first_frame_coefficients`` and ``second_frame_coefficients`` are the
+closures the rotating-frame builders returned before their coefficients
+became data (``drive.FrameCoefficients``); the batch evaluator must match
+``np.stack`` of them bit for bit. The first-frame unitary and the frame
+transforms other than ``to_second_frame`` check the drive model itself, and
+``clifford_sequence_program`` is the segment-by-segment oracle of the RB
+primitives.
+"""
+import math
+
+import numpy as np
+
+from ccdsim.clifford import CliffordGate
+from ccdsim.drive import DriveConfig, counter_rotating_coefficient, second_frame_unitary
+from ccdsim.pulses import PulseProgram, PulseSegment, gate_pulse, readout_pad
+from ccdsim.qubit import QubitState
+
+
+def matrix(ham, t):
+    """The Hermitian matrix of ``ham`` at time ``t``."""
+    hx, hy, hz = np.asarray(ham.coefficients(np.asarray(t, dtype=float)))
+    return np.array([[hz, hx - 1j * hy], [hx + 1j * hy, -hz]], dtype=complex)
+
+
+def first_frame_coefficients(cfg):
+    """Per-member first-frame coefficients, as one closure over the drive."""
+    half_delta = cfg.detuning / 2.0
+    half_rabi = (cfg.rabi + cfg.rabi_error) / 2.0
+    amp_scale = (1.0 + cfg.rabi_error / cfg.rabi) * cfg.alpha_A * cfg.mod_strength
+    phase_scale = cfg.alpha_P * cfg.mod_strength
+    cos_par, sin_par = math.cos(cfg.mw_phase), math.sin(cfg.mw_phase)
+    cos_perp, sin_perp = -sin_par, cos_par
+
+    def coeffs(t):
+        t = np.asarray(t, dtype=float)
+        m = cfg.rabi * t - cfg.mod_phase
+        perp = -amp_scale * np.sin(m)
+        out = np.empty(t.shape + (3,))
+        out[..., 0] = half_rabi * cos_par + perp * cos_perp
+        out[..., 1] = half_rabi * sin_par + perp * sin_perp
+        out[..., 2] = half_delta + phase_scale * np.cos(m)
+        return out
+
+    return coeffs
+
+
+def second_frame_coefficients(cfg):
+    """Per-member second-frame coefficients, as one closure over the drive."""
+    half_delta = cfg.detuning / 2.0
+    half_err = cfg.rabi_error / 2.0
+    co = (cfg.alpha_P + (1.0 + cfg.rabi_error / cfg.rabi) * cfg.alpha_A) * (
+        cfg.mod_strength / 2.0
+    )
+    counter = counter_rotating_coefficient(cfg)
+    cos_par, sin_par = math.cos(cfg.mw_phase), math.sin(cfg.mw_phase)
+    cos_perp, sin_perp = -sin_par, cos_par
+    co_z = co * math.cos(cfg.mod_phase)
+    co_perp = co * math.sin(cfg.mod_phase)
+
+    def coeffs(t):
+        t = np.asarray(t, dtype=float)
+        rabi_angle = cfg.rabi * t
+        counter_angle = 2.0 * rabi_angle - cfg.mod_phase
+        perp = half_delta * np.sin(rabi_angle) + co_perp + counter * np.sin(counter_angle)
+        hz = half_delta * np.cos(rabi_angle) + co_z + counter * np.cos(counter_angle)
+        out = np.empty(t.shape + (3,))
+        out[..., 0] = half_err * cos_par + perp * cos_perp
+        out[..., 1] = half_err * sin_par + perp * sin_perp
+        out[..., 2] = hz
+        return out
+
+    return coeffs
+
+
+def first_frame_phase(cfg, t):
+    """Accumulated frame angle Phi(t) of the first rotating frame.
+
+    Closed-form integral of omega_mw/2 - alpha_P eps_m cos(Omega_0 t' - theta_m)
+    from 0 to t; Phi(0) = 0 so the frame unitary starts at the identity.
+    """
+    phase = cfg.omega_mw * t / 2.0
+    if cfg.alpha_P > 0.0 and cfg.mod_strength > 0.0:
+        phase -= (cfg.alpha_P * cfg.mod_strength / cfg.rabi) * (
+            math.sin(cfg.rabi * t - cfg.mod_phase) + math.sin(cfg.mod_phase)
+        )
+    return phase
+
+
+def first_frame_unitary(cfg, t):
+    """Frame unitary exp(-i Phi(t) sigma_z) of the first rotating frame."""
+    phase = np.exp(-1j * first_frame_phase(cfg, t))
+    return np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
+
+
+def to_first_frame(state: QubitState, cfg, t) -> QubitState:
+    """Map a lab-frame state at time t into the first rotating frame."""
+    return state.apply(first_frame_unitary(cfg, t).conj().T)
+
+
+def from_first_frame(state: QubitState, cfg, t) -> QubitState:
+    return state.apply(first_frame_unitary(cfg, t))
+
+
+def from_second_frame(state: QubitState, cfg, t) -> QubitState:
+    return state.apply(second_frame_unitary(cfg, t))
+
+
+def clifford_sequence_program(
+    gates: list[CliffordGate],
+    cfg: DriveConfig,
+    *,
+    pad_readout: bool = True,
+) -> PulseProgram:
+    """Compile a Clifford sequence to a dressed-qubit pulse program.
+
+    Negative-angle primitives are realized as positive rotations about the
+    opposite axis (phi_mw shifted by pi); identity primitives are dropped
+    (zero duration). The drive azimuth is offset by -pi/2 because the dressed
+    drive axis sits at phi_mw + pi/2.
+    """
+    segments: list[PulseSegment] = []
+    for gate in gates:
+        for prim in gate.primitives():
+            if prim.axis == "i" or prim.angle == 0.0:
+                continue
+            segments.append(
+                gate_pulse(abs(prim.angle), prim.rotation_azimuth - math.pi / 2.0, cfg, prim.name)
+            )
+    if pad_readout:
+        segments.append(readout_pad(sum(seg.duration for seg in segments), cfg))
+    return PulseProgram(segments, cfg)

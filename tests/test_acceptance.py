@@ -367,18 +367,27 @@ class TestNumericalHygiene:
             f"step-halving {worst_gap:.1e}",
         )
 
-    def test_10b_worker_count_invariance(self, tmp_path):
+    def test_10b_worker_count_invariance(self, tmp_path, monkeypatch):
+        from ccdsim import propagator
         from ccdsim.cli import main
 
+        # 64 noise shots give every interval of the rb primitives several
+        # blocks, which run on a pool of propagator._WORKERS threads
         args = [
-            "chevron", "--scheme", "pm", "--detuning-span-hz", "2e6",
-            "--detuning-points", "5", "--durations", "17", "--seed", "3",
+            "rb", "--scheme", "cm", "--rabi-hz", "2.2e6", "--cliffords", "1,2,4",
+            "--k", "3", "--noise-detuning-sigma-hz", "1e5", "--noise-samples", "64",
+            "--seed", "3",
         ]
-        first, second = tmp_path / "one.csv", tmp_path / "many.csv"
-        assert main(args + ["--threads", "1", "--out", str(first)]) == 0
-        assert main(args + ["--threads", "4", "--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
-        report("10b determinism", "byte-identical output for 1 and 4 workers")
+        pools, pool = [], propagator._pool
+        monkeypatch.setattr(propagator, "_pool", lambda workers: pools.append(workers) or pool(workers))
+        outputs = {}
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(propagator, "_WORKERS", workers)
+            outputs[workers] = tmp_path / f"{workers}.csv"
+            assert main(args + ["--out", str(outputs[workers])]) == 0
+        assert set(pools) == {2, 4}
+        assert outputs[1].read_bytes() == outputs[2].read_bytes() == outputs[4].read_bytes()
+        report("10b determinism", "byte-identical rb output for 1, 2 and 4 block-pool workers")
 
     def test_10c_lab_frame_performance_budget(self):
         import time

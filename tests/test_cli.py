@@ -55,15 +55,22 @@ class TestChevron:
         assert meta["meta.scheme"] == "bare"
         assert rows[:, 2].min() >= 0.0 and rows[:, 2].max() <= 1.0 + 1e-9
 
-    def test_determinism_across_runs_and_threads(self, tmp_path):
+    def test_determinism_across_runs_and_threads(self, tmp_path, monkeypatch):
+        # 64 noise shots give the rb primitives several blocks per interval;
+        # the worker count is the block pool's, which --threads does not select
         args = [
-            "chevron", "--scheme", "pm", "--detuning-span-hz", "2e6",
-            "--detuning-points", "3", "--durations", "9",
+            "rb", "--scheme", "cm", "--rabi-hz", "2.2e6", "--cliffords", "1,2",
+            "--k", "2", "--noise-detuning-sigma-hz", "1e5", "--noise-samples", "64",
         ]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
-        assert main(args + ["--out", str(out2), "--threads", "4"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        pools, pool = [], propagator._pool
+        monkeypatch.setattr(propagator, "_pool", lambda workers: pools.append(workers) or pool(workers))
+        outputs = []
+        for workers in (1, 2, 4, 4):
+            monkeypatch.setattr(propagator, "_WORKERS", workers)
+            outputs.append(tmp_path / f"{len(outputs)}.csv")
+            assert main(args + ["--out", str(outputs[-1])]) == 0
+        assert set(pools) == {2, 4}
+        assert len({out.read_bytes() for out in outputs}) == 1
 
 
 class TestConfigPrecedence:
@@ -110,6 +117,23 @@ class TestConfigPrecedence:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["kind"] == "config"
         assert "finite" in record["error"]["message"]
+
+    def test_overflow_leaves_one_json_line_on_stderr(self, tmp_path):
+        # a subprocess, so that stderr holds what a user sees: the squared
+        # Pauli coefficients overflow, and numpy must raise instead of warning
+        out = tmp_path / "o.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "ccdsim.cli", "chevron", "--rabi-hz", "1e300",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert result.returncode == 3
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert json.loads(result.stderr)["error"]["kind"] == "numerical"
+        assert not out.exists()
 
     def test_normalization_error_is_numerical(self, monkeypatch, capsys):
         def handler(args):

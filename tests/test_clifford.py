@@ -9,7 +9,6 @@ from ccdsim.clifford import (
     PRIMITIVES,
     clifford,
     clifford_group,
-    clifford_sequence_program,
     compose_cliffords,
     equal_up_to_phase,
     recovery_clifford,
@@ -17,6 +16,7 @@ from ccdsim.clifford import (
 from ccdsim.drive import Scheme, default_config
 from ccdsim.pulses import SegmentKind, simulate_program
 from ccdsim.qubit import IDENTITY, QubitState
+from oracles import clifford_sequence_program
 
 
 class TestGroupStructure:

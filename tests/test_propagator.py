@@ -32,6 +32,7 @@ from ccdsim.propagator import (
     su2_power,
 )
 from ccdsim.qubit import IDENTITY, QubitState, SIGMA_X, state_fidelity
+from oracles import second_frame_coefficients
 
 RABI = 2 * math.pi * 3.6e6
 
@@ -471,6 +472,25 @@ class TestLatticePaths:
         with pytest.raises(IntegratorError):
             evolve(ham, QubitState.zero(), 0.0, times[-1])
 
+    def test_replaced_member_takes_the_per_member_path(self):
+        # one member with a replaced coefficients keeps the whole batch off
+        # the frame-data evaluator: the replacement is called, NaN still raises
+        cfgs = [default_config(Scheme.AMCCD, detuning=d * RABI) for d in (-0.1, 0.05, 0.2)]
+        hams = [second_frame_hamiltonian(cfg) for cfg in cfgs]
+        times = np.array([0.4, 1.0, 2.0]) * cfgs[0].mod_period
+        calls = []
+
+        def replaced(t):
+            calls.append(np.shape(t))
+            return second_frame_coefficients(cfgs[1])(t)
+
+        mixed = [hams[0], replace(hams[1], coefficients=replaced), hams[2]]
+        assert propagator_grid(mixed, times).tobytes() == propagator_grid(hams, times).tobytes()
+        assert calls
+        nan = replace(hams[1], coefficients=lambda t: np.full(np.shape(t) + (3,), np.nan))
+        with pytest.raises(IntegratorError):
+            propagator_grid([hams[0], nan, hams[2]], times)
+
 
 #: chunk and block sizes at which each case below has several chunks and
 #: several blocks per chunk, partial blocks included
@@ -529,6 +549,21 @@ class TestBlockPool:
             assert compute().tobytes() == reference, workers
             on_pool = {name for name in threads if name.startswith("ccdsim-block")}
             assert bool(on_pool) == (workers > 1) and len(on_pool) <= workers
+
+    def test_blocks_run_under_the_callers_numpy_error_state(self, monkeypatch):
+        threads = []
+
+        def overflowing(t):
+            threads.append(threading.current_thread().name)
+            return np.full(np.shape(t) + (3,), 1e300)  # |c|^2 overflows, sin(inf) is invalid
+
+        monkeypatch.setattr(propagator, "_BLOCK", 4)
+        monkeypatch.setattr(propagator, "_WORKERS", 2)
+        ham = Hamiltonian(overflowing, fastest_period=1.0)  # 200 steps in 50 blocks
+        # a pool thread in the default state would warn: a RuntimeWarning under pytest
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+            propagator_unitary(ham, 0.0, 1.0)
+        assert threads and all(name.startswith("ccdsim-block") for name in threads)
 
     def test_steps_in_flight_never_exceed_the_chunk(self, monkeypatch):
         base = default_config(Scheme.CMCCD)

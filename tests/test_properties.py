@@ -11,8 +11,11 @@ interval unitaries multiplied here rather than in the propagator.
 The propagator stores each SU(2) value as its Cayley-Klein pair (a, b) of
 u = [[a, -b*], [b, a*]]. Further properties pin the pair products, the tree
 product and ``su2_power`` to plain 2x2 matrix products, and the lab-frame
-stepper to itself under a much smaller chunk bound. The last property checks
-that any valid ``RunConfig`` survives ``emit_config`` and ``parse_config``.
+stepper to itself under a much smaller chunk bound. The rotating frames'
+coefficients, evaluated a batch at a time, must equal the per-member closures
+of ``tests/oracles.py`` bit for bit, and the second frame must be the rotated
+first frame. The last property checks that any valid ``RunConfig`` survives
+``emit_config`` and ``parse_config``.
 """
 import math
 import string
@@ -27,13 +30,17 @@ from ccdsim import propagator
 from ccdsim.config import KEY_TYPES, RunConfig, emit_config, parse_config
 from ccdsim.drive import (
     Scheme,
+    batch_coefficients,
     default_config,
     first_frame_hamiltonian,
     lab_hamiltonian,
     second_frame_hamiltonian,
+    second_frame_unitary,
 )
 from ccdsim.propagator import LAB_SPEC, evolve, evolve_grid, propagator_unitary, su2_exp, su2_power
-from ccdsim.qubit import QubitState
+from ccdsim.qubit import QubitState, pauli_axis
+from oracles import first_frame_coefficients, second_frame_coefficients
+from oracles import matrix as frame_matrix
 
 RABI = 2 * math.pi * 3.6e6
 PERIOD = 2 * math.pi / RABI
@@ -183,6 +190,77 @@ def test_lab_frame_chunking_does_not_move_the_propagator(scheme, detuning, t0, s
     with mock.patch.object(propagator, "_CHUNK", 64):
         chunked = propagator_unitary(ham, t0, t0 + span, LAB_SPEC)
     assert np.abs(chunked - whole).max() <= 1e-12
+
+
+@st.composite
+def frame_batches(draw):
+    """A frame and drives of it in several (Omega_0, theta_m) groups, with 0-d or 1-d times."""
+    frame = draw(st.sampled_from(["first", "second"]))
+    groups = draw(
+        st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(-math.pi, math.pi)), min_size=1, max_size=3)
+    )
+    drives = []
+    for _ in range(draw(st.integers(1, 6))):
+        scale, mod_phase = draw(st.sampled_from(groups))
+        drives.append(
+            default_config(
+                draw(st.sampled_from(list(Scheme))),
+                RABI * scale,
+                detuning=draw(errors) * RABI,
+                rabi_error=draw(errors) * RABI,
+                mod_ratio=draw(st.floats(0.0, 0.5)),
+                mod_phase=mod_phase,
+                mw_phase=draw(st.floats(-math.pi, math.pi)),
+            )
+        )
+    times = st.floats(0.0, SPAN * PERIOD)
+    t = draw(st.one_of(times.map(np.asarray), st.lists(times, max_size=9).map(np.asarray)))
+    return frame, drives, t
+
+
+@PROPERTY
+@given(frame_batches())
+def test_batched_frame_coefficients_match_per_member_closures(case):
+    frame, drives, t = case
+    build, oracle = {
+        "first": (first_frame_hamiltonian, first_frame_coefficients),
+        "second": (second_frame_hamiltonian, second_frame_coefficients),
+    }[frame]
+    expected = np.stack([oracle(cfg)(t) for cfg in drives])
+    hams = [build(cfg) for cfg in drives]
+    assert batch_coefficients(hams)(t).tobytes() == expected.tobytes()
+    for ham, want in zip(hams, expected):
+        assert ham.coefficients(t).tobytes() == want.tobytes()
+
+
+def test_signed_zero_phases_are_evaluated_apart():
+    # at t = -0.0, theta_m = 0.0 and -0.0 give hx of opposite signs: the
+    # batch must not share the trig of the two
+    cfgs = [
+        default_config(Scheme.BARE, rabi_error=-RABI, mw_phase=math.pi, mod_phase=phase)
+        for phase in (0.0, -0.0)
+    ]
+    t = np.asarray(-0.0)
+    expected = np.stack([first_frame_coefficients(cfg)(t) for cfg in cfgs])
+    assert expected[0].tobytes() != expected[1].tobytes()
+    got = batch_coefficients([first_frame_hamiltonian(cfg) for cfg in cfgs])(t)
+    assert got.tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(frame_batches())
+def test_second_frame_is_the_rotated_first_frame(case):
+    # H_2 = R^dagger (H_1 - (Omega_0 / 2) sigma_phi) R with R = second_frame_unitary
+    _, drives, times = case
+    for cfg in drives:
+        second = second_frame_hamiltonian(cfg)
+        first = first_frame_hamiltonian(cfg)
+        for t in np.atleast_1d(times):
+            r = second_frame_unitary(cfg, float(t))
+            h1 = frame_matrix(first, t) - cfg.rabi / 2.0 * pauli_axis(cfg.mw_phase)
+            expected = r.conj().T @ h1 @ r
+            scale = np.abs(frame_matrix(first, t)).max()
+            assert np.abs(frame_matrix(second, t) - expected).max() <= 1e-9 * scale
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

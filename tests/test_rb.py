@@ -11,14 +11,13 @@ from ccdsim.clifford import (
     PRIMITIVES,
     clifford,
     clifford_group,
-    clifford_sequence_program,
     equal_up_to_phase,
     multiplication_table,
     recovery_clifford,
     recovery_indices,
 )
 from ccdsim.config import parse_config
-from ccdsim.drive import Scheme, default_config, gate_frame
+from ccdsim.drive import FrameCoefficients, Scheme, default_config, gate_frame
 from ccdsim.experiments import NoiseSpec
 from ccdsim.propagator import ROTATING_SPEC, propagator_unitary
 from ccdsim.pulses import GATE_MOD_PHASE, simulate_program
@@ -28,6 +27,7 @@ from ccdsim.rb import (
     _sequence_indices,
     randomized_benchmarking,
 )
+from oracles import clifford_sequence_program
 
 CFG = default_config(Scheme.CMCCD, rabi=2 * math.pi * 2.2e6)
 RABI = CFG.rabi
@@ -90,6 +90,24 @@ class TestBatchedPrimitives:
                     stepped = replace(build(pulse), period=math.inf)
                     expected = propagator_unitary(stepped, 0.0, abs(prim.angle) / rate)
                 assert np.abs(prims[name][shot] - expected).max() <= 1e-10
+
+    def test_rb_long_shots_evaluate_each_block_as_one_batch(self, monkeypatch):
+        # rb_long's 64 shots x 4 azimuths: one evaluation per block and cf4
+        # node, 2 nodes x 4 blocks, where one call per Hamiltonian made 2,048
+        cfg = parse_config(
+            "scheme = cm\nrabi_hz = 2.2e6\ndetuning_hz = 44000\n"
+            "noise_detuning_sigma_hz = 1e5\nnoise_samples = 64\n"
+        )
+        shots = cfg.noise_spec().shots(cfg.drive_config())
+        sizes, evaluate = [], FrameCoefficients.evaluate.__func__
+
+        def spy(cls, rows, t, groups):
+            sizes.append(len(rows))
+            return evaluate(cls, rows, t, groups)
+
+        monkeypatch.setattr(FrameCoefficients, "evaluate", classmethod(spy))
+        _primitive_unitaries(shots, ROTATING_SPEC)
+        assert sizes == [256] * 8
 
 
 class TestPulseLevel:
@@ -257,7 +275,7 @@ class TestBatchedComposition:
         noise = NoiseSpec(sigma_detuning=0.05 * RABI, sigma_rabi_frac=0.01, samples=20, seed=6)
         args = (Scheme.CMCCD, CFG, M_LIST, 3, noise)
         default = randomized_benchmarking(*args)
-        monkeypatch.setattr(rb, "_SHOT_BLOCK", block)
+        monkeypatch.setattr(rb, "_BLOCK_BYTES", 160 * 3 * block)  # K = 3 strings
         blocked = randomized_benchmarking(*args)
         assert blocked.signal.tobytes() == default.signal.tobytes()
         assert (
