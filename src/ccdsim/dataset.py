@@ -145,13 +145,15 @@ def _emit_json(data: Dataset) -> bytes:
 
 
 def write_dataset(data: Dataset, path: str, fmt: str = "csv") -> None:
-    """Atomic write: serialize, write to a temp file, rename into place."""
+    """Atomic write: serialize, write a temp file of mode 0o666 less the umask, rename."""
     payload = emit_dataset(data, fmt)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(prefix=".ccdsim-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
+        os.umask(umask := os.umask(0o022))  # reading the umask means setting it
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         try:

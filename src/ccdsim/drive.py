@@ -353,8 +353,8 @@ def _modulation_angle(cfg: DriveConfig, t: np.ndarray) -> np.ndarray:
     return cfg.rabi * t - cfg.mod_phase
 
 
-def drive_coefficient(cfg: DriveConfig, t: np.ndarray | float) -> np.ndarray:
-    """The sigma_x coefficient W(t) of the lab-frame drive (rad/s)."""
+def drive_coefficient(cfg: DriveConfig, t: np.ndarray | float, out=None) -> np.ndarray:
+    """The sigma_x coefficient W(t) of the lab-frame drive (rad/s), into ``out`` if given."""
     t = np.asarray(t, dtype=float)
     sin_m = np.sin(_modulation_angle(cfg, t))
     phase_mod = -(2.0 * cfg.alpha_P * cfg.mod_strength / cfg.rabi) * sin_m
@@ -363,7 +363,7 @@ def drive_coefficient(cfg: DriveConfig, t: np.ndarray | float) -> np.ndarray:
     if cfg.alpha_A != 0.0:
         amp_mod = (2.0 * cfg.alpha_A * cfg.mod_strength / cfg.rabi) * sin_m
         wave += amp_mod * np.sin(carrier)
-    return (cfg.rabi + cfg.rabi_error) * wave
+    return np.multiply(cfg.rabi + cfg.rabi_error, wave, out=out)
 
 
 def lab_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
@@ -376,7 +376,7 @@ def lab_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
     def coeffs(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape + (3,))
-        out[..., 0] = drive_coefficient(cfg, t)
+        drive_coefficient(cfg, t, out=out[..., 0])
         out[..., 1] = 0.0
         out[..., 2] = cfg.omega_L / 2.0
         return out

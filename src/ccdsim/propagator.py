@@ -18,7 +18,11 @@ thread count. Each block runs in a copy of the caller's context, so numpy's
 error state holds there too, and evaluates the coefficients of the whole
 batch in one call per cf4 node (``drive.batch_coefficients``): one call for
 rotating-frame data of one frame, else one per Hamiltonian, possibly from
-several pool threads at once.
+several pool threads at once. The step kernel keeps numpy passes and
+temporaries few, and each thread writes a block's steps over those of its
+last; every value takes the IEEE operations, in order, of the plain numpy
+expressions it replaced (np.sinc, complex arithmetic), signed zeros included,
+which ``tests/oracles.py`` keeps as oracles.
 
 ``evolve`` (with or without ``t_eval``), ``propagator_unitary`` and
 ``propagator_grid`` (with ``evolve_grid`` on top) are thin callers of one
@@ -44,6 +48,7 @@ import contextvars
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -145,10 +150,15 @@ def _matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, -np.conj(b)], -1), np.stack([b, np.conj(a)], -1)], -2)
 
 
-def _product(late, early) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of late @ early: four complex multiplies instead of a 2x2 matmul."""
+def _product(late, early, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of late @ early: four complex multiplies instead of a 2x2 matmul,
+    written into ``out`` (two arrays apart from the inputs) when given."""
     (a1, b1), (a2, b2) = late, early
-    return a1 * a2 - np.conj(b1) * b2, b1 * a2 + np.conj(a1) * b2
+    a = np.multiply(a1, a2, out=out[0])
+    a -= np.conj(b1) * b2
+    b = np.multiply(b1, a2, out=out[1])
+    b += np.conj(a1) * b2
+    return a, b
 
 
 def su2_exp(coeffs: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,11 +169,24 @@ def su2_exp(coeffs: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.
     array broadcasting against ``coeffs[..., 0]``.
     """
     c = np.asarray(coeffs, dtype=float)
-    r = np.sqrt(np.einsum("...i,...i->...", c, c))
-    theta = r * dt
-    # dt * sinc(theta/pi) == sin(theta)/r, exact and smooth at r == 0
-    f = dt * np.sinc(theta / np.pi)
-    return np.cos(theta) - 1j * (f * c[..., 2]), f * c[..., 1] - 1j * (f * c[..., 0])
+    theta = np.einsum("...i,...i->...", c, c, out=np.empty(c.shape[:-1]))
+    theta = np.multiply(np.sqrt(theta, out=theta), dt, out=theta if np.ndim(dt) == 0 else None)
+    a, b = np.empty(theta.shape, dtype=complex), np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=a.real)
+    # f = dt * sinc(theta/pi) == sin(theta)/r, exact and smooth at r == 0, in np.sinc's steps
+    y = np.multiply(np.pi, np.divide(theta, np.pi, out=theta), out=theta)
+    y[y == 0.0] = np.finfo(float).eps
+    f = np.sin(y, out=np.empty_like(y))
+    f /= y
+    f *= dt
+    # complex arithmetic gives x - 1j * v the bits of (x - 0 v) + (0 - v) j, and
+    # x - 0 v is x unless x is a zero, which cos(theta) never is
+    np.subtract(0.0, np.multiply(f, c[..., 2], out=y), out=a.imag)
+    np.multiply(f, c[..., 1], out=b.real)
+    u = np.multiply(f, c[..., 0], out=y)
+    b.real -= np.multiply(0.0, u, out=f)
+    np.subtract(0.0, u, out=b.imag)
+    return a, b
 
 
 def su2_power(u, k) -> tuple[np.ndarray, np.ndarray]:
@@ -196,23 +219,33 @@ def _step_unitaries(
     t0: float,
     h: float,
     k: np.ndarray,
+    out=(None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairs of the cf4 unitaries of the uniform steps k of size h from t0, steps last."""
     ca = coefficients(t0 + (k + _CF4_NODE_A) * h)
     cb = coefficients(t0 + (k + _CF4_NODE_B) * h)
-    u_early = su2_exp(_CF4_W2 * ca + _CF4_W1 * cb, h)
-    u_late = su2_exp(_CF4_W1 * ca + _CF4_W2 * cb, h)
-    return _product(u_late, u_early)
+    # both node combinations first, so that the samples are freed before the exponentials
+    early = _CF4_W2 * ca
+    early += _CF4_W1 * cb
+    late = _CF4_W1 * ca
+    del ca
+    late += _CF4_W2 * cb
+    del cb
+    u_early = su2_exp(early, h)
+    del early
+    return _product(su2_exp(late, h), u_early, out)
 
 
 def _tree_product(u) -> np.ndarray:
     """Pair of the time-ordered product u[..., -1] ... u[..., 0] along the last axis."""
-    u = np.asarray(u)  # (2, batch..., steps): a and b stacked
-    while u.shape[-1] > 1:
-        even = u.shape[-1] - u.shape[-1] % 2
-        pairs = np.asarray(_product(u[..., 1:even:2], u[..., :even:2]))
-        u = np.concatenate([pairs, u[..., even:]], axis=-1)
-    return u[..., 0]
+    a, b = u  # each (batch..., steps)
+    while a.shape[-1] > 1:
+        even = a.shape[-1] - a.shape[-1] % 2
+        pair = _product((a[..., 1:even:2], b[..., 1:even:2]), (a[..., :even:2], b[..., :even:2]))
+        if even < a.shape[-1]:  # the odd last step joins the next level as it is
+            pair = [np.concatenate([p, x[..., even:]], axis=-1) for p, x in zip(pair, (a, b))]
+        a, b = pair
+    return np.stack((a[..., 0], b[..., 0]))
 
 
 @functools.cache
@@ -248,7 +281,7 @@ def _interval_unitary(
     size = math.prod(batch)
     chunk_steps = max(1, _CHUNK // size)
     block = 1 << (min(chunk_steps, max(1, _BLOCK // size)).bit_length() - 1)
-    total = None
+    total, steps = None, {}
     for done in range(0, n_steps, chunk_steps):
         m = min(chunk_steps, n_steps - done)
         start = t0 + done * h
@@ -256,7 +289,11 @@ def _interval_unitary(
         def block_tree(j: int) -> np.ndarray:
             # sample times count steps from the chunk start, as in one chunk-wide call
             k = np.arange(j, min(j + block, m))
-            return _tree_product(_step_unitaries(coefficients, start, h, k))
+            # each thread writes the steps of a block over those of its last of that
+            # size: a long interval keeps its pages instead of faulting them in anew
+            key = threading.get_ident(), k.size
+            u = steps[key] = _step_unitaries(coefficients, start, h, k, steps.get(key, (None,) * 2))
+            return _tree_product(u)
 
         blocks = range(0, m, block)
         run = _pool(_WORKERS).map if len(blocks) > 1 and _WORKERS > 1 else map

@@ -177,13 +177,16 @@ class CompiledSegment:
     cfg: DriveConfig
 
 
-def compile_program(program: PulseProgram) -> list[CompiledSegment]:
+def compile_program(program: PulseProgram, drives: dict | None = None) -> list[CompiledSegment]:
     """Lower a program to a piecewise-in-time drive description.
 
     Each piece carries the segment's (theta_m, phi_mw) merged into the shared
     drive configuration; all pieces read the same global modulation clock.
-    Boundaries must land on the modulation-period lattice.
+    Boundaries must land on the modulation-period lattice. ``drives`` maps
+    (theta_m, phi_mw) to the piece drive of ``program.cfg``; programs of one
+    drive configuration may share it, so that each drive is derived once.
     """
+    drives = {} if drives is None else drives
     period = program.cfg.mod_period
     pieces: list[CompiledSegment] = []
     t = 0.0
@@ -198,13 +201,10 @@ def compile_program(program: PulseProgram) -> list[CompiledSegment]:
                 "period lattice (Omega_0 t = 0 mod 2 pi)"
             )
         if seg.duration > 0.0:
-            pieces.append(
-                CompiledSegment(
-                    t_start=t,
-                    t_end=t_end,
-                    cfg=program.cfg.with_pulse(seg.theta_m, seg.phi_mw),
-                )
-            )
+            pulse = (seg.theta_m, seg.phi_mw)
+            if pulse not in drives:
+                drives[pulse] = program.cfg.with_pulse(*pulse)
+            pieces.append(CompiledSegment(t_start=t, t_end=t_end, cfg=drives[pulse]))
         t = t_end
     return pieces
 
@@ -224,7 +224,8 @@ def simulate_program(
     if frame not in ("first", "second"):
         raise ValueError("frame must be 'first' or 'second'")
     build = first_frame_hamiltonian if frame == "first" else second_frame_hamiltonian
-    compiled = [compile_program(program) for program in programs]
+    drives: dict[DriveConfig, dict] = {}  # program drive -> its piece drives
+    compiled = [compile_program(p, drives.setdefault(p.cfg, {})) for p in programs]
     pieces = [piece for program in compiled for piece in program]
     row = {cfg: index for index, cfg in enumerate(dict.fromkeys(p.cfg for p in pieces))}
     column = {t: index for index, t in enumerate(sorted({p.t_end - p.t_start for p in pieces}))}

@@ -6,7 +6,10 @@ became data (``drive.FrameCoefficients``); the batch evaluator must match
 ``np.stack`` of them bit for bit. The first-frame unitary and the frame
 transforms other than ``to_second_frame`` check the drive model itself, and
 ``clifford_sequence_program`` is the segment-by-segment oracle of the RB
-primitives.
+primitives. ``su2_exp``, ``product``, ``tree_product`` and
+``lab_coefficients`` are the step kernel as it was before it wrote into
+preallocated arrays: the propagator's kernel and the lab-frame coefficients
+must match them bit for bit.
 """
 import math
 
@@ -22,6 +25,55 @@ def matrix(ham, t):
     """The Hermitian matrix of ``ham`` at time ``t``."""
     hx, hy, hz = np.asarray(ham.coefficients(np.asarray(t, dtype=float)))
     return np.array([[hz, hx - 1j * hy], [hx + 1j * hy, -hz]], dtype=complex)
+
+
+def su2_exp(coeffs, dt):
+    """The Cayley-Klein pair of exp(-i dt (c . sigma)), through np.sinc and complex arithmetic."""
+    c = np.asarray(coeffs, dtype=float)
+    r = np.sqrt(np.einsum("...i,...i->...", c, c))
+    theta = r * dt
+    f = dt * np.sinc(theta / np.pi)
+    return np.cos(theta) - 1j * (f * c[..., 2]), f * c[..., 1] - 1j * (f * c[..., 0])
+
+
+def product(late, early):
+    """The Cayley-Klein pair of late @ early, each part in one expression."""
+    (a1, b1), (a2, b2) = late, early
+    return a1 * a2 - np.conj(b1) * b2, b1 * a2 + np.conj(a1) * b2
+
+
+def tree_product(u):
+    """Pair of u[..., -1] ... u[..., 0], stacking (a, b) into one array at every tree level."""
+    u = np.asarray(u)
+    while u.shape[-1] > 1:
+        even = u.shape[-1] - u.shape[-1] % 2
+        pairs = np.asarray(product(u[..., 1:even:2], u[..., :even:2]))
+        u = np.concatenate([pairs, u[..., even:]], axis=-1)
+    return u[..., 0]
+
+
+def lab_coefficients(cfg):
+    """Lab-frame coefficients, the drive term evaluated into a new array and then copied."""
+
+    def drive(t):
+        sin_m = np.sin(cfg.rabi * t - cfg.mod_phase)
+        phase_mod = -(2.0 * cfg.alpha_P * cfg.mod_strength / cfg.rabi) * sin_m
+        carrier = cfg.omega_mw * t + cfg.mw_phase + phase_mod
+        wave = np.cos(carrier)
+        if cfg.alpha_A != 0.0:
+            amp_mod = (2.0 * cfg.alpha_A * cfg.mod_strength / cfg.rabi) * sin_m
+            wave += amp_mod * np.sin(carrier)
+        return (cfg.rabi + cfg.rabi_error) * wave
+
+    def coeffs(t):
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + (3,))
+        out[..., 0] = drive(t)
+        out[..., 1] = 0.0
+        out[..., 2] = cfg.omega_L / 2.0
+        return out
+
+    return coeffs
 
 
 def first_frame_coefficients(cfg):

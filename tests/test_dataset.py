@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ class TestWrite:
         assert path.read_bytes() == emit_dataset(sample_dataset(), "csv")
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".ccdsim-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_mode_is_the_mode_open_gives(self, tmp_path, umask, mode):
+        path = tmp_path / "out.csv"
+        before = os.umask(umask)
+        try:
+            write_dataset(sample_dataset(), str(path), "csv")
+            after = os.umask(umask)
+        finally:
+            os.umask(before)
+        assert after == umask  # the write leaves the umask as it found it
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
     def test_failure_leaves_no_partial_file(self, tmp_path):
         bad = sample_dataset()

@@ -571,14 +571,14 @@ class TestBlockPool:
         lock, in_flight, peak = threading.Lock(), [0], [0]
         inner = propagator._step_unitaries
 
-        def spy(coefficients, t0, h, k):
+        def spy(coefficients, t0, h, k, *out):
             steps = len(hams) * k.size
             with lock:
                 in_flight[0] += steps
                 peak[0] = max(peak[0], in_flight[0])
             try:
                 time.sleep(0.002)  # hold each block so that concurrent blocks overlap
-                return inner(coefficients, t0, h, k)
+                return inner(coefficients, t0, h, k, *out)
             finally:
                 with lock:
                     in_flight[0] -= steps

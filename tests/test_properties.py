@@ -14,8 +14,10 @@ product and ``su2_power`` to plain 2x2 matrix products, and the lab-frame
 stepper to itself under a much smaller chunk bound. The rotating frames'
 coefficients, evaluated a batch at a time, must equal the per-member closures
 of ``tests/oracles.py`` bit for bit, and the second frame must be the rotated
-first frame. The last property checks that any valid ``RunConfig`` survives
-``emit_config`` and ``parse_config``.
+first frame. The last properties check that any valid ``RunConfig`` survives
+``emit_config`` and ``parse_config``, and that a dataset's bytes depend only
+on its contents: emitted twice, or after that round trip of its config, they
+are the same.
 """
 import math
 import string
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 from ccdsim import propagator
 from ccdsim.config import KEY_TYPES, RunConfig, emit_config, parse_config
+from ccdsim.dataset import Dataset, emit_dataset
 from ccdsim.drive import (
     Scheme,
     batch_coefficients,
@@ -37,6 +40,7 @@ from ccdsim.drive import (
     second_frame_hamiltonian,
     second_frame_unitary,
 )
+from ccdsim.experiments import AxisDef
 from ccdsim.propagator import LAB_SPEC, evolve, evolve_grid, propagator_unitary, su2_exp, su2_power
 from ccdsim.qubit import QubitState, pauli_axis
 from oracles import first_frame_coefficients, second_frame_coefficients
@@ -313,3 +317,28 @@ def test_config_text_round_trip(cfg):
     assert parse_config(emit_config(cfg)) == cfg
     dataset_text = emit_config(cfg, include_runtime=False)
     assert parse_config(dataset_text) == replace(cfg, threads=0, out="")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    run_configs(),
+    st.lists(st.one_of(finite, st.sampled_from([math.nan, math.inf, -0.0])), min_size=1, max_size=8),
+    st.sampled_from(["csv", "json"]),
+)
+def test_dataset_bytes_are_deterministic(cfg, values, fmt):
+    def emitted(run):
+        # as the CLI writes a dataset: meta and config text from the run's config
+        return emit_dataset(
+            Dataset(
+                meta={"scheme": run.scheme, "seed": run.seed},
+                axes=(AxisDef("duration", "s", np.arange(len(values)) * 1.5e-9),),
+                value_names=("p_up",),
+                values=np.array(values)[:, None],
+                config_text=emit_config(run, include_runtime=False),
+            ),
+            fmt,
+        )
+
+    first = emitted(cfg)
+    assert emitted(cfg) == first
+    assert emitted(parse_config(emit_config(cfg))) == first
