@@ -26,6 +26,7 @@ __all__ = [
     "clifford",
     "clifford_group",
     "compose_cliffords",
+    "composed_indices",
     "recovery_clifford",
     "multiplication_table",
     "recovery_indices",
@@ -198,15 +199,9 @@ def _recovery_table() -> np.ndarray:
     )
 
 
-def recovery_indices(strings: np.ndarray, target: str) -> np.ndarray:
-    """``recovery_clifford`` for each row of a (K, M) array of Clifford indices.
-
-    Each row is composed on the multiplication table, first column applied
-    first, and the recovery is read from a 24-entry table built with
-    ``recovery_clifford``, so the lowest-index rule is the same.
-    """
-    if target not in ("up", "down"):
-        raise ValueError("target must be 'up' or 'down'")
+def composed_indices(strings: np.ndarray) -> np.ndarray:
+    """Index of the composed Clifford of each row of a (K, M) array of Clifford
+    indices, first column applied first, read from the multiplication table."""
     strings = np.asarray(strings)
     if strings.ndim != 2 or strings.shape[1] == 0:
         raise ValueError("strings must be a (K, M) array with M >= 1")
@@ -216,4 +211,16 @@ def recovery_indices(strings: np.ndarray, target: str) -> np.ndarray:
     net = strings[:, 0]
     for column in strings.T[1:]:
         net = table[column, net]
-    return _recovery_table()[1 if target == "up" else 0, net]
+    return net
+
+
+def recovery_indices(strings: np.ndarray, target: str) -> np.ndarray:
+    """``recovery_clifford`` for each row of a (K, M) array of Clifford indices.
+
+    The recovery of each ``composed_indices`` entry is read from a 24-entry
+    table built with ``recovery_clifford``, so the lowest-index rule is the
+    same.
+    """
+    if target not in ("up", "down"):
+        raise ValueError("target must be 'up' or 'down'")
+    return _recovery_table()[1 if target == "up" else 0, composed_indices(strings)]

@@ -15,8 +15,9 @@ be simulated piece by piece in either rotating frame with no extra hand-off
 bookkeeping. Each piece starts on the lattice and its Hamiltonian is periodic
 over one modulation period, so its propagator is U_cfg(duration, 0), the same
 wherever the piece sits. ``simulate_program`` therefore evaluates every
-distinct piece configuration at every distinct piece duration, for all its
-programs, in one ``propagator_grid`` call, and only multiplies the results.
+piece drive (programs of one drive configuration share theirs) at every
+distinct piece duration, for all its programs, in one ``propagator_grid``
+call, and only multiplies the results.
 """
 from __future__ import annotations
 
@@ -227,16 +228,18 @@ def simulate_program(
     drives: dict[DriveConfig, dict] = {}  # program drive -> its piece drives
     compiled = [compile_program(p, drives.setdefault(p.cfg, {})) for p in programs]
     pieces = [piece for program in compiled for piece in program]
-    row = {cfg: index for index, cfg in enumerate(dict.fromkeys(p.cfg for p in pieces))}
+    # programs of one drive share its piece drives: number them once, by identity
+    distinct = {id(p.cfg): p.cfg for p in pieces}
+    row = {key: index for index, key in enumerate(distinct)}
     column = {t: index for index, t in enumerate(sorted({p.t_end - p.t_start for p in pieces}))}
     if pieces:
-        us = propagator_grid([build(cfg) for cfg in row], list(column), spec)
+        us = propagator_grid([build(cfg) for cfg in distinct.values()], list(column), spec)
     start = (psi0 if psi0 is not None else QubitState.zero()).amplitudes
     states = []
     for program in compiled:
         amps = start
         for p in program:
-            amps = us[row[p.cfg], column[p.t_end - p.t_start]] @ amps
+            amps = us[row[id(p.cfg)], column[p.t_end - p.t_start]] @ amps
         states.append(QubitState(amps))
     return states
 

@@ -13,15 +13,17 @@ simulated at pulse level in the frame and at the rate that
 ``drive.gate_frame`` gives. Each noise shot is a drive from
 ``NoiseSpec.shots``, so a static error is the drive's own detuning or Rabi
 error, and a noiseless run is one shot. The primitive propagators of all
-shots come from one ``propagator_grid`` call: four azimuth Hamiltonians per
-shot, each evaluated at the pi/2 and the pi duration.
+shots come from one ``propagator_grid`` call: one gate drive per shot,
+evaluated at the pi/2 and the pi duration and turned about z to each
+primitive's azimuth.
 
-Shots are a batch axis: the Clifford unitaries of all shots form one array,
-and for each length the states C|0> of all K strings are carried through
-the M gate columns together. Shots run in blocks of at most ``_BLOCK_BYTES``
-per gate step, which bounds memory whatever the shot count; ``_apply`` is
-elementwise and blocks are reduced in shot order, so results do not depend
-on the block size.
+Shots are a batch axis: the Clifford unitaries of all shots form one array
+of Bloch-sphere rotations, and for each length the Bloch vectors C|0> of
+all K strings are carried through the M gate columns together; of each
+recovery only the z-row is read. Shots run in blocks of at most
+``_BLOCK_BYTES`` per gate step, which bounds memory whatever the shot count;
+``_signal_matrix`` is elementwise and reduces blocks in shot order, so
+results do not depend on the block size.
 
 The decay A p^M is fitted by variable projection with numpy alone, with
 A in [0, 2] and p in [0, 1]: for each p the best A is a clipped linear
@@ -41,8 +43,9 @@ import numpy as np
 from .clifford import (
     AVERAGE_PRIMITIVES_PER_CLIFFORD,
     PRIMITIVES,
+    _recovery_table,
     clifford_group,
-    recovery_indices,
+    composed_indices,
 )
 from .drive import DriveConfig, Scheme, gate_frame
 from .experiments import NoiseSpec
@@ -51,8 +54,8 @@ from .pulses import GATE_MOD_PHASE, require_gate_lattice
 
 __all__ = ["RBResult", "randomized_benchmarking"]
 
-#: Bytes one gate step of a shot block may hold: the gathered gates and the
-#: states, 160 bytes per shot and string, so a block holds this // (160 K) shots.
+#: Bytes one gate step of a shot block may hold: the gathered rotations and the
+#: Bloch vectors, 96 bytes per shot and string, so a block holds this // (96 K) shots.
 _BLOCK_BYTES = 1 << 20
 #: trial decays p on which the RB fit brackets its minimum
 _FIT_GRID = np.linspace(0.0, 1.0, 257)
@@ -82,24 +85,24 @@ def _primitive_unitaries(
 ) -> dict[str, np.ndarray]:
     """Pulse-level propagators of the seven primitives, (shots, 2, 2) each.
 
-    Every shot drive gates in the frame and at the rate of the first.
+    Every shot drive gates in the frame and at the rate of the first. In
+    both rotating frames phi_mw only turns the transverse coefficients, so
+    H(phi_0 + phi) = R_z(phi) H(phi_0) R_z(phi)^dagger, and so is U: each
+    shot's drive is integrated once, at the axis offset phi_0, and the
+    primitive about azimuth phi is its Cayley-Klein pair (a, b e^{i phi}).
+    The lab frame, whose carrier holds phi_mw, has no such symmetry; RB
+    never runs in it.
     """
     build, rate, axis_offset = gate_frame(shots[0])
     pulsed = [prim for prim in PRIMITIVES.values() if prim.axis != "i"]
-    azimuths = sorted({prim.rotation_azimuth for prim in pulsed})
     angles = sorted({abs(prim.angle) for prim in pulsed})
     # theta_m selects the dressed gate drive; the bare first frame ignores it
-    hams = [
-        build(shot.with_pulse(GATE_MOD_PHASE, azimuth + axis_offset))
-        for shot in shots
-        for azimuth in azimuths
-    ]
+    hams = [build(shot.with_pulse(GATE_MOD_PHASE, axis_offset)) for shot in shots]
     us = propagator_grid(hams, [angle / rate for angle in angles], spec)
-    us = us.reshape(len(shots), len(azimuths), len(angles), 2, 2)
     out = {"I": np.broadcast_to(np.eye(2, dtype=complex), (len(shots), 2, 2))}
     for prim in pulsed:
-        azimuth, angle = azimuths.index(prim.rotation_azimuth), angles.index(abs(prim.angle))
-        out[prim.name] = us[:, azimuth, angle]
+        turn = np.exp(1j * prim.rotation_azimuth)  # [[a, -b*], [b, a*]] with b -> b e^{i phi}
+        out[prim.name] = us[:, angles.index(abs(prim.angle))] * [[1.0, turn.conj()], [turn, 1.0]]
     return out
 
 
@@ -118,34 +121,52 @@ def _clifford_unitaries(primitive_us: dict[str, np.ndarray]) -> np.ndarray:
     return np.stack(out, axis=-3)
 
 
-def _real_form(u: np.ndarray) -> np.ndarray:
-    """Unitaries (..., 2, 2) as real weights (4, 4, ...) on real state vectors.
+def _bloch_rotations(us: np.ndarray) -> np.ndarray:
+    """SO(3) forms R_ij = tr(sigma_i U sigma_j U^dagger) / 2 of (shots, 24, 2, 2) unitaries.
 
-    A state a|0> + b|1> is stored as (Re a, Im a, Re b, Im b) on its leading
-    axis, and ``w[c, r]`` is the weight of input component c in output
-    component r. The batch axes come last, so each product in ``_apply`` is
-    one long contiguous run. It is not the propagator's Cayley-Klein pair: it
-    updates states, not products, and its real arithmetic keeps the
-    shot-block results bit-stable.
+    They are returned as (24, 3, 3, shots), so a gather of gates by index
+    takes contiguous slabs; a global phase of U drops out.
     """
-    w = np.empty((2, 2, 2, 2) + u.shape[:-2])  # (input j, re/im, output i, re/im, ...)
-    re, im = np.moveaxis(u.real, (-1, -2), (0, 1)), np.moveaxis(u.imag, (-1, -2), (0, 1))
-    w[:, 0, :, 0] = re
-    w[:, 1, :, 1] = re
-    w[:, 0, :, 1] = im
-    w[:, 1, :, 0] = -im
-    return w.reshape((4, 4) + u.shape[:-2])
+    (u00, u01), (u10, u11) = np.moveaxis(us, (-2, -1), (0, 1))
+    p, q, r, s = u11 * u00.conj(), u10 * u01.conj(), u10 * u00.conj(), u11 * u01.conj()
+    t = u00 * u01.conj() - u10 * u11.conj()
+    zz = (abs(u00) ** 2 - abs(u01) ** 2 - abs(u10) ** 2 + abs(u11) ** 2) / 2.0
+    rows = [(p + q).real, (q - p).imag, (r - s).real, (p + q).imag, (p - q).real,
+            (r - s).imag, t.real, t.imag, zz]
+    return np.ascontiguousarray(np.reshape(rows, (3, 3) + us.shape[:-2]).transpose(3, 0, 1, 2))
 
 
-def _apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Real-form product over the trailing axes (see ``_real_form``).
+def _signal_matrix(clifford_us: np.ndarray, strings: list[np.ndarray]) -> np.ndarray:
+    """Shot mean of each string's up/down recovery difference, (lengths, K).
 
-    Elementwise real multiplies and adds in a fixed order compute every value
-    by the same correctly rounded operations whatever the array shapes, so
-    the result cannot depend on the shot block. Complex multiplies and
-    matmul leave fused multiply-adds to the SIMD or BLAS kernel.
+    Each string is composed once on the multiplication table and read at
+    both recoveries. Its Bloch vector, spin-down |0> at z = +1, is carried
+    through the gate columns of all K strings together; the difference of
+    spin-up fractions is (z_down - z_up) / 2. Shots run in blocks of at most
+    ``_BLOCK_BYTES`` per gate step. Every three-term sum is written out
+    elementwise, left to right: a reduction or a SIMD kernel could change its
+    order with the block shape, and the blocks are reduced in shot order, so
+    results do not depend on the block size.
     """
-    return w[0] * x[0] + w[1] * x[1] + w[2] * x[2] + w[3] * x[3]
+    rotations = _bloch_rotations(clifford_us)
+    shots, k = rotations.shape[-1], strings[0].shape[0]
+    recoveries = [_recovery_table()[:, composed_indices(s)] for s in strings]  # (down, up)
+    matrix = np.zeros((len(strings), k))
+    block_shots = max(1, _BLOCK_BYTES // (96 * k))
+    for first in range(0, shots, block_shots):
+        block = np.ascontiguousarray(rotations[..., first : first + block_shots])
+        for row, string, recovery in zip(matrix, strings, recoveries):
+            v = block[string[:, 0], :, 2]  # (K, 3, shot): the first gate's image of +z
+            for column in string.T[1:]:
+                g = block[column]
+                v = (g[:, :, 0] * v[:, None, 0] + g[:, :, 1] * v[:, None, 1]
+                     + g[:, :, 2] * v[:, None, 2])
+            down, up = block[recovery, 2]  # the z-rows of the recoveries
+            z_down = down[:, 0] * v[:, 0] + down[:, 1] * v[:, 1] + down[:, 2] * v[:, 2]
+            z_up = up[:, 0] * v[:, 0] + up[:, 1] * v[:, 1] + up[:, 2] * v[:, 2]
+            for diff in ((z_down - z_up) / 2.0).T:  # shot order, whatever the block size
+                row += diff
+    return matrix / shots
 
 
 def _sequence_indices(seed: int, m: int, k: int) -> np.ndarray:
@@ -259,35 +280,11 @@ def randomized_benchmarking(
         np.array([_sequence_indices(noise.seed, int(m), k) for k in range(k_randomizations)])
         for m in lengths
     ]
-    recoveries = [(recovery_indices(s, "up"), recovery_indices(s, "down")) for s in strings]
-
     if ideal:
         clifford_us = np.stack([g.matrix for g in clifford_group()])[None]
     else:
         clifford_us = _clifford_unitaries(_primitive_unitaries(noise.shots(base), spec))
-    weights = _real_form(clifford_us)  # (4, 4, shots, 24)
-    shots = weights.shape[2]
-
-    zero = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None]
-    matrix = np.zeros((lengths.size, k_randomizations))
-    block_shots = max(1, _BLOCK_BYTES // (160 * k_randomizations))
-    for first in range(0, shots, block_shots):
-        block = weights[:, :, first : first + block_shots]
-        # gate g of shot s sits at 24 s + g; np.take gathers contiguous (4, 4, shot, string)
-        shot = 24 * np.arange(block.shape[2])[:, None]
-        block = block.reshape(4, 4, -1)
-        for row, string, (up, down) in zip(matrix, strings, recoveries):
-            state = np.broadcast_to(zero, (4, len(shot), k_randomizations))
-            for column in string.T:
-                state = _apply(np.take(block, shot + column, axis=2), state)
-            final_up = _apply(np.take(block, shot + up, axis=2), state)
-            final_down = _apply(np.take(block, shot + down, axis=2), state)
-            diffs = (final_up[2] ** 2 + final_up[3] ** 2) - (
-                final_down[2] ** 2 + final_down[3] ** 2
-            )
-            for diff in diffs:  # shot order, whatever the block size
-                row += diff
-    matrix /= shots
+    matrix = _signal_matrix(clifford_us, strings)
 
     signal = matrix.mean(axis=1)
     amplitude, p, residual, converged = _fit_decay(lengths, signal)

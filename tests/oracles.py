@@ -9,13 +9,16 @@ transforms other than ``to_second_frame`` check the drive model itself, and
 primitives. ``su2_exp``, ``product``, ``tree_product`` and
 ``lab_coefficients`` are the step kernel as it was before it wrote into
 preallocated arrays: the propagator's kernel and the lab-frame coefficients
-must match them bit for bit.
+must match them bit for bit. ``real_form_signal_matrix`` is the RB string
+composition as it was before it moved to Bloch vectors: 4x4 real forms of
+SU(2) acting on 4-component states, each recovery found by its own
+composition of the string.
 """
 import math
 
 import numpy as np
 
-from ccdsim.clifford import CliffordGate
+from ccdsim.clifford import CliffordGate, recovery_indices
 from ccdsim.drive import DriveConfig, counter_rotating_coefficient, second_frame_unitary
 from ccdsim.pulses import PulseProgram, PulseSegment, gate_pulse, readout_pad
 from ccdsim.qubit import QubitState
@@ -183,3 +186,46 @@ def clifford_sequence_program(
     if pad_readout:
         segments.append(readout_pad(sum(seg.duration for seg in segments), cfg))
     return PulseProgram(segments, cfg)
+
+
+def real_form(u):
+    """Unitaries (..., 2, 2) as real weights (4, 4, ...) on real state vectors.
+
+    A state a|0> + b|1> is stored as (Re a, Im a, Re b, Im b) on its leading
+    axis, and ``w[c, r]`` is the weight of input component c in output
+    component r; the batch axes come last.
+    """
+    w = np.empty((2, 2, 2, 2) + u.shape[:-2])  # (input j, re/im, output i, re/im, ...)
+    re, im = np.moveaxis(u.real, (-1, -2), (0, 1)), np.moveaxis(u.imag, (-1, -2), (0, 1))
+    w[:, 0, :, 0] = re
+    w[:, 1, :, 1] = re
+    w[:, 0, :, 1] = im
+    w[:, 1, :, 0] = -im
+    return w.reshape((4, 4) + u.shape[:-2])
+
+
+def apply_real_form(w, x):
+    """Real-form product over the trailing axes (see ``real_form``)."""
+    return w[0] * x[0] + w[1] * x[1] + w[2] * x[2] + w[3] * x[3]
+
+
+def real_form_signal_matrix(clifford_us, strings):
+    """The shot mean of P_up(up recovery) - P_up(down recovery) for every string,
+    (lengths, K), from the Clifford unitaries (shots, 24, 2, 2), all shots at once."""
+    weights = real_form(clifford_us)  # (4, 4, shots, 24)
+    shots, k = weights.shape[2], strings[0].shape[0]
+    # gate g of shot s sits at 24 s + g; np.take gathers (4, 4, shot, string)
+    shot, block = 24 * np.arange(shots)[:, None], weights.reshape(4, 4, -1)
+    zero = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None]
+    matrix = np.zeros((len(strings), k))
+    for row, string in zip(matrix, strings):
+        state = np.broadcast_to(zero, (4, shots, k))
+        for column in string.T:
+            state = apply_real_form(np.take(block, shot + column, axis=2), state)
+        up, down = recovery_indices(string, "up"), recovery_indices(string, "down")
+        final_up = apply_real_form(np.take(block, shot + up, axis=2), state)
+        final_down = apply_real_form(np.take(block, shot + down, axis=2), state)
+        diffs = (final_up[2] ** 2 + final_up[3] ** 2) - (final_down[2] ** 2 + final_down[3] ** 2)
+        for diff in diffs:
+            row += diff
+    return matrix / shots

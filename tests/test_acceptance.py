@@ -371,11 +371,11 @@ class TestNumericalHygiene:
         from ccdsim import propagator
         from ccdsim.cli import main
 
-        # 64 noise shots give every interval of the rb primitives several
+        # 128 noise shots give every interval of the rb primitives two
         # blocks, which run on a pool of propagator._WORKERS threads
         args = [
             "rb", "--scheme", "cm", "--rabi-hz", "2.2e6", "--cliffords", "1,2,4",
-            "--k", "3", "--noise-detuning-sigma-hz", "1e5", "--noise-samples", "64",
+            "--k", "3", "--noise-detuning-sigma-hz", "1e5", "--noise-samples", "128",
             "--seed", "3",
         ]
         pools, pool = [], propagator._pool

@@ -56,11 +56,11 @@ class TestChevron:
         assert rows[:, 2].min() >= 0.0 and rows[:, 2].max() <= 1.0 + 1e-9
 
     def test_determinism_across_runs_and_threads(self, tmp_path, monkeypatch):
-        # 64 noise shots give the rb primitives several blocks per interval;
+        # 128 noise shots give the rb primitives two blocks per interval;
         # the worker count is the block pool's, which --threads does not select
         args = [
             "rb", "--scheme", "cm", "--rabi-hz", "2.2e6", "--cliffords", "1,2",
-            "--k", "2", "--noise-detuning-sigma-hz", "1e5", "--noise-samples", "64",
+            "--k", "2", "--noise-detuning-sigma-hz", "1e5", "--noise-samples", "128",
         ]
         pools, pool = [], propagator._pool
         monkeypatch.setattr(propagator, "_pool", lambda workers: pools.append(workers) or pool(workers))

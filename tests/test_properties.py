@@ -14,10 +14,11 @@ product and ``su2_power`` to plain 2x2 matrix products, and the lab-frame
 stepper to itself under a much smaller chunk bound. The rotating frames'
 coefficients, evaluated a batch at a time, must equal the per-member closures
 of ``tests/oracles.py`` bit for bit, and the second frame must be the rotated
-first frame. The last properties check that any valid ``RunConfig`` survives
-``emit_config`` and ``parse_config``, and that a dataset's bytes depend only
-on its contents: emitted twice, or after that round trip of its config, they
-are the same.
+first frame. In both frames a microwave phase phi must turn the propagator
+about z by phi, on the lattice and stepped paths alike. The last properties
+check that any valid ``RunConfig`` survives ``emit_config`` and
+``parse_config``, and that a dataset's bytes depend only on its contents:
+emitted twice, or after that round trip of its config, they are the same.
 """
 import math
 import string
@@ -265,6 +266,33 @@ def test_second_frame_is_the_rotated_first_frame(case):
             expected = r.conj().T @ h1 @ r
             scale = np.abs(frame_matrix(first, t)).max()
             assert np.abs(frame_matrix(second, t) - expected).max() <= 1e-9 * scale
+
+
+@PROPERTY
+@given(
+    st.sampled_from(list(Scheme)),
+    st.sampled_from([first_frame_hamiltonian, second_frame_hamiltonian]),
+    errors,
+    errors,
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([0.0, math.pi / 2]),
+)
+def test_microwave_phase_turns_the_propagator_about_z(
+    scheme, build, detuning, rabi_error, phi_0, phi, mod_phase
+):
+    # H(phi_0 + phi) = R_z(phi) H(phi_0) R_z(phi)^dagger in both rotating
+    # frames, so U turns alike: the rb primitives rest on it
+    hams = [
+        build(default_config(scheme, detuning=detuning * RABI, rabi_error=rabi_error * RABI,
+                             mod_phase=mod_phase, mw_phase=mw_phase))
+        for mw_phase in (phi_0, phi_0 + phi)
+    ]
+    r_z = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+    lattice, stepped = np.array([1.0, 3.0]) * PERIOD, np.array([0.37, 1.6]) * PERIOD
+    for batch, times in ((hams, lattice), ([replace(h, period=math.inf) for h in hams], stepped)):
+        base, turned = propagator.propagator_grid(batch, times)
+        assert np.abs(turned - r_z @ base @ r_z.conj().T).max() <= 1e-13
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

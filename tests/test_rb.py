@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from ccdsim import rb
@@ -27,7 +29,7 @@ from ccdsim.rb import (
     _sequence_indices,
     randomized_benchmarking,
 )
-from oracles import clifford_sequence_program
+from oracles import clifford_sequence_program, real_form_signal_matrix
 
 CFG = default_config(Scheme.CMCCD, rabi=2 * math.pi * 2.2e6)
 RABI = CFG.rabi
@@ -92,8 +94,8 @@ class TestBatchedPrimitives:
                 assert np.abs(prims[name][shot] - expected).max() <= 1e-10
 
     def test_rb_long_shots_evaluate_each_block_as_one_batch(self, monkeypatch):
-        # rb_long's 64 shots x 4 azimuths: one evaluation per block and cf4
-        # node, 2 nodes x 4 blocks, where one call per Hamiltonian made 2,048
+        # rb_long's 64 shots, one gate drive each: one evaluation per cf4 node
+        # of their one block, where 4 azimuths per shot made 2 nodes x 4 blocks
         cfg = parse_config(
             "scheme = cm\nrabi_hz = 2.2e6\ndetuning_hz = 44000\n"
             "noise_detuning_sigma_hz = 1e5\nnoise_samples = 64\n"
@@ -107,7 +109,7 @@ class TestBatchedPrimitives:
 
         monkeypatch.setattr(FrameCoefficients, "evaluate", classmethod(spy))
         _primitive_unitaries(shots, ROTATING_SPEC)
-        assert sizes == [256] * 8
+        assert sizes == [64, 64]
 
 
 class TestPulseLevel:
@@ -282,6 +284,27 @@ class TestBatchedComposition:
             blocked.meta["signal_matrix"].tobytes() == default.meta["signal_matrix"].tobytes()
         )
         assert blocked.average_gate_fidelity == default.average_gate_fidelity
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_bloch_composition_matches_real_form(seed, shots, lengths, k, ideal):
+    # random U(2) stacks (global phases included) or the ideal Cliffords
+    rng = np.random.default_rng(seed)
+    if ideal:
+        us = np.stack([g.matrix for g in clifford_group()])[None]
+    else:
+        z = rng.normal(size=(2, shots, 24, 2, 2))
+        us = np.linalg.qr(z[0] + 1j * z[1])[0]
+    strings = [rng.integers(0, 24, size=(k, m)) for m in sorted(lengths)]
+    bloch = rb._signal_matrix(us, strings)
+    assert np.abs(bloch - real_form_signal_matrix(us, strings)).max() <= 1e-13
 
 
 class TestRecoveryTable:
