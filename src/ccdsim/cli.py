@@ -70,8 +70,11 @@ _SHORT_FLAGS = {
     "sweep_points": "--points",
     "k_randomizations": "--k",
 }
-#: most samples ``iq-export`` writes; a larger request is refused up front
-MAX_IQ_SAMPLES = 10**7
+#: most rows any dataset holds (sweep grid points, trace or I/Q samples); a
+#: larger request is refused before anything is computed
+MAX_DATASET_ROWS = 10**7
+#: the config key that counts the points of each error axis
+_ERROR_POINTS = {"detuning": "detuning_points", "rabi": "rabi_error_points"}
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -83,6 +86,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     return parse_config(text, overrides={key: getattr(args, key) for key in KEY_TYPES})
+
+
+def _require_rows(command: str, rows: float, *keys: str) -> None:
+    """Refuse a dataset of more than ``MAX_DATASET_ROWS`` rows, naming the flags of ``keys``."""
+    if not rows <= MAX_DATASET_ROWS:
+        raise ConfigError(
+            f"{command} asks for {rows:.3g} rows, more than {MAX_DATASET_ROWS}; "
+            f"lower {' or '.join(map(flag, keys))}"
+        )
 
 
 def _duration_grid(cfg: RunConfig) -> np.ndarray:
@@ -133,6 +145,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """chevron, rabi-error and spectrum: P_up over an error axis and duration,
     or (spectrum) its Fourier magnitude along duration."""
     cfg = _load_config(args)
+    points = _ERROR_POINTS[args.axis]
+    _require_rows(
+        args.command, getattr(cfg, points) * cfg.duration_points, points, "duration_points"
+    )
     sweep = chevron_sweep if args.axis == "detuning" else rabi_error_sweep
     grid = sweep(
         cfg.scheme_enum(), cfg.drive_config(), _error_grid(cfg, args.axis), _duration_grid(cfg)
@@ -150,6 +166,8 @@ def _cmd_infidelity(args: argparse.Namespace) -> int:
     from .experiments import infidelity_curve
 
     cfg = _load_config(args)
+    points = _ERROR_POINTS[args.axis]
+    _require_rows(args.command, getattr(cfg, points), points)
     grid = _error_grid(cfg, args.axis)
     curve = infidelity_curve(cfg.scheme_enum(), cfg.drive_config(), args.axis, grid)
     errors = np.array([point[0] for point in curve])
@@ -160,6 +178,10 @@ def _cmd_infidelity(args: argparse.Namespace) -> int:
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    spq = cfg.samples_per_quarter_turn
+    _require_rows(
+        args.command, cfg.quarter_turns * spq + 1, "quarter_turns", "samples_per_quarter_turn"
+    )
     record = bloch_trajectory(
         cfg.scheme_enum(),
         cfg.drive_config(),
@@ -167,7 +189,6 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         cfg.samples_per_quarter_turn,
     )
     times = np.array([t for t, _ in record.samples])
-    spq = cfg.samples_per_quarter_turn
     rows = np.array(
         [
             [b.x, b.y, b.z, 1.0 if idx > 0 and idx % spq == 0 else 0.0]
@@ -186,6 +207,7 @@ def _cmd_dressed(args: argparse.Namespace) -> int:
     require_gate_lattice(drive)
     if getattr(args, "program", None):
         return _run_program_file(args, cfg, drive)
+    _require_rows(args.command, cfg.sweep_points, "sweep_points")
     if cfg.dressed_kind == "two_axis":
         sweep = np.linspace(0.0, 2.0 * TWO_PI, cfg.sweep_points)
         axis = AxisDef("mw_phase", "rad", sweep)
@@ -250,11 +272,7 @@ def _cmd_iq_export(args: argparse.Namespace) -> int:
     _, rate, _ = gate_frame(drive)
     duration = cfg.gate_angle / rate
     samples = duration * cfg.sample_rate_hz
-    if not samples <= MAX_IQ_SAMPLES:
-        raise ConfigError(
-            f"iq-export would write {samples:.3g} samples, more than {MAX_IQ_SAMPLES}; "
-            "lower sample_rate_hz or gate_angle"
-        )
+    _require_rows(args.command, samples, "sample_rate_hz", "gate_angle")
     n = max(2, int(round(samples)))
     times = np.arange(n) / cfg.sample_rate_hz
     i_env, q_env = iq_baseband(drive, times)

@@ -3,23 +3,26 @@
 CSV files carry ``# key=value`` metadata lines, then a header row, then one
 row per grid point (axis columns followed by value columns), with the first
 axis varying slowest. JSON files are a single object {meta, axes,
-value_names, values}. Numbers are written as shortest round-trip decimals
-and metadata keys are sorted, so identical inputs serialize to identical
-bytes; a metadata key or value may not hold a line break. Files are written
-to a temporary name and atomically renamed, so partial output is never left
-behind.
+value_names, values}. Numbers are written as shortest round-trip decimals and
+metadata keys are sorted, so identical inputs serialize to identical bytes; a
+metadata key or value may not hold a line break. Files are written to a
+temporary name and atomically renamed, so partial output is never left behind.
 
 The CSV body is rendered column by column: each axis value is rendered once
 and repeated into row order, and each value column is rendered in blocks of
 ``_BLOCK_ROWS`` rows, which are joined into lines and encoded block by block.
+The config hash comes from CPython's built-in ``_sha1``, which ``hashlib``
+itself falls back to: ``hashlib`` loads OpenSSL, about 3.5 MB of resident
+memory that a run drawing no random numbers then never maps.
 """
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import json
 import math
 import os
 import tempfile
+from _sha1 import sha1
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -38,7 +41,7 @@ _BLOCK_ROWS = 1024
 def config_hash(config_text: str) -> str:
     """Git-blob-style SHA-1 of the canonical configuration text."""
     payload = config_text.encode("utf-8")
-    return hashlib.sha1(b"blob %d\0" % len(payload) + payload).hexdigest()
+    return sha1(b"blob %d\0" % len(payload) + payload).hexdigest()
 
 
 def _render(value) -> str:
@@ -86,8 +89,7 @@ class Dataset:
         out = {"version": TOOL_VERSION}
         if self.config_text:
             out["config_hash"] = config_hash(self.config_text)
-        epoch = os.environ.get("SOURCE_DATE_EPOCH")
-        if epoch:
+        if epoch := os.environ.get("SOURCE_DATE_EPOCH"):
             out["created_epoch"] = epoch
         for key, value in self.meta.items():
             out[f"meta.{key}"] = _render(value)
@@ -156,8 +158,6 @@ def write_dataset(data: Dataset, path: str, fmt: str = "csv") -> None:
         os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_path)
-        except OSError:
-            pass
         raise

@@ -7,28 +7,29 @@ per step and two SU(2) exponentials. It is unconditionally unitary, meets the
 H. It builds the per-step exponentials in closed form (axis-angle),
 vectorized over steps and over batches of Hamiltonians. Each SU(2) value
 u = [[a, -b*], [b, a*]] is held as its Cayley-Klein pair (a, b): a product
-is four complex multiplies, and the 2x2 form is built only for the returned
-unitaries. Steps are reduced as pairwise trees (rounding growth logarithmic
-in the step count) over chunks of at most ``_CHUNK`` steps, which bound memory.
-A chunk's tree is built from the trees of its aligned power-of-two blocks,
-which give the same bits; when an interval has several blocks they run on a
-module-level thread pool of ``_WORKERS`` threads (one per usable CPU, at most
-``_CHUNK // _BLOCK``), built on first use. The result is the same for any
-thread count. Each block runs in a copy of the caller's context, so numpy's
-error state holds there too, and evaluates the coefficients of the whole
-batch in one call per cf4 node (``drive.batch_coefficients``): one call for
-rotating-frame data of one frame, else one per Hamiltonian, possibly from
-several pool threads at once. The step kernel keeps numpy passes and
-temporaries few, and each thread writes a block's steps over those of its
-last; every value takes the IEEE operations, in order, of the plain numpy
-expressions it replaced (np.sinc, complex arithmetic), signed zeros included,
-which ``tests/oracles.py`` keeps as oracles.
+is four complex multiplies. Steps are reduced as pairwise trees (rounding
+growth logarithmic in the step count) over chunks of at most ``_CHUNK``
+steps, which bound memory. A chunk's tree is built from the trees of its
+aligned power-of-two blocks, which give the same bits; when an interval has
+several blocks they run on a module-level thread pool of ``_WORKERS`` threads
+(one per usable CPU, at most ``_CHUNK // _BLOCK``), built on first use. The
+result is the same for any thread count. Each block runs in a copy of the
+caller's context, so numpy's error state holds there too, and evaluates the
+coefficients of the whole batch in one call per cf4 node
+(``drive.batch_coefficients``): one call for rotating-frame data of one frame,
+else one per Hamiltonian, possibly from several pool threads at once. The step
+kernel keeps numpy passes and temporaries few, and each thread writes a block's
+steps over those of its last; every value takes the IEEE operations, in order,
+of the plain numpy expressions it replaced (np.sinc, complex arithmetic),
+signed zeros included, which ``tests/oracles.py`` keeps as oracles.
 
-``evolve`` (with or without ``t_eval``), ``propagator_unitary`` and
-``propagator_grid`` (with ``evolve_grid`` on top) are thin callers of one
-core, which checks the times (finite, ascending, none before t0) and returns
-U(t, t0) for a batch of Hamiltonians at every requested time. It takes one of
-three paths, chosen from ``Hamiltonian.period`` and the requested times:
+``evolve`` (with or without ``t_eval``), ``evolve_grid``, ``propagator_unitary``
+and ``propagator_grid`` are thin callers of one core, which checks the times
+(finite, ascending, none before t0) and returns the pairs of U(t, t0) for a
+batch of Hamiltonians at every requested time, checked unitary within 1e-10.
+Only the last two build the 2x2 form; the first two map psi0 straight from the
+pairs. The core takes one of three paths, chosen from ``Hamiltonian.period``
+and the requested times:
 
 * **closed form** — every Hamiltonian in the batch is constant
   (``period == 0``): U(t, t0) = exp(-i (t - t0) H) at any times;
@@ -335,17 +336,20 @@ def _lattice_unitaries(
 
 
 def _unitaries(
-    hams: Sequence[Hamiltonian], t0: float, times: np.ndarray, spec: IntegratorSpec
-) -> np.ndarray:
-    """U(t, t0) for every t in ascending ``times``, shape (len(hams), len(times), 2, 2).
+    hams: Sequence[Hamiltonian], t0: float, times, spec: IntegratorSpec, context: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (a, b) of U(t, t0) at every t in ascending ``times``, each (len(hams), len(times)).
 
-    The propagation core behind every entry point, and the one check of its
-    times: t0 and every time finite, the times ascending and none before t0
-    (by more than 1e-15 s of rounding). All Hamiltonians share the smallest
-    step any of them needs. It takes a lattice path where one applies, else
-    one stepped interval per sample time, each accumulated onto the product
-    so far. Every path works on pairs up to the returned 2x2 form.
+    The core behind every entry point, and the one check of its times (1-D,
+    finite, ascending, none before t0 by more than 1e-15 s) and of unitarity: a
+    max | |a|^2 + |b|^2 - 1 | above 1e-10, or NaN, raises ``IntegratorError``
+    naming ``context``. All Hamiltonians share the smallest step any of them
+    needs. A lattice path is taken where one applies, else each interval is
+    stepped onto the product so far.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D array")
     if not (math.isfinite(t0) and np.all(np.isfinite(times))):
         raise ValueError("propagation times must be finite")
     if np.any(np.diff(times) < 0.0):
@@ -364,14 +368,17 @@ def _unitaries(
             total = u if total is None else _product(u, total)
             us[:, :, j] = total
             prev = float(t)
-    return _matrix(*us)
-
-
-def _check_unitary(us: np.ndarray, context: str) -> np.ndarray:
-    defect = float(np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(2)).max(initial=0.0))
+    a, b = us
+    defect = float(np.abs(a.real**2 + a.imag**2 + b.real**2 + b.imag**2 - 1.0).max(initial=0.0))
     if not defect <= 1e-10:
-        raise IntegratorError(f"propagator unitarity defect {defect:.3e} during {context}")
-    return us
+        raise IntegratorError(f"propagator unitarity defect {defect:.3e} in {context}")
+    return a, b
+
+
+def _states(a: np.ndarray, b: np.ndarray, psi0: QubitState) -> np.ndarray:
+    """(a psi0 - b* psi1, b psi0 + a* psi1) on a new last axis: the bits of 2x2 form @ psi0."""
+    p0, p1 = psi0.amplitudes  # matmul sums from +0.0, which sets the signs of zeros
+    return np.stack([(0.0 + a * p0) + -np.conj(b) * p1, (0.0 + b * p0) + np.conj(a) * p1], -1)
 
 
 def evolve(
@@ -386,24 +393,21 @@ def evolve(
     """Solve i dpsi/dt = H(t) psi from t0 to t1.
 
     Returns the final state, or the list of states at ``t_eval`` (ascending
-    times within [t0, t1]) if given. Norm is preserved by construction.
+    times within [t0, t1]) if given, mapped from the core's checked pairs.
     """
     times = np.array([t1] if t_eval is None else t_eval, dtype=float)
     if t_eval is not None and times.size and not times[-1] <= t1 + 1e-12:
         raise ValueError("t_eval must lie within [t0, t1]")
-    us = _unitaries([h], t0, times, spec)[0]
-    amps = _check_unitary(us, f"evolve over [{t0}, {t1}]") @ psi0.amplitudes
-    if t_eval is None:
-        return QubitState(amps[0])
-    return [QubitState(a) for a in amps]
+    amps = _states(*_unitaries([h], t0, times, spec, f"evolve over [{t0}, {t1}]"), psi0)[0]
+    return QubitState(amps[0]) if t_eval is None else [QubitState(a) for a in amps]
 
 
 def propagator_unitary(
     h: Hamiltonian, t0: float, t1: float, spec: IntegratorSpec = ROTATING_SPEC
 ) -> np.ndarray:
-    """Accumulated propagator U(t1, t0); unitary within 1e-10 by construction."""
-    u = _unitaries([h], t0, np.array([t1], dtype=float), spec)[0, 0]
-    return _check_unitary(u, f"propagation over [{t0}, {t1}]")
+    """Accumulated propagator U(t1, t0) as a 2x2 matrix; unitary within 1e-10."""
+    a, b = _unitaries([h], t0, [t1], spec, f"propagator_unitary over [{t0}, {t1}]")
+    return _matrix(a[0, 0], b[0, 0])
 
 
 def propagator_grid(
@@ -415,13 +419,10 @@ def propagator_grid(
 
     All Hamiltonians share the global time axis (propagation starts at t=0)
     and the smallest step any of them needs. The reduction order is fixed by
-    the time grid and the batch size, so a rerun gives the same bits.
-    Unitary within 1e-10, as :func:`propagator_unitary`.
+    the time grid and the batch size, so a rerun gives the same bits. Built from
+    the core's checked pairs, so unitary within 1e-10.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be a 1-D array")
-    return _check_unitary(_unitaries(hamiltonians, 0.0, times, spec), "grid propagation")
+    return _matrix(*_unitaries(hamiltonians, 0.0, times, spec, "propagator_grid"))
 
 
 def evolve_grid(
@@ -432,11 +433,10 @@ def evolve_grid(
 ) -> np.ndarray:
     """Evolve one initial state under a batch of Hamiltonians, sampling ``times``.
 
-    Returns a complex array of shape (batch, len(times), 2): the states
-    :func:`propagator_grid` carries ``psi0`` to. Its unitarity check bounds
-    the norm drift of every column by about 1e-10.
+    Returns the states :func:`propagator_grid` carries ``psi0`` to, shape
+    (batch, len(times), 2), mapped straight from the core's checked pairs.
     """
-    return propagator_grid(hamiltonians, times, spec) @ psi0.amplitudes
+    return _states(*_unitaries(hamiltonians, 0.0, times, spec, "evolve_grid"), psi0)
 
 
 def richardson_check(

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -522,7 +523,57 @@ class TestSubcommands:
         assert not out.exists()
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["kind"] == "config"
-        assert str(cli.MAX_IQ_SAMPLES) in record["error"]["message"]
+        assert str(cli.MAX_DATASET_ROWS) in record["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "args, flags",
+        [
+            (["chevron", "--durations", "10000000"], ["--detuning-points", "--duration-points"]),
+            (
+                ["rabi-error", "--rabi-error-points", "5000", "--durations", "5000"],
+                ["--rabi-error-points", "--duration-points"],
+            ),
+            (
+                ["spectrum", "--detuning-points", "100000", "--durations", "1000"],
+                ["--detuning-points", "--duration-points"],
+            ),
+            (["infidelity", "--detuning-points", "20000000"], ["--detuning-points"]),
+            (
+                ["infidelity", "--axis", "rabi", "--rabi-error-points", "20000000"],
+                ["--rabi-error-points"],
+            ),
+            (
+                ["trajectory", "--quarter-turns", "1000000", "--samples-per-quarter-turn", "10"],
+                ["--quarter-turns", "--samples-per-quarter-turn"],
+            ),
+            (["dressed", "--points", "20000000"], ["--sweep-points"]),
+        ],
+        ids=["chevron", "rabi-error", "spectrum", "infidelity", "infidelity-rabi", "trajectory",
+             "dressed"],
+    )
+    def test_oversized_dataset_is_refused_before_any_compute(self, tmp_path, capsys, args, flags):
+        # each grid would take minutes, or gigabytes, to build: the row cap
+        # refuses it from the config alone
+        out = tmp_path / "big.csv"
+        start = time.perf_counter()
+        assert main(args + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "config"
+        message = record["error"]["message"]
+        assert str(cli.MAX_DATASET_ROWS) in message
+        assert [f for f in flags if f not in message] == []
+
+    @pytest.mark.parametrize("durations, code", [("8", 0), ("9", 2)])
+    def test_row_cap_admits_a_grid_of_exactly_the_cap(
+        self, tmp_path, monkeypatch, durations, code
+    ):
+        monkeypatch.setattr(cli, "MAX_DATASET_ROWS", 3 * 8)
+        out = tmp_path / "c.csv"
+        args = ["chevron", "--detuning-points", "3", "--durations", durations, "--out", str(out)]
+        assert main(args) == code
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("angle", ["-1", "0"])
     def test_iq_export_refuses_non_positive_gate_angle(self, tmp_path, capsys, angle):
@@ -657,6 +708,26 @@ def test_cli_import_leaves_numpy_random_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_deterministic_run_leaves_openssl_unloaded(tmp_path):
+    # the config hash uses the built-in _sha1: hashlib would load OpenSSL
+    # (_hashlib), megabytes of resident memory, in a run that draws no random numbers
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, ccdsim.cli; code = ccdsim.cli.main(sys.argv[1:]); "
+        "print(code, '_hashlib' in sys.modules)"
+    )
+    args = ["chevron", "--detuning-points", "3", "--durations", "8"]
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *args, "--out", str(tmp_path / "c.csv")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_numpy_is_the_only_dependency():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -98,6 +99,15 @@ class TestWrite:
 def test_config_hash_is_git_blob_sha1():
     # sha1("blob 12\0hello world\n") for the classic content
     assert config_hash("hello world\n") == "3b18e512dba79e4c8300dd08aeb37f8e728b8dad"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.text())
+def test_config_hash_matches_hashlib_on_any_text(text):
+    # the built-in _sha1 behind config_hash must give hashlib's git-blob digest
+    payload = text.encode("utf-8")
+    expected = hashlib.sha1(b"blob %d\0" % len(payload) + payload).hexdigest()
+    assert config_hash(text) == expected
 
 
 def test_shape_validation():

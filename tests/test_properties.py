@@ -9,7 +9,10 @@ applies), stepped over each interval between consecutive times, with the
 interval unitaries multiplied here rather than in the propagator.
 
 The propagator stores each SU(2) value as its Cayley-Klein pair (a, b) of
-u = [[a, -b*], [b, a*]]. Further properties pin the pair products, the tree
+u = [[a, -b*], [b, a*]]. ``evolve`` and ``evolve_grid`` map psi0 straight from
+the core's pairs and must agree with ``propagator_grid``'s matrices applied
+to it, bit for bit for |0> and |1>, and the core's one unitarity check must name the entry point
+it fails in. Further properties pin the pair products, the tree
 product and ``su2_power`` to plain 2x2 matrix products, and the lab-frame
 stepper to itself under a much smaller chunk bound. The rotating frames'
 coefficients, evaluated a batch at a time, must equal the per-member closures
@@ -26,6 +29,7 @@ from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +46,16 @@ from ccdsim.drive import (
     second_frame_unitary,
 )
 from ccdsim.experiments import AxisDef
-from ccdsim.propagator import LAB_SPEC, evolve, evolve_grid, propagator_unitary, su2_exp, su2_power
+from ccdsim.propagator import (
+    LAB_SPEC,
+    IntegratorError,
+    evolve,
+    evolve_grid,
+    propagator_grid,
+    propagator_unitary,
+    su2_exp,
+    su2_power,
+)
 from ccdsim.qubit import QubitState, pauli_axis
 from oracles import first_frame_coefficients, second_frame_coefficients
 from oracles import matrix as frame_matrix
@@ -122,6 +135,63 @@ def test_nonzero_start_matches_stepped_oracle(case):
         assert np.abs(got - oracle @ psi0.amplitudes).max() <= TOLERANCE
         u = propagator_unitary(ham, float(times[0]), float(times[-1]))
         assert np.abs(u - oracle[-1]).max() <= TOLERANCE
+
+
+@st.composite
+def states(draw):
+    """A random normalized state."""
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    amps = np.array([complex(*parts[:2]), complex(*parts[2:])])
+    norm = np.linalg.norm(amps)
+    return QubitState(amps / norm) if norm > 0.1 else QubitState.plus()
+
+
+@PROPERTY
+@given(cases(), states())
+def test_state_entry_points_apply_the_matrix_entry_point(case, psi0):
+    # evolve and evolve_grid map psi0 from the core's pairs without building
+    # the 2x2 form; they must give what propagator_grid's matrices give
+    hams, times = case
+    unitaries = propagator_grid(hams, times)
+    for psi, exact in ((psi0, False), (QubitState.zero(), True), (QubitState.one(), True)):
+        want = unitaries @ psi.amplitudes
+        grid = evolve_grid(hams, times, psi)
+        # evolve returns QubitStates, which renormalize: so are the matrix form's
+        got = np.array([
+            [s.amplitudes for s in evolve(h, psi, 0.0, float(times[-1]), t_eval=times)]
+            for h in hams
+        ])
+        want_states = np.array([[QubitState(w).amplitudes for w in row] for row in want])
+        if exact:
+            assert grid.tobytes() == want.tobytes()
+            assert got.tobytes() == want_states.tobytes()
+        assert np.abs(grid - want).max() <= 1e-15
+        assert np.abs(got - want_states).max() <= 1e-15
+
+
+ENTRY_POINTS = {
+    "evolve": lambda h, ts: evolve(h, QubitState.zero(), 0.0, float(ts[-1]), t_eval=ts),
+    "evolve_grid": lambda h, ts: evolve_grid([h], ts, QubitState.zero()),
+    "propagator_unitary": lambda h, ts: propagator_unitary(h, 0.0, float(ts[-1])),
+    "propagator_grid": lambda h, ts: propagator_grid([h], ts),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_core_pair_check_names_the_entry_point(monkeypatch, name):
+    # the core checks | |a|^2 + |b|^2 - 1 | <= 1e-10 on the pairs of every path
+    ham = second_frame_hamiltonian(default_config(Scheme.CMCCD, detuning=0.1 * RABI))
+    times = np.arange(1, 4) * PERIOD
+    inner = propagator._lattice_unitaries
+
+    def run(scale):
+        scaled = lambda *args: tuple(x * scale for x in inner(*args))
+        monkeypatch.setattr(propagator, "_lattice_unitaries", scaled)
+        return ENTRY_POINTS[name](ham, times)
+
+    run(1.0 + 1e-12)  # a defect of about 2e-12 passes
+    with pytest.raises(IntegratorError, match=rf"defect 2\.0\d*e-09 in {name}\b"):
+        run(1.0 + 1e-9)
 
 
 def matrix(pair):
