@@ -223,19 +223,24 @@ def _cmd_dressed(args: argparse.Namespace) -> int:
 
 
 def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConfig) -> int:
-    """Simulate a user-supplied segment-directive file and report the readout."""
-    from .pulses import parse_program, simulate_program
+    """Simulate a user-supplied segment-directive file and report the readout,
+    averaged over the noise shots."""
+    from .pulses import PulseProgram, parse_program, simulate_program
     from .qubit import bloch_vector
 
     with open(args.program, "r", encoding="utf-8") as handle:
         program = parse_program(handle.read(), drive)
-    final = simulate_program([program])[0]
-    vec = bloch_vector(final)
+
+    def run(shot: DriveConfig) -> np.ndarray:
+        final = simulate_program([PulseProgram(program.segments, shot)])[0]
+        return np.array([final.population_up(), *bloch_vector(final)])
+
+    values = noise_average(run, cfg.noise_spec(), drive)
     return _write(
         cfg,
         (AxisDef("t", "s", np.array([program.total_duration])),),
         ("p_up", "x", "y", "z"),
-        np.array([[final.population_up(), vec.x, vec.y, vec.z]]),
+        values[None],
         program=os.path.basename(args.program),
         segments=len(program.segments),
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "Scheme",
     "DriveConfig",
     "Hamiltonian",
-    "IQSample",
     "lab_hamiltonian",
     "first_frame_hamiltonian",
     "second_frame_hamiltonian",
@@ -464,22 +463,11 @@ def to_second_frame(state: QubitState, cfg: DriveConfig, t: float) -> QubitState
     return state.apply(second_frame_unitary(cfg, t).conj().T)
 
 
-class IQSample(NamedTuple):
-    """Baseband I/Q sample: i*cos(omega_mw t + phi_mw) - q*sin(...) = W(t)."""
-
-    t: float
-    i: float
-    q: float
-
-
-def iq_baseband(
-    cfg: DriveConfig, t: np.ndarray | float
-) -> tuple[np.ndarray, np.ndarray] | IQSample:
+def iq_baseband(cfg: DriveConfig, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     """Baseband envelopes (I, Q) of the drive relative to the bare carrier.
 
     Reconstruction I(t) cos(omega_mw t + phi_mw) - Q(t) sin(omega_mw t + phi_mw)
     reproduces ``drive_coefficient`` exactly (trigonometric identity).
-    Array input returns (I, Q) arrays; a scalar time returns one IQSample.
     """
     times = np.asarray(t, dtype=float)
     sin_m = np.sin(_modulation_angle(cfg, times))
@@ -488,6 +476,4 @@ def iq_baseband(
     amp = cfg.rabi + cfg.rabi_error
     i = amp * (np.cos(p) + a * np.sin(p))
     q = amp * (np.sin(p) - a * np.cos(p))
-    if times.ndim == 0:
-        return IQSample(t=float(times), i=float(i), q=float(q))
     return i, q

@@ -8,26 +8,36 @@ at rate eps_m), idle and readout-pad segments with modulation phase 0
 elapsed time is an integer number of Rabi periods, which makes second-frame
 and lab-basis populations coincide at the moment of readout.
 
-Compilation checks that every segment boundary lands on the modulation-period
-lattice (Omega_0 t = 0 mod 2pi). On that lattice the per-segment rotating
-frames coincide (up to a physically irrelevant global sign), so a program can
-be simulated piece by piece in either rotating frame with no extra hand-off
-bookkeeping. Each piece starts on the lattice and its Hamiltonian is periodic
-over one modulation period, so its propagator is U_cfg(duration, 0), the same
-wherever the piece sits. ``simulate_program`` therefore evaluates every
-piece drive (programs of one drive configuration share theirs) at every
-distinct piece duration, for all its programs, in one ``propagator_grid``
-call, and only multiplies the results.
+``simulate_program`` refuses a program with a segment boundary off the
+modulation-period lattice (Omega_0 t = 0 mod 2pi). On that lattice the
+per-segment rotating frames coincide (up to a physically irrelevant global
+sign), so a program can be simulated piece by piece in either rotating frame
+with no extra hand-off bookkeeping. Each piece starts on the lattice and its
+Hamiltonian is periodic over one modulation period, so its propagator is
+U(duration, 0), the same wherever the piece sits.
+
+``piece_propagators`` is the one rule for those propagators, shared with the
+RB primitives. In both rotating frames phi_mw only turns the transverse
+coefficients, so H(phi_0 + phi) = R_z(phi) H(phi_0) R_z(phi)^dagger, and so
+is U: the rule integrates each (drive, theta_m) once, at a reference azimuth
+phi_0, in one ``propagator_grid`` call with the distinct piece durations as
+its times, and turns the Cayley-Klein pair (a, b) of each piece to
+(a, b e^{i (phi_mw - phi_0)}). A piece at the reference azimuth is not
+turned, so it keeps the integrated bits. The lab frame, whose carrier holds
+phi_mw, has no such symmetry; no program or RB primitive runs in it.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .drive import (
     DriveConfig,
+    Hamiltonian,
     first_frame_hamiltonian,
     second_frame_hamiltonian,
 )
@@ -38,12 +48,11 @@ __all__ = [
     "SegmentKind",
     "PulseSegment",
     "PulseProgram",
-    "CompiledSegment",
     "CompileError",
     "gate_pulse",
     "idle_pulse",
     "readout_pad",
-    "compile_program",
+    "piece_propagators",
     "simulate_program",
     "parse_program",
     "require_gate_lattice",
@@ -169,45 +178,56 @@ class PulseProgram:
         return sum(seg.duration for seg in self.segments)
 
 
-@dataclass(frozen=True)
-class CompiledSegment:
-    """One piece of the piecewise drive timeline."""
+def _pieces(program: PulseProgram) -> list[tuple[float, float, float]]:
+    """(theta_m, phi_mw, duration) of each segment of ``program`` that takes time.
 
-    t_start: float
-    t_end: float
-    cfg: DriveConfig
-
-
-def compile_program(program: PulseProgram, drives: dict | None = None) -> list[CompiledSegment]:
-    """Lower a program to a piecewise-in-time drive description.
-
-    Each piece carries the segment's (theta_m, phi_mw) merged into the shared
-    drive configuration; all pieces read the same global modulation clock.
-    Boundaries must land on the modulation-period lattice. ``drives`` maps
-    (theta_m, phi_mw) to the piece drive of ``program.cfg``; programs of one
-    drive configuration may share it, so that each drive is derived once.
+    The duration is the span on the program clock, end minus start. Refuses a
+    segment that ends off the modulation-period lattice.
     """
-    drives = {} if drives is None else drives
     period = program.cfg.mod_period
-    pieces: list[CompiledSegment] = []
-    t = 0.0
+    pieces, t = [], 0.0
     for index, seg in enumerate(program.segments):
         t_end = t + seg.duration
         frac = t_end / period
-        misalignment = abs(frac - round(frac))
-        if not misalignment <= BOUNDARY_TOLERANCE:
+        if not abs(frac - round(frac)) <= BOUNDARY_TOLERANCE:
             raise CompileError(
                 f"segment {index} ({seg.label or seg.kind.value}) ends at "
                 f"{frac:.6f} modulation periods; boundaries must fall on the "
                 "period lattice (Omega_0 t = 0 mod 2 pi)"
             )
         if seg.duration > 0.0:
-            pulse = (seg.theta_m, seg.phi_mw)
-            if pulse not in drives:
-                drives[pulse] = program.cfg.with_pulse(*pulse)
-            pieces.append(CompiledSegment(t_start=t, t_end=t_end, cfg=drives[pulse]))
+            pieces.append((seg.theta_m, seg.phi_mw, t_end - t))
         t = t_end
     return pieces
+
+
+def piece_propagators(
+    drives: Sequence[DriveConfig],
+    pieces: Sequence[tuple[float, float, float]],
+    build: Callable[[DriveConfig], Hamiltonian],
+    reference: float,
+    spec: IntegratorSpec,
+) -> np.ndarray:
+    """U(duration, 0) of each piece (theta_m, phi_mw, duration) under each drive.
+
+    Returns (len(drives), len(pieces), 2, 2). ``build`` is a rotating-frame
+    Hamiltonian builder; see the module docstring for the rule.
+    """
+    if not pieces:
+        return np.empty((len(drives), 0, 2, 2), dtype=complex)
+    rows = {theta: i for i, theta in enumerate(dict.fromkeys(theta for theta, _, _ in pieces))}
+    columns = {duration: j for j, duration in enumerate(sorted({d for _, _, d in pieces}))}
+    hams = [build(drive.with_pulse(theta, reference)) for drive in drives for theta in rows]
+    us = propagator_grid(hams, list(columns), spec).reshape(
+        len(drives), len(rows), len(columns), 2, 2
+    )
+    out = us[:, [rows[theta] for theta, _, _ in pieces], [columns[d] for _, _, d in pieces]]
+    turn = np.array([phi for _, phi, _ in pieces]) - reference
+    turned = np.flatnonzero(turn)  # a piece at the reference azimuth keeps its bits
+    e = np.exp(1j * turn[turned])  # [[a, -b*], [b, a*]] with b -> b e^{i turn}
+    out[:, turned, 1, 0] = out[:, turned, 1, 0] * e
+    out[:, turned, 0, 1] = out[:, turned, 0, 1] * e.conj()
+    return out
 
 
 def simulate_program(
@@ -217,29 +237,27 @@ def simulate_program(
     frame: str = "second",
     spec: IntegratorSpec = ROTATING_SPEC,
 ) -> list[QubitState]:
-    """Propagate compiled programs in the first or second rotating frame.
+    """Propagate pulse programs in the first or second rotating frame.
 
     Returns one final state per program, each started from ``psi0`` (|0> by
-    default); see the module docstring for how the pieces are propagated.
+    default). Every segment must end on the modulation-period lattice
+    (``CompileError`` otherwise); the piece propagators of all programs come
+    from one :func:`piece_propagators` call at reference azimuth 0.
     """
     if frame not in ("first", "second"):
         raise ValueError("frame must be 'first' or 'second'")
     build = first_frame_hamiltonian if frame == "first" else second_frame_hamiltonian
-    drives: dict[DriveConfig, dict] = {}  # program drive -> its piece drives
-    compiled = [compile_program(p, drives.setdefault(p.cfg, {})) for p in programs]
-    pieces = [piece for program in compiled for piece in program]
-    # programs of one drive share its piece drives: number them once, by identity
-    distinct = {id(p.cfg): p.cfg for p in pieces}
-    row = {key: index for index, key in enumerate(distinct)}
-    column = {t: index for index, t in enumerate(sorted({p.t_end - p.t_start for p in pieces}))}
-    if pieces:
-        us = propagator_grid([build(cfg) for cfg in distinct.values()], list(column), spec)
+    lowered = [_pieces(program) for program in programs]
+    drives = {cfg: i for i, cfg in enumerate(dict.fromkeys(p.cfg for p in programs))}
+    distinct = dict.fromkeys(piece for pieces in lowered for piece in pieces)
+    column = {piece: j for j, piece in enumerate(distinct)}
+    us = piece_propagators(list(drives), list(column), build, 0.0, spec)
     start = (psi0 if psi0 is not None else QubitState.zero()).amplitudes
     states = []
-    for program in compiled:
-        amps = start
-        for p in program:
-            amps = us[row[id(p.cfg)], column[p.t_end - p.t_start]] @ amps
+    for program, pieces in zip(programs, lowered):
+        amps, row = start, us[drives[program.cfg]]
+        for piece in pieces:
+            amps = row[column[piece]] @ amps
         states.append(QubitState(amps))
     return states
 

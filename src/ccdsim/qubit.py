@@ -23,8 +23,6 @@ __all__ = [
     "pauli_axis",
     "rotation",
     "state_fidelity",
-    "is_unitary",
-    "require_unitary",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -38,9 +36,6 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY):
 #: Norm deviation accepted at construction; larger deviations are treated as
 #: upstream numerical failures rather than silently renormalized away.
 NORM_TOLERANCE = 1e-8
-
-#: Unitarity tolerance for 2x2 operators (entrywise on U^dag U - I).
-UNITARY_TOLERANCE = 1e-10
 
 
 class NormalizationError(ValueError):
@@ -99,9 +94,6 @@ class QubitState:
         """Spin-up fraction |<1|psi>|^2."""
         return float(np.abs(self.amplitudes[1]) ** 2)
 
-    def bloch(self) -> BlochVector:
-        return bloch_vector(self)
-
 
 def bloch_vector(state: QubitState) -> BlochVector:
     """Bloch vector (<sigma_x>, <sigma_y>, <sigma_z>) of a pure state."""
@@ -133,15 +125,3 @@ def rotation(phi: float, angle: float) -> np.ndarray:
 def state_fidelity(a: QubitState, b: QubitState) -> float:
     """Overlap fidelity |<b|a>|^2; invariant under global phases."""
     return float(np.abs(np.vdot(b.amplitudes, a.amplitudes)) ** 2)
-
-
-def is_unitary(op: np.ndarray, atol: float = UNITARY_TOLERANCE) -> bool:
-    op = np.asarray(op)
-    return bool(np.all(np.abs(op.conj().T @ op - np.eye(op.shape[0])) <= atol))
-
-
-def require_unitary(op: np.ndarray, atol: float = UNITARY_TOLERANCE) -> np.ndarray:
-    if not is_unitary(op, atol):
-        defect = float(np.abs(op.conj().T @ op - np.eye(op.shape[0])).max())
-        raise ValueError(f"operator is not unitary (max |U^dag U - I| = {defect:.3e})")
-    return op

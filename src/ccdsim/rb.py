@@ -13,9 +13,10 @@ simulated at pulse level in the frame and at the rate that
 ``drive.gate_frame`` gives. Each noise shot is a drive from
 ``NoiseSpec.shots``, so a static error is the drive's own detuning or Rabi
 error, and a noiseless run is one shot. The primitive propagators of all
-shots come from one ``propagator_grid`` call: one gate drive per shot,
-evaluated at the pi/2 and the pi duration and turned about z to each
-primitive's azimuth.
+shots come from ``pulses.piece_propagators``, the rule that pulse programs
+use too: one gate drive per shot, integrated at the frame's axis offset for
+the pi/2 and the pi duration, and turned about z to each primitive's
+azimuth.
 
 Shots are a batch axis: the Clifford unitaries of all shots form one array
 of Bloch-sphere rotations, and for each length the Bloch vectors C|0> of
@@ -49,8 +50,8 @@ from .clifford import (
 )
 from .drive import DriveConfig, Scheme, gate_frame
 from .experiments import NoiseSpec
-from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_grid
-from .pulses import GATE_MOD_PHASE, require_gate_lattice
+from .propagator import ROTATING_SPEC, IntegratorSpec
+from .pulses import GATE_MOD_PHASE, piece_propagators, require_gate_lattice
 
 __all__ = ["RBResult", "randomized_benchmarking"]
 
@@ -85,24 +86,20 @@ def _primitive_unitaries(
 ) -> dict[str, np.ndarray]:
     """Pulse-level propagators of the seven primitives, (shots, 2, 2) each.
 
-    Every shot drive gates in the frame and at the rate of the first. In
-    both rotating frames phi_mw only turns the transverse coefficients, so
-    H(phi_0 + phi) = R_z(phi) H(phi_0) R_z(phi)^dagger, and so is U: each
-    shot's drive is integrated once, at the axis offset phi_0, and the
-    primitive about azimuth phi is its Cayley-Klein pair (a, b e^{i phi}).
-    The lab frame, whose carrier holds phi_mw, has no such symmetry; RB
-    never runs in it.
+    Every shot drive gates in the frame and at the rate of the first, and the
+    primitive about azimuth phi is the gate pulse at phi_mw = phi + phi_0, with
+    phi_0 the frame's axis offset: ``piece_propagators`` at reference phi_0.
     """
     build, rate, axis_offset = gate_frame(shots[0])
     pulsed = [prim for prim in PRIMITIVES.values() if prim.axis != "i"]
-    angles = sorted({abs(prim.angle) for prim in pulsed})
     # theta_m selects the dressed gate drive; the bare first frame ignores it
-    hams = [build(shot.with_pulse(GATE_MOD_PHASE, axis_offset)) for shot in shots]
-    us = propagator_grid(hams, [angle / rate for angle in angles], spec)
+    pieces = [
+        (GATE_MOD_PHASE, prim.rotation_azimuth + axis_offset, abs(prim.angle) / rate)
+        for prim in pulsed
+    ]
+    us = piece_propagators(shots, pieces, build, axis_offset, spec)
     out = {"I": np.broadcast_to(np.eye(2, dtype=complex), (len(shots), 2, 2))}
-    for prim in pulsed:
-        turn = np.exp(1j * prim.rotation_azimuth)  # [[a, -b*], [b, a*]] with b -> b e^{i phi}
-        out[prim.name] = us[:, angles.index(abs(prim.angle))] * [[1.0, turn.conj()], [turn, 1.0]]
+    out.update((prim.name, us[:, index]) for index, prim in enumerate(pulsed))
     return out
 
 

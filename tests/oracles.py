@@ -4,22 +4,31 @@
 closures the rotating-frame builders returned before their coefficients
 became data (``drive.FrameCoefficients``); the batch evaluator must match
 ``np.stack`` of them bit for bit. The first-frame unitary and the frame
-transforms other than ``to_second_frame`` check the drive model itself, and
+transforms other than ``to_second_frame`` check the drive model itself,
 ``clifford_sequence_program`` is the segment-by-segment oracle of the RB
-primitives. ``su2_exp``, ``product``, ``tree_product`` and
-``lab_coefficients`` are the step kernel as it was before it wrote into
-preallocated arrays: the propagator's kernel and the lab-frame coefficients
-must match them bit for bit. ``real_form_signal_matrix`` is the RB string
+primitives, and ``per_piece_oracle`` steps each program segment under its
+own drive, the oracle of ``pulses.piece_propagators``. ``su2_exp``,
+``product``, ``tree_product`` and ``lab_coefficients`` are the step kernel
+as it was before it wrote into preallocated arrays: the propagator's kernel
+and the lab-frame coefficients must match them bit for bit. ``real_form_signal_matrix`` is the RB string
 composition as it was before it moved to Bloch vectors: 4x4 real forms of
 SU(2) acting on 4-component states, each recovery found by its own
 composition of the string.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from ccdsim.clifford import CliffordGate, recovery_indices
-from ccdsim.drive import DriveConfig, counter_rotating_coefficient, second_frame_unitary
+from ccdsim.drive import (
+    DriveConfig,
+    counter_rotating_coefficient,
+    first_frame_hamiltonian,
+    second_frame_hamiltonian,
+    second_frame_unitary,
+)
+from ccdsim.propagator import ROTATING_SPEC, evolve
 from ccdsim.pulses import PulseProgram, PulseSegment, gate_pulse, readout_pad
 from ccdsim.qubit import QubitState
 
@@ -186,6 +195,20 @@ def clifford_sequence_program(
     if pad_readout:
         segments.append(readout_pad(sum(seg.duration for seg in segments), cfg))
     return PulseProgram(segments, cfg)
+
+
+def per_piece_oracle(program: PulseProgram, frame: str, spec=ROTATING_SPEC) -> QubitState:
+    """Final state of ``program`` from |0>: stepped evolve of each segment under
+    its own drive ``cfg.with_pulse(theta_m, phi_mw)``, from its start to its end
+    time, with the Hamiltonian's period cleared so that no lattice path applies."""
+    build = first_frame_hamiltonian if frame == "first" else second_frame_hamiltonian
+    state, t = QubitState.zero(), 0.0
+    for seg in program.segments:
+        if seg.duration > 0.0:
+            drive = program.cfg.with_pulse(seg.theta_m, seg.phi_mw)
+            state = evolve(replace(build(drive), period=math.inf), state, t, t + seg.duration, spec)
+        t += seg.duration
+    return state
 
 
 def real_form(u):

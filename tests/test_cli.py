@@ -351,6 +351,30 @@ class TestSubcommands:
         assert rows[0, 1] == pytest.approx(1.0, abs=1e-6)
         assert meta["meta.segments"] == "2"
 
+    def test_dressed_program_file_averages_the_noise_shots(self, tmp_path):
+        from ccdsim.pulses import parse_program, simulate_program
+        from ccdsim.qubit import bloch_vector
+
+        text = ("gate 1.5707963267948966 0.3\nidle 4.545454545454545e-07\n"
+                "gate 3.141592653589793 2.1\npad\n")
+        program = tmp_path / "two_gates.seq"
+        program.write_text(text)
+        argv = ["dressed", "--scheme", "cm", "--rabi-hz", "2.2e6", "--program", str(program)]
+        noise = ["--noise-detuning-sigma-hz", "3e5", "--noise-samples", "8"]
+        assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
+        assert main(argv + noise + ["--out", str(tmp_path / "noisy.csv")]) == 0
+        _, _, clean = read_csv(tmp_path / "clean.csv")
+        _, header, noisy = read_csv(tmp_path / "noisy.csv")
+        cfg = parse_config("scheme = cm\nrabi_hz = 2.2e6\nnoise_detuning_sigma_hz = 3e5\n"
+                           "noise_samples = 8\n")
+        runs = []
+        for shot in cfg.noise_spec().shots(cfg.drive_config()):
+            final = simulate_program([parse_program(text, shot)])[0]
+            runs.append([final.population_up(), *bloch_vector(final)])
+        assert header == ["t_s", "p_up", "x", "y", "z"]
+        assert noisy[0, 1:].tolist() == (np.sum(runs, axis=0) / 8).tolist()
+        assert np.abs(noisy[0, 1:] - clean[0, 1:]).max() > 1e-3
+
     def test_program_compile_error_exit_code(self, tmp_path):
         program = tmp_path / "bad.seq"
         program.write_text("idle 1.234e-7\n")  # off the period lattice

@@ -1,25 +1,17 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ccdsim import experiments, pulses
-from ccdsim.drive import (
-    Scheme,
-    default_config,
-    first_frame_hamiltonian,
-    second_frame_hamiltonian,
-    second_frame_unitary,
-)
-from ccdsim.experiments import dressed_sequence_experiment, lattice_times
-from ccdsim.propagator import IntegratorSpec, evolve
+from ccdsim.drive import Scheme, default_config, second_frame_unitary
+from ccdsim.experiments import NoiseSpec, dressed_sequence_experiment, lattice_times, noise_average
+from ccdsim.propagator import IntegratorSpec
 from ccdsim.pulses import (
     CompileError,
     PulseProgram,
     PulseSegment,
     SegmentKind,
-    compile_program,
     gate_pulse,
     idle_pulse,
     parse_program,
@@ -27,7 +19,8 @@ from ccdsim.pulses import (
     require_gate_lattice,
     simulate_program,
 )
-from ccdsim.qubit import QubitState, state_fidelity
+from ccdsim.qubit import QubitState, bloch_vector, state_fidelity
+from oracles import per_piece_oracle
 
 CFG = default_config(Scheme.CMCCD)
 PERIOD = CFG.mod_period
@@ -78,24 +71,35 @@ class TestSegments:
         assert np.allclose(np.abs(u), np.eye(2), atol=1e-7)
 
 
+def spy_batches(monkeypatch):
+    """Record the batch size of every ``propagator_grid`` call that ``pulses`` makes."""
+    sizes, inner = [], pulses.propagator_grid
+
+    def spy(hams, times, spec):
+        sizes.append(len(hams))
+        return inner(hams, times, spec)
+
+    monkeypatch.setattr(pulses, "propagator_grid", spy)
+    return sizes
+
+
 class TestCompile:
     def test_aligned_program_compiles(self):
         program = PulseProgram(
             [gate_pulse(math.pi / 2, 0.0, CFG), idle_pulse(2 * PERIOD, CFG)], CFG
         )
-        pieces = compile_program(program)
-        assert len(pieces) == 2
-        assert pieces[0].t_end == pytest.approx(PERIOD)
-        assert pieces[1].cfg.mod_phase == 0.0
-        assert pieces[0].cfg.mod_phase == math.pi / 2
+        for frame in ("first", "second"):
+            out = simulate_program([program], frame=frame)[0]
+            oracle = per_piece_oracle(program, frame)
+            assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
 
     def test_misaligned_boundary_names_segment(self):
         program = PulseProgram(
             [gate_pulse(math.pi / 2, 0.0, CFG), idle_pulse(0.31 * PERIOD, CFG, "stray")],
             CFG,
         )
-        with pytest.raises(CompileError, match="segment 1"):
-            compile_program(program)
+        with pytest.raises(CompileError, match=r"segment 1 \(stray\)"):
+            simulate_program([program])
 
     def test_gate_lattice_needs_quarter_over_n_mod_ratio(self):
         for ratio in (0.25, 0.125, 1.0 / 12.0):
@@ -107,9 +111,12 @@ class TestCompile:
         with pytest.raises(CompileError):
             require_gate_lattice(default_config(Scheme.BARE))
 
-    def test_zero_duration_segments_dropped(self):
+    def test_zero_duration_segments_dropped(self, monkeypatch):
+        sizes = spy_batches(monkeypatch)
         program = PulseProgram([idle_pulse(0.0, CFG), readout_pad(0.0, CFG)], CFG)
-        assert compile_program(program) == []
+        out = simulate_program([program], QubitState.plus())[0]
+        assert np.array_equal(out.amplitudes, QubitState.plus().amplitudes)
+        assert sizes == []  # nothing to integrate
 
     def test_total_duration_sums_segments(self):
         program = PulseProgram(
@@ -142,7 +149,7 @@ class TestSimulate:
         duration = (math.pi / 2) / CFG.mod_strength
         program = PulseProgram([idle_pulse(duration, CFG)], CFG)
         out = simulate_program([program], QubitState.plus())[0]
-        vec = out.bloch()
+        vec = bloch_vector(out)
         assert abs(vec.z) < 1e-8
         assert vec.x == pytest.approx(0.0, abs=1e-8)
         assert abs(vec.y) == pytest.approx(1.0, abs=1e-8)
@@ -190,6 +197,11 @@ class TestSimulate:
         first = simulate_program([program], frame="first", spec=spec)[0]
         second = simulate_program([program], frame="second", spec=spec)[0]
         assert first.population_up() == pytest.approx(second.population_up(), abs=1e-9)
+        # each gate at an arbitrary phi_mw is its drive at phi_mw = 0, turned
+        # about z: it must match stepping the turned drive itself
+        for frame, state in (("first", first), ("second", second)):
+            oracle = per_piece_oracle(program, frame, spec)
+            assert np.abs(state.amplitudes - oracle.amplitudes).max() <= 1e-10
 
     def test_two_quarter_gates_phase_sweep_oscillates(self):
         # second pi/2 pulse with swept carrier phase: Pic = (1 + cos(phi))/2
@@ -202,18 +214,6 @@ class TestSimulate:
             assert out.population_up() == pytest.approx(
                 (1.0 + math.cos(phi)) / 2.0, abs=1e-6
             )
-
-
-def per_piece_oracle(program, frame):
-    """Final state of ``program`` from |0>: stepped evolve over each compiled
-    piece from its start to its end time, with the Hamiltonian's period cleared
-    so that no lattice path applies."""
-    build = first_frame_hamiltonian if frame == "first" else second_frame_hamiltonian
-    state = QubitState.zero()
-    for piece in compile_program(program):
-        ham = replace(build(piece.cfg), period=math.inf)
-        state = evolve(ham, state, piece.t_start, piece.t_end)
-    return state
 
 
 class TestBatchedEngine:
@@ -251,17 +251,22 @@ class TestBatchedEngine:
                     assert np.abs(state.amplitudes - oracle.amplitudes).max() <= 1e-10
 
     def test_one_propagator_call_over_distinct_configurations(self, monkeypatch):
-        sizes = []
-        inner = pulses.propagator_grid
-
-        def spy(hams, times, spec):
-            sizes.append(len(hams))
-            return inner(hams, times, spec)
-
-        monkeypatch.setattr(pulses, "propagator_grid", spy)
+        sizes = spy_batches(monkeypatch)
         cfg = CFG.with_errors(detuning=0.03 * CFG.rabi)
         dressed_sequence_experiment("ccd_ramsey", cfg, lattice_times(cfg, 6))
         assert sizes == [2]  # the gate and the idle configuration
+
+    def test_two_axis_integrates_one_gate_drive_per_shot(self, monkeypatch):
+        # every swept carrier phase is the one gate drive turned about z
+        sizes = spy_batches(monkeypatch)
+        sweep = np.linspace(0.0, 4.0 * math.pi, 16)
+        noise = NoiseSpec(sigma_detuning=0.02 * CFG.rabi, samples=3, seed=4)
+        noise_average(
+            lambda shot: [p for _, p in dressed_sequence_experiment("two_axis", shot, sweep)],
+            noise,
+            CFG,
+        )
+        assert sizes == [1, 1, 1]
 
     def test_empty_program_list(self):
         assert simulate_program([]) == []
