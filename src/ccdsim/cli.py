@@ -224,23 +224,25 @@ def _cmd_dressed(args: argparse.Namespace) -> int:
 
 def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConfig) -> int:
     """Simulate a user-supplied segment-directive file and report the readout,
-    averaged over the noise shots."""
+    averaged over the noise shots, which run as one batch."""
     from .pulses import PulseProgram, parse_program, simulate_program
     from .qubit import bloch_vector
 
     with open(args.program, "r", encoding="utf-8") as handle:
         program = parse_program(handle.read(), drive)
-
-    def run(shot: DriveConfig) -> np.ndarray:
-        final = simulate_program([PulseProgram(program.segments, shot)])[0]
-        return np.array([final.population_up(), *bloch_vector(final)])
-
-    values = noise_average(run, cfg.noise_spec(), drive)
+    shots = cfg.noise_spec().shots(drive)
+    finals = simulate_program([PulseProgram(program.segments, shot) for shot in shots])
+    rows = [[final.population_up(), *bloch_vector(final)] for final in finals]
+    # summed in draw order from a copy of the first row, as noise_average sums
+    # (Python's sum starts from 0, and 0 + (-0.0) is 0.0)
+    total = np.array(rows[0])
+    for row in rows[1:]:
+        total += row
     return _write(
         cfg,
         (AxisDef("t", "s", np.array([program.total_duration])),),
         ("p_up", "x", "y", "z"),
-        values[None],
+        (total / len(rows))[None],
         program=os.path.basename(args.program),
         segments=len(program.segments),
     )

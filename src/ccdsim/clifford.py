@@ -29,7 +29,6 @@ __all__ = [
     "composed_indices",
     "recovery_clifford",
     "multiplication_table",
-    "recovery_indices",
     "equal_up_to_phase",
     "AVERAGE_PRIMITIVES_PER_CLIFFORD",
 ]
@@ -212,15 +211,3 @@ def composed_indices(strings: np.ndarray) -> np.ndarray:
     for column in strings.T[1:]:
         net = table[column, net]
     return net
-
-
-def recovery_indices(strings: np.ndarray, target: str) -> np.ndarray:
-    """``recovery_clifford`` for each row of a (K, M) array of Clifford indices.
-
-    The recovery of each ``composed_indices`` entry is read from a 24-entry
-    table built with ``recovery_clifford``, so the lowest-index rule is the
-    same.
-    """
-    if target not in ("up", "down"):
-        raise ValueError("target must be 'up' or 'down'")
-    return _recovery_table()[1 if target == "up" else 0, composed_indices(strings)]

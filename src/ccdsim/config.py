@@ -185,8 +185,9 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
         fail("dressed_kind", f"unknown dressed_kind {cfg.dressed_kind!r}")
     if any(m <= 0 for m in cfg.cliffords) or list(cfg.cliffords) != sorted(set(cfg.cliffords)):
         fail("cliffords", "cliffords must be positive, ascending, without repeats")
-    if cfg.noise_detuning_sigma_hz < 0 or cfg.noise_rabi_sigma_frac < 0:
-        fail("noise_detuning_sigma_hz", "noise sigmas must be >= 0")
+    for key in ("noise_detuning_sigma_hz", "noise_rabi_sigma_frac"):
+        if getattr(cfg, key) < 0:
+            fail(key, f"{key} must be >= 0")
     if cfg.sample_rate_hz <= 0:
         fail("sample_rate_hz", "sample_rate_hz must be positive")
     if cfg.gate_angle <= 0:

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qubit import IDENTITY, QubitState, pauli_axis
+from .qubit import QubitState, rotation
 
 __all__ = [
     "Scheme",
@@ -281,8 +281,8 @@ class FrameCoefficients:
 
 
 class _FirstFrame(FrameCoefficients):
-    """Row: Omega_0, theta_m, (Omega_0 + Delta)/2, cos and sin of phi_mw and of
-    phi_mw + pi/2, -amp_scale, delta/2, phase_scale."""
+    """Row: Omega_0, theta_m, (Omega_0 + Delta)/2, cos and sin of phi_mw,
+    -amp_scale, delta/2, phase_scale."""
 
     @staticmethod
     def _trig(rabi, theta, t):
@@ -291,16 +291,16 @@ class _FirstFrame(FrameCoefficients):
 
     @staticmethod
     def _combine(out, cols, sin_m, cos_m):
-        _, _, half_rabi, cos_par, sin_par, cos_perp, sin_perp, neg_amp, half_delta, phase = cols
-        perp = neg_amp * sin_m
-        out[..., 0] = half_rabi * cos_par + perp * cos_perp
-        out[..., 1] = half_rabi * sin_par + perp * sin_perp
+        _, _, half_rabi, cos_mw, sin_mw, neg_amp, half_delta, phase = cols
+        perp = neg_amp * sin_m  # along phi_mw + pi/2, that is (-sin, cos) of phi_mw
+        out[..., 0] = half_rabi * cos_mw - perp * sin_mw
+        out[..., 1] = half_rabi * sin_mw + perp * cos_mw
         out[..., 2] = half_delta + phase * cos_m
 
 
 class _SecondFrame(FrameCoefficients):
     """Row: Omega_0, theta_m, delta/2, co_perp, co_z, counter, Delta/2, cos and
-    sin of phi_mw and of phi_mw + pi/2."""
+    sin of phi_mw."""
 
     @staticmethod
     def _trig(rabi, theta, t):
@@ -311,10 +311,10 @@ class _SecondFrame(FrameCoefficients):
 
     @staticmethod
     def _combine(out, cols, sin_r, cos_r, sin_c, cos_c):
-        _, _, half_delta, co_perp, co_z, counter, half_err, cos_par, sin_par, cos_perp, sin_perp = cols
+        _, _, half_delta, co_perp, co_z, counter, half_err, cos_mw, sin_mw = cols
         perp = half_delta * sin_r + co_perp + counter * sin_c
-        out[..., 0] = half_err * cos_par + perp * cos_perp
-        out[..., 1] = half_err * sin_par + perp * sin_perp
+        out[..., 0] = half_err * cos_mw - perp * sin_mw
+        out[..., 1] = half_err * sin_mw + perp * cos_mw
         out[..., 2] = half_delta * cos_r + co_z + counter * cos_c
 
 
@@ -392,10 +392,8 @@ def first_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
     """
     amp_scale = (1.0 + cfg.rabi_error / cfg.rabi) * cfg.alpha_A * cfg.mod_strength
     phase_scale = cfg.alpha_P * cfg.mod_strength
-    cos_par, sin_par = math.cos(cfg.mw_phase), math.sin(cfg.mw_phase)
-    # sigma_{phi+pi/2} = -sin(phi) sigma_x + cos(phi) sigma_y
-    row = (cfg.rabi, cfg.mod_phase, (cfg.rabi + cfg.rabi_error) / 2.0, cos_par, sin_par,
-           -sin_par, cos_par, -amp_scale, cfg.detuning / 2.0, phase_scale)
+    row = (cfg.rabi, cfg.mod_phase, (cfg.rabi + cfg.rabi_error) / 2.0, math.cos(cfg.mw_phase),
+           math.sin(cfg.mw_phase), -amp_scale, cfg.detuning / 2.0, phase_scale)
     constant = amp_scale == 0.0 and phase_scale == 0.0
     return Hamiltonian(
         _FirstFrame(row),
@@ -416,10 +414,9 @@ def second_frame_hamiltonian(cfg: DriveConfig) -> Hamiltonian:
         cfg.mod_strength / 2.0
     )
     counter = counter_rotating_coefficient(cfg)
-    cos_par, sin_par = math.cos(cfg.mw_phase), math.sin(cfg.mw_phase)
     row = (cfg.rabi, cfg.mod_phase, half_delta, co * math.sin(cfg.mod_phase),
            co * math.cos(cfg.mod_phase), counter, cfg.rabi_error / 2.0,
-           cos_par, sin_par, -sin_par, cos_par)
+           math.cos(cfg.mw_phase), math.sin(cfg.mw_phase))
     constant = half_delta == 0.0 and counter == 0.0
     return Hamiltonian(
         _SecondFrame(row),
@@ -454,8 +451,7 @@ def gate_frame(cfg: DriveConfig) -> tuple[Callable[[DriveConfig], Hamiltonian], 
 
 def second_frame_unitary(cfg: DriveConfig, t: float) -> np.ndarray:
     """Frame unitary exp(-i (Omega_0 t / 2) sigma_{phi_mw}) of the second frame."""
-    angle = cfg.rabi * t / 2.0
-    return math.cos(angle) * IDENTITY - 1j * math.sin(angle) * pauli_axis(cfg.mw_phase)
+    return rotation(cfg.mw_phase, cfg.rabi * t)
 
 
 def to_second_frame(state: QubitState, cfg: DriveConfig, t: float) -> QubitState:

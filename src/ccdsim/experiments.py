@@ -12,7 +12,7 @@ one global step size across the rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -186,11 +186,12 @@ def rabi_error_sweep(
 
 def _check_uniform(times: np.ndarray) -> float:
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 4:
-        raise ValueError("need a 1-D time grid with at least 4 points")
+    if times.ndim != 1 or times.size < 4 or not np.isfinite(times).all():
+        raise ValueError("need a finite 1-D time grid with at least 4 points")
     steps = np.diff(times)
     dt = float(steps[0])
-    if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-9 * dt):
+    # written so that a NaN step fails too
+    if not (dt > 0.0 and np.all(np.abs(steps - dt) <= 1e-9 * dt)):
         raise ValueError("time grid must be uniform and increasing")
     return dt
 
@@ -319,21 +320,15 @@ def dressed_sequence_experiment(
     if not cfg.dressed:
         raise ValueError("dressed sequences need an active CCD modulation")
     sweep = np.asarray(sweep_values, dtype=float)
+    half_pi = gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2")
     programs = []
     for x in sweep:
         if kind == "ccd_rabi":
             segments = [gate_pulse(cfg.mod_strength * x, 0.0, cfg, "drive")] if x > 0.0 else []
         elif kind == "ccd_ramsey":
-            segments = [
-                gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2"),
-                idle_pulse(x, cfg, "free evolution"),
-                gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2"),
-            ]
+            segments = [half_pi, idle_pulse(x, cfg, "free evolution"), half_pi]
         else:
-            segments = [
-                gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2 ref"),
-                gate_pulse(math.pi / 2.0, float(x), cfg, "pi/2 swept"),
-            ]
+            segments = [half_pi, replace(half_pi, phi_mw=float(x), label="pi/2 swept")]
         elapsed = sum(seg.duration for seg in segments)
         programs.append(PulseProgram(segments + [readout_pad(elapsed, cfg)], cfg))
     finals = simulate_program(programs, spec=spec)

@@ -13,14 +13,15 @@ as it was before it wrote into preallocated arrays: the propagator's kernel
 and the lab-frame coefficients must match them bit for bit. ``real_form_signal_matrix`` is the RB string
 composition as it was before it moved to Bloch vectors: 4x4 real forms of
 SU(2) acting on 4-component states, each recovery found by its own
-composition of the string.
+composition of the string. ``recovery_indices`` gives those recoveries for
+a whole array of strings, from the recovery table that ``rb`` reads.
 """
 import math
 from dataclasses import replace
 
 import numpy as np
 
-from ccdsim.clifford import CliffordGate, recovery_indices
+from ccdsim.clifford import CliffordGate, _recovery_table, composed_indices
 from ccdsim.drive import (
     DriveConfig,
     counter_rotating_coefficient,
@@ -230,6 +231,18 @@ def real_form(u):
 def apply_real_form(w, x):
     """Real-form product over the trailing axes (see ``real_form``)."""
     return w[0] * x[0] + w[1] * x[1] + w[2] * x[2] + w[3] * x[3]
+
+
+def recovery_indices(strings: np.ndarray, target: str) -> np.ndarray:
+    """``recovery_clifford`` for each row of a (K, M) array of Clifford indices.
+
+    The recovery of each ``composed_indices`` entry is read from a 24-entry
+    table built with ``recovery_clifford``, so the lowest-index rule is the
+    same.
+    """
+    if target not in ("up", "down"):
+        raise ValueError("target must be 'up' or 'down'")
+    return _recovery_table()[1 if target == "up" else 0, composed_indices(strings)]
 
 
 def real_form_signal_matrix(clifford_us, strings):

@@ -375,6 +375,53 @@ class TestSubcommands:
         assert noisy[0, 1:].tolist() == (np.sum(runs, axis=0) / 8).tolist()
         assert np.abs(noisy[0, 1:] - clean[0, 1:]).max() > 1e-3
 
+    def test_dressed_program_file_integrates_its_shots_as_one_batch(self, tmp_path, monkeypatch):
+        from ccdsim import pulses
+
+        programs, batches = [], []
+        simulate, grid = pulses.simulate_program, pulses.propagator_grid
+
+        def spy_simulate(batch, *args, **kwargs):
+            programs.append(len(batch))
+            return simulate(batch, *args, **kwargs)
+
+        def spy_grid(hams, times, spec):
+            batches.append(len(hams))
+            return grid(hams, times, spec)
+
+        monkeypatch.setattr(pulses, "simulate_program", spy_simulate)
+        monkeypatch.setattr(pulses, "propagator_grid", spy_grid)
+        program = tmp_path / "two_gates.seq"
+        # gates at theta_m = pi/2 and an idle at theta_m = 0: two distinct theta_m
+        program.write_text("gate 1.5707963267948966 0.3\nidle 4.545454545454545e-07\n"
+                           "gate 3.141592653589793 2.1\npad\n")
+        code = main(["dressed", "--scheme", "cm", "--rabi-hz", "2.2e6", "--program", str(program),
+                     "--noise-detuning-sigma-hz", "3e5", "--noise-samples", "5",
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 0
+        assert programs == [5]
+        assert batches == [5 * 2]
+
+    @pytest.mark.parametrize(
+        "noise",
+        [[], ["--noise-detuning-sigma-hz", "3e5", "--noise-rabi-sigma-frac", "0.02",
+              "--noise-samples", "6", "--seed", "3"]],
+        ids=["clean", "noisy"],
+    )
+    def test_program_file_reproduces_the_ramsey_preset(self, tmp_path, noise):
+        cfg = parse_config("scheme = cm\nrabi_hz = 2.2e6\n")
+        half_pi, t_c = math.pi / 2.0, 3 * cfg.drive_config().mod_period
+        program = tmp_path / "ramsey.seq"
+        program.write_text(f"gate {half_pi!r} 0.0\nidle {t_c!r}\ngate {half_pi!r} 0.0\npad\n")
+        argv = ["dressed", "--scheme", "cm", "--rabi-hz", "2.2e6", *noise]
+        preset, spelled = tmp_path / "preset.csv", tmp_path / "program.csv"
+        assert main(argv + ["--kind", "ccd_ramsey", "--points", "4", "--out", str(preset)]) == 0
+        assert main(argv + ["--program", str(program), "--out", str(spelled)]) == 0
+        _, _, preset_rows = read_csv(preset)
+        _, _, program_rows = read_csv(spelled)
+        assert preset_rows[3, 0] == t_c
+        assert program_rows[0, 1] == preset_rows[3, 1]
+
     def test_program_compile_error_exit_code(self, tmp_path):
         program = tmp_path / "bad.seq"
         program.write_text("idle 1.234e-7\n")  # off the period lattice

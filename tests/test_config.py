@@ -144,6 +144,21 @@ class TestParse:
         with pytest.raises(ConfigError, match="duration_points"):
             parse_config("duration_points = 0\n")
 
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("noise_detuning_sigma_hz = 1e3\nnoise_rabi_sigma_frac = -0.1\n",
+             "noise_rabi_sigma_frac", 2),
+            ("noise_rabi_sigma_frac = -0.1\n", "noise_rabi_sigma_frac", 1),
+            ("seed = 4\nnoise_detuning_sigma_hz = -1e3\n", "noise_detuning_sigma_hz", 2),
+        ],
+        ids=["rabi-after-detuning", "rabi-alone", "detuning"],
+    )
+    def test_negative_noise_sigma_names_its_key_and_line(self, text, key, line):
+        with pytest.raises(ConfigError, match=f"^line {line}: {key} must be >= 0") as info:
+            parse_config(text)
+        assert info.value.line == line
+
     def test_overrides_win_over_file(self):
         cfg = parse_config("rabi_hz = 1e6\n", overrides={"rabi_hz": 2e6, "seed": None})
         assert cfg.rabi_hz == 2e6

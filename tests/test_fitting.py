@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,16 @@ class TestSpectrum:
         times = np.array([0.0, 1.0, 2.0, 4.0, 5.0])
         with pytest.raises(ValueError):
             hann_spectrum(times, np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, math.nan, math.nan, math.nan, math.nan], [0.0, 1.0, 2.0, 3.0, math.nan],
+         [-math.inf, 0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, math.inf]],
+        ids=["nan", "nan-last", "inf-first", "inf-last"],
+    )
+    def test_non_finite_grid_rejected(self, times):
+        with pytest.raises(ValueError, match="time grid"):
+            hann_spectrum(np.array(times), np.ones(5))
 
     def test_equal_tones_resolve_deterministically(self):
         # near-degenerate peaks: repeated calls must agree bit-for-bit

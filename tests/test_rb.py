@@ -16,7 +16,6 @@ from ccdsim.clifford import (
     equal_up_to_phase,
     multiplication_table,
     recovery_clifford,
-    recovery_indices,
 )
 from ccdsim.config import parse_config
 from ccdsim.drive import FrameCoefficients, Scheme, default_config, gate_frame
@@ -29,7 +28,7 @@ from ccdsim.rb import (
     _sequence_indices,
     randomized_benchmarking,
 )
-from oracles import clifford_sequence_program, real_form_signal_matrix
+from oracles import clifford_sequence_program, real_form_signal_matrix, recovery_indices
 
 CFG = default_config(Scheme.CMCCD, rabi=2 * math.pi * 2.2e6)
 RABI = CFG.rabi
