@@ -52,6 +52,7 @@ from .experiments import (
     lattice_times,
     noise_average,
     rabi_error_sweep,
+    shot_mean,
     spectrum,
 )
 from .propagator import IntegratorError, evolve
@@ -232,17 +233,12 @@ def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConf
         program = parse_program(handle.read(), drive)
     shots = cfg.noise_spec().shots(drive)
     finals = simulate_program([PulseProgram(program.segments, shot) for shot in shots])
-    rows = [[final.population_up(), *bloch_vector(final)] for final in finals]
-    # summed in draw order from a copy of the first row, as noise_average sums
-    # (Python's sum starts from 0, and 0 + (-0.0) is 0.0)
-    total = np.array(rows[0])
-    for row in rows[1:]:
-        total += row
+    mean = shot_mean([final.population_up(), *bloch_vector(final)] for final in finals)
     return _write(
         cfg,
         (AxisDef("t", "s", np.array([program.total_duration])),),
         ("p_up", "x", "y", "z"),
-        (total / len(rows))[None],
+        mean[None],
         program=os.path.basename(args.program),
         segments=len(program.segments),
     )

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .drive import DriveConfig, Scheme, first_frame_hamiltonian, gate_frame
 from .propagator import ROTATING_SPEC, IntegratorError, IntegratorSpec, evolve, evolve_grid
-from .pulses import PulseProgram, gate_pulse, idle_pulse, readout_pad, simulate_program
+from .pulses import PulseProgram, gate_pulse, idle_pulse, require_gate_lattice, simulate_program
 from .qubit import BlochVector, QubitState, bloch_vector
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "dressed_sequence_experiment",
     "lattice_times",
     "noise_average",
+    "shot_mean",
 ]
 
 
@@ -117,7 +118,7 @@ class NoiseSpec:
 
 
 def _coarse_grid_warning(cfg: DriveConfig, durations: np.ndarray) -> list[str]:
-    if cfg.mod_strength <= 0.0 or durations.size < 2:
+    if not cfg.dressed or durations.size < 2:
         return []
     dt = float(np.min(np.diff(durations)))
     per_period = (2.0 * math.pi / cfg.mod_strength) / dt
@@ -308,17 +309,18 @@ def dressed_sequence_experiment(
 ) -> list[tuple[float, float]]:
     """Dressed-qubit pulse-sequence presets.
 
-    kind = 'ccd_rabi'   : gate pulse of swept duration + readout pad;
-    kind = 'ccd_ramsey' : pi/2 -- idle(t_c) -- pi/2 + readout pad;
+    kind = 'ccd_rabi'   : one gate pulse of swept duration;
+    kind = 'ccd_ramsey' : pi/2 -- idle(t_c) -- pi/2;
     kind = 'two_axis'   : two pi/2 pulses, the second at swept carrier phase.
 
-    Swept durations must sit on the modulation-period lattice so that every
-    program satisfies the segment-boundary rule.
+    ``cfg`` must pass :func:`require_gate_lattice`, and swept durations must
+    sit on the modulation-period lattice so that every program satisfies the
+    segment-boundary rule. Every program then ends on a period boundary, so
+    none needs a readout pad.
     """
     if kind not in ("ccd_rabi", "ccd_ramsey", "two_axis"):
         raise ValueError("kind must be ccd_rabi | ccd_ramsey | two_axis")
-    if not cfg.dressed:
-        raise ValueError("dressed sequences need an active CCD modulation")
+    require_gate_lattice(cfg)
     sweep = np.asarray(sweep_values, dtype=float)
     half_pi = gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2")
     programs = []
@@ -326,11 +328,10 @@ def dressed_sequence_experiment(
         if kind == "ccd_rabi":
             segments = [gate_pulse(cfg.mod_strength * x, 0.0, cfg, "drive")] if x > 0.0 else []
         elif kind == "ccd_ramsey":
-            segments = [half_pi, idle_pulse(x, cfg, "free evolution"), half_pi]
+            segments = [half_pi, idle_pulse(x, "free evolution"), half_pi]
         else:
             segments = [half_pi, replace(half_pi, phi_mw=float(x), label="pi/2 swept")]
-        elapsed = sum(seg.duration for seg in segments)
-        programs.append(PulseProgram(segments + [readout_pad(elapsed, cfg)], cfg))
+        programs.append(PulseProgram(segments, cfg))
     finals = simulate_program(programs, spec=spec)
     return [(float(x), final.population_up()) for x, final in zip(sweep, finals)]
 
@@ -342,11 +343,20 @@ def noise_average(
 ) -> np.ndarray:
     """Average ``experiment(shot)`` over the drives of ``noise.shots(cfg)``.
 
-    Shots run and are summed in draw order, so the result is bit-stable
-    across runs on one platform.
+    Shots run one at a time, in draw order, and :func:`shot_mean` averages
+    them, so the result is bit-stable across runs on one platform.
     """
-    shots = noise.shots(cfg)
-    total = np.array(experiment(shots[0]), dtype=float)
-    for shot in shots[1:]:
-        total += experiment(shot)
-    return total / len(shots)
+    return shot_mean(experiment(shot) for shot in noise.shots(cfg))
+
+
+def shot_mean(rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Mean of one or more rows, summed in draw order from a copy of the first.
+
+    Holds one row at a time. ``np.mean`` and ``np.sum`` would change bits:
+    they sum pairwise along some axes, and start from 0, and 0 + (-0.0) is 0.0.
+    """
+    rows = iter(rows)
+    total, count = np.array(next(rows), dtype=float), 1
+    for count, row in enumerate(rows, start=2):
+        total += row
+    return total / count

@@ -50,7 +50,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,34 +109,27 @@ class IntegratorError(RuntimeError):
 class IntegratorSpec:
     """Step-size policy of the propagators.
 
-    The effective step is ``min(max_step, fastest_period / steps_per_fastest_period)``
-    where the fastest period comes from the Hamiltonian being integrated.
+    The effective step is ``fastest_period / steps_per_fastest_period``, where
+    the fastest period comes from the Hamiltonian being integrated.
     """
 
-    max_step: float = math.inf
     steps_per_fastest_period: int = 200
 
     def __post_init__(self) -> None:
         if self.steps_per_fastest_period < 40:
             raise ValueError("steps_per_fastest_period must be at least 40")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
 
     def effective_step(self, fastest_period: float) -> float:
-        step = min(self.max_step, fastest_period / self.steps_per_fastest_period)
+        step = fastest_period / self.steps_per_fastest_period
         if not (step > 0.0 and math.isfinite(step)):
             raise IntegratorError(
                 "cannot determine a finite step size; pass a Hamiltonian with a "
-                "fastest_period or set IntegratorSpec.max_step"
+                "finite fastest_period"
             )
         return step
 
     def halved(self) -> "IntegratorSpec":
-        return replace(
-            self,
-            max_step=self.max_step / 2.0,
-            steps_per_fastest_period=2 * self.steps_per_fastest_period,
-        )
+        return IntegratorSpec(steps_per_fastest_period=2 * self.steps_per_fastest_period)
 
 
 #: Lab-frame default (steps resolve the carrier; each step is cheap in batch).

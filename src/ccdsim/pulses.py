@@ -8,13 +8,16 @@ at rate eps_m), idle and readout-pad segments with modulation phase 0
 elapsed time is an integer number of Rabi periods, which makes second-frame
 and lab-basis populations coincide at the moment of readout.
 
-``simulate_program`` refuses a program with a segment boundary off the
-modulation-period lattice (Omega_0 t = 0 mod 2pi). On that lattice the
-per-segment rotating frames coincide (up to a physically irrelevant global
-sign), so a program can be simulated piece by piece in either rotating frame
-with no extra hand-off bookkeeping. Each piece starts on the lattice and its
-Hamiltonian is periodic over one modulation period, so its propagator is
-U(duration, 0), the same wherever the piece sits.
+Gate sequences run only on a dressed drive (``DriveConfig.dressed``) with
+eps_m = Omega_0 / (4 n); ``require_gate_lattice`` is the one guard of both.
+``simulate_program`` runs programs in the second rotating frame, the frame
+``drive.gate_frame`` picks for a dressed drive, and refuses a program with a
+segment boundary off the modulation-period lattice (Omega_0 t = 0 mod 2pi).
+On that lattice the per-segment second frames coincide (up to a physically
+irrelevant global sign), so a program is simulated piece by piece with no
+hand-off bookkeeping. Each piece starts on the lattice and its Hamiltonian is
+periodic over one modulation period, so its propagator is U(duration, 0), the
+same wherever the piece sits.
 
 ``piece_propagators`` is the one rule for those propagators, shared with the
 RB primitives. In both rotating frames phi_mw only turns the transverse
@@ -35,12 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drive import (
-    DriveConfig,
-    Hamiltonian,
-    first_frame_hamiltonian,
-    second_frame_hamiltonian,
-)
+from .drive import DriveConfig, Hamiltonian, second_frame_hamiltonian
 from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_grid
 from .qubit import QubitState
 
@@ -85,7 +83,6 @@ class PulseSegment:
 
     kind: SegmentKind
     duration: float
-    theta_m: float
     phi_mw: float = 0.0
     label: str = ""
 
@@ -94,19 +91,23 @@ class PulseSegment:
             raise ValueError(f"segment duration must be finite and >= 0, got {self.duration!r}")
         if not (-math.inf < self.phi_mw < math.inf):
             raise ValueError(f"phi_mw must be finite, got {self.phi_mw!r}")
-        if self.theta_m not in (GATE_MOD_PHASE, IDLE_MOD_PHASE):
-            raise ValueError("theta_m must be 0 (idle) or pi/2 (gate)")
+
+    @property
+    def theta_m(self) -> float:
+        """Modulation phase: pi/2 for a gate, 0 for an idle or a readout pad."""
+        return GATE_MOD_PHASE if self.kind is SegmentKind.GATE else IDLE_MOD_PHASE
 
 
 def require_gate_lattice(cfg: DriveConfig) -> None:
-    """Refuse eps_m other than Omega_0 / (4 n), n >= 1.
+    """Refuse a drive that is not dressed, or whose eps_m is not Omega_0 / (4 n), n >= 1.
 
-    Only then does every pi/2 and pi gate (duration angle / eps_m) span a
-    whole number of modulation periods, so gate sequences keep their
-    segment boundaries on the period lattice.
+    Only a dressed drive has gates in the second frame, and only at such an
+    eps_m does every pi/2 and pi gate (duration angle / eps_m) span a whole
+    number of modulation periods, so gate sequences keep their segment
+    boundaries on the period lattice.
     """
-    if not cfg.mod_strength > 0.0:
-        raise CompileError("gate sequences need mod_ratio > 0 (no dressed drive)")
+    if not cfg.dressed:
+        raise CompileError("gate sequences need a dressed drive (a CCD scheme at mod_ratio > 0)")
     ratio = cfg.rabi / (4.0 * cfg.mod_strength)
     if not (abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1):
         raise CompileError(
@@ -122,26 +123,19 @@ def gate_pulse(angle: float, phi_mw: float, cfg: DriveConfig, label: str = "") -
     """
     if not (0.0 < angle < math.inf):
         raise ValueError(f"gate angle must be positive and finite, got {angle!r}")
-    if cfg.mod_strength <= 0.0:
-        raise ValueError("gate pulses need mod_strength > 0 (no dressed drive)")
+    if not cfg.dressed:
+        raise ValueError("gate pulses need a dressed drive (a CCD scheme at mod_ratio > 0)")
     return PulseSegment(
         kind=SegmentKind.GATE,
         duration=angle / cfg.mod_strength,
-        theta_m=GATE_MOD_PHASE,
         phi_mw=phi_mw,
         label=label or f"gate({angle:.4g} rad)",
     )
 
 
-def idle_pulse(duration: float, cfg: DriveConfig, label: str = "") -> PulseSegment:
+def idle_pulse(duration: float, label: str = "") -> PulseSegment:
     """Idle segment: z rotation of the dressed qubit at rate eps_m."""
-    return PulseSegment(
-        kind=SegmentKind.IDLE,
-        duration=duration,
-        theta_m=IDLE_MOD_PHASE,
-        phi_mw=0.0,
-        label=label or "idle",
-    )
+    return PulseSegment(kind=SegmentKind.IDLE, duration=duration, label=label or "idle")
 
 
 def readout_pad(elapsed: float, cfg: DriveConfig) -> PulseSegment:
@@ -154,13 +148,7 @@ def readout_pad(elapsed: float, cfg: DriveConfig) -> PulseSegment:
         pad = 0.0  # already on the lattice (within tolerance, from either side)
     else:
         pad = (1.0 - remainder) * period
-    return PulseSegment(
-        kind=SegmentKind.READOUT_PAD,
-        duration=pad,
-        theta_m=IDLE_MOD_PHASE,
-        phi_mw=0.0,
-        label="readout pad",
-    )
+    return PulseSegment(kind=SegmentKind.READOUT_PAD, duration=pad, label="readout pad")
 
 
 @dataclass(frozen=True)
@@ -234,24 +222,20 @@ def simulate_program(
     programs: Sequence[PulseProgram],
     psi0: QubitState | None = None,
     *,
-    frame: str = "second",
     spec: IntegratorSpec = ROTATING_SPEC,
 ) -> list[QubitState]:
-    """Propagate pulse programs in the first or second rotating frame.
+    """Propagate pulse programs in the second rotating frame.
 
     Returns one final state per program, each started from ``psi0`` (|0> by
     default). Every segment must end on the modulation-period lattice
     (``CompileError`` otherwise); the piece propagators of all programs come
     from one :func:`piece_propagators` call at reference azimuth 0.
     """
-    if frame not in ("first", "second"):
-        raise ValueError("frame must be 'first' or 'second'")
-    build = first_frame_hamiltonian if frame == "first" else second_frame_hamiltonian
     lowered = [_pieces(program) for program in programs]
     drives = {cfg: i for i, cfg in enumerate(dict.fromkeys(p.cfg for p in programs))}
     distinct = dict.fromkeys(piece for pieces in lowered for piece in pieces)
     column = {piece: j for j, piece in enumerate(distinct)}
-    us = piece_propagators(list(drives), list(column), build, 0.0, spec)
+    us = piece_propagators(list(drives), list(column), second_frame_hamiltonian, 0.0, spec)
     start = (psi0 if psi0 is not None else QubitState.zero()).amplitudes
     states = []
     for program, pieces in zip(programs, lowered):
@@ -286,7 +270,7 @@ def parse_program(text: str, cfg: DriveConfig) -> PulseProgram:
                 angle, phi = float(args[0]), float(args[1]) if len(args) > 1 else 0.0
                 seg = gate_pulse(angle, phi, cfg)
             elif kind == "idle":
-                seg = idle_pulse(float(args[0]), cfg)
+                seg = idle_pulse(float(args[0]))
             elif kind == "pad":
                 seg = readout_pad(elapsed, cfg)
             else:

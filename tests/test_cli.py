@@ -351,6 +351,20 @@ class TestSubcommands:
         assert rows[0, 1] == pytest.approx(1.0, abs=1e-6)
         assert meta["meta.segments"] == "2"
 
+    def test_dressed_program_file_refuses_a_bare_drive(self, tmp_path, capsys):
+        # the config's bare drive keeps eps_m = Omega_0 / 4; its gates would do nothing
+        program = tmp_path / "ypi.seq"
+        program.write_text("gate 3.141592653589793 0.0\npad\n")
+        out = tmp_path / "p.csv"
+        argv = ["dressed", "--scheme", "bare", "--rabi-hz", "2.2e6", "--program", str(program)]
+        assert main(argv + ["--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"]["kind"] == "config"
+        assert "dressed drive" in record["error"]["message"]
+        assert not out.exists()
+
     def test_dressed_program_file_averages_the_noise_shots(self, tmp_path):
         from ccdsim.pulses import parse_program, simulate_program
         from ccdsim.qubit import bloch_vector

@@ -23,6 +23,7 @@ from ccdsim.experiments import (
     lattice_times,
     noise_average,
     rabi_error_sweep,
+    shot_mean,
     spectrum,
 )
 from ccdsim.propagator import IntegratorError, evolve_grid
@@ -81,6 +82,12 @@ class TestChevron:
         durations = lattice_times(CFG, 17)[1:]
         grid = chevron_sweep(Scheme.CMCCD, CFG, np.array([0.0, 0.1 * RABI]), durations)
         assert grid.meta["warnings"]  # 4 points per eps_m period < 8
+
+    def test_no_coarse_grid_warning_without_modulation(self):
+        # the bare drive keeps CFG's eps_m > 0, but it has no modulation period
+        durations = lattice_times(CFG, 17)[1:]
+        grid = chevron_sweep(Scheme.BARE, CFG, np.array([0.0, 0.1 * RABI]), durations)
+        assert grid.meta["warnings"] == []
 
     def test_monotonicity_validation(self):
         with pytest.raises(ValueError):
@@ -316,6 +323,13 @@ class TestNoiseAverage:
         run = bare_rabi_experiment(times)
         spec = NoiseSpec(sigma_detuning=0.2 * RABI, samples=16, seed=42)
         assert np.array_equal(noise_average(run, spec, BARE), noise_average(run, spec, BARE))
+
+    def test_shot_mean_sums_in_draw_order_from_the_first_row(self):
+        # a sum started from 0 would turn the -0.0 column into 0.0
+        rows = [[-0.0, 0.1], [-0.0, 0.2], [-0.0, 0.3]]
+        mean = shot_mean(iter(rows))
+        assert mean.tolist() == [-0.0, ((0.1 + 0.2) + 0.3) / 3]
+        assert math.copysign(1.0, mean[0]) == -1.0
 
     def test_rabi_amplitude_noise_matches_closed_form(self):
         # <P>(t) = (1 - exp(-sigma^2 t^2 / 2) cos(Omega_0 t)) / 2 for bare

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccdsim import experiments, pulses
+from ccdsim.config import parse_config
 from ccdsim.drive import Scheme, default_config, second_frame_unitary
 from ccdsim.experiments import NoiseSpec, dressed_sequence_experiment, lattice_times, noise_average
 from ccdsim.propagator import IntegratorSpec
@@ -24,6 +25,8 @@ from oracles import per_piece_oracle
 
 CFG = default_config(Scheme.CMCCD)
 PERIOD = CFG.mod_period
+#: a bare drive from the config: no modulation scheme, but eps_m = Omega_0 / 4
+BARE_FROM_CONFIG = parse_config("scheme = bare\n").drive_config()
 
 
 class TestSegments:
@@ -43,16 +46,17 @@ class TestSegments:
         assert seg.duration == pytest.approx(2 * math.pi / CFG.mod_strength, rel=1e-15)
 
     def test_gate_requires_modulation(self):
-        bare = default_config(Scheme.BARE)
-        with pytest.raises(ValueError):
-            gate_pulse(math.pi, 0.0, bare)
+        for bare in (default_config(Scheme.BARE), BARE_FROM_CONFIG):
+            with pytest.raises(ValueError, match="dressed drive"):
+                gate_pulse(math.pi, 0.0, bare)
 
     def test_idle_zero_duration_allowed(self):
-        assert idle_pulse(0.0, CFG).duration == 0.0
+        assert idle_pulse(0.0).duration == 0.0
 
-    def test_segment_rejects_other_mod_phases(self):
-        with pytest.raises(ValueError):
-            PulseSegment(SegmentKind.GATE, 1e-6, theta_m=0.3)
+    def test_segment_theta_m_follows_its_kind(self):
+        assert PulseSegment(SegmentKind.GATE, 1e-6).theta_m == math.pi / 2
+        assert PulseSegment(SegmentKind.IDLE, 1e-6).theta_m == 0.0
+        assert PulseSegment(SegmentKind.READOUT_PAD, 1e-6).theta_m == 0.0
 
     @pytest.mark.parametrize(
         "elapsed_periods,pad_periods",
@@ -85,17 +89,14 @@ def spy_batches(monkeypatch):
 
 class TestCompile:
     def test_aligned_program_compiles(self):
-        program = PulseProgram(
-            [gate_pulse(math.pi / 2, 0.0, CFG), idle_pulse(2 * PERIOD, CFG)], CFG
-        )
-        for frame in ("first", "second"):
-            out = simulate_program([program], frame=frame)[0]
-            oracle = per_piece_oracle(program, frame)
-            assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
+        program = PulseProgram([gate_pulse(math.pi / 2, 0.0, CFG), idle_pulse(2 * PERIOD)], CFG)
+        out = simulate_program([program])[0]
+        oracle = per_piece_oracle(program, "second")
+        assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
 
     def test_misaligned_boundary_names_segment(self):
         program = PulseProgram(
-            [gate_pulse(math.pi / 2, 0.0, CFG), idle_pulse(0.31 * PERIOD, CFG, "stray")],
+            [gate_pulse(math.pi / 2, 0.0, CFG), idle_pulse(0.31 * PERIOD, "stray")],
             CFG,
         )
         with pytest.raises(CompileError, match=r"segment 1 \(stray\)"):
@@ -108,19 +109,25 @@ class TestCompile:
             require_gate_lattice(default_config(Scheme.CMCCD, mod_ratio=0.3))
         with pytest.raises(CompileError, match=r"1/\(4 n\)"):
             require_gate_lattice(default_config(Scheme.CMCCD, mod_ratio=0.5))
-        with pytest.raises(CompileError):
-            require_gate_lattice(default_config(Scheme.BARE))
+        for bare in (default_config(Scheme.BARE), BARE_FROM_CONFIG):
+            with pytest.raises(CompileError, match="dressed drive"):
+                require_gate_lattice(bare)
+
+    def test_dressed_presets_refuse_a_mod_ratio_off_the_gate_lattice(self):
+        cfg = default_config(Scheme.CMCCD, mod_ratio=0.3)
+        with pytest.raises(CompileError, match=r"1/\(4 n\)"):
+            dressed_sequence_experiment("ccd_ramsey", cfg, lattice_times(cfg, 4))
 
     def test_zero_duration_segments_dropped(self, monkeypatch):
         sizes = spy_batches(monkeypatch)
-        program = PulseProgram([idle_pulse(0.0, CFG), readout_pad(0.0, CFG)], CFG)
+        program = PulseProgram([idle_pulse(0.0), readout_pad(0.0, CFG)], CFG)
         out = simulate_program([program], QubitState.plus())[0]
         assert np.array_equal(out.amplitudes, QubitState.plus().amplitudes)
         assert sizes == []  # nothing to integrate
 
     def test_total_duration_sums_segments(self):
         program = PulseProgram(
-            [gate_pulse(math.pi, 0.0, CFG), idle_pulse(3 * PERIOD, CFG)], CFG
+            [gate_pulse(math.pi, 0.0, CFG), idle_pulse(3 * PERIOD)], CFG
         )
         assert program.total_duration == pytest.approx(2 * PERIOD + 3 * PERIOD)
 
@@ -140,14 +147,14 @@ class TestSimulate:
         assert out.population_up() >= 1.0 - 1e-6
 
     def test_idle_full_turn_is_identity_up_to_phase(self):
-        program = PulseProgram([idle_pulse(2 * math.pi / CFG.mod_strength, CFG)], CFG)
+        program = PulseProgram([idle_pulse(2 * math.pi / CFG.mod_strength)], CFG)
         out = simulate_program([program], QubitState.plus())[0]
         assert state_fidelity(out, QubitState.plus()) == pytest.approx(1.0, abs=1e-9)
 
     def test_idle_quarter_turn_rotates_equator_azimuth(self):
         # z rotation at rate eps_m: after pi/(2 eps_m) the +x state moves to -+y
         duration = (math.pi / 2) / CFG.mod_strength
-        program = PulseProgram([idle_pulse(duration, CFG)], CFG)
+        program = PulseProgram([idle_pulse(duration)], CFG)
         out = simulate_program([program], QubitState.plus())[0]
         vec = bloch_vector(out)
         assert abs(vec.z) < 1e-8
@@ -160,15 +167,15 @@ class TestSimulate:
         program = PulseProgram(
             [
                 gate_pulse(math.pi / 2, 0.0, cfg),
-                idle_pulse(2 * PERIOD, cfg),
+                idle_pulse(2 * PERIOD),
                 gate_pulse(math.pi / 2, 0.7, cfg),
                 readout_pad(4 * PERIOD, cfg),
             ],
             cfg,
         )
         spec = IntegratorSpec(steps_per_fastest_period=400)
-        first = simulate_program([program], frame="first", spec=spec)[0]
-        second = simulate_program([program], frame="second", spec=spec)[0]
+        first = per_piece_oracle(program, "first", spec)
+        second = simulate_program([program], spec=spec)[0]
         assert first.population_up() == pytest.approx(second.population_up(), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -188,20 +195,19 @@ class TestSimulate:
                 angle = float(rng.integers(1, 5)) * math.pi / 2
                 seg = gate_pulse(angle, float(rng.uniform(0, 2 * math.pi)), cfg)
             else:
-                seg = idle_pulse(float(rng.integers(0, 4)) * cfg.mod_period, cfg)
+                seg = idle_pulse(float(rng.integers(0, 4)) * cfg.mod_period)
             segments.append(seg)
             elapsed += seg.duration
         segments.append(readout_pad(elapsed, cfg))
         program = PulseProgram(segments, cfg)
         spec = IntegratorSpec(steps_per_fastest_period=400)
-        first = simulate_program([program], frame="first", spec=spec)[0]
-        second = simulate_program([program], frame="second", spec=spec)[0]
+        first = per_piece_oracle(program, "first", spec)
+        second = simulate_program([program], spec=spec)[0]
         assert first.population_up() == pytest.approx(second.population_up(), abs=1e-9)
         # each gate at an arbitrary phi_mw is its drive at phi_mw = 0, turned
         # about z: it must match stepping the turned drive itself
-        for frame, state in (("first", first), ("second", second)):
-            oracle = per_piece_oracle(program, frame, spec)
-            assert np.abs(state.amplitudes - oracle.amplitudes).max() <= 1e-10
+        oracle = per_piece_oracle(program, "second", spec)
+        assert np.abs(second.amplitudes - oracle.amplitudes).max() <= 1e-10
 
     def test_two_quarter_gates_phase_sweep_oscillates(self):
         # second pi/2 pulse with swept carrier phase: Pic = (1 + cos(phi))/2
@@ -241,14 +247,9 @@ class TestBatchedEngine:
         assert len(calls) == 2  # one batched call per noise draw
         for programs, states in calls:
             assert len(states) == len(programs) == 5
-            for frame in ("first", "second"):
-                batched = simulate_program(programs, frame=frame)
-                if frame == "second":
-                    assert all(np.array_equal(a.amplitudes, b.amplitudes)
-                               for a, b in zip(batched, states))
-                for program, state in zip(programs, batched):
-                    oracle = per_piece_oracle(program, frame)
-                    assert np.abs(state.amplitudes - oracle.amplitudes).max() <= 1e-10
+            for program, state in zip(programs, states):
+                oracle = per_piece_oracle(program, "second")
+                assert np.abs(state.amplitudes - oracle.amplitudes).max() <= 1e-10
 
     def test_one_propagator_call_over_distinct_configurations(self, monkeypatch):
         sizes = spy_batches(monkeypatch)
