@@ -56,7 +56,7 @@ from .experiments import (
     spectrum,
 )
 from .propagator import IntegratorError, evolve
-from .pulses import readout_pad, require_gate_lattice
+from .pulses import require_gate_lattice
 from .qubit import NormalizationError, QubitState, state_fidelity
 from .rb import randomized_benchmarking
 
@@ -151,9 +151,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.command, getattr(cfg, points) * cfg.duration_points, points, "duration_points"
     )
     sweep = chevron_sweep if args.axis == "detuning" else rabi_error_sweep
-    grid = sweep(
-        cfg.scheme_enum(), cfg.drive_config(), _error_grid(cfg, args.axis), _duration_grid(cfg)
-    )
+    grid = sweep(cfg.drive_config(), _error_grid(cfg, args.axis), _duration_grid(cfg))
     name = "p_up"
     if args.command == "spectrum":
         grid, name = spectrum(grid), "magnitude"
@@ -170,11 +168,9 @@ def _cmd_infidelity(args: argparse.Namespace) -> int:
     points = _ERROR_POINTS[args.axis]
     _require_rows(args.command, getattr(cfg, points), points)
     grid = _error_grid(cfg, args.axis)
-    curve = infidelity_curve(cfg.scheme_enum(), cfg.drive_config(), args.axis, grid)
-    errors = np.array([point[0] for point in curve])
-    infids = np.array([[point[1]] for point in curve])
+    infidelity = infidelity_curve(cfg.drive_config(), args.axis, grid)
     axis_name = "detuning" if args.axis == "detuning" else "rabi_error"
-    return _write(cfg, (AxisDef(axis_name, "rad/s", errors),), ("infidelity",), infids)
+    return _write(cfg, (AxisDef(axis_name, "rad/s", grid),), ("infidelity",), infidelity[:, None])
 
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
@@ -183,12 +179,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     _require_rows(
         args.command, cfg.quarter_turns * spq + 1, "quarter_turns", "samples_per_quarter_turn"
     )
-    record = bloch_trajectory(
-        cfg.scheme_enum(),
-        cfg.drive_config(),
-        cfg.quarter_turns * math.pi / 2.0,
-        cfg.samples_per_quarter_turn,
-    )
+    record = bloch_trajectory(cfg.drive_config(), cfg.quarter_turns * math.pi / 2.0, spq)
     times = np.array([t for t, _ in record.samples])
     rows = np.array(
         [
@@ -217,7 +208,7 @@ def _cmd_dressed(args: argparse.Namespace) -> int:
         axis = AxisDef("t_c", "s", sweep)
 
     def run(shot: DriveConfig) -> np.ndarray:
-        return np.array([p for _, p in dressed_sequence_experiment(cfg.dressed_kind, shot, sweep)])
+        return dressed_sequence_experiment(cfg.dressed_kind, shot, sweep)
 
     values = noise_average(run, cfg.noise_spec(), drive)
     return _write(cfg, (axis,), ("p_up",), values[:, None], kind=cfg.dressed_kind)
@@ -247,7 +238,6 @@ def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConf
 def _cmd_rb(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     result = randomized_benchmarking(
-        cfg.scheme_enum(),
         cfg.drive_config(),
         list(cfg.cliffords),
         cfg.k_randomizations,
@@ -343,16 +333,6 @@ def _selftest_checks():
                 return f"{scheme.label}: IQ reconstruction error"
         return None
 
-    def check_readout_pad():
-        cfg = default_config(Scheme.CMCCD)
-        period = cfg.mod_period
-        cases = ((period, 0.0), (1.5 * period, 0.5 * period), (5.3 * period, 0.7 * period))
-        for elapsed, expected in cases:
-            pad = readout_pad(elapsed, cfg)
-            if abs(pad.duration - expected) > 1e-9 * period:
-                return f"pad({elapsed / period:.2f} T) = {pad.duration / period:.4f} T"
-        return None
-
     def check_cliffords():
         group = clifford_mod.clifford_group()
         count = sum(len(g.decomposition) for g in group)
@@ -379,7 +359,6 @@ def _selftest_checks():
         ("CMCCD resonant Y_pi gate", check_cm_gate),
         ("first/second frame equivalence", check_frame_equivalence),
         ("I/Q round trip", check_iq_round_trip),
-        ("readout pad arithmetic", check_readout_pad),
         ("Clifford table", check_cliffords),
         ("config round trip", check_config_round_trip),
     ]

@@ -10,7 +10,7 @@ into the keys it sets, and is refused if any of them is given too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .drive import DriveConfig, Scheme
 from .experiments import NoiseSpec
@@ -84,6 +84,18 @@ class RunConfig:
     out: str = ""
     format: str = "csv"
 
+    def __post_init__(self) -> None:
+        # the scheme is a name for the modulation ratios, so it must be theirs
+        try:
+            named = Scheme.of(self.alpha_a, self.alpha_p) is Scheme.parse(self.scheme)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not named:
+            raise ConfigError(
+                f"scheme {self.scheme!r} does not name (alpha_a, alpha_p) = "
+                f"({self.alpha_a}, {self.alpha_p})"
+            )
+
     def drive_config(self) -> DriveConfig:
         rabi = TWO_PI * self.rabi_hz
         return DriveConfig(
@@ -97,9 +109,6 @@ class RunConfig:
             alpha_A=self.alpha_a,
             alpha_P=self.alpha_p,
         )
-
-    def scheme_enum(self) -> Scheme:
-        return Scheme.parse(self.scheme)
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(
@@ -159,18 +168,10 @@ def _parse_value(key: str, text: str, name: str, line: int | None = None,
     return value
 
 
-def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
+def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
     def fail(key: str, message: str):
         raise ConfigError(message, lines.get(key))
 
-    try:
-        matched = Scheme.of(cfg.alpha_a, cfg.alpha_p)
-    except ValueError:
-        fail(
-            "alpha_a",
-            f"alpha_a + alpha_p = {cfg.alpha_a} + {cfg.alpha_p} matches no scheme "
-            "(bare 0 + 0, am 1 + 0, pm 0 + 1, cm 0.5 + 0.5)",
-        )
     if cfg.mod_ratio < 0.0:
         fail("mod_ratio", "mod_ratio must be >= 0")
     for key in ("duration_points", "detuning_points", "rabi_error_points",
@@ -192,10 +193,6 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> RunConfig:
         fail("sample_rate_hz", "sample_rate_hz must be positive")
     if cfg.gate_angle <= 0:
         fail("gate_angle", "gate_angle must be positive")
-    if matched is not Scheme.parse(cfg.scheme):
-        # explicit alphas win, so the scheme every subcommand reads must be theirs
-        cfg = replace(cfg, scheme=matched.label)
-    return cfg
 
 
 def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
@@ -240,7 +237,6 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
             raw[key] = _parse_value(key, str(value), name(key))
             lines.pop(key, None)
 
-    explicit_alphas = "alpha_a" in raw or "alpha_p" in raw
     scheme_text = str(raw.get("scheme", RunConfig.scheme))
     try:
         scheme = Scheme.parse(scheme_text)
@@ -268,11 +264,24 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
             )
         raw.update(zip(targets, resolved))
 
-    if not explicit_alphas:
-        raw["alpha_a"] = scheme.alpha_a
-        raw["alpha_p"] = scheme.alpha_p
+    if "alpha_a" in raw or "alpha_p" in raw:
+        alpha_a = raw.setdefault("alpha_a", RunConfig.alpha_a)
+        alpha_p = raw.setdefault("alpha_p", RunConfig.alpha_p)
+        try:
+            matched = Scheme.of(alpha_a, alpha_p)
+        except ValueError as exc:
+            raise ConfigError(
+                f"alpha_a + alpha_p = {alpha_a} + {alpha_p} matches no scheme "
+                "(bare 0 + 0, am 1 + 0, pm 0 + 1, cm 0.5 + 0.5)",
+                lines.get("alpha_a"),
+            ) from exc
+        if matched is not scheme:  # explicit alphas win, and the scheme names them
+            raw["scheme"] = matched.label
+    else:
+        raw["alpha_a"], raw["alpha_p"] = scheme.value
     cfg = RunConfig(**raw)
-    return _validate(cfg, lines)
+    _validate(cfg, lines)
+    return cfg
 
 
 #: execution details that do not affect computed values; excluded from the

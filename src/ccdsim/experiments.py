@@ -17,9 +17,9 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .drive import DriveConfig, Scheme, first_frame_hamiltonian, gate_frame
+from .drive import DriveConfig, first_frame_hamiltonian, gate_frame
 from .propagator import ROTATING_SPEC, IntegratorError, IntegratorSpec, evolve, evolve_grid
-from .pulses import PulseProgram, gate_pulse, idle_pulse, require_gate_lattice, simulate_program
+from .pulses import PulseProgram, gate_pulse, idle_pulse, simulate_program
 from .qubit import BlochVector, QubitState, bloch_vector
 
 __all__ = [
@@ -151,16 +151,11 @@ def _duration_sweep(
         x_axis=AxisDef("duration", "s", durations),
         y_axis=AxisDef(axis, "rad/s", errors),
         values=values,
-        meta={
-            "scheme": base.scheme.label,
-            "config": base,
-            "warnings": _coarse_grid_warning(base, durations),
-        },
+        meta={"warnings": _coarse_grid_warning(base, durations)},
     )
 
 
 def chevron_sweep(
-    scheme: Scheme,
     cfg: DriveConfig,
     detuning_grid: np.ndarray,
     duration_grid: np.ndarray,
@@ -168,12 +163,10 @@ def chevron_sweep(
     spec: IntegratorSpec = ROTATING_SPEC,
 ) -> SweepGrid:
     """Spin-up fraction vs (detuning, drive duration) in the first frame."""
-    base = cfg.with_scheme(scheme)
-    return _duration_sweep(base, "detuning", detuning_grid, duration_grid, spec)
+    return _duration_sweep(cfg, "detuning", detuning_grid, duration_grid, spec)
 
 
 def rabi_error_sweep(
-    scheme: Scheme,
     cfg: DriveConfig,
     rabi_error_grid: np.ndarray,
     duration_grid: np.ndarray,
@@ -181,7 +174,7 @@ def rabi_error_sweep(
     spec: IntegratorSpec = ROTATING_SPEC,
 ) -> SweepGrid:
     """Spin-up fraction vs (static Rabi error, duration) at zero detuning."""
-    base = cfg.with_scheme(scheme).with_errors(detuning=0.0)
+    base = cfg.with_errors(detuning=0.0)
     return _duration_sweep(base, "rabi_error", rabi_error_grid, duration_grid, spec)
 
 
@@ -228,35 +221,31 @@ def spectrum(grid: SweepGrid) -> SpectrumGrid:
 
 
 def infidelity_curve(
-    scheme: Scheme,
     cfg: DriveConfig,
     error_axis: str,
     grid: np.ndarray,
     *,
     spec: IntegratorSpec = ROTATING_SPEC,
-) -> list[tuple[float, float]]:
-    """Y-pi gate state infidelity vs detuning or Rabi error.
+) -> np.ndarray:
+    """Y-pi gate state infidelity at each detuning or Rabi error of ``grid``.
 
     The gate runs for pi over its nominal rate in the frame that
-    :func:`gate_frame` picks: CCD schemes in the second frame at eps_m, the
-    bare qubit (or a CCD scheme with eps_m = 0) in the first frame at
-    Omega_0. Infidelity is 1 - |<1|U|0>|^2 against the nominal target.
+    :func:`gate_frame` picks for ``cfg``: a dressed drive in the second frame
+    at eps_m, any other drive in the first frame at Omega_0. Infidelity is
+    1 - |<1|U|0>|^2 against the nominal target; the result has shape
+    (len(grid),).
     """
     if error_axis not in ("detuning", "rabi"):
         raise ValueError("error_axis must be 'detuning' or 'rabi'")
-    errors = np.asarray(grid, dtype=float)
-    base = cfg.with_scheme(scheme)
-    build, rate, _ = gate_frame(base)
+    build, rate, _ = gate_frame(cfg)
     duration = math.pi / rate
     key = "detuning" if error_axis == "detuning" else "rabi_error"
-    hams = [build(base.with_errors(**{key: float(err)})) for err in errors]
+    hams = [build(cfg.with_errors(**{key: float(err)})) for err in np.asarray(grid, dtype=float)]
     states = evolve_grid(hams, np.array([duration]), QubitState.zero(), spec)
-    p_up = np.abs(states[:, 0, 1]) ** 2
-    return [(float(e), float(1.0 - p)) for e, p in zip(errors, p_up)]
+    return 1.0 - np.abs(states[:, 0, 1]) ** 2
 
 
 def bloch_trajectory(
-    scheme: Scheme,
     cfg: DriveConfig,
     total_angle: float,
     samples_per_pi2: int = 16,
@@ -266,10 +255,10 @@ def bloch_trajectory(
     """Bloch trace over a long drive with markers at each nominal pi/2.
 
     The trace runs in the frame and at the nominal rate that
-    :func:`gate_frame` picks (CCD schemes in the second frame at eps_m, the
-    bare qubit in the first frame at Omega_0). The spread is the largest
-    pairwise marker distance within any of the four quarter-turn classes
-    (markers that ideally coincide).
+    :func:`gate_frame` picks for ``cfg`` (a dressed drive in the second frame
+    at eps_m, any other drive in the first frame at Omega_0). The spread is
+    the largest pairwise marker distance within any of the four quarter-turn
+    classes (markers that ideally coincide).
     """
     quarter_turns = total_angle / (math.pi / 2.0)
     n_markers = round(quarter_turns)
@@ -277,11 +266,10 @@ def bloch_trajectory(
         raise ValueError("total_angle must be a positive multiple of pi/2")
     if samples_per_pi2 < 1:
         raise ValueError("samples_per_pi2 must be >= 1")
-    base = cfg.with_scheme(scheme)
-    build, rate, _ = gate_frame(base)
+    build, rate, _ = gate_frame(cfg)
     quarter = (math.pi / 2.0) / rate
     times = np.arange(1, n_markers * samples_per_pi2 + 1) * (quarter / samples_per_pi2)
-    states = evolve(build(base), QubitState.zero(), 0.0, float(times[-1]), spec, t_eval=times)
+    states = evolve(build(cfg), QubitState.zero(), 0.0, float(times[-1]), spec, t_eval=times)
     samples = [(0.0, bloch_vector(QubitState.zero()))]
     samples += [(float(t), bloch_vector(s)) for t, s in zip(times, states)]
     markers = [samples[k * samples_per_pi2][1] for k in range(1, n_markers + 1)]
@@ -306,21 +294,20 @@ def dressed_sequence_experiment(
     sweep_values: np.ndarray,
     *,
     spec: IntegratorSpec = ROTATING_SPEC,
-) -> list[tuple[float, float]]:
-    """Dressed-qubit pulse-sequence presets.
+) -> np.ndarray:
+    """Spin-up fraction of a dressed-qubit pulse-sequence preset at each sweep value.
 
     kind = 'ccd_rabi'   : one gate pulse of swept duration;
     kind = 'ccd_ramsey' : pi/2 -- idle(t_c) -- pi/2;
     kind = 'two_axis'   : two pi/2 pulses, the second at swept carrier phase.
 
-    ``cfg`` must pass :func:`require_gate_lattice`, and swept durations must
-    sit on the modulation-period lattice so that every program satisfies the
-    segment-boundary rule. Every program then ends on a period boundary, so
-    none needs a readout pad.
+    ``cfg`` must pass :func:`require_gate_lattice`, which
+    :func:`simulate_program` applies, and swept durations must sit on the
+    modulation-period lattice so that every program satisfies the
+    segment-boundary rule. Returns an array of shape (len(sweep_values),).
     """
     if kind not in ("ccd_rabi", "ccd_ramsey", "two_axis"):
         raise ValueError("kind must be ccd_rabi | ccd_ramsey | two_axis")
-    require_gate_lattice(cfg)
     sweep = np.asarray(sweep_values, dtype=float)
     half_pi = gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2")
     programs = []
@@ -333,7 +320,7 @@ def dressed_sequence_experiment(
             segments = [half_pi, replace(half_pi, phi_mw=float(x), label="pi/2 swept")]
         programs.append(PulseProgram(segments, cfg))
     finals = simulate_program(programs, spec=spec)
-    return [(float(x), final.population_up()) for x, final in zip(sweep, finals)]
+    return np.array([final.population_up() for final in finals])
 
 
 def noise_average(

@@ -1,21 +1,22 @@
-"""CCD pulse programs: gate pulses, idle pulses and readout-matching padding.
+"""CCD pulse programs: gate pulses and idle pulses.
 
 A program is an ordered list of segments sharing one drive configuration and
 one global modulation clock. Gate segments run with modulation phase pi/2
 (in-plane rotation of the doubly-dressed qubit about the axis phi_mw + pi/2
-at rate eps_m), idle and readout-pad segments with modulation phase 0
-(z rotation at rate eps_m). The readout pad extends a sequence so the total
-elapsed time is an integer number of Rabi periods, which makes second-frame
-and lab-basis populations coincide at the moment of readout.
+at rate eps_m), idle segments with modulation phase 0 (z rotation at rate
+eps_m).
 
 Gate sequences run only on a dressed drive (``DriveConfig.dressed``) with
-eps_m = Omega_0 / (4 n); ``require_gate_lattice`` is the one guard of both.
-``simulate_program`` runs programs in the second rotating frame, the frame
-``drive.gate_frame`` picks for a dressed drive, and refuses a program with a
-segment boundary off the modulation-period lattice (Omega_0 t = 0 mod 2pi).
-On that lattice the per-segment second frames coincide (up to a physically
-irrelevant global sign), so a program is simulated piece by piece with no
-hand-off bookkeeping. Each piece starts on the lattice and its Hamiltonian is
+eps_m = Omega_0 / (4 n); ``require_gate_lattice`` is the one guard of both,
+and ``simulate_program`` applies it to every drive it is given. It runs
+programs in the second rotating frame, the frame ``drive.gate_frame`` picks
+for a dressed drive, and refuses a program with a segment boundary off the
+modulation-period lattice (Omega_0 t = 0 mod 2pi). On that lattice the
+second-frame unitary is +-I, so the per-segment second frames coincide (up
+to a physically irrelevant global sign) and a program is simulated piece by
+piece with no hand-off bookkeeping. Every program that runs ends there too,
+where second-frame and lab-basis populations coincide at readout, so none
+needs padding. Each piece starts on the lattice and its Hamiltonian is
 periodic over one modulation period, so its propagator is U(duration, 0), the
 same wherever the piece sits.
 
@@ -49,7 +50,6 @@ __all__ = [
     "CompileError",
     "gate_pulse",
     "idle_pulse",
-    "readout_pad",
     "piece_propagators",
     "simulate_program",
     "parse_program",
@@ -74,7 +74,6 @@ class CompileError(ValueError):
 class SegmentKind(enum.Enum):
     GATE = "gate"
     IDLE = "idle"
-    READOUT_PAD = "readout_pad"
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class PulseSegment:
 
     @property
     def theta_m(self) -> float:
-        """Modulation phase: pi/2 for a gate, 0 for an idle or a readout pad."""
+        """Modulation phase: pi/2 for a gate, 0 for an idle."""
         return GATE_MOD_PHASE if self.kind is SegmentKind.GATE else IDLE_MOD_PHASE
 
 
@@ -136,19 +135,6 @@ def gate_pulse(angle: float, phi_mw: float, cfg: DriveConfig, label: str = "") -
 def idle_pulse(duration: float, label: str = "") -> PulseSegment:
     """Idle segment: z rotation of the dressed qubit at rate eps_m."""
     return PulseSegment(kind=SegmentKind.IDLE, duration=duration, label=label or "idle")
-
-
-def readout_pad(elapsed: float, cfg: DriveConfig) -> PulseSegment:
-    """Pad segment completing ``elapsed`` to the next multiple of 2 pi / Omega_0."""
-    if not (0.0 <= elapsed < math.inf):
-        raise ValueError(f"elapsed time must be finite and >= 0, got {elapsed!r}")
-    period = cfg.mod_period
-    remainder = elapsed / period - math.floor(elapsed / period)
-    if remainder < BOUNDARY_TOLERANCE or remainder > 1.0 - BOUNDARY_TOLERANCE:
-        pad = 0.0  # already on the lattice (within tolerance, from either side)
-    else:
-        pad = (1.0 - remainder) * period
-    return PulseSegment(kind=SegmentKind.READOUT_PAD, duration=pad, label="readout pad")
 
 
 @dataclass(frozen=True)
@@ -227,12 +213,16 @@ def simulate_program(
     """Propagate pulse programs in the second rotating frame.
 
     Returns one final state per program, each started from ``psi0`` (|0> by
-    default). Every segment must end on the modulation-period lattice
-    (``CompileError`` otherwise); the piece propagators of all programs come
-    from one :func:`piece_propagators` call at reference azimuth 0.
+    default). Every drive must pass :func:`require_gate_lattice` and every
+    segment must end on the modulation-period lattice (``CompileError``
+    otherwise), before anything is integrated; the piece propagators of all
+    programs come from one :func:`piece_propagators` call at reference
+    azimuth 0.
     """
-    lowered = [_pieces(program) for program in programs]
     drives = {cfg: i for i, cfg in enumerate(dict.fromkeys(p.cfg for p in programs))}
+    for cfg in drives:
+        require_gate_lattice(cfg)
+    lowered = [_pieces(program) for program in programs]
     distinct = dict.fromkeys(piece for pieces in lowered for piece in pieces)
     column = {piece: j for j, piece in enumerate(distinct)}
     us = piece_propagators(list(drives), list(column), second_frame_hamiltonian, 0.0, spec)
@@ -253,12 +243,11 @@ def parse_program(text: str, cfg: DriveConfig) -> PulseProgram:
 
         gate <angle_rad> <phi_mw_rad>   # dressed rotation about phi_mw + pi/2
         idle <duration_s>               # dressed z rotation
-        pad                             # readout pad from current elapsed time
+        pad                             # zero-length idle (segments end on the lattice)
 
     Blank lines and ``#`` comments are ignored.
     """
     segments: list[PulseSegment] = []
-    elapsed = 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -272,11 +261,10 @@ def parse_program(text: str, cfg: DriveConfig) -> PulseProgram:
             elif kind == "idle":
                 seg = idle_pulse(float(args[0]))
             elif kind == "pad":
-                seg = readout_pad(elapsed, cfg)
+                seg = idle_pulse(0.0, "readout pad")
             else:
                 raise ValueError(f"unknown directive {fields[0]!r}")
         except (IndexError, ValueError) as exc:
             raise CompileError(f"line {lineno}: {exc}") from exc
         segments.append(seg)
-        elapsed += seg.duration
     return PulseProgram(segments, cfg)

@@ -48,7 +48,7 @@ from .clifford import (
     clifford_group,
     composed_indices,
 )
-from .drive import DriveConfig, Scheme, gate_frame
+from .drive import DriveConfig, gate_frame
 from .experiments import NoiseSpec
 from .propagator import ROTATING_SPEC, IntegratorSpec
 from .pulses import GATE_MOD_PHASE, piece_propagators, require_gate_lattice
@@ -244,7 +244,6 @@ def _fit_decay(lengths: np.ndarray, signal: np.ndarray) -> tuple[float, float, f
 
 
 def randomized_benchmarking(
-    scheme: Scheme,
     cfg: DriveConfig,
     m_list: list[int],
     k_randomizations: int,
@@ -253,9 +252,10 @@ def randomized_benchmarking(
     ideal: bool = False,
     spec: IntegratorSpec = ROTATING_SPEC,
 ) -> RBResult:
-    """Run the randomized-benchmarking procedure and fit the decay.
+    """Run the randomized-benchmarking procedure on the drive ``cfg`` and fit the decay.
 
-    ``ideal=True`` replaces pulse dynamics with the ideal Clifford matrices
+    The drive's modulation ratios are its scheme (``cfg.with_scheme`` switches
+    it). ``ideal=True`` replaces pulse dynamics with the ideal Clifford matrices
     (engine self-check; errors and noise are then irrelevant). Otherwise a
     dressed drive needs eps_m = Omega_0 / (4 n) so that each primitive spans
     whole modulation periods; any other drive (a CCD scheme at eps_m = 0
@@ -269,9 +269,8 @@ def randomized_benchmarking(
     if k_randomizations < 1:
         raise ValueError("need at least one randomization per length")
     noise = noise or NoiseSpec()
-    base = cfg.with_scheme(scheme)
-    if not ideal and base.dressed:
-        require_gate_lattice(base)
+    if not ideal and cfg.dressed:
+        require_gate_lattice(cfg)
 
     strings = [
         np.array([_sequence_indices(noise.seed, int(m), k) for k in range(k_randomizations)])
@@ -280,7 +279,7 @@ def randomized_benchmarking(
     if ideal:
         clifford_us = np.stack([g.matrix for g in clifford_group()])[None]
     else:
-        clifford_us = _clifford_unitaries(_primitive_unitaries(noise.shots(base), spec))
+        clifford_us = _clifford_unitaries(_primitive_unitaries(noise.shots(cfg), spec))
     matrix = _signal_matrix(clifford_us, strings)
 
     signal = matrix.mean(axis=1)
@@ -306,10 +305,5 @@ def randomized_benchmarking(
         fit_residual=residual,
         converged=converged,
         warnings=tuple(warnings),
-        meta={
-            "scheme": scheme.label,
-            "ideal": ideal,
-            "noise": noise,
-            "signal_matrix": matrix,
-        },
+        meta={"ideal": ideal, "noise": noise, "signal_matrix": matrix},
     )

@@ -30,7 +30,7 @@ from ccdsim.drive import (
     second_frame_unitary,
 )
 from ccdsim.propagator import ROTATING_SPEC, evolve
-from ccdsim.pulses import PulseProgram, PulseSegment, gate_pulse, readout_pad
+from ccdsim.pulses import PulseProgram, PulseSegment, gate_pulse
 from ccdsim.qubit import QubitState
 
 
@@ -172,12 +172,7 @@ def from_second_frame(state: QubitState, cfg, t) -> QubitState:
     return state.apply(second_frame_unitary(cfg, t))
 
 
-def clifford_sequence_program(
-    gates: list[CliffordGate],
-    cfg: DriveConfig,
-    *,
-    pad_readout: bool = True,
-) -> PulseProgram:
+def clifford_sequence_program(gates: list[CliffordGate], cfg: DriveConfig) -> PulseProgram:
     """Compile a Clifford sequence to a dressed-qubit pulse program.
 
     Negative-angle primitives are realized as positive rotations about the
@@ -193,8 +188,6 @@ def clifford_sequence_program(
             segments.append(
                 gate_pulse(abs(prim.angle), prim.rotation_azimuth - math.pi / 2.0, cfg, prim.name)
             )
-    if pad_readout:
-        segments.append(readout_pad(sum(seg.duration for seg in segments), cfg))
     return PulseProgram(segments, cfg)
 
 

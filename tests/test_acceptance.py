@@ -153,7 +153,7 @@ class TestBareChevronLaw:
         cfg = default_config(Scheme.BARE)
         durations = np.linspace(0.0, 10e-6, 513)[1:]
         detunings = np.linspace(-2.0, 2.0, 17) * RABI
-        grid = chevron_sweep(Scheme.BARE, cfg, detunings, durations)
+        grid = chevron_sweep(cfg, detunings, durations)
         worst = 0.0
         for delta, row in zip(detunings, grid.values):
             measured = dominant_frequency(durations, row)
@@ -168,7 +168,7 @@ class TestGateInfidelity:
         cfg = default_config(Scheme.CMCCD)
         bare_cfg = default_config(Scheme.BARE)
         on_res = {
-            s: infidelity_curve(s, cfg, "detuning", np.array([0.0]))[0][1]
+            s: infidelity_curve(cfg.with_scheme(s), "detuning", np.array([0.0]))[0]
             for s in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD)
         }
         assert on_res[Scheme.CMCCD] <= 1e-8
@@ -178,10 +178,10 @@ class TestGateInfidelity:
         bare_analytic = 1.0 - math.sin(math.sqrt(1.01) * math.pi / 2) ** 2 / 1.01
         for sign in (+1.0, -1.0):
             grid = np.array([sign * 0.1 * RABI])
-            bare = infidelity_curve(Scheme.BARE, bare_cfg, "detuning", grid)[0][1]
+            bare = infidelity_curve(bare_cfg, "detuning", grid)[0]
             assert bare == pytest.approx(bare_analytic, abs=1e-4)
             for s in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
-                ccd = infidelity_curve(s, cfg, "detuning", grid)[0][1]
+                ccd = infidelity_curve(cfg.with_scheme(s), "detuning", grid)[0]
                 assert ccd < bare, f"{s.label} at delta={sign * 0.1:+.1f} Omega_0"
         report(
             "05 Y_pi infidelity map",
@@ -195,10 +195,10 @@ class TestTrajectoryMarkers:
     def test_06a_zero_error_marker_spread(self):
         cfg = default_config(Scheme.CMCCD)
         for scheme in (Scheme.BARE, Scheme.CMCCD):
-            record = bloch_trajectory(scheme, cfg, 20 * math.pi, 8)
+            record = bloch_trajectory(cfg.with_scheme(scheme), 20 * math.pi, 8)
             assert record.spread <= 1e-8, f"{scheme.label} spread {record.spread:.2e}"
         for scheme in (Scheme.AMCCD, Scheme.PMCCD):
-            record = bloch_trajectory(scheme, cfg, 20 * math.pi, 8)
+            record = bloch_trajectory(cfg.with_scheme(scheme), 20 * math.pi, 8)
             assert record.spread > 1e-6, f"{scheme.label} spread {record.spread:.2e}"
         report("06a zero-error marker spread", "bare/CM exact, AM/PM spread > 0")
 
@@ -211,8 +211,8 @@ class TestTrajectoryMarkers:
         detuned = cfg.with_errors(detuning=0.1 * RABI)
 
         def displacement(s: Scheme) -> float:
-            ideal = np.array(bloch_trajectory(s, cfg, 20 * math.pi, 8).markers)
-            moved = np.array(bloch_trajectory(s, detuned, 20 * math.pi, 8).markers)
+            ideal = np.array(bloch_trajectory(cfg.with_scheme(s), 20 * math.pi, 8).markers)
+            moved = np.array(bloch_trajectory(detuned.with_scheme(s), 20 * math.pi, 8).markers)
             return float(np.linalg.norm(moved - ideal, axis=1).max())
 
         bare = displacement(Scheme.BARE)
@@ -235,7 +235,7 @@ class TestSpectralFlatBands:
         bin_width = 1.0 / (durations[-1] - durations[0])
         detunings = np.linspace(-0.3, 0.3, 9) * RABI
         for scheme in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
-            grid = chevron_sweep(scheme, cfg, detunings, durations)
+            grid = chevron_sweep(cfg.with_scheme(scheme), detunings, durations)
             for delta, row in zip(detunings, grid.values):
                 measured = dominant_frequency(durations, row)
                 assert abs(measured - target) <= bin_width, (
@@ -251,7 +251,7 @@ class TestSpectralFlatBands:
         durations = lattice_times(cfg, 9)[1:]
         bin_width = 1.0 / (durations[-1] - durations[0])
         errors = np.linspace(-0.2, 0.2, 9) * RABI
-        grid = rabi_error_sweep(scheme, cfg, errors, durations)
+        grid = rabi_error_sweep(cfg.with_scheme(scheme), errors, durations)
         for error, row in zip(errors, grid.values):
             measured, rms = single_tone_fit(durations, row)
             assert rms <= 1e-6, (
@@ -272,7 +272,7 @@ class TestSpectralFlatBands:
         cfg = default_config(Scheme.BARE)
         durations = np.linspace(0.0, 10e-6, 513)[1:]
         errors = np.linspace(-0.2, 0.2, 9) * RABI
-        grid = rabi_error_sweep(Scheme.BARE, cfg, errors, durations)
+        grid = rabi_error_sweep(cfg, errors, durations)
         freqs = [dominant_frequency(durations, row) for row in grid.values]
         slope = np.polyfit(errors, freqs, 1)[0]
         assert slope * 2 * math.pi == pytest.approx(1.0, rel=0.01)
@@ -285,11 +285,11 @@ class TestDressedPresets:
         target = cfg.mod_strength / (2 * math.pi)
         times = lattice_times(cfg, 64)
         for kind in ("ccd_rabi", "ccd_ramsey"):
-            values = np.array([p for _, p in dressed_sequence_experiment(kind, cfg, times)])
+            values = dressed_sequence_experiment(kind, cfg, times)
             fit = fit_decaying_sinusoid(times, values)
             assert fit.frequency == pytest.approx(target, rel=0.005), kind
         phis = np.linspace(0.0, 4 * math.pi, 64)
-        values = np.array([p for _, p in dressed_sequence_experiment("two_axis", cfg, phis)])
+        values = dressed_sequence_experiment("two_axis", cfg, phis)
         design = np.stack([np.cos(phis), np.sin(phis), np.ones_like(phis)], axis=1)
         coef, *_ = np.linalg.lstsq(design, values, rcond=None)
         residual = values - design @ coef
@@ -303,15 +303,13 @@ class TestRandomizedBenchmarking:
 
     def test_09a_ideal_matrices_reference(self):
         cfg = default_config(Scheme.CMCCD, rabi=FIG8_RABI)
-        result = randomized_benchmarking(
-            Scheme.CMCCD, cfg, self.M_LIST, 15, NoiseSpec(seed=7), ideal=True
-        )
+        result = randomized_benchmarking(cfg, self.M_LIST, 15, NoiseSpec(seed=7), ideal=True)
         assert result.clifford_fidelity == pytest.approx(1.0, abs=1e-6)
         report("09a ideal-matrix benchmarking", f"F_c = {result.clifford_fidelity:.9f}")
 
     def test_09b_cm_noiseless_pulse_level(self):
         cfg = default_config(Scheme.CMCCD, rabi=FIG8_RABI)
-        result = randomized_benchmarking(Scheme.CMCCD, cfg, self.M_LIST, 15, NoiseSpec(seed=7))
+        result = randomized_benchmarking(cfg, self.M_LIST, 15, NoiseSpec(seed=7))
         assert result.average_gate_fidelity >= 0.99999
         report("09b CMCCD noiseless benchmarking",
                f"F = {result.average_gate_fidelity:.7f} (M up to 64, K = 15)")
@@ -320,10 +318,10 @@ class TestRandomizedBenchmarking:
         cfg = default_config(Scheme.CMCCD, rabi=FIG8_RABI)
         drops = {}
         for scheme in (Scheme.BARE, Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
-            base = randomized_benchmarking(scheme, cfg, self.M_LIST, 15, NoiseSpec(seed=7))
+            drive = cfg.with_scheme(scheme)
+            base = randomized_benchmarking(drive, self.M_LIST, 15, NoiseSpec(seed=7))
             hurt = randomized_benchmarking(
-                scheme, cfg.with_errors(detuning=0.05 * cfg.rabi), self.M_LIST, 15,
-                NoiseSpec(seed=7),
+                drive.with_errors(detuning=0.05 * cfg.rabi), self.M_LIST, 15, NoiseSpec(seed=7)
             )
             drops[scheme] = base.average_gate_fidelity - hurt.average_gate_fidelity
         for scheme in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):

@@ -14,7 +14,7 @@ from ccdsim.clifford import (
     recovery_clifford,
 )
 from ccdsim.drive import Scheme, default_config
-from ccdsim.pulses import SegmentKind, simulate_program
+from ccdsim.pulses import simulate_program
 from ccdsim.qubit import IDENTITY, QubitState
 from oracles import clifford_sequence_program
 
@@ -110,13 +110,11 @@ class TestSequenceProgram:
         program = clifford_sequence_program(gates, cfg)
         periods = program.total_duration / cfg.mod_period
         assert abs(periods - round(periods)) < 1e-9
-        assert program.segments[-1].kind is SegmentKind.READOUT_PAD
-        assert program.segments[-1].duration == pytest.approx(0.0, abs=1e-12)
 
     def test_pi_rotations_are_single_segments(self):
         cfg = default_config(Scheme.CMCCD)
         x180 = next(g for g in clifford_group() if g.decomposition == ("X180",))
-        program = clifford_sequence_program([x180], cfg, pad_readout=False)
+        program = clifford_sequence_program([x180], cfg)
         assert len(program.segments) == 1
         assert program.segments[0].duration == pytest.approx(
             math.pi / cfg.mod_strength, rel=1e-12

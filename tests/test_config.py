@@ -63,11 +63,21 @@ class TestParse:
     def test_explicit_alphas_set_the_scheme(self):
         # every subcommand reads the scheme, so it must name the alphas that win
         cfg = parse_config("scheme = bare\nalpha_a = 0.5\nalpha_p = 0.5\n")
-        assert (cfg.scheme, cfg.scheme_enum()) == ("cm", Scheme.CMCCD)
+        assert cfg.scheme == "cm"
         assert cfg.drive_config().scheme is Scheme.CMCCD
         cfg = parse_config("scheme = cmccd\nalpha_a = 0.5\nalpha_p = 0.5\n")
         assert cfg.scheme == "cmccd"
         assert parse_config(emit_config(cfg)) == cfg
+
+    def test_direct_construction_refuses_a_scheme_its_alphas_do_not_name(self):
+        # the field defaults are CM's ratios, so scheme = bare alone would make a CM drive
+        with pytest.raises(ConfigError, match="does not name"):
+            RunConfig(scheme="bare")
+        with pytest.raises(ConfigError, match="matches no named scheme"):
+            RunConfig(alpha_a=0.3, alpha_p=0.7)
+        cfg = RunConfig(scheme="am", alpha_a=1.0, alpha_p=0.0)
+        assert cfg.drive_config().scheme is Scheme.AMCCD
+        assert RunConfig(scheme="cmccd").scheme == "cmccd"
 
     def test_alphas_matching_no_scheme_rejected(self):
         with pytest.raises(ConfigError, match="matches no scheme") as excinfo:

@@ -46,19 +46,17 @@ class TestChevron:
     def test_bare_values_match_analytic_formula(self):
         detunings = np.array([-RABI, 0.0, 0.7 * RABI])
         durations = np.linspace(0.05e-6, 1.0e-6, 40)
-        grid = chevron_sweep(Scheme.BARE, BARE, detunings, durations)
+        grid = chevron_sweep(BARE, detunings, durations)
         expected = analytic_rabi(RABI, detunings[:, None], durations[None, :])
         assert np.abs(grid.values - expected).max() < 1e-8
 
     def test_resonant_pi_time_unit_population(self):
         durations = np.array([math.pi / RABI])
-        grid = chevron_sweep(Scheme.BARE, BARE, np.array([0.0]), durations)
+        grid = chevron_sweep(BARE, np.array([0.0]), durations)
         assert grid.values[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_detuned_pi_time_value(self):
-        grid = chevron_sweep(
-            Scheme.BARE, BARE, np.array([RABI]), np.array([math.pi / RABI])
-        )
+        grid = chevron_sweep(BARE, np.array([RABI]), np.array([math.pi / RABI]))
         assert grid.values[0, 0] == pytest.approx(0.31656383551035387, abs=1e-9)
 
     def test_zero_modulation_column_reduces_to_bare(self):
@@ -66,54 +64,54 @@ class TestChevron:
         detunings = np.linspace(-RABI, RABI, 5)
         durations = np.linspace(0.1e-6, 0.8e-6, 16)
         no_mod = default_config(Scheme.CMCCD, mod_ratio=0.0)
-        ccd = chevron_sweep(Scheme.CMCCD, no_mod, detunings, durations)
-        bare = chevron_sweep(Scheme.BARE, BARE, detunings, durations)
+        ccd = chevron_sweep(no_mod, detunings, durations)
+        bare = chevron_sweep(BARE, detunings, durations)
         assert np.abs(ccd.values - bare.values).max() < 1e-10
 
     def test_values_bounded_and_deterministic(self):
         detunings = np.linspace(-0.4, 0.4, 7) * RABI
         durations = lattice_times(CFG, 33)[1:]
-        a = chevron_sweep(Scheme.PMCCD, CFG, detunings, durations)
-        b = chevron_sweep(Scheme.PMCCD, CFG, detunings, durations)
+        a = chevron_sweep(CFG.with_scheme(Scheme.PMCCD), detunings, durations)
+        b = chevron_sweep(CFG.with_scheme(Scheme.PMCCD), detunings, durations)
         assert np.array_equal(a.values, b.values)
         assert a.values.min() >= 0.0 and a.values.max() <= 1.0 + 1e-9
 
     def test_coarse_grid_warning_on_lattice_sampling(self):
         durations = lattice_times(CFG, 17)[1:]
-        grid = chevron_sweep(Scheme.CMCCD, CFG, np.array([0.0, 0.1 * RABI]), durations)
+        grid = chevron_sweep(CFG, np.array([0.0, 0.1 * RABI]), durations)
         assert grid.meta["warnings"]  # 4 points per eps_m period < 8
 
     def test_no_coarse_grid_warning_without_modulation(self):
         # the bare drive keeps CFG's eps_m > 0, but it has no modulation period
         durations = lattice_times(CFG, 17)[1:]
-        grid = chevron_sweep(Scheme.BARE, CFG, np.array([0.0, 0.1 * RABI]), durations)
+        grid = chevron_sweep(CFG.with_scheme(Scheme.BARE), np.array([0.0, 0.1 * RABI]), durations)
         assert grid.meta["warnings"] == []
 
     def test_monotonicity_validation(self):
         with pytest.raises(ValueError):
-            chevron_sweep(Scheme.BARE, BARE, np.array([1.0, 0.0]), np.array([1e-6, 2e-6]))
+            chevron_sweep(BARE, np.array([1.0, 0.0]), np.array([1e-6, 2e-6]))
 
 
 class TestRabiErrorSweep:
     def test_bare_dominant_frequency_linear_in_error(self):
         errors = np.linspace(-0.2, 0.2, 7) * RABI
         durations = np.linspace(0.0, 10e-6, 512, endpoint=False)[1:]
-        grid = rabi_error_sweep(Scheme.BARE, BARE, errors, durations)
+        grid = rabi_error_sweep(BARE, errors, durations)
         freqs = [dominant_frequency(durations, row) for row in grid.values]
         slope = np.polyfit(errors, freqs, 1)[0]
         assert slope * 2 * math.pi == pytest.approx(1.0, rel=0.01)
 
     def test_zero_error_row_equals_zero_detuning_chevron_row(self):
         durations = lattice_times(CFG, 17)[1:]
-        err_grid = rabi_error_sweep(Scheme.PMCCD, CFG, np.array([0.0]), durations)
-        chev = chevron_sweep(Scheme.PMCCD, CFG, np.array([0.0]), durations)
+        err_grid = rabi_error_sweep(CFG.with_scheme(Scheme.PMCCD), np.array([0.0]), durations)
+        chev = chevron_sweep(CFG.with_scheme(Scheme.PMCCD), np.array([0.0]), durations)
         assert np.abs(err_grid.values - chev.values).max() < 1e-12
 
 
 class TestSpectrumGrid:
     def test_per_row_magnitudes(self):
         durations = np.linspace(0.0, 10e-6, 256, endpoint=False)[1:]
-        grid = chevron_sweep(Scheme.BARE, BARE, np.array([0.0, RABI]), durations)
+        grid = chevron_sweep(BARE, np.array([0.0, RABI]), durations)
         spec = spectrum(grid)
         assert spec.values.shape == (2, spec.x_axis.values.size)
         assert spec.x_axis.units == "Hz"
@@ -127,52 +125,52 @@ class TestSpectrumGrid:
 
 class TestInfidelity:
     def test_cmccd_resonant_gate_is_exact(self):
-        curve = infidelity_curve(Scheme.CMCCD, CFG, "detuning", np.array([0.0]))
-        assert curve[0][1] <= 1e-10
+        curve = infidelity_curve(CFG, "detuning", np.array([0.0]))
+        assert curve[0] <= 1e-10
 
     def test_bare_detuned_matches_analytic(self):
-        curve = infidelity_curve(Scheme.BARE, BARE, "detuning", np.array([0.1 * RABI]))
+        curve = infidelity_curve(BARE, "detuning", np.array([0.1 * RABI]))
         expected = 1.0 - analytic_rabi(RABI, 0.1 * RABI, math.pi / RABI)
         assert expected == pytest.approx(0.0099617596642271, rel=1e-10)
-        assert curve[0][1] == pytest.approx(expected, abs=1e-8)
+        assert curve[0] == pytest.approx(expected, abs=1e-8)
 
     def test_am_pm_resonant_positive_and_worse_than_cm(self):
-        cm = infidelity_curve(Scheme.CMCCD, CFG, "detuning", np.array([0.0]))[0][1]
-        am = infidelity_curve(Scheme.AMCCD, CFG, "detuning", np.array([0.0]))[0][1]
-        pm = infidelity_curve(Scheme.PMCCD, CFG, "detuning", np.array([0.0]))[0][1]
+        cm = infidelity_curve(CFG, "detuning", np.array([0.0]))[0]
+        am = infidelity_curve(CFG.with_scheme(Scheme.AMCCD), "detuning", np.array([0.0]))[0]
+        pm = infidelity_curve(CFG.with_scheme(Scheme.PMCCD), "detuning", np.array([0.0]))[0]
         assert am > 1e-7 and pm > 1e-7
         assert cm < min(am, pm)
 
     def test_rabi_axis_applies_error(self):
         err = 0.1 * RABI
-        curve = infidelity_curve(Scheme.BARE, BARE, "rabi", np.array([err]))
+        curve = infidelity_curve(BARE, "rabi", np.array([err]))
         # bare pi pulse with amplitude error: P = sin^2((1 + e) pi / 2)
         expected = 1.0 - math.sin((1 + 0.1) * math.pi / 2.0) ** 2
-        assert curve[0][1] == pytest.approx(expected, abs=1e-8)
+        assert curve[0] == pytest.approx(expected, abs=1e-8)
 
 
 class TestTrajectory:
     def test_bare_and_cm_zero_error_markers_coincide(self):
         for scheme in (Scheme.BARE, Scheme.CMCCD):
-            record = bloch_trajectory(scheme, CFG, 20 * math.pi, 8)
+            record = bloch_trajectory(CFG.with_scheme(scheme), 20 * math.pi, 8)
             assert record.spread <= 1e-8
             assert len(record.markers) == 40
 
     def test_am_pm_zero_error_spread_positive(self):
         for scheme in (Scheme.AMCCD, Scheme.PMCCD):
-            record = bloch_trajectory(scheme, CFG, 20 * math.pi, 8)
+            record = bloch_trajectory(CFG.with_scheme(scheme), 20 * math.pi, 8)
             assert record.spread > 1e-3
 
     def test_detuned_bare_spread_large(self):
         record = bloch_trajectory(
-            Scheme.BARE, CFG.with_errors(detuning=0.1 * RABI), 20 * math.pi, 8
+            CFG.with_errors(detuning=0.1 * RABI).with_scheme(Scheme.BARE), 20 * math.pi, 8
         )
         assert record.spread > 0.1
 
     def test_marker_count_and_angle_validation(self):
         with pytest.raises(ValueError):
-            bloch_trajectory(Scheme.CMCCD, CFG, 0.3)
-        record = bloch_trajectory(Scheme.CMCCD, CFG, 2 * math.pi, 4)
+            bloch_trajectory(CFG, 0.3)
+        record = bloch_trajectory(CFG, 2 * math.pi, 4)
         assert len(record.markers) == 4
         assert len(record.samples) == 17  # t=0 plus 4*4 samples
 
@@ -188,7 +186,7 @@ class TestGateFrame:
         assert build is (second_frame_hamiltonian if dressed else first_frame_hamiltonian)
         assert offset == (-math.pi / 2.0 if dressed else 0.0)
 
-        record = bloch_trajectory(scheme, CFG, 2 * math.pi, 4)
+        record = bloch_trajectory(CFG.with_scheme(scheme), 2 * math.pi, 4)
         assert record.samples[4][0] == pytest.approx((math.pi / 2.0) / rate, rel=1e-12)
 
         spans = []
@@ -198,7 +196,7 @@ class TestGateFrame:
             return evolve_grid(hams, times, psi0, spec)
 
         monkeypatch.setattr(experiments, "evolve_grid", spy)
-        infidelity_curve(scheme, CFG, "detuning", np.array([0.0]))
+        infidelity_curve(CFG.with_scheme(scheme), "detuning", np.array([0.0]))
         assert spans == [pytest.approx(math.pi / rate, rel=1e-12)]
 
         out = tmp_path / "iq.csv"
@@ -215,12 +213,12 @@ class TestGateFrame:
         assert gate_frame(no_mod)[:2] == (first_frame_hamiltonian, RABI)
         grid = np.linspace(-0.3, 0.3, 7) * RABI
         for axis in ("detuning", "rabi"):
-            ccd = np.array(infidelity_curve(scheme, no_mod, axis, grid))
-            bare = np.array(infidelity_curve(Scheme.BARE, BARE, axis, grid))
+            ccd = infidelity_curve(no_mod, axis, grid)
+            bare = infidelity_curve(BARE, axis, grid)
             assert np.abs(ccd - bare).max() <= 1e-12
         detuned = 0.1 * RABI
-        ccd = bloch_trajectory(scheme, no_mod.with_errors(detuning=detuned), 10 * math.pi, 4)
-        bare = bloch_trajectory(Scheme.BARE, BARE.with_errors(detuning=detuned), 10 * math.pi, 4)
+        ccd = bloch_trajectory(no_mod.with_errors(detuning=detuned), 10 * math.pi, 4)
+        bare = bloch_trajectory(BARE.with_errors(detuning=detuned), 10 * math.pi, 4)
         ccd_xyz = np.array([(t, *b) for t, b in ccd.samples])
         bare_xyz = np.array([(t, *b) for t, b in bare.samples])
         assert np.abs(ccd_xyz - bare_xyz).max() <= 1e-12
@@ -230,23 +228,20 @@ class TestGateFrame:
 class TestDressedSequences:
     def test_ccd_rabi_oscillates_at_modulation_rate(self):
         times = lattice_times(CFG, 64)
-        points = dressed_sequence_experiment("ccd_rabi", CFG, times)
-        values = np.array([p for _, p in points])
+        values = dressed_sequence_experiment("ccd_rabi", CFG, times)
         fit = fit_decaying_sinusoid(times, values)
         assert fit.frequency == pytest.approx(EM / (2 * math.pi), rel=0.005)
         assert not fit.decay_resolved  # unitary dynamics, no decay
 
     def test_ccd_ramsey_oscillates_at_modulation_rate(self):
         times = lattice_times(CFG, 64)
-        points = dressed_sequence_experiment("ccd_ramsey", CFG, times)
-        values = np.array([p for _, p in points])
+        values = dressed_sequence_experiment("ccd_ramsey", CFG, times)
         fit = fit_decaying_sinusoid(times, values)
         assert fit.frequency == pytest.approx(EM / (2 * math.pi), rel=0.005)
 
     def test_two_axis_sweep_is_period_2pi_cosine(self):
         phis = np.linspace(0.0, 4 * math.pi, 64)
-        points = dressed_sequence_experiment("two_axis", CFG, phis)
-        values = np.array([p for _, p in points])
+        values = dressed_sequence_experiment("two_axis", CFG, phis)
         design = np.stack([np.cos(phis), np.sin(phis), np.ones_like(phis)], axis=1)
         coef, *_ = np.linalg.lstsq(design, values, rcond=None)
         residual = values - design @ coef

@@ -16,7 +16,6 @@ from ccdsim.pulses import (
     gate_pulse,
     idle_pulse,
     parse_program,
-    readout_pad,
     require_gate_lattice,
     simulate_program,
 )
@@ -56,23 +55,16 @@ class TestSegments:
     def test_segment_theta_m_follows_its_kind(self):
         assert PulseSegment(SegmentKind.GATE, 1e-6).theta_m == math.pi / 2
         assert PulseSegment(SegmentKind.IDLE, 1e-6).theta_m == 0.0
-        assert PulseSegment(SegmentKind.READOUT_PAD, 1e-6).theta_m == 0.0
-
-    @pytest.mark.parametrize(
-        "elapsed_periods,pad_periods",
-        [(1.0, 0.0), (1.5, 0.5), (5.3, 0.7), (0.0, 0.0), (2.0000000001, 0.0)],
-    )
-    def test_readout_pad_modular_arithmetic(self, elapsed_periods, pad_periods):
-        pad = readout_pad(elapsed_periods * PERIOD, CFG)
-        assert pad.duration == pytest.approx(pad_periods * PERIOD, abs=1e-6 * PERIOD)
-        assert pad.kind is SegmentKind.READOUT_PAD
-        assert pad.theta_m == 0.0
 
     def test_readout_pad_restores_frame_match(self):
-        elapsed = 3.7 * PERIOD
-        pad = readout_pad(elapsed, CFG)
-        u = second_frame_unitary(CFG, elapsed + pad.duration)
-        assert np.allclose(np.abs(u), np.eye(2), atol=1e-7)
+        # every segment ends on the lattice, where the second frame is +-I and
+        # matches the lab basis at readout, so a pad line adds no time
+        program = parse_program(f"gate {math.pi / 2!r} 0.3\nidle {2 * PERIOD!r}\npad\n", CFG)
+        assert program.segments[-1] == idle_pulse(0.0, "readout pad")
+        assert program.total_duration / PERIOD == pytest.approx(3.0, rel=1e-12)
+        for periods in range(8):
+            u = second_frame_unitary(CFG, periods * PERIOD)
+            assert np.abs(u - (-1) ** periods * np.eye(2)).max() <= 1e-12
 
 
 def spy_batches(monkeypatch):
@@ -118,9 +110,18 @@ class TestCompile:
         with pytest.raises(CompileError, match=r"1/\(4 n\)"):
             dressed_sequence_experiment("ccd_ramsey", cfg, lattice_times(cfg, 4))
 
+    def test_simulate_refuses_a_drive_that_is_not_dressed(self, monkeypatch):
+        # idle segments need no gate_pulse, so the guard must sit in simulate_program
+        sizes = spy_batches(monkeypatch)
+        bare = PulseProgram([idle_pulse(3 * PERIOD)], BARE_FROM_CONFIG)
+        dressed = PulseProgram([idle_pulse(3 * PERIOD)], CFG)
+        with pytest.raises(CompileError, match="dressed drive"):
+            simulate_program([dressed, bare], QubitState.plus())
+        assert sizes == []  # refused before anything is integrated
+
     def test_zero_duration_segments_dropped(self, monkeypatch):
         sizes = spy_batches(monkeypatch)
-        program = PulseProgram([idle_pulse(0.0), readout_pad(0.0, CFG)], CFG)
+        program = PulseProgram([idle_pulse(0.0), idle_pulse(0.0, "readout pad")], CFG)
         out = simulate_program([program], QubitState.plus())[0]
         assert np.array_equal(out.amplitudes, QubitState.plus().amplitudes)
         assert sizes == []  # nothing to integrate
@@ -140,9 +141,7 @@ class TestSimulate:
 
     def test_y_pi_gate_transfers_population(self):
         # CMCCD on resonance: the co-rotating drive is the only second-frame term
-        program = PulseProgram(
-            [gate_pulse(math.pi, 0.0, CFG), readout_pad(2 * PERIOD, CFG)], CFG
-        )
+        program = PulseProgram([gate_pulse(math.pi, 0.0, CFG)], CFG)
         out = simulate_program([program])[0]
         assert out.population_up() >= 1.0 - 1e-6
 
@@ -162,14 +161,13 @@ class TestSimulate:
         assert abs(vec.y) == pytest.approx(1.0, abs=1e-8)
 
     def test_first_and_second_frame_populations_agree_at_readout(self):
-        # readout-matched programs: z populations agree across frames
+        # programs end on the lattice: z populations agree across frames
         cfg = CFG.with_errors(detuning=0.08 * CFG.rabi, rabi_error=-0.05 * CFG.rabi)
         program = PulseProgram(
             [
                 gate_pulse(math.pi / 2, 0.0, cfg),
                 idle_pulse(2 * PERIOD),
                 gate_pulse(math.pi / 2, 0.7, cfg),
-                readout_pad(4 * PERIOD, cfg),
             ],
             cfg,
         )
@@ -180,8 +178,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_programs_match_frames_at_readout(self, seed):
-        # z populations of the two rotating-frame views agree at the padded
-        # readout time for arbitrary lattice-aligned programs
+        # z populations of the two rotating-frame views agree at the readout
+        # time of arbitrary lattice-aligned programs
         rng = np.random.default_rng(seed)
         scheme = [Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD][seed % 3]
         cfg = default_config(
@@ -189,7 +187,7 @@ class TestSimulate:
             detuning=float(rng.uniform(-0.1, 0.1)) * CFG.rabi,
             rabi_error=float(rng.uniform(-0.1, 0.1)) * CFG.rabi,
         )
-        segments, elapsed = [], 0.0
+        segments = []
         for _ in range(int(rng.integers(2, 6))):
             if rng.random() < 0.6:
                 angle = float(rng.integers(1, 5)) * math.pi / 2
@@ -197,8 +195,6 @@ class TestSimulate:
             else:
                 seg = idle_pulse(float(rng.integers(0, 4)) * cfg.mod_period)
             segments.append(seg)
-            elapsed += seg.duration
-        segments.append(readout_pad(elapsed, cfg))
         program = PulseProgram(segments, cfg)
         spec = IntegratorSpec(steps_per_fastest_period=400)
         first = per_piece_oracle(program, "first", spec)
@@ -263,7 +259,7 @@ class TestBatchedEngine:
         sweep = np.linspace(0.0, 4.0 * math.pi, 16)
         noise = NoiseSpec(sigma_detuning=0.02 * CFG.rabi, samples=3, seed=4)
         noise_average(
-            lambda shot: [p for _, p in dressed_sequence_experiment("two_axis", shot, sweep)],
+            lambda shot: dressed_sequence_experiment("two_axis", shot, sweep),
             noise,
             CFG,
         )
@@ -283,7 +279,8 @@ class TestParseProgram:
         """
         program = parse_program(text, CFG)
         kinds = [seg.kind for seg in program.segments]
-        assert kinds == [SegmentKind.GATE, SegmentKind.IDLE, SegmentKind.READOUT_PAD]
+        assert kinds == [SegmentKind.GATE, SegmentKind.IDLE, SegmentKind.IDLE]
+        assert program.segments[-1].duration == 0.0
         assert program.segments[0].duration == pytest.approx(2 * PERIOD, rel=1e-12)
 
     def test_unknown_directive_reports_line(self):

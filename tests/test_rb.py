@@ -47,8 +47,8 @@ class TestDraws:
 
     def test_fixed_seed_full_run_reproducible(self):
         kwargs = dict(noise=NoiseSpec(sigma_detuning=0.02 * RABI, samples=4, seed=5))
-        a = randomized_benchmarking(Scheme.CMCCD, CFG, M_LIST, 3, **kwargs)
-        b = randomized_benchmarking(Scheme.CMCCD, CFG, M_LIST, 3, **kwargs)
+        a = randomized_benchmarking(CFG, M_LIST, 3, **kwargs)
+        b = randomized_benchmarking(CFG, M_LIST, 3, **kwargs)
         assert np.array_equal(a.signal, b.signal)
         assert a.average_gate_fidelity == b.average_gate_fidelity
 
@@ -56,7 +56,7 @@ class TestDraws:
 class TestIdealEngine:
     def test_ideal_matrices_give_unit_fidelity(self):
         result = randomized_benchmarking(
-            Scheme.CMCCD, CFG, M_LIST, 5, NoiseSpec(seed=1), ideal=True
+            CFG, M_LIST, 5, NoiseSpec(seed=1), ideal=True
         )
         assert np.allclose(result.signal, 1.0, atol=1e-12)
         assert result.clifford_fidelity == pytest.approx(1.0, abs=1e-9)
@@ -68,7 +68,7 @@ class TestIdealEngine:
             s for s in range(200) if _sequence_indices(s, 1, 0)[0] == 0
         )
         result = randomized_benchmarking(
-            Scheme.CMCCD, CFG, [1], 1, NoiseSpec(seed=seed), ideal=True
+            CFG, [1], 1, NoiseSpec(seed=seed), ideal=True
         )
         assert result.signal[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -113,11 +113,13 @@ class TestBatchedPrimitives:
 
 class TestPulseLevel:
     def test_cm_noiseless_fidelity_near_one(self):
-        result = randomized_benchmarking(Scheme.CMCCD, CFG, M_LIST, 5, NoiseSpec(seed=7))
+        result = randomized_benchmarking(CFG, M_LIST, 5, NoiseSpec(seed=7))
         assert result.average_gate_fidelity >= 0.99999
 
     def test_bare_noiseless_fidelity_exact(self):
-        result = randomized_benchmarking(Scheme.BARE, CFG, M_LIST, 5, NoiseSpec(seed=7))
+        result = randomized_benchmarking(
+            CFG.with_scheme(Scheme.BARE), M_LIST, 5, NoiseSpec(seed=7)
+        )
         assert result.average_gate_fidelity >= 1.0 - 1e-9
 
     def test_cached_primitives_match_program_simulation(self):
@@ -129,7 +131,7 @@ class TestPulseLevel:
         program = clifford_sequence_program(gates + [recovery], cfg)
         p_program = simulate_program([program])[0].population_up()
 
-        result = randomized_benchmarking(Scheme.CMCCD, cfg, [6], 1, NoiseSpec(seed=3))
+        result = randomized_benchmarking(cfg, [6], 1, NoiseSpec(seed=3))
         # reconstruct p_up for the up-recovery from signal and the down case
         # signal = p_up(up) - p_up(down); rebuild the up case directly instead
         from ccdsim.rb import _clifford_unitaries, _primitive_unitaries
@@ -148,9 +150,10 @@ class TestPulseLevel:
     def test_static_detuning_drop_smaller_for_ccd(self):
         drops = {}
         for scheme in (Scheme.BARE, Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
-            base = randomized_benchmarking(scheme, CFG, M_LIST, 5, NoiseSpec(seed=7))
+            cfg = CFG.with_scheme(scheme)
+            base = randomized_benchmarking(cfg, M_LIST, 5, NoiseSpec(seed=7))
             hurt = randomized_benchmarking(
-                scheme, CFG.with_errors(detuning=0.05 * RABI), M_LIST, 5, NoiseSpec(seed=7)
+                cfg.with_errors(detuning=0.05 * RABI), M_LIST, 5, NoiseSpec(seed=7)
             )
             drops[scheme] = base.average_gate_fidelity - hurt.average_gate_fidelity
         for scheme in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
@@ -158,7 +161,7 @@ class TestPulseLevel:
 
     def test_noise_produces_decay_and_convergent_fit(self):
         noise = NoiseSpec(sigma_detuning=0.15 * RABI, samples=25, seed=13)
-        result = randomized_benchmarking(Scheme.BARE, CFG, M_LIST, 6, noise)
+        result = randomized_benchmarking(CFG.with_scheme(Scheme.BARE), M_LIST, 6, noise)
         assert result.converged
         assert result.clifford_fidelity < 1.0
         assert result.signal[0] > result.signal[-1]
@@ -167,10 +170,12 @@ class TestPulseLevel:
     def test_mod_strength_lattice_requirement(self):
         bad = default_config(Scheme.CMCCD, mod_ratio=0.3)
         with pytest.raises(ValueError):
-            randomized_benchmarking(Scheme.CMCCD, bad, [1, 2], 2, NoiseSpec(seed=0))
+            randomized_benchmarking(bad, [1, 2], 2, NoiseSpec(seed=0))
 
     def test_invariants_of_result(self):
-        result = randomized_benchmarking(Scheme.PMCCD, CFG, M_LIST, 4, NoiseSpec(seed=9))
+        result = randomized_benchmarking(
+            CFG.with_scheme(Scheme.PMCCD), M_LIST, 4, NoiseSpec(seed=9)
+        )
         f_c = result.clifford_fidelity
         assert 0.0 <= f_c <= 1.0
         assert result.average_gate_fidelity == pytest.approx(
@@ -181,22 +186,21 @@ class TestPulseLevel:
         # heavy noise drives the long-sequence signal under 3x its standard error
         noise = NoiseSpec(sigma_detuning=0.5 * RABI, samples=8, seed=21)
         result = randomized_benchmarking(
-            Scheme.BARE, CFG, [1, 4, 16, 64, 256], 4, noise
+            CFG.with_scheme(Scheme.BARE), [1, 4, 16, 64, 256], 4, noise
         )
         assert any("standard error" in w for w in result.warnings)
 
     def test_m_list_validation(self):
         with pytest.raises(ValueError):
-            randomized_benchmarking(Scheme.CMCCD, CFG, [4, 2], 2, NoiseSpec(seed=0))
+            randomized_benchmarking(CFG, [4, 2], 2, NoiseSpec(seed=0))
         with pytest.raises(ValueError):
-            randomized_benchmarking(Scheme.CMCCD, CFG, [], 2, NoiseSpec(seed=0))
+            randomized_benchmarking(CFG, [], 2, NoiseSpec(seed=0))
 
 
-def looped_signal(scheme, cfg, m_list, k_randomizations, noise, *, ideal=False):
+def looped_signal(base, m_list, k_randomizations, noise, *, ideal=False):
     """The RB signal from one 2x2 product per gate, sequence by sequence and
     shot by shot, with recoveries from the matrix search. Each shot adds its
-    own seeded draw to the static errors of ``cfg``."""
-    base = cfg.with_scheme(scheme)
+    own seeded draw to the static errors of the drive ``base``."""
     rng = np.random.default_rng(noise.seed)
     deltas = base.detuning + rng.normal(0.0, noise.sigma_detuning, noise.samples)
     rabi_errors = base.rabi_error + rng.normal(
@@ -257,24 +261,24 @@ class TestBatchedComposition:
     def test_matches_per_sequence_loop(self, scheme, draw):
         kwargs = dict(DRAWS[draw])
         noise = kwargs.pop("noise")
-        cfg = kwargs.pop("cfg", CFG)
+        cfg = kwargs.pop("cfg", CFG).with_scheme(scheme)
         m_list = [1, 3, 8]
-        batched = randomized_benchmarking(scheme, cfg, m_list, 3, noise, **kwargs)
-        looped = looped_signal(scheme, cfg, m_list, 3, noise, **kwargs)
+        batched = randomized_benchmarking(cfg, m_list, 3, noise, **kwargs)
+        looped = looped_signal(cfg, m_list, 3, noise, **kwargs)
         assert np.max(np.abs(batched.signal - looped)) <= 1e-12
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
     def test_noiseless_shots_are_one_shot(self, scheme):
         # without noise every shot is the drive itself, whatever noise.samples says
-        cfg = CFG.with_errors(detuning=0.03 * RABI)
-        one = randomized_benchmarking(scheme, cfg, M_LIST, 3, NoiseSpec(samples=1, seed=4))
-        eight = randomized_benchmarking(scheme, cfg, M_LIST, 3, NoiseSpec(samples=8, seed=4))
+        cfg = CFG.with_errors(detuning=0.03 * RABI).with_scheme(scheme)
+        one = randomized_benchmarking(cfg, M_LIST, 3, NoiseSpec(samples=1, seed=4))
+        eight = randomized_benchmarking(cfg, M_LIST, 3, NoiseSpec(samples=8, seed=4))
         assert eight.signal.tobytes() == one.signal.tobytes()
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_shot_block_does_not_change_a_byte(self, monkeypatch, block):
         noise = NoiseSpec(sigma_detuning=0.05 * RABI, sigma_rabi_frac=0.01, samples=20, seed=6)
-        args = (Scheme.CMCCD, CFG, M_LIST, 3, noise)
+        args = (CFG, M_LIST, 3, noise)
         default = randomized_benchmarking(*args)
         monkeypatch.setattr(rb, "_BLOCK_BYTES", 160 * 3 * block)  # K = 3 strings
         blocked = randomized_benchmarking(*args)
@@ -371,7 +375,7 @@ def rb_long(seed):
     cfg = parse_config(RB_LONG + f"seed = {seed}\n")
     drive = cfg.drive_config()
     return randomized_benchmarking(
-        Scheme.CMCCD, drive.with_errors(detuning=0.02 * 2 * math.pi * cfg.rabi_hz),
+        drive.with_errors(detuning=0.02 * 2 * math.pi * cfg.rabi_hz),
         list(cfg.cliffords), cfg.k_randomizations, cfg.noise_spec(),
     )
 
@@ -379,13 +383,14 @@ def rb_long(seed):
 #: RB runs of the test suite (the noisy M_LIST run, 09b and 09c) and of rb_long
 FIT_RUNS = {
     "noisy-M_LIST": lambda: randomized_benchmarking(
-        Scheme.BARE, CFG, M_LIST, 6, NoiseSpec(sigma_detuning=0.15 * RABI, samples=25, seed=13)
+        CFG.with_scheme(Scheme.BARE), M_LIST, 6,
+        NoiseSpec(sigma_detuning=0.15 * RABI, samples=25, seed=13),
     ),
     **{
         f"09c-{scheme.label}{'-detuned' * hurt}": (
             lambda scheme=scheme, hurt=hurt: randomized_benchmarking(
-                scheme, CFG.with_errors(detuning=0.05 * RABI * hurt), ACCEPTANCE_M, 15,
-                NoiseSpec(seed=7),
+                CFG.with_errors(detuning=0.05 * RABI * hurt).with_scheme(scheme), ACCEPTANCE_M,
+                15, NoiseSpec(seed=7),
             )
         )
         for scheme in ALL_SCHEMES
@@ -447,12 +452,12 @@ class TestDecayFit:
         assert 0.0 <= a <= 2.0 and 0.0 <= p <= 1.0
         # the run reports it: its signal replaced by this one at the fit
         monkeypatch.setattr(rb, "_fit_decay", lambda lengths, _: _fit_decay(lengths, signal))
-        result = randomized_benchmarking(Scheme.CMCCD, CFG, m_list, 2, NoiseSpec(seed=1))
+        result = randomized_benchmarking(CFG, m_list, 2, NoiseSpec(seed=1))
         assert not result.converged
         assert (result.clifford_fidelity, result.fit_amplitude) == ((1.0 + p) / 2.0, a)
         assert any("did not converge" in w for w in result.warnings)
 
     def test_single_length_is_not_converged(self):
-        result = randomized_benchmarking(Scheme.CMCCD, CFG, [4], 3, NoiseSpec(seed=1))
+        result = randomized_benchmarking(CFG, [4], 3, NoiseSpec(seed=1))
         assert not result.converged
         assert any("did not converge" in w for w in result.warnings)
