@@ -49,11 +49,11 @@ from .experiments import (
     bloch_trajectory,
     chevron_sweep,
     dressed_sequence_experiment,
+    hann_spectrum,
     lattice_times,
     noise_average,
     rabi_error_sweep,
     shot_mean,
-    spectrum,
 )
 from .propagator import IntegratorError, evolve
 from .pulses import require_gate_lattice
@@ -152,12 +152,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     sweep = chevron_sweep if args.axis == "detuning" else rabi_error_sweep
     grid = sweep(cfg.drive_config(), _error_grid(cfg, args.axis), _duration_grid(cfg))
-    name = "p_up"
+    x_axis, name, values = grid.x_axis, "p_up", grid.values
     if args.command == "spectrum":
-        grid, name = spectrum(grid), "magnitude"
+        freqs, values = hann_spectrum(grid.x_axis.values, grid.values)
+        x_axis, name = AxisDef("frequency", "Hz", freqs), "magnitude"
     return _write(
-        cfg, (grid.y_axis, grid.x_axis), (name,), grid.values[..., None],
-        warnings=grid.meta["warnings"],
+        cfg, (grid.y_axis, x_axis), (name,), values[..., None], warnings=grid.meta["warnings"]
     )
 
 
@@ -179,17 +179,12 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     _require_rows(
         args.command, cfg.quarter_turns * spq + 1, "quarter_turns", "samples_per_quarter_turn"
     )
-    record = bloch_trajectory(cfg.drive_config(), cfg.quarter_turns * math.pi / 2.0, spq)
-    times = np.array([t for t, _ in record.samples])
-    rows = np.array(
-        [
-            [b.x, b.y, b.z, 1.0 if idx > 0 and idx % spq == 0 else 0.0]
-            for idx, (_t, b) in enumerate(record.samples)
-        ]
+    times, xyz, is_marker, spread = bloch_trajectory(
+        cfg.drive_config(), cfg.quarter_turns * math.pi / 2.0, spq
     )
     return _write(
-        cfg, (AxisDef("t", "s", times),), ("x", "y", "z", "is_marker"), rows,
-        spread=record.spread, markers=len(record.markers),
+        cfg, (AxisDef("t", "s", times),), ("x", "y", "z", "is_marker"),
+        np.column_stack([xyz, is_marker]), spread=spread, markers=int(is_marker.sum()),
     )
 
 
@@ -218,13 +213,13 @@ def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConf
     """Simulate a user-supplied segment-directive file and report the readout,
     averaged over the noise shots, which run as one batch."""
     from .pulses import PulseProgram, parse_program, simulate_program
-    from .qubit import bloch_vector
+    from .qubit import bloch_vector, population_up
 
     with open(args.program, "r", encoding="utf-8") as handle:
         program = parse_program(handle.read(), drive)
     shots = cfg.noise_spec().shots(drive)
     finals = simulate_program([PulseProgram(program.segments, shot) for shot in shots])
-    mean = shot_mean([final.population_up(), *bloch_vector(final)] for final in finals)
+    mean = shot_mean(np.column_stack([population_up(finals), bloch_vector(finals)]))
     return _write(
         cfg,
         (AxisDef("t", "s", np.array([program.total_duration])),),

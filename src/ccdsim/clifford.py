@@ -23,7 +23,6 @@ __all__ = [
     "Primitive",
     "PRIMITIVES",
     "CliffordGate",
-    "clifford",
     "clifford_group",
     "compose_cliffords",
     "composed_indices",
@@ -135,12 +134,6 @@ def clifford_group() -> tuple[CliffordGate, ...]:
         CliffordGate(index=i, decomposition=seq, matrix=_compose(seq))
         for i, seq in enumerate(_DECOMPOSITIONS)
     )
-
-
-def clifford(index: int) -> CliffordGate:
-    if not 0 <= index < 24:
-        raise ValueError(f"Clifford index must be in [0, 24), got {index}")
-    return clifford_group()[index]
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:

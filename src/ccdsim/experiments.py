@@ -1,13 +1,18 @@
 """Figure-style numerical experiments on the CCD-driven qubit.
 
-Chevron and Rabi-error sweeps, per-column Fourier spectra, Bloch-sphere
-trajectories with quarter-turn markers, Y-pi state-infidelity curves, the
-dressed-qubit pulse sequences (CCD-Rabi, CCD-Ramsey, two-axis control), and
-quasi-static noise averaging over the per-shot drives of ``NoiseSpec.shots``.
+Chevron and Rabi-error sweeps, the Hann-windowed Fourier spectrum of a
+sweep's rows, Bloch-sphere trajectories with quarter-turn markers, Y-pi
+state-infidelity curves, the dressed-qubit pulse sequences (CCD-Rabi,
+CCD-Ramsey, two-axis control), and quasi-static noise averaging over the
+per-shot drives of ``NoiseSpec.shots``.
 
-All sweeps start from |0> and report the spin-up fraction |<1|psi>|^2. Each
-sweep propagates all its grid rows as one ``evolve_grid`` batch, which fixes
-one global step size across the rows.
+Every experiment starts from |0> and returns arrays: a sweep a ``SweepGrid``
+of the spin-up fraction |<1|psi>|^2, a trajectory its times, Bloch vectors,
+marker mask and spread, and the other experiments one value per grid point.
+No state object is built per sample; states are read out by
+``qubit.normalized``, ``qubit.bloch_vector`` and ``qubit.population_up``.
+Each sweep propagates all its grid rows as one ``evolve_grid`` batch, which
+fixes one global step size across the rows.
 """
 from __future__ import annotations
 
@@ -18,20 +23,17 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .drive import DriveConfig, first_frame_hamiltonian, gate_frame
-from .propagator import ROTATING_SPEC, IntegratorError, IntegratorSpec, evolve, evolve_grid
+from .propagator import ROTATING_SPEC, IntegratorError, IntegratorSpec, evolve_grid
 from .pulses import PulseProgram, gate_pulse, idle_pulse, simulate_program
-from .qubit import BlochVector, QubitState, bloch_vector
+from .qubit import QubitState, bloch_vector, normalized, population_up
 
 __all__ = [
     "AxisDef",
     "SweepGrid",
-    "SpectrumGrid",
-    "TrajectoryRecord",
     "NoiseSpec",
     "chevron_sweep",
     "rabi_error_sweep",
     "hann_spectrum",
-    "spectrum",
     "infidelity_curve",
     "bloch_trajectory",
     "dressed_sequence_experiment",
@@ -63,25 +65,6 @@ class SweepGrid:
         if not np.all((self.values >= -1e-9) & (self.values <= 1.0 + 1e-9)):
             # a population outside [0, 1] is a numerical failure, not bad input
             raise IntegratorError("sweep values must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SpectrumGrid:
-    """Per-row Fourier magnitudes of a sweep; x axis is frequency in Hz."""
-
-    x_axis: AxisDef
-    y_axis: AxisDef
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Bloch trace with markers at each nominal quarter rotation."""
-
-    samples: list[tuple[float, BlochVector]]
-    markers: list[BlochVector]
-    spread: float
 
 
 @dataclass(frozen=True)
@@ -207,19 +190,6 @@ def hann_spectrum(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
     return freqs, mags
 
 
-def spectrum(grid: SweepGrid) -> SpectrumGrid:
-    """Row-by-row magnitude spectrum over the duration axis."""
-    if grid.x_axis.name != "duration":
-        raise ValueError("spectrum expects a duration sweep on the x axis")
-    freqs, mags = hann_spectrum(grid.x_axis.values, grid.values)
-    return SpectrumGrid(
-        x_axis=AxisDef("frequency", "Hz", freqs),
-        y_axis=grid.y_axis,
-        values=mags,
-        meta=dict(grid.meta),
-    )
-
-
 def infidelity_curve(
     cfg: DriveConfig,
     error_axis: str,
@@ -251,14 +221,17 @@ def bloch_trajectory(
     samples_per_pi2: int = 16,
     *,
     spec: IntegratorSpec = ROTATING_SPEC,
-) -> TrajectoryRecord:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Bloch trace over a long drive with markers at each nominal pi/2.
 
     The trace runs in the frame and at the nominal rate that
     :func:`gate_frame` picks for ``cfg`` (a dressed drive in the second frame
-    at eps_m, any other drive in the first frame at Omega_0). The spread is
-    the largest pairwise marker distance within any of the four quarter-turn
-    classes (markers that ideally coincide).
+    at eps_m, any other drive in the first frame at Omega_0), sampled
+    ``samples_per_pi2`` times per quarter turn from t = 0. Returns
+    ``(times, xyz, is_marker, spread)``: the sample times, their (n, 3) Bloch
+    vectors, the mask of the samples at each nominal pi/2 (t = 0 excluded),
+    and the spread, the largest pairwise marker distance within any of the
+    four quarter-turn classes (markers that ideally coincide).
     """
     quarter_turns = total_angle / (math.pi / 2.0)
     n_markers = round(quarter_turns)
@@ -268,19 +241,20 @@ def bloch_trajectory(
         raise ValueError("samples_per_pi2 must be >= 1")
     build, rate, _ = gate_frame(cfg)
     quarter = (math.pi / 2.0) / rate
-    times = np.arange(1, n_markers * samples_per_pi2 + 1) * (quarter / samples_per_pi2)
-    states = evolve(build(cfg), QubitState.zero(), 0.0, float(times[-1]), spec, t_eval=times)
-    samples = [(0.0, bloch_vector(QubitState.zero()))]
-    samples += [(float(t), bloch_vector(s)) for t, s in zip(times, states)]
-    markers = [samples[k * samples_per_pi2][1] for k in range(1, n_markers + 1)]
-    spread = 0.0
+    steps = np.arange(1, n_markers * samples_per_pi2 + 1) * (quarter / samples_per_pi2)
+    psi0 = QubitState.zero()
+    amps = evolve_grid([build(cfg)], steps, psi0, spec)[0]
+    xyz = bloch_vector(normalized(np.concatenate([psi0.amplitudes[None], amps])))
+    index = np.arange(xyz.shape[0])
+    is_marker = (index > 0) & (index % samples_per_pi2 == 0)
+    markers, spread = xyz[is_marker], 0.0
     for cls in range(4):
-        group = np.array(markers[cls::4])
+        group = markers[cls::4]
         if len(group) < 2:
             continue
         deltas = group[:, None, :] - group[None, :, :]
         spread = max(spread, float(np.sqrt((deltas**2).sum(axis=-1)).max()))
-    return TrajectoryRecord(samples=samples, markers=markers, spread=spread)
+    return np.concatenate([[0.0], steps]), xyz, is_marker, spread
 
 
 def lattice_times(cfg: DriveConfig, count: int) -> np.ndarray:
@@ -319,8 +293,7 @@ def dressed_sequence_experiment(
         else:
             segments = [half_pi, replace(half_pi, phi_mw=float(x), label="pi/2 swept")]
         programs.append(PulseProgram(segments, cfg))
-    finals = simulate_program(programs, spec=spec)
-    return np.array([final.population_up() for final in finals])
+    return population_up(simulate_program(programs, spec=spec))
 
 
 def noise_average(

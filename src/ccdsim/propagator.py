@@ -23,7 +23,7 @@ steps over those of its last; every value takes the IEEE operations, in order,
 of the plain numpy expressions it replaced (np.sinc, complex arithmetic),
 signed zeros included, which ``tests/oracles.py`` keeps as oracles.
 
-``evolve`` (with or without ``t_eval``), ``evolve_grid``, ``propagator_unitary``
+``evolve``, ``evolve_grid`` (the one sampled entry point), ``propagator_unitary``
 and ``propagator_grid`` are thin callers of one core, which checks the times
 (finite, ascending, none before t0) and returns the pairs of U(t, t0) for a
 batch of Hamiltonians at every requested time, checked unitary within 1e-10.
@@ -375,24 +375,11 @@ def _states(a: np.ndarray, b: np.ndarray, psi0: QubitState) -> np.ndarray:
 
 
 def evolve(
-    h: Hamiltonian,
-    psi0: QubitState,
-    t0: float,
-    t1: float,
-    spec: IntegratorSpec = ROTATING_SPEC,
-    *,
-    t_eval: Sequence[float] | None = None,
-) -> QubitState | list[QubitState]:
-    """Solve i dpsi/dt = H(t) psi from t0 to t1.
-
-    Returns the final state, or the list of states at ``t_eval`` (ascending
-    times within [t0, t1]) if given, mapped from the core's checked pairs.
-    """
-    times = np.array([t1] if t_eval is None else t_eval, dtype=float)
-    if t_eval is not None and times.size and not times[-1] <= t1 + 1e-12:
-        raise ValueError("t_eval must lie within [t0, t1]")
-    amps = _states(*_unitaries([h], t0, times, spec, f"evolve over [{t0}, {t1}]"), psi0)[0]
-    return QubitState(amps[0]) if t_eval is None else [QubitState(a) for a in amps]
+    h: Hamiltonian, psi0: QubitState, t0: float, t1: float, spec: IntegratorSpec = ROTATING_SPEC
+) -> QubitState:
+    """Solve i dpsi/dt = H(t) psi from t0 to t1; the final state, mapped from the core's pair."""
+    a, b = _unitaries([h], t0, [t1], spec, f"evolve over [{t0}, {t1}]")
+    return QubitState(_states(a, b, psi0)[0, 0])
 
 
 def propagator_unitary(

@@ -8,10 +8,12 @@ eps_m).
 
 Gate sequences run only on a dressed drive (``DriveConfig.dressed``) with
 eps_m = Omega_0 / (4 n); ``require_gate_lattice`` is the one guard of both,
-and ``simulate_program`` applies it to every drive it is given. It runs
-programs in the second rotating frame, the frame ``drive.gate_frame`` picks
-for a dressed drive, and refuses a program with a segment boundary off the
-modulation-period lattice (Omega_0 t = 0 mod 2pi). On that lattice the
+and ``simulate_program`` applies it to every drive it is given; ``gate_pulse``
+refuses a drive that is not dressed with the guard's own ``CompileError``.
+``simulate_program`` runs programs in the second rotating frame, the frame
+``drive.gate_frame`` picks for a dressed drive, refuses a program with a
+segment boundary off the modulation-period lattice (Omega_0 t = 0 mod 2pi),
+and returns the final amplitudes as one array. On that lattice the
 second-frame unitary is +-I, so the per-segment second frames coincide (up
 to a physically irrelevant global sign) and a program is simulated piece by
 piece with no hand-off bookkeeping. Every program that runs ends there too,
@@ -41,7 +43,7 @@ import numpy as np
 
 from .drive import DriveConfig, Hamiltonian, second_frame_hamiltonian
 from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_grid
-from .qubit import QubitState
+from .qubit import QubitState, normalized
 
 __all__ = [
     "SegmentKind",
@@ -60,6 +62,9 @@ __all__ = [
 
 GATE_MOD_PHASE = math.pi / 2
 IDLE_MOD_PHASE = 0.0
+
+#: Most fields after each directive of the program format.
+_MAX_FIELDS = {"gate": 2, "idle": 1, "pad": 0}
 
 #: Boundary alignment tolerance on Omega_0 t, as a fraction of 2 pi. Looser
 #: than the propagators' rounding-level lattice rule: a boundary within it is
@@ -97,6 +102,11 @@ class PulseSegment:
         return GATE_MOD_PHASE if self.kind is SegmentKind.GATE else IDLE_MOD_PHASE
 
 
+def _require_dressed(cfg: DriveConfig) -> None:
+    if not cfg.dressed:
+        raise CompileError("gate sequences need a dressed drive (a CCD scheme at mod_ratio > 0)")
+
+
 def require_gate_lattice(cfg: DriveConfig) -> None:
     """Refuse a drive that is not dressed, or whose eps_m is not Omega_0 / (4 n), n >= 1.
 
@@ -105,8 +115,7 @@ def require_gate_lattice(cfg: DriveConfig) -> None:
     number of modulation periods, so gate sequences keep their segment
     boundaries on the period lattice.
     """
-    if not cfg.dressed:
-        raise CompileError("gate sequences need a dressed drive (a CCD scheme at mod_ratio > 0)")
+    _require_dressed(cfg)
     ratio = cfg.rabi / (4.0 * cfg.mod_strength)
     if not (abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1):
         raise CompileError(
@@ -122,8 +131,7 @@ def gate_pulse(angle: float, phi_mw: float, cfg: DriveConfig, label: str = "") -
     """
     if not (0.0 < angle < math.inf):
         raise ValueError(f"gate angle must be positive and finite, got {angle!r}")
-    if not cfg.dressed:
-        raise ValueError("gate pulses need a dressed drive (a CCD scheme at mod_ratio > 0)")
+    _require_dressed(cfg)
     return PulseSegment(
         kind=SegmentKind.GATE,
         duration=angle / cfg.mod_strength,
@@ -209,15 +217,16 @@ def simulate_program(
     psi0: QubitState | None = None,
     *,
     spec: IntegratorSpec = ROTATING_SPEC,
-) -> list[QubitState]:
+) -> np.ndarray:
     """Propagate pulse programs in the second rotating frame.
 
-    Returns one final state per program, each started from ``psi0`` (|0> by
-    default). Every drive must pass :func:`require_gate_lattice` and every
-    segment must end on the modulation-period lattice (``CompileError``
-    otherwise), before anything is integrated; the piece propagators of all
-    programs come from one :func:`piece_propagators` call at reference
-    azimuth 0.
+    Returns the final amplitudes of each program, started from ``psi0`` (|0>
+    by default) and renormalized by :func:`qubit.normalized`, as one
+    (len(programs), 2) complex array. Every drive must pass
+    :func:`require_gate_lattice` and every segment must end on the
+    modulation-period lattice (``CompileError`` otherwise), before anything
+    is integrated; the piece propagators of all programs come from one
+    :func:`piece_propagators` call at reference azimuth 0.
     """
     drives = {cfg: i for i, cfg in enumerate(dict.fromkeys(p.cfg for p in programs))}
     for cfg in drives:
@@ -227,13 +236,13 @@ def simulate_program(
     column = {piece: j for j, piece in enumerate(distinct)}
     us = piece_propagators(list(drives), list(column), second_frame_hamiltonian, 0.0, spec)
     start = (psi0 if psi0 is not None else QubitState.zero()).amplitudes
-    states = []
-    for program, pieces in zip(programs, lowered):
+    finals = np.empty((len(programs), 2), dtype=complex)
+    for i, (program, pieces) in enumerate(zip(programs, lowered)):
         amps, row = start, us[drives[program.cfg]]
         for piece in pieces:
             amps = row[column[piece]] @ amps
-        states.append(QubitState(amps))
-    return states
+        finals[i] = amps
+    return normalized(finals)
 
 
 def parse_program(text: str, cfg: DriveConfig) -> PulseProgram:
@@ -245,7 +254,8 @@ def parse_program(text: str, cfg: DriveConfig) -> PulseProgram:
         idle <duration_s>               # dressed z rotation
         pad                             # zero-length idle (segments end on the lattice)
 
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored; a directive with more fields
+    than these is refused.
     """
     segments: list[PulseSegment] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -255,15 +265,18 @@ def parse_program(text: str, cfg: DriveConfig) -> PulseProgram:
         fields = line.split()
         kind, args = fields[0].lower(), fields[1:]
         try:
+            if kind not in _MAX_FIELDS:
+                raise ValueError(f"unknown directive {fields[0]!r}")
+            if len(args) > _MAX_FIELDS[kind]:
+                extra = " ".join(args[_MAX_FIELDS[kind]:])
+                raise ValueError(f"extra fields {extra!r} after {kind}")
             if kind == "gate":
                 angle, phi = float(args[0]), float(args[1]) if len(args) > 1 else 0.0
                 seg = gate_pulse(angle, phi, cfg)
             elif kind == "idle":
                 seg = idle_pulse(float(args[0]))
-            elif kind == "pad":
-                seg = idle_pulse(0.0, "readout pad")
             else:
-                raise ValueError(f"unknown directive {fields[0]!r}")
+                seg = idle_pulse(0.0, "readout pad")
         except (IndexError, ValueError) as exc:
             raise CompileError(f"line {lineno}: {exc}") from exc
         segments.append(seg)

@@ -15,13 +15,18 @@ composition as it was before it moved to Bloch vectors: 4x4 real forms of
 SU(2) acting on 4-component states, each recovery found by its own
 composition of the string. ``recovery_indices`` gives those recoveries for
 a whole array of strings, from the recovery table that ``rb`` reads.
+``clifford``, ``one_state`` and ``plus_state`` are lookups only the tests
+use. ``scalar_normalized``, ``scalar_bloch_vector`` and
+``scalar_population_up`` are the one-state readout as it was before it took
+arrays: the array rules of ``qubit`` must match their bits (x and y and the
+normalized amplitudes) or come within 1 ulp (z and p_up).
 """
 import math
 from dataclasses import replace
 
 import numpy as np
 
-from ccdsim.clifford import CliffordGate, _recovery_table, composed_indices
+from ccdsim.clifford import CliffordGate, _recovery_table, clifford_group, composed_indices
 from ccdsim.drive import (
     DriveConfig,
     counter_rotating_coefficient,
@@ -32,6 +37,37 @@ from ccdsim.drive import (
 from ccdsim.propagator import ROTATING_SPEC, evolve
 from ccdsim.pulses import PulseProgram, PulseSegment, gate_pulse
 from ccdsim.qubit import QubitState
+
+
+def clifford(index: int) -> CliffordGate:
+    if not 0 <= index < 24:
+        raise ValueError(f"Clifford index must be in [0, 24), got {index}")
+    return clifford_group()[index]
+
+
+def one_state() -> QubitState:
+    return QubitState(np.array([0.0, 1.0], dtype=complex))
+
+
+def plus_state() -> QubitState:
+    return QubitState(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+
+
+def scalar_normalized(amps) -> np.ndarray:
+    """One state's amplitudes divided by ``np.linalg.norm`` (no tolerance check)."""
+    amps = np.asarray(amps, dtype=complex).reshape(2)
+    return amps / float(np.linalg.norm(amps))
+
+
+def scalar_bloch_vector(amps) -> tuple[float, float, float]:
+    """(x, y, z) of one state from complex scalars."""
+    a0, a1 = np.asarray(amps, dtype=complex).reshape(2)
+    cross = a0.conjugate() * a1
+    return float(2.0 * cross.real), float(2.0 * cross.imag), float(abs(a0) ** 2 - abs(a1) ** 2)
+
+
+def scalar_population_up(amps) -> float:
+    return float(np.abs(np.asarray(amps, dtype=complex).reshape(2)[1]) ** 2)
 
 
 def matrix(ham, t):

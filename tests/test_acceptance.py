@@ -45,10 +45,11 @@ from ccdsim.experiments import (
 from ccdsim.propagator import (
     IntegratorSpec,
     evolve,
+    evolve_grid,
     propagator_unitary,
     richardson_check,
 )
-from ccdsim.qubit import QubitState, state_fidelity
+from ccdsim.qubit import QubitState, normalized, population_up, state_fidelity
 from ccdsim.rb import randomized_benchmarking
 
 from fits import dominant_frequency, fit_decaying_sinusoid
@@ -130,17 +131,11 @@ class TestCarrierRwa:
                 cfg = default_config(scheme, omega_mw=ratio * RABI)
                 em = cfg.mod_strength
                 durations = np.array([math.pi / (2 * em), math.pi / em, 2 * math.pi / em])
-                lab = evolve(
-                    lab_hamiltonian(cfg), QubitState.zero(), 0.0,
-                    float(durations[-1]), LAB_CF4, t_eval=durations,
-                )
-                rot = evolve(
-                    first_frame_hamiltonian(cfg), QubitState.zero(), 0.0,
-                    float(durations[-1]), t_eval=durations,
-                )
+                lab = evolve_grid([lab_hamiltonian(cfg)], durations, QubitState.zero(), LAB_CF4)
+                rot = evolve_grid([first_frame_hamiltonian(cfg)], durations, QubitState.zero())
                 bound = 2.0 / ratio
-                for l_state, r_state in zip(lab, rot):
-                    gap = abs(l_state.population_up() - r_state.population_up())
+                gaps = np.abs(population_up(normalized(lab[0])) - population_up(normalized(rot[0])))
+                for gap in gaps:
                     assert gap <= bound, (
                         f"{scheme.label} at ratio {ratio:.0e}: |dP| = {gap:.2e} > {bound:.0e}"
                     )
@@ -195,11 +190,11 @@ class TestTrajectoryMarkers:
     def test_06a_zero_error_marker_spread(self):
         cfg = default_config(Scheme.CMCCD)
         for scheme in (Scheme.BARE, Scheme.CMCCD):
-            record = bloch_trajectory(cfg.with_scheme(scheme), 20 * math.pi, 8)
-            assert record.spread <= 1e-8, f"{scheme.label} spread {record.spread:.2e}"
+            spread = bloch_trajectory(cfg.with_scheme(scheme), 20 * math.pi, 8)[3]
+            assert spread <= 1e-8, f"{scheme.label} spread {spread:.2e}"
         for scheme in (Scheme.AMCCD, Scheme.PMCCD):
-            record = bloch_trajectory(cfg.with_scheme(scheme), 20 * math.pi, 8)
-            assert record.spread > 1e-6, f"{scheme.label} spread {record.spread:.2e}"
+            spread = bloch_trajectory(cfg.with_scheme(scheme), 20 * math.pi, 8)[3]
+            assert spread > 1e-6, f"{scheme.label} spread {spread:.2e}"
         report("06a zero-error marker spread", "bare/CM exact, AM/PM spread > 0")
 
     @pytest.mark.parametrize("scheme", [Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD])
@@ -210,9 +205,13 @@ class TestTrajectoryMarkers:
         cfg = default_config(Scheme.CMCCD)
         detuned = cfg.with_errors(detuning=0.1 * RABI)
 
+        def markers(drive) -> np.ndarray:
+            _, xyz, is_marker, _ = bloch_trajectory(drive, 20 * math.pi, 8)
+            return xyz[is_marker]
+
         def displacement(s: Scheme) -> float:
-            ideal = np.array(bloch_trajectory(cfg.with_scheme(s), 20 * math.pi, 8).markers)
-            moved = np.array(bloch_trajectory(detuned.with_scheme(s), 20 * math.pi, 8).markers)
+            ideal = markers(cfg.with_scheme(s))
+            moved = markers(detuned.with_scheme(s))
             return float(np.linalg.norm(moved - ideal, axis=1).max())
 
         bare = displacement(Scheme.BARE)

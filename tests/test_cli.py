@@ -365,9 +365,21 @@ class TestSubcommands:
         assert "dressed drive" in record["error"]["message"]
         assert not out.exists()
 
+    def test_dressed_program_file_refuses_an_extra_field(self, tmp_path, capsys):
+        program = tmp_path / "stray.seq"
+        program.write_text("gate 1.5707963267948966 0.3\ngate 3.141592653589793 2.1 99\n")
+        out = tmp_path / "p.csv"
+        argv = ["dressed", "--scheme", "cm", "--rabi-hz", "2.2e6", "--program", str(program)]
+        assert main(argv + ["--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        assert message == "line 2: extra fields '99' after gate"
+        assert not out.exists()
+
     def test_dressed_program_file_averages_the_noise_shots(self, tmp_path):
         from ccdsim.pulses import parse_program, simulate_program
-        from ccdsim.qubit import bloch_vector
+        from ccdsim.qubit import bloch_vector, population_up
 
         text = ("gate 1.5707963267948966 0.3\nidle 4.545454545454545e-07\n"
                 "gate 3.141592653589793 2.1\npad\n")
@@ -384,7 +396,7 @@ class TestSubcommands:
         runs = []
         for shot in cfg.noise_spec().shots(cfg.drive_config()):
             final = simulate_program([parse_program(text, shot)])[0]
-            runs.append([final.population_up(), *bloch_vector(final)])
+            runs.append([population_up(final), *bloch_vector(final)])
         assert header == ["t_s", "p_up", "x", "y", "z"]
         assert noisy[0, 1:].tolist() == (np.sum(runs, axis=0) / 8).tolist()
         assert np.abs(noisy[0, 1:] - clean[0, 1:]).max() > 1e-3

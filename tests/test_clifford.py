@@ -7,7 +7,6 @@ import pytest
 from ccdsim.clifford import (
     AVERAGE_PRIMITIVES_PER_CLIFFORD,
     PRIMITIVES,
-    clifford,
     clifford_group,
     compose_cliffords,
     equal_up_to_phase,
@@ -15,8 +14,8 @@ from ccdsim.clifford import (
 )
 from ccdsim.drive import Scheme, default_config
 from ccdsim.pulses import simulate_program
-from ccdsim.qubit import IDENTITY, QubitState
-from oracles import clifford_sequence_program
+from ccdsim.qubit import IDENTITY, QubitState, population_up
+from oracles import clifford, clifford_sequence_program
 
 
 class TestGroupStructure:
@@ -100,7 +99,7 @@ class TestSequenceProgram:
             program = clifford_sequence_program([gate], cfg)
             simulated = simulate_program([program])[0]
             ideal = QubitState(gate.matrix @ QubitState.zero().amplitudes)
-            assert simulated.population_up() == pytest.approx(
+            assert population_up(simulated) == pytest.approx(
                 ideal.population_up(), abs=1e-8
             )
 

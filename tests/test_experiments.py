@@ -19,12 +19,12 @@ from ccdsim.experiments import (
     bloch_trajectory,
     chevron_sweep,
     dressed_sequence_experiment,
+    hann_spectrum,
     infidelity_curve,
     lattice_times,
     noise_average,
     rabi_error_sweep,
     shot_mean,
-    spectrum,
 )
 from ccdsim.propagator import IntegratorError, evolve_grid
 from ccdsim.qubit import QubitState
@@ -112,13 +112,12 @@ class TestSpectrumGrid:
     def test_per_row_magnitudes(self):
         durations = np.linspace(0.0, 10e-6, 256, endpoint=False)[1:]
         grid = chevron_sweep(BARE, np.array([0.0, RABI]), durations)
-        spec = spectrum(grid)
-        assert spec.values.shape == (2, spec.x_axis.values.size)
-        assert spec.x_axis.units == "Hz"
+        freqs, mags = hann_spectrum(grid.x_axis.values, grid.values)
+        assert mags.shape == (2, freqs.size)
         # dominant bins follow the effective Rabi frequencies
-        f0 = spec.x_axis.values[np.argmax(spec.values[0])]
-        f1 = spec.x_axis.values[np.argmax(spec.values[1])]
-        bin_w = spec.x_axis.values[1]
+        f0 = freqs[np.argmax(mags[0])]
+        f1 = freqs[np.argmax(mags[1])]
+        bin_w = freqs[1]
         assert f0 == pytest.approx(RABI / (2 * math.pi), abs=bin_w)
         assert f1 == pytest.approx(math.sqrt(2) * RABI / (2 * math.pi), abs=bin_w)
 
@@ -152,27 +151,27 @@ class TestInfidelity:
 class TestTrajectory:
     def test_bare_and_cm_zero_error_markers_coincide(self):
         for scheme in (Scheme.BARE, Scheme.CMCCD):
-            record = bloch_trajectory(CFG.with_scheme(scheme), 20 * math.pi, 8)
-            assert record.spread <= 1e-8
-            assert len(record.markers) == 40
+            _, _, is_marker, spread = bloch_trajectory(CFG.with_scheme(scheme), 20 * math.pi, 8)
+            assert spread <= 1e-8
+            assert is_marker.sum() == 40
 
     def test_am_pm_zero_error_spread_positive(self):
         for scheme in (Scheme.AMCCD, Scheme.PMCCD):
-            record = bloch_trajectory(CFG.with_scheme(scheme), 20 * math.pi, 8)
-            assert record.spread > 1e-3
+            spread = bloch_trajectory(CFG.with_scheme(scheme), 20 * math.pi, 8)[3]
+            assert spread > 1e-3
 
     def test_detuned_bare_spread_large(self):
-        record = bloch_trajectory(
+        spread = bloch_trajectory(
             CFG.with_errors(detuning=0.1 * RABI).with_scheme(Scheme.BARE), 20 * math.pi, 8
-        )
-        assert record.spread > 0.1
+        )[3]
+        assert spread > 0.1
 
     def test_marker_count_and_angle_validation(self):
         with pytest.raises(ValueError):
             bloch_trajectory(CFG, 0.3)
-        record = bloch_trajectory(CFG, 2 * math.pi, 4)
-        assert len(record.markers) == 4
-        assert len(record.samples) == 17  # t=0 plus 4*4 samples
+        times, xyz, is_marker, _ = bloch_trajectory(CFG, 2 * math.pi, 4)
+        assert times.shape == (17,) and xyz.shape == (17, 3)  # t=0 plus 4*4 samples
+        assert np.flatnonzero(is_marker).tolist() == [4, 8, 12, 16]
 
 
 class TestGateFrame:
@@ -186,8 +185,8 @@ class TestGateFrame:
         assert build is (second_frame_hamiltonian if dressed else first_frame_hamiltonian)
         assert offset == (-math.pi / 2.0 if dressed else 0.0)
 
-        record = bloch_trajectory(CFG.with_scheme(scheme), 2 * math.pi, 4)
-        assert record.samples[4][0] == pytest.approx((math.pi / 2.0) / rate, rel=1e-12)
+        times = bloch_trajectory(CFG.with_scheme(scheme), 2 * math.pi, 4)[0]
+        assert times[4] == pytest.approx((math.pi / 2.0) / rate, rel=1e-12)
 
         spans = []
 
@@ -219,10 +218,10 @@ class TestGateFrame:
         detuned = 0.1 * RABI
         ccd = bloch_trajectory(no_mod.with_errors(detuning=detuned), 10 * math.pi, 4)
         bare = bloch_trajectory(BARE.with_errors(detuning=detuned), 10 * math.pi, 4)
-        ccd_xyz = np.array([(t, *b) for t, b in ccd.samples])
-        bare_xyz = np.array([(t, *b) for t, b in bare.samples])
+        ccd_xyz = np.column_stack(ccd[:2])
+        bare_xyz = np.column_stack(bare[:2])
         assert np.abs(ccd_xyz - bare_xyz).max() <= 1e-12
-        assert ccd.spread == pytest.approx(bare.spread, abs=1e-12)
+        assert ccd[3] == pytest.approx(bare[3], abs=1e-12)
 
 
 class TestDressedSequences:

@@ -32,7 +32,7 @@ from ccdsim.propagator import (
     su2_power,
 )
 from ccdsim.qubit import IDENTITY, QubitState, SIGMA_X, state_fidelity
-from oracles import second_frame_coefficients
+from oracles import one_state, plus_state, second_frame_coefficients
 
 RABI = 2 * math.pi * 3.6e6
 
@@ -75,14 +75,14 @@ class TestSu2Exp:
 class TestEvolve:
     def test_zero_hamiltonian_leaves_state(self):
         ham = constant(np.zeros((2, 2), dtype=complex), fastest_period=1.0)
-        out = evolve(ham, QubitState.plus(), 0.0, 3.0)
-        assert state_fidelity(out, QubitState.plus()) == pytest.approx(1.0, abs=1e-14)
+        out = evolve(ham, plus_state(), 0.0, 3.0)
+        assert state_fidelity(out, plus_state()) == pytest.approx(1.0, abs=1e-14)
 
     def test_constant_pi_pulse(self):
         omega = RABI
         ham = constant(omega / 2 * SIGMA_X, fastest_period=2 * math.pi / omega)
         out = evolve(ham, QubitState.zero(), 0.0, math.pi / omega)
-        assert state_fidelity(out, QubitState.one()) >= 1.0 - 1e-10
+        assert state_fidelity(out, one_state()) >= 1.0 - 1e-10
 
     def test_detuned_rabi_against_analytic_oracle(self):
         # bare first frame, delta = Omega_0, duration pi/Omega_0
@@ -92,14 +92,14 @@ class TestEvolve:
         assert expected == pytest.approx(0.31656383551035387, rel=1e-12)
         assert out.population_up() == pytest.approx(expected, abs=1e-10)
 
-    def test_t_eval_sampling_matches_single_shots(self):
+    def test_grid_sampling_matches_single_shots(self):
         cfg = default_config(Scheme.CMCCD, detuning=0.05 * RABI)
         ham = second_frame_hamiltonian(cfg)
         times = np.linspace(0.2e-6, 1.0e-6, 5)
-        sampled = evolve(ham, QubitState.zero(), 0.0, 1.0e-6, t_eval=times)
-        for t, state in zip(times, sampled):
+        sampled = evolve_grid([ham], times, QubitState.zero())[0]
+        for t, amps in zip(times, sampled):
             single = evolve(ham, QubitState.zero(), 0.0, float(t))
-            assert state_fidelity(state, single) >= 1.0 - 1e-9
+            assert state_fidelity(QubitState(amps), single) >= 1.0 - 1e-9
 
     def test_rejects_reversed_interval(self):
         ham = constant(SIGMA_X, fastest_period=1.0)
@@ -214,10 +214,8 @@ class TestEvolveGrid:
         states = evolve_grid(hams, times, QubitState.zero())
         # every |delta| < Omega_0, so each Hamiltonian alone takes the batch's step
         for row, ham in enumerate(hams):
-            singles = evolve(
-                ham, QubitState.zero(), 0.0, float(times[-1]), ROTATING_SPEC, t_eval=times
-            )
-            for col, single in enumerate(singles):
+            for col, t in enumerate(times):
+                single = evolve(ham, QubitState.zero(), 0.0, float(t), ROTATING_SPEC)
                 overlap = abs(np.vdot(single.amplitudes, states[row, col])) ** 2
                 assert overlap >= 1.0 - 1e-12
 
@@ -378,8 +376,8 @@ class TestLatticePaths:
             u_fast = propagator_unitary(ham, t0, t1)
             u_step = propagator_unitary(stepped_ham, t0, t1)
             assert np.abs(u_fast - u_step).max() <= 1e-7
-            psi_fast = evolve(ham, QubitState.plus(), t0, t1)
-            psi_step = evolve(stepped_ham, QubitState.plus(), t0, t1)
+            psi_fast = evolve(ham, plus_state(), t0, t1)
+            psi_step = evolve(stepped_ham, plus_state(), t0, t1)
             assert np.abs(psi_fast.amplitudes - psi_step.amplitudes).max() <= 1e-7
         assert spy.paths == [True, False, True, False] * len(Scheme)
 

@@ -2,9 +2,9 @@
 
 Each example draws a scheme, a rotating frame, a small batch of (detuning,
 Rabi error) pairs within +-0.3 Omega_0 and an ascending time grid that lies
-on the modulation-period lattice, off it, or both. ``evolve(t_eval=...)``,
-``evolve_grid`` and ``propagator_unitary`` must then agree with a stepped
-oracle: the same Hamiltonian with ``period=math.inf`` (so no fast path
+on the modulation-period lattice, off it, or both. ``evolve_grid``, and
+``evolve`` and ``propagator_unitary`` at each time, must then agree with a
+stepped oracle: the same Hamiltonian with ``period=math.inf`` (so no fast path
 applies), stepped over each interval between consecutive times, with the
 interval unitaries multiplied here rather than in the propagator.
 
@@ -18,7 +18,10 @@ stepper to itself under a much smaller chunk bound. The rotating frames'
 coefficients, evaluated a batch at a time, must equal the per-member closures
 of ``tests/oracles.py`` bit for bit, and the second frame must be the rotated
 first frame. In both frames a microwave phase phi must turn the propagator
-about z by phi, on the lattice and stepped paths alike. The last properties
+about z by phi, on the lattice and stepped paths alike. The array state
+readout (``qubit.normalized``, ``bloch_vector``, ``population_up``) must
+give the one-state readout of ``tests/oracles.py`` on any batch of rows near
+unit norm, and refuse a batch with a row too far off. The last properties
 check that any valid ``RunConfig`` survives ``emit_config`` and
 ``parse_config``, and that a dataset's bytes depend only on its contents:
 emitted twice, or after that round trip of its config, they are the same.
@@ -56,8 +59,24 @@ from ccdsim.propagator import (
     su2_exp,
     su2_power,
 )
-from ccdsim.qubit import QubitState, pauli_axis
-from oracles import first_frame_coefficients, second_frame_coefficients
+from ccdsim.qubit import (
+    NORM_TOLERANCE,
+    NormalizationError,
+    QubitState,
+    bloch_vector,
+    normalized,
+    pauli_axis,
+    population_up,
+)
+from oracles import (
+    first_frame_coefficients,
+    one_state,
+    plus_state,
+    scalar_bloch_vector,
+    scalar_normalized,
+    scalar_population_up,
+    second_frame_coefficients,
+)
 from oracles import matrix as frame_matrix
 
 RABI = 2 * math.pi * 3.6e6
@@ -108,7 +127,7 @@ def stepped_oracle(ham, t0, times):
 @given(cases())
 def test_entry_points_match_stepped_oracle(case):
     hams, times = case
-    psi0 = QubitState.plus()
+    psi0 = plus_state()
     oracles = np.array([stepped_oracle(h, 0.0, times) for h in hams])
     expected = oracles @ psi0.amplitudes  # (batch, times, 2)
 
@@ -116,9 +135,8 @@ def test_entry_points_match_stepped_oracle(case):
     assert np.abs(grid - expected).max() <= TOLERANCE
 
     for ham, oracle, want in zip(hams, oracles, expected):
-        states = evolve(ham, psi0, 0.0, float(times[-1]), t_eval=times)
-        got = np.array([s.amplitudes for s in states])
-        assert np.abs(got - want).max() <= TOLERANCE
+        final = evolve(ham, psi0, 0.0, float(times[-1]))
+        assert np.abs(final.amplitudes - want[-1]).max() <= TOLERANCE
         u = propagator_unitary(ham, 0.0, float(times[-1]))
         assert np.abs(u - oracle[-1]).max() <= TOLERANCE
 
@@ -129,12 +147,12 @@ def test_nonzero_start_matches_stepped_oracle(case):
     hams, times = case
     psi0 = QubitState.zero()
     for ham in hams:
-        oracle = stepped_oracle(ham, float(times[0]), times)
-        states = evolve(ham, psi0, float(times[0]), float(times[-1]), t_eval=times)
-        got = np.array([s.amplitudes for s in states])
-        assert np.abs(got - oracle @ psi0.amplitudes).max() <= TOLERANCE
-        u = propagator_unitary(ham, float(times[0]), float(times[-1]))
-        assert np.abs(u - oracle[-1]).max() <= TOLERANCE
+        t0 = float(times[0])
+        oracle = stepped_oracle(ham, t0, times)
+        got = np.array([propagator_unitary(ham, t0, float(t)) for t in times])
+        assert np.abs(got - oracle).max() <= TOLERANCE
+        final = evolve(ham, psi0, t0, float(times[-1]))
+        assert np.abs(final.amplitudes - oracle[-1] @ psi0.amplitudes).max() <= TOLERANCE
 
 
 @st.composite
@@ -143,7 +161,7 @@ def states(draw):
     parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
     amps = np.array([complex(*parts[:2]), complex(*parts[2:])])
     norm = np.linalg.norm(amps)
-    return QubitState(amps / norm) if norm > 0.1 else QubitState.plus()
+    return QubitState(amps / norm) if norm > 0.1 else plus_state()
 
 
 @PROPERTY
@@ -153,24 +171,82 @@ def test_state_entry_points_apply_the_matrix_entry_point(case, psi0):
     # the 2x2 form; they must give what propagator_grid's matrices give
     hams, times = case
     unitaries = propagator_grid(hams, times)
-    for psi, exact in ((psi0, False), (QubitState.zero(), True), (QubitState.one(), True)):
+    for psi, exact in ((psi0, False), (QubitState.zero(), True), (one_state(), True)):
         want = unitaries @ psi.amplitudes
         grid = evolve_grid(hams, times, psi)
-        # evolve returns QubitStates, which renormalize: so are the matrix form's
-        got = np.array([
-            [s.amplitudes for s in evolve(h, psi, 0.0, float(times[-1]), t_eval=times)]
-            for h in hams
-        ])
-        want_states = np.array([[QubitState(w).amplitudes for w in row] for row in want])
         if exact:
             assert grid.tobytes() == want.tobytes()
-            assert got.tobytes() == want_states.tobytes()
         assert np.abs(grid - want).max() <= 1e-15
-        assert np.abs(got - want_states).max() <= 1e-15
+        # evolve returns a QubitState, which renormalizes: so is the matrix form's
+        for h in hams:
+            got = evolve(h, psi, 0.0, float(times[-1])).amplitudes
+            u = propagator_grid([h], times[-1:])[0, 0]
+            want_state = QubitState(u @ psi.amplitudes).amplitudes
+            if exact:
+                assert got.tobytes() == want_state.tobytes()
+            assert np.abs(got - want_state).max() <= 1e-15
+
+
+@st.composite
+def near_unit_batches(draw):
+    """(n, 2) amplitudes, each row of unit norm times 1 + d, |d| <= 1e-9.
+
+    Components are drawn as floats in [-1, 1], so zeros of either sign occur;
+    a row of norm below 0.1 becomes |0>.
+    """
+    n = draw(st.integers(1, 12))
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n, max_size=4 * n)))
+    amps = (parts[0::2] + 1j * parts[1::2]).reshape(n, 2)
+    norms = np.linalg.norm(amps, axis=-1)
+    amps[norms < 0.1] = (1.0, 0.0)
+    amps /= np.where(norms < 0.1, 1.0, norms)[:, None]
+    drift = draw(st.lists(st.floats(-1e-9, 1e-9), min_size=n, max_size=n))
+    return amps * (1.0 + np.array(drift))[:, None]
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float).tobytes()
+
+
+READOUT = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+@READOUT
+@given(near_unit_batches())
+def test_array_readout_matches_the_one_state_readout(amps):
+    got = normalized(amps)
+    assert bits(got) == bits([QubitState(row).amplitudes for row in amps])
+    assert bits(got) == bits([scalar_normalized(row) for row in amps])
+    xyz, p_up = bloch_vector(got), population_up(got)
+    want = np.array([scalar_bloch_vector(row) for row in got])
+    want_p = np.array([scalar_population_up(row) for row in got])
+    assert bits(xyz[:, :2]) == bits(want[:, :2])
+    # z is a difference of two squares of at most 1, each within 1 ulp
+    assert np.all(np.abs(xyz[:, 2] - want[:, 2]) <= np.spacing(1.0))
+    assert np.all(np.abs(p_up - want_p) <= np.spacing(want_p))
+
+
+@READOUT
+@given(
+    near_unit_batches(),
+    st.integers(0, 11),
+    st.one_of(st.floats(-0.9, -2 * NORM_TOLERANCE), st.floats(2 * NORM_TOLERANCE, 10.0),
+              st.just(math.nan)),
+)
+def test_array_readout_refuses_the_worst_row(amps, row, off):
+    row %= len(amps)
+    bad = amps.copy()
+    if math.isnan(off):
+        bad[row, 1] = math.nan
+    else:
+        bad[row] *= 1.0 + off
+    where = f"state {row} of {len(amps)}: " if len(amps) > 1 else "state "
+    with pytest.raises(NormalizationError, match=f"^{where}norm "):
+        normalized(bad)
 
 
 ENTRY_POINTS = {
-    "evolve": lambda h, ts: evolve(h, QubitState.zero(), 0.0, float(ts[-1]), t_eval=ts),
+    "evolve": lambda h, ts: evolve(h, QubitState.zero(), 0.0, float(ts[-1])),
     "evolve_grid": lambda h, ts: evolve_grid([h], ts, QubitState.zero()),
     "propagator_unitary": lambda h, ts: propagator_unitary(h, 0.0, float(ts[-1])),
     "propagator_grid": lambda h, ts: propagator_grid([h], ts),

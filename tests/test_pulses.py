@@ -19,8 +19,8 @@ from ccdsim.pulses import (
     require_gate_lattice,
     simulate_program,
 )
-from ccdsim.qubit import QubitState, bloch_vector, state_fidelity
-from oracles import per_piece_oracle
+from ccdsim.qubit import QubitState, bloch_vector, population_up, state_fidelity
+from oracles import per_piece_oracle, plus_state
 
 CFG = default_config(Scheme.CMCCD)
 PERIOD = CFG.mod_period
@@ -48,6 +48,17 @@ class TestSegments:
         for bare in (default_config(Scheme.BARE), BARE_FROM_CONFIG):
             with pytest.raises(ValueError, match="dressed drive"):
                 gate_pulse(math.pi, 0.0, bare)
+
+    def test_not_dressed_refusal_is_one_compile_error(self):
+        # gate_pulse and the gate-lattice guard refuse the same fault alike
+        refusals = []
+        for refuse in (lambda: gate_pulse(math.pi, 0.0, BARE_FROM_CONFIG),
+                       lambda: require_gate_lattice(BARE_FROM_CONFIG)):
+            with pytest.raises(CompileError) as caught:
+                refuse()
+            assert type(caught.value) is CompileError
+            refusals.append(str(caught.value))
+        assert refusals[0] == refusals[1]
 
     def test_idle_zero_duration_allowed(self):
         assert idle_pulse(0.0).duration == 0.0
@@ -84,7 +95,7 @@ class TestCompile:
         program = PulseProgram([gate_pulse(math.pi / 2, 0.0, CFG), idle_pulse(2 * PERIOD)], CFG)
         out = simulate_program([program])[0]
         oracle = per_piece_oracle(program, "second")
-        assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
+        assert np.abs(out - oracle.amplitudes).max() <= 1e-10
 
     def test_misaligned_boundary_names_segment(self):
         program = PulseProgram(
@@ -116,14 +127,14 @@ class TestCompile:
         bare = PulseProgram([idle_pulse(3 * PERIOD)], BARE_FROM_CONFIG)
         dressed = PulseProgram([idle_pulse(3 * PERIOD)], CFG)
         with pytest.raises(CompileError, match="dressed drive"):
-            simulate_program([dressed, bare], QubitState.plus())
+            simulate_program([dressed, bare], plus_state())
         assert sizes == []  # refused before anything is integrated
 
     def test_zero_duration_segments_dropped(self, monkeypatch):
         sizes = spy_batches(monkeypatch)
         program = PulseProgram([idle_pulse(0.0), idle_pulse(0.0, "readout pad")], CFG)
-        out = simulate_program([program], QubitState.plus())[0]
-        assert np.array_equal(out.amplitudes, QubitState.plus().amplitudes)
+        out = simulate_program([program], plus_state())[0]
+        assert np.array_equal(out, plus_state().amplitudes)
         assert sizes == []  # nothing to integrate
 
     def test_total_duration_sums_segments(self):
@@ -137,28 +148,28 @@ class TestSimulate:
     def test_empty_program_is_identity(self):
         program = PulseProgram([], CFG)
         out = simulate_program([program])[0]
-        assert state_fidelity(out, QubitState.zero()) == pytest.approx(1.0, abs=1e-12)
+        assert state_fidelity(QubitState(out), QubitState.zero()) == pytest.approx(1.0, abs=1e-12)
 
     def test_y_pi_gate_transfers_population(self):
         # CMCCD on resonance: the co-rotating drive is the only second-frame term
         program = PulseProgram([gate_pulse(math.pi, 0.0, CFG)], CFG)
         out = simulate_program([program])[0]
-        assert out.population_up() >= 1.0 - 1e-6
+        assert population_up(out) >= 1.0 - 1e-6
 
     def test_idle_full_turn_is_identity_up_to_phase(self):
         program = PulseProgram([idle_pulse(2 * math.pi / CFG.mod_strength)], CFG)
-        out = simulate_program([program], QubitState.plus())[0]
-        assert state_fidelity(out, QubitState.plus()) == pytest.approx(1.0, abs=1e-9)
+        out = simulate_program([program], plus_state())[0]
+        assert state_fidelity(QubitState(out), plus_state()) == pytest.approx(1.0, abs=1e-9)
 
     def test_idle_quarter_turn_rotates_equator_azimuth(self):
         # z rotation at rate eps_m: after pi/(2 eps_m) the +x state moves to -+y
         duration = (math.pi / 2) / CFG.mod_strength
         program = PulseProgram([idle_pulse(duration)], CFG)
-        out = simulate_program([program], QubitState.plus())[0]
-        vec = bloch_vector(out)
-        assert abs(vec.z) < 1e-8
-        assert vec.x == pytest.approx(0.0, abs=1e-8)
-        assert abs(vec.y) == pytest.approx(1.0, abs=1e-8)
+        out = simulate_program([program], plus_state())[0]
+        x, y, z = bloch_vector(out)
+        assert abs(z) < 1e-8
+        assert x == pytest.approx(0.0, abs=1e-8)
+        assert abs(y) == pytest.approx(1.0, abs=1e-8)
 
     def test_first_and_second_frame_populations_agree_at_readout(self):
         # programs end on the lattice: z populations agree across frames
@@ -174,7 +185,7 @@ class TestSimulate:
         spec = IntegratorSpec(steps_per_fastest_period=400)
         first = per_piece_oracle(program, "first", spec)
         second = simulate_program([program], spec=spec)[0]
-        assert first.population_up() == pytest.approx(second.population_up(), abs=1e-9)
+        assert first.population_up() == pytest.approx(population_up(second), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_programs_match_frames_at_readout(self, seed):
@@ -199,11 +210,11 @@ class TestSimulate:
         spec = IntegratorSpec(steps_per_fastest_period=400)
         first = per_piece_oracle(program, "first", spec)
         second = simulate_program([program], spec=spec)[0]
-        assert first.population_up() == pytest.approx(second.population_up(), abs=1e-9)
+        assert first.population_up() == pytest.approx(population_up(second), abs=1e-9)
         # each gate at an arbitrary phi_mw is its drive at phi_mw = 0, turned
         # about z: it must match stepping the turned drive itself
         oracle = per_piece_oracle(program, "second", spec)
-        assert np.abs(second.amplitudes - oracle.amplitudes).max() <= 1e-10
+        assert np.abs(second - oracle.amplitudes).max() <= 1e-10
 
     def test_two_quarter_gates_phase_sweep_oscillates(self):
         # second pi/2 pulse with swept carrier phase: Pic = (1 + cos(phi))/2
@@ -213,7 +224,7 @@ class TestSimulate:
                 CFG,
             )
             out = simulate_program([program])[0]
-            assert out.population_up() == pytest.approx(
+            assert population_up(out) == pytest.approx(
                 (1.0 + math.cos(phi)) / 2.0, abs=1e-6
             )
 
@@ -245,7 +256,7 @@ class TestBatchedEngine:
             assert len(states) == len(programs) == 5
             for program, state in zip(programs, states):
                 oracle = per_piece_oracle(program, "second")
-                assert np.abs(state.amplitudes - oracle.amplitudes).max() <= 1e-10
+                assert np.abs(state - oracle.amplitudes).max() <= 1e-10
 
     def test_one_propagator_call_over_distinct_configurations(self, monkeypatch):
         sizes = spy_batches(monkeypatch)
@@ -266,7 +277,7 @@ class TestBatchedEngine:
         assert sizes == [1, 1, 1]
 
     def test_empty_program_list(self):
-        assert simulate_program([]) == []
+        assert simulate_program([]).shape == (0, 2)
 
 
 class TestParseProgram:
@@ -290,3 +301,11 @@ class TestParseProgram:
     def test_bad_arity_reports_line(self):
         with pytest.raises(CompileError, match="line 1"):
             parse_program("idle\n", CFG)
+
+    @pytest.mark.parametrize(
+        "line", ["gate 1.5707963267948966 0.3 99", "idle 0 extra", "pad 7"]
+    )
+    def test_extra_fields_report_line(self, line):
+        # a stray field (say, a gate duration) must not run silently
+        with pytest.raises(CompileError, match="line 2: .*extra"):
+            parse_program(f"idle 0\n{line}\n", CFG)

@@ -11,7 +11,6 @@ from scipy.optimize import OptimizeWarning, curve_fit
 from ccdsim import rb
 from ccdsim.clifford import (
     PRIMITIVES,
-    clifford,
     clifford_group,
     equal_up_to_phase,
     multiplication_table,
@@ -22,13 +21,19 @@ from ccdsim.drive import FrameCoefficients, Scheme, default_config, gate_frame
 from ccdsim.experiments import NoiseSpec
 from ccdsim.propagator import ROTATING_SPEC, propagator_unitary
 from ccdsim.pulses import GATE_MOD_PHASE, simulate_program
+from ccdsim.qubit import population_up
 from ccdsim.rb import (
     _fit_decay,
     _primitive_unitaries,
     _sequence_indices,
     randomized_benchmarking,
 )
-from oracles import clifford_sequence_program, real_form_signal_matrix, recovery_indices
+from oracles import (
+    clifford,
+    clifford_sequence_program,
+    real_form_signal_matrix,
+    recovery_indices,
+)
 
 CFG = default_config(Scheme.CMCCD, rabi=2 * math.pi * 2.2e6)
 RABI = CFG.rabi
@@ -129,7 +134,7 @@ class TestPulseLevel:
         gates = [clifford(int(i)) for i in _sequence_indices(3, 6, 0)]
         recovery = recovery_clifford(gates, "up")
         program = clifford_sequence_program(gates + [recovery], cfg)
-        p_program = simulate_program([program])[0].population_up()
+        p_program = population_up(simulate_program([program])[0])
 
         result = randomized_benchmarking(cfg, [6], 1, NoiseSpec(seed=3))
         # reconstruct p_up for the up-recovery from signal and the down case
