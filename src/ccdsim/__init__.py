@@ -5,7 +5,7 @@ Modules
 qubit        SU(2) states, Pauli/axis operators, Bloch conversion, fidelity
 drive        CCD drive model: lab / first / second frame Hamiltonians, frames, I/Q
 propagator   4th-order commutator-free unitary propagation, closed-form and Floquet paths
-pulses       pulse segments, programs, the gate-lattice guard, piece propagators
+pulses       pulse programs as piece arrays, the gate-lattice guard, piece propagators
 clifford     the 24-element Clifford group over x/y primitive pulses
 experiments  chevrons, error sweeps, Hann spectra, trajectories, presets, noise
 rb           Clifford randomized benchmarking

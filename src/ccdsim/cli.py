@@ -211,22 +211,22 @@ def _cmd_dressed(args: argparse.Namespace) -> int:
 
 def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConfig) -> int:
     """Simulate a user-supplied segment-directive file and report the readout,
-    averaged over the noise shots, which run as one batch."""
-    from .pulses import PulseProgram, parse_program, simulate_program
+    averaged over the noise shots, which run the one program as one batch."""
+    from .pulses import parse_program, simulate_program
     from .qubit import bloch_vector, population_up
 
     with open(args.program, "r", encoding="utf-8") as handle:
         program = parse_program(handle.read(), drive)
     shots = cfg.noise_spec().shots(drive)
-    finals = simulate_program([PulseProgram(program.segments, shot) for shot in shots])
+    finals = simulate_program(shots, np.broadcast_to(program, (len(shots),) + program.shape))
     mean = shot_mean(np.column_stack([population_up(finals), bloch_vector(finals)]))
     return _write(
         cfg,
-        (AxisDef("t", "s", np.array([program.total_duration])),),
+        (AxisDef("t", "s", np.array([sum(program[:, 2].tolist())])),),  # in order, from 0
         ("p_up", "x", "y", "z"),
         mean[None],
         program=os.path.basename(args.program),
-        segments=len(program.segments),
+        segments=len(program),
     )
 
 

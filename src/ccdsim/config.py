@@ -21,11 +21,14 @@ TWO_PI = 2.0 * math.pi
 
 
 class ConfigError(ValueError):
-    """Configuration parse or constraint failure with source position."""
+    """Configuration parse or constraint failure with source position.
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
+    ``key`` names the config key a constraint failure is about, if any.
+    """
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None,
+                 key: str | None = None):
+        self.message, self.line, self.column, self.key = message, line, column, key
         where = ""
         if line is not None:
             where = f"line {line}"
@@ -95,6 +98,7 @@ class RunConfig:
                 f"scheme {self.scheme!r} does not name (alpha_a, alpha_p) = "
                 f"({self.alpha_a}, {self.alpha_p})"
             )
+        _validate(self)
 
     def drive_config(self) -> DriveConfig:
         rabi = TWO_PI * self.rabi_hz
@@ -168,9 +172,11 @@ def _parse_value(key: str, text: str, name: str, line: int | None = None,
     return value
 
 
-def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
+def _validate(cfg: RunConfig) -> None:
+    """Refuse a value out of its key's range, naming the key."""
+
     def fail(key: str, message: str):
-        raise ConfigError(message, lines.get(key))
+        raise ConfigError(message, key=key)
 
     if cfg.mod_ratio < 0.0:
         fail("mod_ratio", "mod_ratio must be >= 0")
@@ -279,9 +285,12 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
             raw["scheme"] = matched.label
     else:
         raw["alpha_a"], raw["alpha_p"] = scheme.value
-    cfg = RunConfig(**raw)
-    _validate(cfg, lines)
-    return cfg
+    try:
+        return RunConfig(**raw)
+    except ConfigError as exc:
+        if exc.key not in lines:
+            raise
+        raise ConfigError(exc.message, lines[exc.key], key=exc.key) from None
 
 
 #: execution details that do not affect computed values; excluded from the

@@ -9,6 +9,8 @@ per-shot drives of ``NoiseSpec.shots``.
 Every experiment starts from |0> and returns arrays: a sweep a ``SweepGrid``
 of the spin-up fraction |<1|psi>|^2, a trajectory its times, Bloch vectors,
 marker mask and spread, and the other experiments one value per grid point.
+A dressed preset builds its sweep as one (points, pieces, 3) array of pulse
+programs (see ``pulses``).
 No state object is built per sample; states are read out by
 ``qubit.normalized``, ``qubit.bloch_vector`` and ``qubit.population_up``.
 Each sweep propagates all its grid rows as one ``evolve_grid`` batch, which
@@ -17,14 +19,14 @@ fixes one global step size across the rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .drive import DriveConfig, first_frame_hamiltonian, gate_frame
 from .propagator import ROTATING_SPEC, IntegratorError, IntegratorSpec, evolve_grid
-from .pulses import PulseProgram, gate_pulse, idle_pulse, simulate_program
+from .pulses import GATE_MOD_PHASE, IDLE_MOD_PHASE, require_gate_lattice, simulate_program
 from .qubit import QubitState, bloch_vector, normalized, population_up
 
 __all__ = [
@@ -41,6 +43,10 @@ __all__ = [
     "noise_average",
     "shot_mean",
 ]
+
+
+#: Bytes of one block of pairwise marker differences in ``bloch_trajectory``.
+_SPREAD_BLOCK_BYTES = 1 << 20
 
 
 class AxisDef(NamedTuple):
@@ -231,7 +237,9 @@ def bloch_trajectory(
     ``(times, xyz, is_marker, spread)``: the sample times, their (n, 3) Bloch
     vectors, the mask of the samples at each nominal pi/2 (t = 0 excluded),
     and the spread, the largest pairwise marker distance within any of the
-    four quarter-turn classes (markers that ideally coincide).
+    four quarter-turn classes (markers that ideally coincide). The spread
+    takes quadratic time in the marker count, but its differences are formed
+    a block of rows at a time, at most ``_SPREAD_BLOCK_BYTES`` each.
     """
     quarter_turns = total_angle / (math.pi / 2.0)
     n_markers = round(quarter_turns)
@@ -252,8 +260,10 @@ def bloch_trajectory(
         group = markers[cls::4]
         if len(group) < 2:
             continue
-        deltas = group[:, None, :] - group[None, :, :]
-        spread = max(spread, float(np.sqrt((deltas**2).sum(axis=-1)).max()))
+        rows = max(1, _SPREAD_BLOCK_BYTES // (24 * len(group)))  # 24 bytes per difference
+        for start in range(0, len(group), rows):
+            deltas = group[start:start + rows, None, :] - group[None, :, :]
+            spread = max(spread, float(np.sqrt((deltas**2).sum(axis=-1)).max()))
     return np.concatenate([[0.0], steps]), xyz, is_marker, spread
 
 
@@ -275,25 +285,28 @@ def dressed_sequence_experiment(
     kind = 'ccd_ramsey' : pi/2 -- idle(t_c) -- pi/2;
     kind = 'two_axis'   : two pi/2 pulses, the second at swept carrier phase.
 
-    ``cfg`` must pass :func:`require_gate_lattice`, which
-    :func:`simulate_program` applies, and swept durations must sit on the
+    The sweep is one (len(sweep_values), pieces, 3) batch of programs. ``cfg``
+    must pass :func:`require_gate_lattice`, which is checked before a gate's
+    duration (angle / eps_m) is formed, and swept durations must sit on the
     modulation-period lattice so that every program satisfies the
     segment-boundary rule. Returns an array of shape (len(sweep_values),).
     """
     if kind not in ("ccd_rabi", "ccd_ramsey", "two_axis"):
         raise ValueError("kind must be ccd_rabi | ccd_ramsey | two_axis")
+    require_gate_lattice(cfg)
     sweep = np.asarray(sweep_values, dtype=float)
-    half_pi = gate_pulse(math.pi / 2.0, 0.0, cfg, "pi/2")
-    programs = []
-    for x in sweep:
-        if kind == "ccd_rabi":
-            segments = [gate_pulse(cfg.mod_strength * x, 0.0, cfg, "drive")] if x > 0.0 else []
-        elif kind == "ccd_ramsey":
-            segments = [half_pi, idle_pulse(x, "free evolution"), half_pi]
-        else:
-            segments = [half_pi, replace(half_pi, phi_mw=float(x), label="pi/2 swept")]
-        programs.append(PulseProgram(segments, cfg))
-    return population_up(simulate_program(programs, spec=spec))
+    eps = cfg.mod_strength
+    gate, idle, half_pi = GATE_MOD_PHASE, IDLE_MOD_PHASE, (math.pi / 2.0) / eps
+    # (theta_m, phi_mw, duration) of each piece: a scalar or one value per sweep point
+    if kind == "ccd_rabi":  # a gate of angle eps_m x lasts (eps_m x) / eps_m; none at x <= 0
+        pieces = [(gate, 0.0, np.where(sweep > 0.0, (eps * sweep) / eps, 0.0))]
+    elif kind == "ccd_ramsey":
+        pieces = [(gate, 0.0, half_pi), (idle, 0.0, sweep), (gate, 0.0, half_pi)]
+    else:
+        pieces = [(gate, 0.0, half_pi), (gate, sweep, half_pi)]
+    columns = [np.broadcast_to(value, sweep.shape) for piece in pieces for value in piece]
+    programs = np.stack(columns, axis=-1).reshape(sweep.size, len(pieces), 3)
+    return population_up(simulate_program([cfg] * sweep.size, programs, spec=spec))
 
 
 def noise_average(

@@ -368,9 +368,10 @@ def _unitaries(
     return a, b
 
 
-def _states(a: np.ndarray, b: np.ndarray, psi0: QubitState) -> np.ndarray:
-    """(a psi0 - b* psi1, b psi0 + a* psi1) on a new last axis: the bits of 2x2 form @ psi0."""
-    p0, p1 = psi0.amplitudes  # matmul sums from +0.0, which sets the signs of zeros
+def _states(a: np.ndarray, b: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """(a psi0 - b* psi1, b psi0 + a* psi1) on a new last axis, for amplitudes
+    (psi0, psi1) on the last axis of ``amps``: the bits of 2x2 form @ amps."""
+    p0, p1 = amps[..., 0], amps[..., 1]  # matmul sums from +0.0, which sets the signs of zeros
     return np.stack([(0.0 + a * p0) + -np.conj(b) * p1, (0.0 + b * p0) + np.conj(a) * p1], -1)
 
 
@@ -379,7 +380,7 @@ def evolve(
 ) -> QubitState:
     """Solve i dpsi/dt = H(t) psi from t0 to t1; the final state, mapped from the core's pair."""
     a, b = _unitaries([h], t0, [t1], spec, f"evolve over [{t0}, {t1}]")
-    return QubitState(_states(a, b, psi0)[0, 0])
+    return QubitState(_states(a, b, psi0.amplitudes)[0, 0])
 
 
 def propagator_unitary(
@@ -416,7 +417,7 @@ def evolve_grid(
     Returns the states :func:`propagator_grid` carries ``psi0`` to, shape
     (batch, len(times), 2), mapped straight from the core's checked pairs.
     """
-    return _states(*_unitaries(hamiltonians, 0.0, times, spec, "evolve_grid"), psi0)
+    return _states(*_unitaries(hamiltonians, 0.0, times, spec, "evolve_grid"), psi0.amplitudes)
 
 
 def richardson_check(

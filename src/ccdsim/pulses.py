@@ -1,26 +1,29 @@
-"""CCD pulse programs: gate pulses and idle pulses.
+"""CCD pulse programs as arrays of pieces.
 
-A program is an ordered list of segments sharing one drive configuration and
-one global modulation clock. Gate segments run with modulation phase pi/2
-(in-plane rotation of the doubly-dressed qubit about the axis phi_mw + pi/2
-at rate eps_m), idle segments with modulation phase 0 (z rotation at rate
-eps_m).
+A program is an ordered list of pieces (theta_m, phi_mw, duration) sharing
+one drive configuration and one global modulation clock. A gate piece runs
+at modulation phase theta_m = pi/2 (in-plane rotation of the doubly-dressed
+qubit about the axis phi_mw + pi/2 at rate eps_m), an idle piece at
+theta_m = 0 (z rotation at rate eps_m). A batch of programs is one float
+array of shape (programs, pieces, 3); a shorter program is padded with
+zero-duration rows, which take no time and are skipped.
 
 Gate sequences run only on a dressed drive (``DriveConfig.dressed``) with
 eps_m = Omega_0 / (4 n); ``require_gate_lattice`` is the one guard of both,
-and ``simulate_program`` applies it to every drive it is given; ``gate_pulse``
-refuses a drive that is not dressed with the guard's own ``CompileError``.
-``simulate_program`` runs programs in the second rotating frame, the frame
-``drive.gate_frame`` picks for a dressed drive, refuses a program with a
-segment boundary off the modulation-period lattice (Omega_0 t = 0 mod 2pi),
-and returns the final amplitudes as one array. On that lattice the
-second-frame unitary is +-I, so the per-segment second frames coincide (up
-to a physically irrelevant global sign) and a program is simulated piece by
-piece with no hand-off bookkeeping. Every program that runs ends there too,
-where second-frame and lab-basis populations coincide at readout, so none
-needs padding. Each piece starts on the lattice and its Hamiltonian is
-periodic over one modulation period, so its propagator is U(duration, 0), the
-same wherever the piece sits.
+and ``simulate_program`` applies it to every drive it is given.
+``simulate_program`` runs program i under drive i in the second rotating
+frame, the frame ``drive.gate_frame`` picks for a dressed drive, refuses a
+program with a piece boundary off the modulation-period lattice
+(Omega_0 t = 0 mod 2pi), and returns the final amplitudes as one array. On
+that lattice the second-frame unitary is +-I, so the per-piece second frames
+coincide (up to a physically irrelevant global sign) and a program is
+simulated piece by piece with no hand-off bookkeeping. Every program that
+runs ends there too, where second-frame and lab-basis populations coincide
+at readout, so none needs padding. Each piece starts on the lattice and its
+Hamiltonian is periodic over one modulation period, so its propagator is
+U(duration, 0), the same wherever the piece sits. The pieces are composed
+one position at a time over all programs, with the pair arithmetic of the
+propagator's state map.
 
 ``piece_propagators`` is the one rule for those propagators, shared with the
 RB primitives. In both rotating frames phi_mw only turns the transverse
@@ -34,24 +37,17 @@ phi_mw, has no such symmetry; no program or RB primitive runs in it.
 """
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .drive import DriveConfig, Hamiltonian, second_frame_hamiltonian
-from .propagator import ROTATING_SPEC, IntegratorSpec, propagator_grid
+from .propagator import ROTATING_SPEC, IntegratorSpec, _states, propagator_grid
 from .qubit import QubitState, normalized
 
 __all__ = [
-    "SegmentKind",
-    "PulseSegment",
-    "PulseProgram",
     "CompileError",
-    "gate_pulse",
-    "idle_pulse",
     "piece_propagators",
     "simulate_program",
     "parse_program",
@@ -76,37 +72,6 @@ class CompileError(ValueError):
     """A pulse program violates a structural invariant."""
 
 
-class SegmentKind(enum.Enum):
-    GATE = "gate"
-    IDLE = "idle"
-
-
-@dataclass(frozen=True)
-class PulseSegment:
-    """One typed time slice of a pulse program."""
-
-    kind: SegmentKind
-    duration: float
-    phi_mw: float = 0.0
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.duration < math.inf):
-            raise ValueError(f"segment duration must be finite and >= 0, got {self.duration!r}")
-        if not (-math.inf < self.phi_mw < math.inf):
-            raise ValueError(f"phi_mw must be finite, got {self.phi_mw!r}")
-
-    @property
-    def theta_m(self) -> float:
-        """Modulation phase: pi/2 for a gate, 0 for an idle."""
-        return GATE_MOD_PHASE if self.kind is SegmentKind.GATE else IDLE_MOD_PHASE
-
-
-def _require_dressed(cfg: DriveConfig) -> None:
-    if not cfg.dressed:
-        raise CompileError("gate sequences need a dressed drive (a CCD scheme at mod_ratio > 0)")
-
-
 def require_gate_lattice(cfg: DriveConfig) -> None:
     """Refuse a drive that is not dressed, or whose eps_m is not Omega_0 / (4 n), n >= 1.
 
@@ -115,7 +80,8 @@ def require_gate_lattice(cfg: DriveConfig) -> None:
     number of modulation periods, so gate sequences keep their segment
     boundaries on the period lattice.
     """
-    _require_dressed(cfg)
+    if not cfg.dressed:
+        raise CompileError("gate sequences need a dressed drive (a CCD scheme at mod_ratio > 0)")
     ratio = cfg.rabi / (4.0 * cfg.mod_strength)
     if not (abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1):
         raise CompileError(
@@ -124,63 +90,32 @@ def require_gate_lattice(cfg: DriveConfig) -> None:
         )
 
 
-def gate_pulse(angle: float, phi_mw: float, cfg: DriveConfig, label: str = "") -> PulseSegment:
-    """Gate segment rotating the dressed qubit by ``angle`` about phi_mw + pi/2.
+def _segment(theta: float, index: int) -> str:
+    return f"segment {index} ({'gate' if theta == GATE_MOD_PHASE else 'idle'})"
 
-    The duration is angle / eps_m, so the nominal rotation rate is eps_m.
+
+def _checked(programs) -> np.ndarray:
+    """``programs`` as a float (programs, pieces, 3) array of valid pieces.
+
+    Refuses, with ``CompileError`` naming the first faulty segment, a theta_m
+    other than ``GATE_MOD_PHASE`` or ``IDLE_MOD_PHASE``, a phi_mw that is not
+    finite, and a duration that is negative or not finite.
     """
-    if not (0.0 < angle < math.inf):
-        raise ValueError(f"gate angle must be positive and finite, got {angle!r}")
-    _require_dressed(cfg)
-    return PulseSegment(
-        kind=SegmentKind.GATE,
-        duration=angle / cfg.mod_strength,
-        phi_mw=phi_mw,
-        label=label or f"gate({angle:.4g} rad)",
-    )
-
-
-def idle_pulse(duration: float, label: str = "") -> PulseSegment:
-    """Idle segment: z rotation of the dressed qubit at rate eps_m."""
-    return PulseSegment(kind=SegmentKind.IDLE, duration=duration, label=label or "idle")
-
-
-@dataclass(frozen=True)
-class PulseProgram:
-    """Ordered pulse segments over one drive configuration."""
-
-    segments: tuple[PulseSegment, ...]
-    cfg: DriveConfig
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-
-    @property
-    def total_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
-
-def _pieces(program: PulseProgram) -> list[tuple[float, float, float]]:
-    """(theta_m, phi_mw, duration) of each segment of ``program`` that takes time.
-
-    The duration is the span on the program clock, end minus start. Refuses a
-    segment that ends off the modulation-period lattice.
-    """
-    period = program.cfg.mod_period
-    pieces, t = [], 0.0
-    for index, seg in enumerate(program.segments):
-        t_end = t + seg.duration
-        frac = t_end / period
-        if not abs(frac - round(frac)) <= BOUNDARY_TOLERANCE:
-            raise CompileError(
-                f"segment {index} ({seg.label or seg.kind.value}) ends at "
-                f"{frac:.6f} modulation periods; boundaries must fall on the "
-                "period lattice (Omega_0 t = 0 mod 2 pi)"
-            )
-        if seg.duration > 0.0:
-            pieces.append((seg.theta_m, seg.phi_mw, t_end - t))
-        t = t_end
-    return pieces
+    programs = np.asarray(programs, dtype=float)
+    if programs.ndim != 3 or programs.shape[-1] != 3:
+        raise CompileError(f"programs must have shape (programs, pieces, 3), got {programs.shape}")
+    theta, phi, duration = np.moveaxis(programs, -1, 0)
+    kinds = np.isin(theta, (GATE_MOD_PHASE, IDLE_MOD_PHASE))
+    for bad, message, values in (
+        (~kinds, "theta_m must be pi/2 or 0", theta),
+        (~np.isfinite(phi), "phi_mw must be finite", phi),
+        (~((duration >= 0.0) & (duration < math.inf)), "duration must be finite and >= 0", duration),
+    ):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            where = _segment(theta[i, j], j) if kinds[i, j] else f"segment {j}"
+            raise CompileError(f"{where}: {message}, got {float(values[i, j])!r}")
+    return programs
 
 
 def piece_propagators(
@@ -213,40 +148,66 @@ def piece_propagators(
 
 
 def simulate_program(
-    programs: Sequence[PulseProgram],
+    drives: Sequence[DriveConfig],
+    programs,
     psi0: QubitState | None = None,
     *,
     spec: IntegratorSpec = ROTATING_SPEC,
 ) -> np.ndarray:
-    """Propagate pulse programs in the second rotating frame.
+    """Propagate program i of a (programs, pieces, 3) batch under ``drives[i]``,
+    in the second rotating frame.
 
     Returns the final amplitudes of each program, started from ``psi0`` (|0>
     by default) and renormalized by :func:`qubit.normalized`, as one
-    (len(programs), 2) complex array. Every drive must pass
-    :func:`require_gate_lattice` and every segment must end on the
-    modulation-period lattice (``CompileError`` otherwise), before anything
-    is integrated; the piece propagators of all programs come from one
+    (len(programs), 2) complex array. The pieces must pass the value checks
+    of a program, every drive :func:`require_gate_lattice`, and every piece
+    must end on its drive's modulation-period lattice (``CompileError``
+    otherwise), before anything is integrated. The propagators of the
+    distinct pieces under the distinct drives come from one
     :func:`piece_propagators` call at reference azimuth 0.
     """
-    drives = {cfg: i for i, cfg in enumerate(dict.fromkeys(p.cfg for p in programs))}
-    for cfg in drives:
+    programs = _checked(programs)
+    if len(drives) != len(programs):
+        raise CompileError(f"{len(drives)} drives for {len(programs)} programs")
+    index = {cfg: i for i, cfg in enumerate(dict.fromkeys(drives))}
+    for cfg in index:
         require_gate_lattice(cfg)
-    lowered = [_pieces(program) for program in programs]
-    distinct = dict.fromkeys(piece for pieces in lowered for piece in pieces)
-    column = {piece: j for j, piece in enumerate(distinct)}
-    us = piece_propagators(list(drives), list(column), second_frame_hamiltonian, 0.0, spec)
-    start = (psi0 if psi0 is not None else QubitState.zero()).amplitudes
-    finals = np.empty((len(programs), 2), dtype=complex)
-    for i, (program, pieces) in enumerate(zip(programs, lowered)):
-        amps, row = start, us[drives[program.cfg]]
-        for piece in pieces:
-            amps = row[column[piece]] @ amps
-        finals[i] = amps
-    return normalized(finals)
+    drive_of = np.fromiter(map(index.__getitem__, drives), int, len(drives))
+    periods = np.array([cfg.mod_period for cfg in index])[drive_of]
+    theta, phi, duration = np.moveaxis(programs, -1, 0)
+    clock = np.cumsum(duration, axis=1)  # in order, as t = t + duration
+    frac = clock / periods[:, None]
+    off = ~(np.abs(frac - np.round(frac)) <= BOUNDARY_TOLERANCE)
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        raise CompileError(
+            f"{_segment(theta[i, j], j)} ends at {frac[i, j]:.6f} modulation periods; "
+            "boundaries must fall on the period lattice (Omega_0 t = 0 mod 2 pi)"
+        )
+    active = duration > 0.0  # a piece's span is its clock end minus its clock start
+    spans = np.stack([theta, phi, np.diff(clock, axis=1, prepend=0.0)], axis=-1)[active]
+    amps = (psi0 if psi0 is not None else QubitState.zero()).amplitudes
+    amps = np.broadcast_to(amps, (len(programs), 2))
+    if not active.any():
+        return normalized(amps)
+    distinct, first, inverse = np.unique(spans, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # first-seen order, which sets the batch of theta_m
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    columns = np.zeros(duration.shape, dtype=int)
+    columns[active] = rank[inverse.ravel()]
+    us = piece_propagators(
+        list(index), distinct[order].tolist(), second_frame_hamiltonian, 0.0, spec
+    )
+    for k in range(programs.shape[1]):
+        u = us[drive_of, columns[:, k]]
+        # a program without a piece here keeps its amplitudes, and their zeros' signs
+        amps = np.where(active[:, k, None], _states(u[:, 0, 0], u[:, 1, 0], amps), amps)
+    return normalized(amps)
 
 
-def parse_program(text: str, cfg: DriveConfig) -> PulseProgram:
-    """Parse the one-directive-per-line program format.
+def parse_program(text: str, cfg: DriveConfig) -> np.ndarray:
+    """Parse the one-directive-per-line program format into its (n, 3) pieces.
 
     Directives::
 
@@ -254,10 +215,14 @@ def parse_program(text: str, cfg: DriveConfig) -> PulseProgram:
         idle <duration_s>               # dressed z rotation
         pad                             # zero-length idle (segments end on the lattice)
 
+    Each directive is one row (theta_m, phi_mw, duration), a pad included; a
+    gate lasts angle / eps_m. ``cfg`` must pass :func:`require_gate_lattice`.
     Blank lines and ``#`` comments are ignored; a directive with more fields
-    than these is refused.
+    than these, a gate angle that is not positive and finite, and a row that
+    fails the value checks of a program are refused.
     """
-    segments: list[PulseSegment] = []
+    require_gate_lattice(cfg)
+    rows: list[tuple[float, float, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -272,12 +237,11 @@ def parse_program(text: str, cfg: DriveConfig) -> PulseProgram:
                 raise ValueError(f"extra fields {extra!r} after {kind}")
             if kind == "gate":
                 angle, phi = float(args[0]), float(args[1]) if len(args) > 1 else 0.0
-                seg = gate_pulse(angle, phi, cfg)
-            elif kind == "idle":
-                seg = idle_pulse(float(args[0]))
+                if not (0.0 < angle < math.inf):
+                    raise ValueError(f"gate angle must be positive and finite, got {angle!r}")
+                rows.append((GATE_MOD_PHASE, phi, angle / cfg.mod_strength))
             else:
-                seg = idle_pulse(0.0, "readout pad")
+                rows.append((IDLE_MOD_PHASE, 0.0, float(args[0]) if kind == "idle" else 0.0))
         except (IndexError, ValueError) as exc:
             raise CompileError(f"line {lineno}: {exc}") from exc
-        segments.append(seg)
-    return PulseProgram(segments, cfg)
+    return _checked(np.array(rows, dtype=float).reshape(1, -1, 3))[0]

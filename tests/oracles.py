@@ -5,9 +5,13 @@ closures the rotating-frame builders returned before their coefficients
 became data (``drive.FrameCoefficients``); the batch evaluator must match
 ``np.stack`` of them bit for bit. The first-frame unitary and the frame
 transforms other than ``to_second_frame`` check the drive model itself,
-``clifford_sequence_program`` is the segment-by-segment oracle of the RB
-primitives, and ``per_piece_oracle`` steps each program segment under its
-own drive, the oracle of ``pulses.piece_propagators``. ``su2_exp``,
+``clifford_sequence_program`` is the piece-by-piece oracle of the RB
+primitives, ``per_piece_oracle`` steps each piece of a program under its
+own drive, the oracle of ``pulses.piece_propagators``, and ``program_loop``
+is ``pulses.simulate_program`` as a 2x2 ``@`` per piece per program, whose
+bits the composition over programs must keep. ``pairwise_spread`` is the
+trajectory marker spread from the full pairwise difference array, whose bits
+the blocked reduction must keep. ``su2_exp``,
 ``product``, ``tree_product`` and ``lab_coefficients`` are the step kernel
 as it was before it wrote into preallocated arrays: the propagator's kernel
 and the lab-frame coefficients must match them bit for bit. ``real_form_signal_matrix`` is the RB string
@@ -35,7 +39,7 @@ from ccdsim.drive import (
     second_frame_unitary,
 )
 from ccdsim.propagator import ROTATING_SPEC, evolve
-from ccdsim.pulses import PulseProgram, PulseSegment, gate_pulse
+from ccdsim.pulses import GATE_MOD_PHASE, piece_propagators
 from ccdsim.qubit import QubitState
 
 
@@ -208,37 +212,79 @@ def from_second_frame(state: QubitState, cfg, t) -> QubitState:
     return state.apply(second_frame_unitary(cfg, t))
 
 
-def clifford_sequence_program(gates: list[CliffordGate], cfg: DriveConfig) -> PulseProgram:
-    """Compile a Clifford sequence to a dressed-qubit pulse program.
+def clifford_sequence_program(gates: list[CliffordGate], cfg: DriveConfig) -> np.ndarray:
+    """Compile a Clifford sequence to the (n, 3) pieces of a dressed-qubit pulse program.
 
     Negative-angle primitives are realized as positive rotations about the
     opposite axis (phi_mw shifted by pi); identity primitives are dropped
     (zero duration). The drive azimuth is offset by -pi/2 because the dressed
-    drive axis sits at phi_mw + pi/2.
+    drive axis sits at phi_mw + pi/2. A gate of angle theta lasts theta / eps_m.
     """
-    segments: list[PulseSegment] = []
-    for gate in gates:
-        for prim in gate.primitives():
-            if prim.axis == "i" or prim.angle == 0.0:
-                continue
-            segments.append(
-                gate_pulse(abs(prim.angle), prim.rotation_azimuth - math.pi / 2.0, cfg, prim.name)
-            )
-    return PulseProgram(segments, cfg)
+    return np.array(
+        [
+            (GATE_MOD_PHASE, prim.rotation_azimuth - math.pi / 2.0, abs(prim.angle) / cfg.mod_strength)
+            for gate in gates
+            for prim in gate.primitives()
+            if prim.axis != "i" and prim.angle != 0.0
+        ],
+        dtype=float,
+    ).reshape(-1, 3)
 
 
-def per_piece_oracle(program: PulseProgram, frame: str, spec=ROTATING_SPEC) -> QubitState:
-    """Final state of ``program`` from |0>: stepped evolve of each segment under
-    its own drive ``cfg.with_pulse(theta_m, phi_mw)``, from its start to its end
-    time, with the Hamiltonian's period cleared so that no lattice path applies."""
+def per_piece_oracle(cfg: DriveConfig, pieces, frame: str, spec=ROTATING_SPEC) -> QubitState:
+    """Final state of the program ``pieces`` (n, 3) from |0>: stepped evolve of
+    each piece under its own drive ``cfg.with_pulse(theta_m, phi_mw)``, from its
+    start to its end time, with the Hamiltonian's period cleared so that no
+    lattice path applies."""
     build = first_frame_hamiltonian if frame == "first" else second_frame_hamiltonian
     state, t = QubitState.zero(), 0.0
-    for seg in program.segments:
-        if seg.duration > 0.0:
-            drive = program.cfg.with_pulse(seg.theta_m, seg.phi_mw)
-            state = evolve(replace(build(drive), period=math.inf), state, t, t + seg.duration, spec)
-        t += seg.duration
+    for theta, phi, duration in np.asarray(pieces, dtype=float).tolist():
+        if duration > 0.0:
+            drive = cfg.with_pulse(theta, phi)
+            state = evolve(replace(build(drive), period=math.inf), state, t, t + duration, spec)
+        t += duration
     return state
+
+
+def program_loop(drives, programs, psi0=None, spec=ROTATING_SPEC) -> np.ndarray:
+    """``simulate_program`` as it was before it composed over programs: each
+    program lowered to its pieces on a Python clock, the distinct pieces and
+    drives integrated in one ``piece_propagators`` call, and a 2x2 ``@`` per
+    piece per program; the final amplitudes are not renormalized."""
+    lowered = []
+    for cfg, program in zip(drives, np.asarray(programs, dtype=float).tolist()):
+        pieces, t = [], 0.0
+        for theta, phi, duration in program:
+            t_end = t + duration
+            if duration > 0.0:
+                pieces.append((theta, phi, t_end - t))
+            t = t_end
+        lowered.append(pieces)
+    index = {cfg: i for i, cfg in enumerate(dict.fromkeys(drives))}
+    column = {piece: j for j, piece in enumerate(dict.fromkeys(p for ps in lowered for p in ps))}
+    us = piece_propagators(list(index), list(column), second_frame_hamiltonian, 0.0, spec)
+    start = (psi0 if psi0 is not None else QubitState.zero()).amplitudes
+    finals = np.empty((len(lowered), 2), dtype=complex)
+    for i, (cfg, pieces) in enumerate(zip(drives, lowered)):
+        amps, row = start, us[index[cfg]]
+        for piece in pieces:
+            amps = row[column[piece]] @ amps
+        finals[i] = amps
+    return finals
+
+
+def pairwise_spread(markers: np.ndarray) -> float:
+    """The largest pairwise distance within each of the four quarter-turn
+    classes of ``markers`` (n, 3), from the full (m, m, 3) difference array of
+    each class."""
+    spread = 0.0
+    for cls in range(4):
+        group = markers[cls::4]
+        if len(group) < 2:
+            continue
+        deltas = group[:, None, :] - group[None, :, :]
+        spread = max(spread, float(np.sqrt((deltas**2).sum(axis=-1)).max()))
+    return spread
 
 
 def real_form(u):

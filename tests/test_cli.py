@@ -395,7 +395,7 @@ class TestSubcommands:
                            "noise_samples = 8\n")
         runs = []
         for shot in cfg.noise_spec().shots(cfg.drive_config()):
-            final = simulate_program([parse_program(text, shot)])[0]
+            final = simulate_program([shot], parse_program(text, shot)[None])[0]
             runs.append([population_up(final), *bloch_vector(final)])
         assert header == ["t_s", "p_up", "x", "y", "z"]
         assert noisy[0, 1:].tolist() == (np.sum(runs, axis=0) / 8).tolist()
@@ -467,7 +467,11 @@ class TestSubcommands:
         assert "meta.program" in record["error"]["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("directive", ["gate inf 0", "idle inf", "gate nan 0", "gate 1 nan"])
+    @pytest.mark.parametrize(
+        "directive",
+        ["gate inf 0", "idle inf", "gate nan 0", "gate 1 nan",
+         "idle -1e-7", "gate 0 0", "gate -1.5707963267948966 0"],
+    )
     def test_non_finite_program_directive_exit_code(self, tmp_path, directive):
         program = tmp_path / "bad.seq"
         program.write_text(f"{directive}\npad\n")

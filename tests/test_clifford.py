@@ -97,7 +97,7 @@ class TestSequenceProgram:
         for index in rng.integers(0, 24, size=6):
             gate = clifford(int(index))
             program = clifford_sequence_program([gate], cfg)
-            simulated = simulate_program([program])[0]
+            simulated = simulate_program([cfg], program[None])[0]
             ideal = QubitState(gate.matrix @ QubitState.zero().amplitudes)
             assert population_up(simulated) == pytest.approx(
                 ideal.population_up(), abs=1e-8
@@ -107,14 +107,14 @@ class TestSequenceProgram:
         cfg = default_config(Scheme.CMCCD)
         gates = [clifford(i) for i in (3, 9, 22)]
         program = clifford_sequence_program(gates, cfg)
-        periods = program.total_duration / cfg.mod_period
+        periods = program[:, 2].sum() / cfg.mod_period
         assert abs(periods - round(periods)) < 1e-9
 
     def test_pi_rotations_are_single_segments(self):
         cfg = default_config(Scheme.CMCCD)
         x180 = next(g for g in clifford_group() if g.decomposition == ("X180",))
         program = clifford_sequence_program([x180], cfg)
-        assert len(program.segments) == 1
-        assert program.segments[0].duration == pytest.approx(
+        assert len(program) == 1
+        assert program[0, 2] == pytest.approx(
             math.pi / cfg.mod_strength, rel=1e-12
         )

@@ -79,6 +79,28 @@ class TestParse:
         assert cfg.drive_config().scheme is Scheme.AMCCD
         assert RunConfig(scheme="cmccd").scheme == "cmccd"
 
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("duration_points", 0, "duration_points must be >= 1"),
+            ("noise_samples", 0, "noise_samples must be >= 1"),
+            ("format", "xml", "format must be csv or json"),
+            ("threads", -3, "threads must be >= 0"),
+            ("cliffords", (4, 2), "cliffords must be positive, ascending"),
+            ("mod_ratio", -0.25, "mod_ratio must be >= 0"),
+        ],
+    )
+    def test_direct_construction_validates_every_key(self, key, value, match):
+        # a RunConfig built in code is checked as one parsed from text, and a
+        # parsed one still names the line that gave the value
+        with pytest.raises(ConfigError, match=match) as direct:
+            RunConfig(**{key: value})
+        assert direct.value.line is None
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        with pytest.raises(ConfigError, match=f"^line 2: {match}") as parsed:
+            parse_config(f"scheme = cm\n{key} = {text}\n")
+        assert parsed.value.line == 2
+
     def test_alphas_matching_no_scheme_rejected(self):
         with pytest.raises(ConfigError, match="matches no scheme") as excinfo:
             parse_config("scheme = cm\nalpha_a = 0.3\nalpha_p = 0.7\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from ccdsim.propagator import IntegratorError, evolve_grid
 from ccdsim.qubit import QubitState
 
 from fits import dominant_frequency, fit_decaying_sinusoid
+from oracles import pairwise_spread
 
 CFG = default_config(Scheme.CMCCD)
 BARE = default_config(Scheme.BARE)
@@ -172,6 +174,30 @@ class TestTrajectory:
         times, xyz, is_marker, _ = bloch_trajectory(CFG, 2 * math.pi, 4)
         assert times.shape == (17,) and xyz.shape == (17, 3)  # t=0 plus 4*4 samples
         assert np.flatnonzero(is_marker).tolist() == [4, 8, 12, 16]
+
+    @pytest.mark.parametrize(
+        "scheme, detuning, quarter_turns, samples",
+        [(Scheme.AMCCD, 0.0, 40, 8), (Scheme.PMCCD, 0.03, 7, 3), (Scheme.AMCCD, 0.05, 1200, 1)],
+    )
+    def test_spread_keeps_the_bits_of_the_full_pairwise_array(
+        self, scheme, detuning, quarter_turns, samples
+    ):
+        # 1,200 markers put 300 in each class: more than one block of rows
+        cfg = CFG.with_scheme(scheme).with_errors(detuning=detuning * RABI)
+        _, xyz, is_marker, spread = bloch_trajectory(cfg, quarter_turns * math.pi / 2, samples)
+        assert spread > 0.0
+        assert spread == pairwise_spread(xyz[is_marker])
+
+    def test_spread_memory_stays_below_the_pairwise_array(self):
+        # 1,000 markers per class: the full difference array of one class is 24 MB
+        quarter_turns, per_class = 4000, 1000
+        tracemalloc.start()
+        try:
+            bloch_trajectory(CFG.with_scheme(Scheme.AMCCD), quarter_turns * math.pi / 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < per_class**2 * 24 / 4
 
 
 class TestGateFrame:

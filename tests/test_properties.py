@@ -18,7 +18,9 @@ stepper to itself under a much smaller chunk bound. The rotating frames'
 coefficients, evaluated a batch at a time, must equal the per-member closures
 of ``tests/oracles.py`` bit for bit, and the second frame must be the rotated
 first frame. In both frames a microwave phase phi must turn the propagator
-about z by phi, on the lattice and stepped paths alike. The array state
+about z by phi, on the lattice and stepped paths alike. A batch of pulse
+programs, composed one piece position at a time over all programs, must keep
+the bits of a 2x2 ``@`` per piece per program. The array state
 readout (``qubit.normalized``, ``bloch_vector``, ``population_up``) must
 give the one-state readout of ``tests/oracles.py`` on any batch of rows near
 unit norm, and refuse a batch with a row too far off. The last properties
@@ -68,10 +70,12 @@ from ccdsim.qubit import (
     pauli_axis,
     population_up,
 )
+from ccdsim.pulses import GATE_MOD_PHASE, IDLE_MOD_PHASE, simulate_program
 from oracles import (
     first_frame_coefficients,
     one_state,
     plus_state,
+    program_loop,
     scalar_bloch_vector,
     scalar_normalized,
     scalar_population_up,
@@ -439,6 +443,43 @@ def test_microwave_phase_turns_the_propagator_about_z(
     for batch, times in ((hams, lattice), ([replace(h, period=math.inf) for h in hams], stepped)):
         base, turned = propagator.propagator_grid(batch, times)
         assert np.abs(turned - r_z @ base @ r_z.conj().T).max() <= 1e-13
+
+
+#: a start state with negative zeros, which a program of no pieces must keep
+SIGNED_ZEROS = QubitState(np.array([complex(1.0, -0.0), complex(-0.0, -0.0)]))
+
+
+@st.composite
+def program_batches(draw):
+    """Per-program drives, a (programs, pieces, 3) batch of programs of mixed
+    lengths on the period lattice (zero-duration rows anywhere, zero rows at
+    the end) and a start state."""
+    scheme = draw(st.sampled_from([Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD]))
+    pairs = draw(st.lists(st.tuples(errors, errors), min_size=1, max_size=3))
+    drives = [default_config(scheme, detuning=d * RABI, rabi_error=e * RABI) for d, e in pairs]
+    count, width = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    programs = np.zeros((count, width, 3))
+    for program in programs:
+        for row in program[: draw(st.integers(0, width))]:
+            row[:] = (
+                draw(st.sampled_from([GATE_MOD_PHASE, IDLE_MOD_PHASE])),
+                draw(st.sampled_from([0.0, -0.0]) | st.floats(-7.0, 7.0)),
+                draw(st.integers(0, 3)) * PERIOD,
+            )
+    owners = [drives[draw(st.integers(0, len(drives) - 1))] for _ in range(count)]
+    psi0 = draw(st.sampled_from([QubitState.zero(), one_state(), plus_state(), SIGNED_ZEROS]))
+    return owners, programs, psi0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(program_batches())
+def test_program_composition_keeps_the_bits_of_the_per_program_loop(batch):
+    # one piece position at a time over all programs, with the pair arithmetic
+    # of the state map, must give the bits (signs of zeros included) of a 2x2
+    # @ per piece per program
+    drives, programs, psi0 = batch
+    out = simulate_program(drives, programs, psi0)
+    assert out.tobytes() == normalized(program_loop(drives, programs, psi0)).tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -9,12 +9,9 @@ from ccdsim.drive import Scheme, default_config, second_frame_unitary
 from ccdsim.experiments import NoiseSpec, dressed_sequence_experiment, lattice_times, noise_average
 from ccdsim.propagator import IntegratorSpec
 from ccdsim.pulses import (
+    GATE_MOD_PHASE,
+    IDLE_MOD_PHASE,
     CompileError,
-    PulseProgram,
-    PulseSegment,
-    SegmentKind,
-    gate_pulse,
-    idle_pulse,
     parse_program,
     require_gate_lattice,
     simulate_program,
@@ -28,31 +25,45 @@ PERIOD = CFG.mod_period
 BARE_FROM_CONFIG = parse_config("scheme = bare\n").drive_config()
 
 
+def gate(angle, phi_mw=0.0, cfg=CFG):
+    """The piece of a gate of ``angle`` about phi_mw + pi/2: it lasts angle / eps_m."""
+    return (GATE_MOD_PHASE, phi_mw, angle / cfg.mod_strength)
+
+
+def idle(duration):
+    return (IDLE_MOD_PHASE, 0.0, duration)
+
+
+def run(pieces, psi0=None, cfg=CFG, **kwargs):
+    """Final amplitudes of one program of ``pieces`` under ``cfg``."""
+    return simulate_program([cfg], np.array([pieces], dtype=float).reshape(1, -1, 3), psi0, **kwargs)[0]
+
+
 class TestSegments:
     def test_gate_duration_is_angle_over_mod_strength(self):
-        seg = gate_pulse(math.pi, 0.0, CFG)
-        assert seg.duration == pytest.approx(math.pi / CFG.mod_strength, rel=1e-15)
-        assert seg.duration == pytest.approx(4 * math.pi / CFG.rabi, rel=1e-12)
-        assert seg.theta_m == math.pi / 2
-        assert seg.kind is SegmentKind.GATE
+        theta, phi, duration = parse_program(f"gate {math.pi!r} 0.0\n", CFG)[0]
+        assert duration == pytest.approx(math.pi / CFG.mod_strength, rel=1e-15)
+        assert duration == pytest.approx(4 * math.pi / CFG.rabi, rel=1e-12)
+        assert theta == math.pi / 2
+        assert phi == 0.0
 
     def test_quarter_gate_spans_one_modulation_period(self):
-        seg = gate_pulse(math.pi / 2, 0.0, CFG)
-        assert seg.duration == pytest.approx(PERIOD, rel=1e-12)
+        duration = parse_program(f"gate {math.pi / 2!r} 0.0\n", CFG)[0, 2]
+        assert duration == pytest.approx(PERIOD, rel=1e-12)
 
     def test_full_rotation_duration(self):
-        seg = gate_pulse(2 * math.pi, 0.0, CFG)
-        assert seg.duration == pytest.approx(2 * math.pi / CFG.mod_strength, rel=1e-15)
+        duration = parse_program(f"gate {2 * math.pi!r} 0.0\n", CFG)[0, 2]
+        assert duration == pytest.approx(2 * math.pi / CFG.mod_strength, rel=1e-15)
 
     def test_gate_requires_modulation(self):
         for bare in (default_config(Scheme.BARE), BARE_FROM_CONFIG):
             with pytest.raises(ValueError, match="dressed drive"):
-                gate_pulse(math.pi, 0.0, bare)
+                parse_program(f"gate {math.pi!r} 0.0\n", bare)
 
     def test_not_dressed_refusal_is_one_compile_error(self):
-        # gate_pulse and the gate-lattice guard refuse the same fault alike
+        # a program file and the gate-lattice guard refuse the same fault alike
         refusals = []
-        for refuse in (lambda: gate_pulse(math.pi, 0.0, BARE_FROM_CONFIG),
+        for refuse in (lambda: parse_program(f"gate {math.pi!r} 0.0\n", BARE_FROM_CONFIG),
                        lambda: require_gate_lattice(BARE_FROM_CONFIG)):
             with pytest.raises(CompileError) as caught:
                 refuse()
@@ -61,18 +72,18 @@ class TestSegments:
         assert refusals[0] == refusals[1]
 
     def test_idle_zero_duration_allowed(self):
-        assert idle_pulse(0.0).duration == 0.0
+        assert parse_program("idle 0\n", CFG).tolist() == [[0.0, 0.0, 0.0]]
 
     def test_segment_theta_m_follows_its_kind(self):
-        assert PulseSegment(SegmentKind.GATE, 1e-6).theta_m == math.pi / 2
-        assert PulseSegment(SegmentKind.IDLE, 1e-6).theta_m == 0.0
+        program = parse_program("gate 1.5707963267948966 0\nidle 0\npad\n", CFG)
+        assert program[:, 0].tolist() == [math.pi / 2, 0.0, 0.0]
 
     def test_readout_pad_restores_frame_match(self):
         # every segment ends on the lattice, where the second frame is +-I and
         # matches the lab basis at readout, so a pad line adds no time
         program = parse_program(f"gate {math.pi / 2!r} 0.3\nidle {2 * PERIOD!r}\npad\n", CFG)
-        assert program.segments[-1] == idle_pulse(0.0, "readout pad")
-        assert program.total_duration / PERIOD == pytest.approx(3.0, rel=1e-12)
+        assert program[-1].tolist() == [IDLE_MOD_PHASE, 0.0, 0.0]
+        assert program[:, 2].sum() / PERIOD == pytest.approx(3.0, rel=1e-12)
         for periods in range(8):
             u = second_frame_unitary(CFG, periods * PERIOD)
             assert np.abs(u - (-1) ** periods * np.eye(2)).max() <= 1e-12
@@ -92,18 +103,14 @@ def spy_batches(monkeypatch):
 
 class TestCompile:
     def test_aligned_program_compiles(self):
-        program = PulseProgram([gate_pulse(math.pi / 2, 0.0, CFG), idle_pulse(2 * PERIOD)], CFG)
-        out = simulate_program([program])[0]
-        oracle = per_piece_oracle(program, "second")
+        pieces = [gate(math.pi / 2), idle(2 * PERIOD)]
+        out = run(pieces)
+        oracle = per_piece_oracle(CFG, pieces, "second")
         assert np.abs(out - oracle.amplitudes).max() <= 1e-10
 
     def test_misaligned_boundary_names_segment(self):
-        program = PulseProgram(
-            [gate_pulse(math.pi / 2, 0.0, CFG), idle_pulse(0.31 * PERIOD, "stray")],
-            CFG,
-        )
-        with pytest.raises(CompileError, match=r"segment 1 \(stray\)"):
-            simulate_program([program])
+        with pytest.raises(CompileError, match=r"segment 1 \(idle\)"):
+            run([gate(math.pi / 2), idle(0.31 * PERIOD)])
 
     def test_gate_lattice_needs_quarter_over_n_mod_ratio(self):
         for ratio in (0.25, 0.125, 1.0 / 12.0):
@@ -122,50 +129,57 @@ class TestCompile:
             dressed_sequence_experiment("ccd_ramsey", cfg, lattice_times(cfg, 4))
 
     def test_simulate_refuses_a_drive_that_is_not_dressed(self, monkeypatch):
-        # idle segments need no gate_pulse, so the guard must sit in simulate_program
+        # a program of idle pieces forms no gate duration, so the guard must sit in simulate_program
         sizes = spy_batches(monkeypatch)
-        bare = PulseProgram([idle_pulse(3 * PERIOD)], BARE_FROM_CONFIG)
-        dressed = PulseProgram([idle_pulse(3 * PERIOD)], CFG)
+        programs = np.array([[idle(3 * PERIOD)]] * 2)
         with pytest.raises(CompileError, match="dressed drive"):
-            simulate_program([dressed, bare], plus_state())
+            simulate_program([CFG, BARE_FROM_CONFIG], programs, plus_state())
         assert sizes == []  # refused before anything is integrated
+
+    @pytest.mark.parametrize(
+        "piece, match",
+        [
+            ((0.3, 0.0, PERIOD), r"segment 1: theta_m must be pi/2 or 0, got 0.3"),
+            ((GATE_MOD_PHASE, math.nan, PERIOD), r"segment 1 \(gate\): phi_mw must be finite"),
+            ((IDLE_MOD_PHASE, 0.0, -PERIOD), r"segment 1 \(idle\): duration must be finite"),
+            ((IDLE_MOD_PHASE, 0.0, math.inf), r"segment 1 \(idle\): duration must be finite"),
+        ],
+        ids=["theta_m", "nan_phi_mw", "negative_duration", "infinite_duration"],
+    )
+    def test_bad_piece_values_are_refused(self, monkeypatch, piece, match):
+        sizes = spy_batches(monkeypatch)
+        with pytest.raises(CompileError, match=match):
+            run([gate(math.pi / 2), piece])
+        assert sizes == []
 
     def test_zero_duration_segments_dropped(self, monkeypatch):
         sizes = spy_batches(monkeypatch)
-        program = PulseProgram([idle_pulse(0.0), idle_pulse(0.0, "readout pad")], CFG)
-        out = simulate_program([program], plus_state())[0]
+        out = run([idle(0.0), idle(0.0)], plus_state())
         assert np.array_equal(out, plus_state().amplitudes)
         assert sizes == []  # nothing to integrate
 
     def test_total_duration_sums_segments(self):
-        program = PulseProgram(
-            [gate_pulse(math.pi, 0.0, CFG), idle_pulse(3 * PERIOD)], CFG
-        )
-        assert program.total_duration == pytest.approx(2 * PERIOD + 3 * PERIOD)
+        program = parse_program(f"gate {math.pi!r} 0\nidle {3 * PERIOD!r}\n", CFG)
+        assert program[:, 2].sum() == pytest.approx(2 * PERIOD + 3 * PERIOD)
 
 
 class TestSimulate:
     def test_empty_program_is_identity(self):
-        program = PulseProgram([], CFG)
-        out = simulate_program([program])[0]
+        out = run([])
         assert state_fidelity(QubitState(out), QubitState.zero()) == pytest.approx(1.0, abs=1e-12)
 
     def test_y_pi_gate_transfers_population(self):
         # CMCCD on resonance: the co-rotating drive is the only second-frame term
-        program = PulseProgram([gate_pulse(math.pi, 0.0, CFG)], CFG)
-        out = simulate_program([program])[0]
+        out = run([gate(math.pi)])
         assert population_up(out) >= 1.0 - 1e-6
 
     def test_idle_full_turn_is_identity_up_to_phase(self):
-        program = PulseProgram([idle_pulse(2 * math.pi / CFG.mod_strength)], CFG)
-        out = simulate_program([program], plus_state())[0]
+        out = run([idle(2 * math.pi / CFG.mod_strength)], plus_state())
         assert state_fidelity(QubitState(out), plus_state()) == pytest.approx(1.0, abs=1e-9)
 
     def test_idle_quarter_turn_rotates_equator_azimuth(self):
         # z rotation at rate eps_m: after pi/(2 eps_m) the +x state moves to -+y
-        duration = (math.pi / 2) / CFG.mod_strength
-        program = PulseProgram([idle_pulse(duration)], CFG)
-        out = simulate_program([program], plus_state())[0]
+        out = run([idle((math.pi / 2) / CFG.mod_strength)], plus_state())
         x, y, z = bloch_vector(out)
         assert abs(z) < 1e-8
         assert x == pytest.approx(0.0, abs=1e-8)
@@ -174,17 +188,10 @@ class TestSimulate:
     def test_first_and_second_frame_populations_agree_at_readout(self):
         # programs end on the lattice: z populations agree across frames
         cfg = CFG.with_errors(detuning=0.08 * CFG.rabi, rabi_error=-0.05 * CFG.rabi)
-        program = PulseProgram(
-            [
-                gate_pulse(math.pi / 2, 0.0, cfg),
-                idle_pulse(2 * PERIOD),
-                gate_pulse(math.pi / 2, 0.7, cfg),
-            ],
-            cfg,
-        )
+        pieces = [gate(math.pi / 2, 0.0, cfg), idle(2 * PERIOD), gate(math.pi / 2, 0.7, cfg)]
         spec = IntegratorSpec(steps_per_fastest_period=400)
-        first = per_piece_oracle(program, "first", spec)
-        second = simulate_program([program], spec=spec)[0]
+        first = per_piece_oracle(cfg, pieces, "first", spec)
+        second = run(pieces, cfg=cfg, spec=spec)
         assert first.population_up() == pytest.approx(population_up(second), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -198,32 +205,26 @@ class TestSimulate:
             detuning=float(rng.uniform(-0.1, 0.1)) * CFG.rabi,
             rabi_error=float(rng.uniform(-0.1, 0.1)) * CFG.rabi,
         )
-        segments = []
+        pieces = []
         for _ in range(int(rng.integers(2, 6))):
             if rng.random() < 0.6:
                 angle = float(rng.integers(1, 5)) * math.pi / 2
-                seg = gate_pulse(angle, float(rng.uniform(0, 2 * math.pi)), cfg)
+                pieces.append(gate(angle, float(rng.uniform(0, 2 * math.pi)), cfg))
             else:
-                seg = idle_pulse(float(rng.integers(0, 4)) * cfg.mod_period)
-            segments.append(seg)
-        program = PulseProgram(segments, cfg)
+                pieces.append(idle(float(rng.integers(0, 4)) * cfg.mod_period))
         spec = IntegratorSpec(steps_per_fastest_period=400)
-        first = per_piece_oracle(program, "first", spec)
-        second = simulate_program([program], spec=spec)[0]
+        first = per_piece_oracle(cfg, pieces, "first", spec)
+        second = run(pieces, cfg=cfg, spec=spec)
         assert first.population_up() == pytest.approx(population_up(second), abs=1e-9)
         # each gate at an arbitrary phi_mw is its drive at phi_mw = 0, turned
         # about z: it must match stepping the turned drive itself
-        oracle = per_piece_oracle(program, "second", spec)
+        oracle = per_piece_oracle(cfg, pieces, "second", spec)
         assert np.abs(second - oracle.amplitudes).max() <= 1e-10
 
     def test_two_quarter_gates_phase_sweep_oscillates(self):
         # second pi/2 pulse with swept carrier phase: Pic = (1 + cos(phi))/2
         for phi in (0.0, math.pi / 3, math.pi, 1.7 * math.pi):
-            program = PulseProgram(
-                [gate_pulse(math.pi / 2, 0.0, CFG), gate_pulse(math.pi / 2, phi, CFG)],
-                CFG,
-            )
-            out = simulate_program([program])[0]
+            out = run([gate(math.pi / 2), gate(math.pi / 2, phi)])
             assert population_up(out) == pytest.approx(
                 (1.0 + math.cos(phi)) / 2.0, abs=1e-6
             )
@@ -237,9 +238,9 @@ class TestBatchedEngine:
         calls = []
         inner = experiments.simulate_program
 
-        def spy(programs, *args, **kwargs):
-            states = inner(programs, *args, **kwargs)
-            calls.append((list(programs), states))
+        def spy(drives, programs, *args, **kwargs):
+            states = inner(drives, programs, *args, **kwargs)
+            calls.append((list(drives), programs, states))
             return states
 
         monkeypatch.setattr(experiments, "simulate_program", spy)
@@ -252,10 +253,10 @@ class TestBatchedEngine:
                 sweep = lattice_times(cfg, 5)
             dressed_sequence_experiment(kind, cfg, sweep)
         assert len(calls) == 2  # one batched call per noise draw
-        for programs, states in calls:
-            assert len(states) == len(programs) == 5
-            for program, state in zip(programs, states):
-                oracle = per_piece_oracle(program, "second")
+        for drives, programs, states in calls:
+            assert len(states) == len(programs) == len(drives) == 5
+            for cfg, program, state in zip(drives, programs, states):
+                oracle = per_piece_oracle(cfg, program, "second")
                 assert np.abs(state - oracle.amplitudes).max() <= 1e-10
 
     def test_one_propagator_call_over_distinct_configurations(self, monkeypatch):
@@ -277,7 +278,7 @@ class TestBatchedEngine:
         assert sizes == [1, 1, 1]
 
     def test_empty_program_list(self):
-        assert simulate_program([]).shape == (0, 2)
+        assert simulate_program([], np.empty((0, 0, 3))).shape == (0, 2)
 
 
 class TestParseProgram:
@@ -289,10 +290,9 @@ class TestParseProgram:
         pad
         """
         program = parse_program(text, CFG)
-        kinds = [seg.kind for seg in program.segments]
-        assert kinds == [SegmentKind.GATE, SegmentKind.IDLE, SegmentKind.IDLE]
-        assert program.segments[-1].duration == 0.0
-        assert program.segments[0].duration == pytest.approx(2 * PERIOD, rel=1e-12)
+        assert program[:, 0].tolist() == [GATE_MOD_PHASE, IDLE_MOD_PHASE, IDLE_MOD_PHASE]
+        assert program[-1, 2] == 0.0
+        assert program[0, 2] == pytest.approx(2 * PERIOD, rel=1e-12)
 
     def test_unknown_directive_reports_line(self):
         with pytest.raises(CompileError, match="line 2"):
@@ -309,3 +309,13 @@ class TestParseProgram:
         # a stray field (say, a gate duration) must not run silently
         with pytest.raises(CompileError, match="line 2: .*extra"):
             parse_program(f"idle 0\n{line}\n", CFG)
+
+    @pytest.mark.parametrize("angle", ["0", "-1.5707963267948966", "inf", "nan"])
+    def test_bad_gate_angle_reports_line(self, angle):
+        with pytest.raises(CompileError, match="line 2: gate angle must be positive and finite"):
+            parse_program(f"idle 0\ngate {angle} 0\n", CFG)
+
+    def test_bad_idle_duration_names_segment(self):
+        # a directive's values are checked as the pieces of any program are
+        with pytest.raises(CompileError, match=r"segment 1 \(idle\): duration must be finite"):
+            parse_program("pad\nidle -1e-7\n", CFG)

@@ -134,7 +134,7 @@ class TestPulseLevel:
         gates = [clifford(int(i)) for i in _sequence_indices(3, 6, 0)]
         recovery = recovery_clifford(gates, "up")
         program = clifford_sequence_program(gates + [recovery], cfg)
-        p_program = population_up(simulate_program([program])[0])
+        p_program = population_up(simulate_program([cfg], program[None])[0])
 
         result = randomized_benchmarking(cfg, [6], 1, NoiseSpec(seed=3))
         # reconstruct p_up for the up-recovery from signal and the down case
