@@ -10,13 +10,14 @@ subcommand ignores the keys it does not read. Besides the keys there are
 only ``--axis`` (spectrum, infidelity), ``--program`` (dressed) and
 ``--ideal`` (rb).
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
-(floating-point overflow, invalid value and division by zero included) or out
-of memory, 4 I/O error. Failures print one JSON error record to stderr, and
-nothing else. The stepped engine spreads long intervals over up to 4 threads,
-one per usable CPU, with the same bytes for any count; ``--threads`` and the
-``threads`` key are accepted and validated (exit 2 on a negative count), but
-select nothing.
+Exit codes, mapped by class in ``main`` alone (see ``errors``): 0 success; 2
+``ConfigError`` or a file that is not UTF-8; 3 ``NumericalError``, numpy's
+``FloatingPointError`` or out of memory; 4 ``OSError``. Each prints one JSON
+error record to stderr, and nothing else. Any other exception is a
+programming error, and leaves with its traceback (exit 1). The stepped engine
+spreads long intervals over up to 4 threads, one per usable CPU, with the
+same bytes for any count; ``--threads`` and the ``threads`` key are accepted
+and validated (exit 2 on a negative count), but select nothing.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import sys
 import numpy as np
 
 from . import clifford as clifford_mod
-from .config import KEY_TYPES, ConfigError, RunConfig, emit_config, flag, parse_config
+from .config import KEY_TYPES, RunConfig, emit_config, flag, parse_config
 from .dataset import Dataset, write_dataset
 from .drive import (
     DriveConfig,
@@ -44,6 +45,7 @@ from .drive import (
     second_frame_hamiltonian,
     to_second_frame,
 )
+from .errors import ConfigError, NumericalError
 from .experiments import (
     AxisDef,
     bloch_trajectory,
@@ -55,9 +57,9 @@ from .experiments import (
     rabi_error_sweep,
     shot_mean,
 )
-from .propagator import IntegratorError, evolve
+from .propagator import evolve
 from .pulses import require_gate_lattice
-from .qubit import NormalizationError, QubitState, state_fidelity
+from .qubit import QubitState, state_fidelity
 from .rb import randomized_benchmarking
 
 __all__ = ["main"]
@@ -83,11 +85,8 @@ _ERROR_AXIS = {"detuning": "detuning", "rabi": "rabi_error"}
 def _load_config(args: argparse.Namespace) -> RunConfig:
     text = ""
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+        with open(args.config, "r", encoding="utf-8") as handle:
+            text = handle.read()
     return parse_config(text, overrides={key: getattr(args, key) for key in KEY_TYPES})
 
 
@@ -457,7 +456,10 @@ def main(argv: list[str] | None = None) -> int:
         # raised, not warned, in the block pool too: stderr holds only the JSON record
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.handler(args)
-    except (IntegratorError, NormalizationError, FloatingPointError) as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 included
+        _report_error("config", exc)
+        return 2
+    except (NumericalError, FloatingPointError) as exc:
         _report_error("numerical", exc)
         return 3
     except MemoryError as exc:
@@ -466,10 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _report_error("io", exc)
         return 4
-    except (ConfigError, ValueError) as exc:
-        # covers config parsing, parameter validation and program compilation
-        _report_error("config", exc)
-        return 2
 
 
 def _report_error(kind: str, exc: Exception) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .qubit import IDENTITY, rotation
 
 __all__ = [
@@ -53,7 +54,7 @@ class Primitive:
     def drive_azimuth(self) -> float:
         """Rotation-axis azimuth in the equatorial plane (x = 0, y = pi/2)."""
         if self.axis == "i":
-            raise ValueError("identity primitive has no rotation axis")
+            raise ConfigError("identity primitive has no rotation axis")
         return 0.0 if self.axis == "x" else math.pi / 2
 
     @property
@@ -158,9 +159,9 @@ def recovery_clifford(applied: list[CliffordGate], target: str) -> CliffordGate:
     reproducible.
     """
     if target not in ("up", "down"):
-        raise ValueError("target must be 'up' or 'down'")
+        raise ConfigError("target must be 'up' or 'down'")
     if not applied:
-        raise ValueError("applied sequence must be non-empty")
+        raise ConfigError("applied sequence must be non-empty")
     state = compose_cliffords(applied) @ np.array([1.0, 0.0], dtype=complex)
     component = 1 if target == "up" else 0
     for gate in clifford_group():
@@ -196,9 +197,9 @@ def composed_indices(strings: np.ndarray) -> np.ndarray:
     indices, first column applied first, read from the multiplication table."""
     strings = np.asarray(strings)
     if strings.ndim != 2 or strings.shape[1] == 0:
-        raise ValueError("strings must be a (K, M) array with M >= 1")
+        raise ConfigError("strings must be a (K, M) array with M >= 1")
     if not (strings.min() >= 0 and strings.max() < 24):
-        raise ValueError("Clifford indices must be in [0, 24)")
+        raise ConfigError("Clifford indices must be in [0, 24)")
     table = multiplication_table()
     net = strings[:, 0]
     for column in strings.T[1:]:

@@ -13,29 +13,12 @@ import math
 from dataclasses import dataclass, fields
 
 from .drive import DriveConfig, Scheme
+from .errors import ConfigError
 from .experiments import NoiseSpec
 
-__all__ = ["ConfigError", "KEY_TYPES", "RunConfig", "flag", "parse_config", "emit_config"]
+__all__ = ["KEY_TYPES", "RunConfig", "flag", "parse_config", "emit_config"]
 
 TWO_PI = 2.0 * math.pi
-
-
-class ConfigError(ValueError):
-    """Configuration parse or constraint failure with source position.
-
-    ``key`` names the config key a constraint failure is about, if any.
-    """
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None,
-                 key: str | None = None):
-        self.message, self.line, self.column, self.key = message, line, column, key
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", col {column}"
-            where += ": "
-        super().__init__(where + message)
 
 
 @dataclass(frozen=True)
@@ -89,11 +72,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # the scheme is a name for the modulation ratios, so it must be theirs
-        try:
-            named = Scheme.of(self.alpha_a, self.alpha_p) is Scheme.parse(self.scheme)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not named:
+        if Scheme.of(self.alpha_a, self.alpha_p) is not Scheme.parse(self.scheme):
             raise ConfigError(
                 f"scheme {self.scheme!r} does not name (alpha_a, alpha_p) = "
                 f"({self.alpha_a}, {self.alpha_p})"
@@ -162,7 +141,7 @@ def _parse_value(key: str, text: str, name: str, line: int | None = None,
             except ValueError:
                 value = float(text)  # "257.0" and "1e3" name integers too
             if value != int(value):
-                raise ValueError("expected an integer")
+                raise ConfigError("expected an integer")
             return int(value)
         value = float(text)
     except (ValueError, OverflowError) as exc:
@@ -178,13 +157,20 @@ def _validate(cfg: RunConfig) -> None:
     def fail(key: str, message: str):
         raise ConfigError(message, key=key)
 
-    if cfg.mod_ratio < 0.0:
+    for f in fields(cfg):
+        if KEY_TYPES[f.name] is float and not math.isfinite(getattr(cfg, f.name)):
+            fail(f.name, f"{f.name} must be finite, got {getattr(cfg, f.name)!r}")
+    # each check is written so that NaN fails it
+    for key in ("rabi_hz", "sample_rate_hz", "gate_angle"):
+        if not getattr(cfg, key) > 0.0:
+            fail(key, f"{key} must be positive")
+    if not cfg.mod_ratio >= 0.0:
         fail("mod_ratio", "mod_ratio must be >= 0")
-    for key in ("duration_points", "detuning_points", "rabi_error_points",
-                "sweep_points", "k_randomizations", "noise_samples"):
-        if getattr(cfg, key) < 1:
+    for key in ("duration_points", "detuning_points", "rabi_error_points", "quarter_turns",
+                "samples_per_quarter_turn", "sweep_points", "k_randomizations", "noise_samples"):
+        if not getattr(cfg, key) >= 1:
             fail(key, f"{key} must be >= 1")
-    if cfg.threads < 0:
+    if not cfg.threads >= 0:
         fail("threads", "threads must be >= 0")
     if not 0 <= cfg.seed < 2**64:  # the random generators take a 64-bit key
         fail("seed", f"seed must lie in [0, 2^64), got {cfg.seed}")
@@ -195,12 +181,8 @@ def _validate(cfg: RunConfig) -> None:
     if any(m <= 0 for m in cfg.cliffords) or list(cfg.cliffords) != sorted(set(cfg.cliffords)):
         fail("cliffords", "cliffords must be positive, ascending, without repeats")
     for key in ("noise_detuning_sigma_hz", "noise_rabi_sigma_frac"):
-        if getattr(cfg, key) < 0:
+        if not getattr(cfg, key) >= 0:
             fail(key, f"{key} must be >= 0")
-    if cfg.sample_rate_hz <= 0:
-        fail("sample_rate_hz", "sample_rate_hz must be positive")
-    if cfg.gate_angle <= 0:
-        fail("gate_angle", "gate_angle must be positive")
 
 
 def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
@@ -248,7 +230,7 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
     scheme_text = str(raw.get("scheme", RunConfig.scheme))
     try:
         scheme = Scheme.parse(scheme_text)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(str(exc), lines.get("scheme")) from exc
 
     rabi_hz = float(raw.get("rabi_hz", RunConfig.rabi_hz))
@@ -277,7 +259,7 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
         alpha_p = raw.setdefault("alpha_p", RunConfig.alpha_p)
         try:
             matched = Scheme.of(alpha_a, alpha_p)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(
                 f"alpha_a + alpha_p = {alpha_a} + {alpha_p} matches no scheme "
                 "(bare 0 + 0, am 1 + 0, pm 0 + 1, cm 0.5 + 0.5)",

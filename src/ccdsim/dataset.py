@@ -28,6 +28,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .errors import ConfigError
 from .experiments import AxisDef
 
 __all__ = ["Dataset", "emit_dataset", "write_dataset", "config_hash", "TOOL_VERSION"]
@@ -83,7 +84,7 @@ class Dataset:
     def __post_init__(self) -> None:
         expected = tuple(ax.values.size for ax in self.axes) + (len(self.value_names),)
         if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != {expected}")
+            raise ConfigError(f"values shape {self.values.shape} != {expected}")
 
     def header(self) -> dict[str, str]:
         out = {"version": TOOL_VERSION}
@@ -97,7 +98,7 @@ class Dataset:
             out[f"config.{lineno:03d}"] = line
         for key, value in out.items():
             if any(brk in key or brk in value for brk in "\r\n"):
-                raise ValueError(f"metadata {key!r} holds a line break")
+                raise ConfigError(f"metadata {key!r} holds a line break")
         return out
 
 
@@ -107,7 +108,7 @@ def emit_dataset(data: Dataset, fmt: str = "csv") -> bytes:
         return _emit_csv(data)
     if fmt == "json":
         return _emit_json(data)
-    raise ValueError(f"unknown dataset format {fmt!r}")
+    raise ConfigError(f"unknown dataset format {fmt!r}")
 
 
 def _emit_csv(data: Dataset) -> bytes:

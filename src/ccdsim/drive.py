@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .qubit import QubitState, rotation
 
 __all__ = [
@@ -90,7 +91,7 @@ class Scheme(enum.Enum):
             "cmccd": cls.CMCCD,
         }
         if key not in aliases:
-            raise ValueError(f"unknown scheme {text!r} (expected bare|am|pm|cm)")
+            raise ConfigError(f"unknown scheme {text!r} (expected bare|am|pm|cm)")
         return aliases[key]
 
     @classmethod
@@ -99,7 +100,7 @@ class Scheme(enum.Enum):
         for scheme in cls:
             if abs(alpha_a - scheme.alpha_a) <= 1e-12 and abs(alpha_p - scheme.alpha_p) <= 1e-12:
                 return scheme
-        raise ValueError(f"(alpha_A, alpha_P) = ({alpha_a}, {alpha_p}) matches no named scheme")
+        raise ConfigError(f"(alpha_A, alpha_P) = ({alpha_a}, {alpha_p}) matches no named scheme")
 
     @property
     def label(self) -> str:
@@ -151,16 +152,16 @@ class DriveConfig:
         for item in fields(self):
             value = getattr(self, item.name)
             if not abs(value) < math.inf:
-                raise ValueError(f"{item.name} must be finite, got {value!r}")
+                raise ConfigError(f"{item.name} must be finite, got {value!r}")
         if not self.rabi > 0.0:
-            raise ValueError(f"rabi must be positive, got {self.rabi!r}")
+            raise ConfigError(f"rabi must be positive, got {self.rabi!r}")
         if not self.mod_strength >= 0.0:
-            raise ValueError(f"mod_strength must be >= 0, got {self.mod_strength!r}")
+            raise ConfigError(f"mod_strength must be >= 0, got {self.mod_strength!r}")
         if not (self.alpha_A >= 0.0 and self.alpha_P >= 0.0):
-            raise ValueError("modulation ratios must be non-negative")
+            raise ConfigError("modulation ratios must be non-negative")
         total = self.alpha_A + self.alpha_P
         if not (abs(total - 1.0) <= 1e-12 or total == 0.0):
-            raise ValueError(
+            raise ConfigError(
                 f"alpha_A + alpha_P must equal 1 (or both be 0), got {total!r}"
             )
 

@@ -27,7 +27,8 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .drive import DriveConfig, first_frame_hamiltonian, gate_frame
-from .propagator import IntegratorError, evolve_grid
+from .errors import ConfigError, NumericalError
+from .propagator import evolve_grid
 from .pulses import GATE_MOD_PHASE, IDLE_MOD_PHASE, require_gate_lattice, simulate_program
 from .qubit import QubitState, bloch_vector, normalized, population_up
 
@@ -67,9 +68,11 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if not (self.sigma_detuning >= 0.0 and self.sigma_rabi_frac >= 0.0):
-            raise ValueError("noise sigmas must be >= 0")
+            raise ConfigError("noise sigmas must be >= 0")
         if self.samples < 1:
-            raise ValueError("need at least one noise sample")
+            raise ConfigError("need at least one noise sample")
+        if not 0 <= self.seed < 2**64:  # the random generators take a 64-bit key
+            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}", key="seed")
 
     def shots(self, cfg: DriveConfig) -> list[DriveConfig]:
         """The drive of each shot: ``cfg`` with one draw added to its errors.
@@ -99,12 +102,12 @@ def _duration_sweep(
     errors = np.asarray(error_grid, dtype=float)
     durations = np.asarray(duration_grid, dtype=float)
     if np.any(np.diff(errors) <= 0.0) or np.any(np.diff(durations) <= 0.0):
-        raise ValueError("grids must be strictly increasing")
+        raise ConfigError("grids must be strictly increasing")
     hams = [first_frame_hamiltonian(base.with_errors(**{axis: e})) for e in errors]
     values = np.abs(evolve_grid(hams, durations, QubitState.zero())[..., 1]) ** 2
     if not np.all((values >= -1e-9) & (values <= 1.0 + 1e-9)):
         # a population outside [0, 1] is a numerical failure, not bad input
-        raise IntegratorError("sweep values must lie in [0, 1]")
+        raise NumericalError("sweep values must lie in [0, 1]")
     return values
 
 
@@ -121,23 +124,22 @@ def chevron_sweep(
 def rabi_error_sweep(
     cfg: DriveConfig, rabi_error_grid: np.ndarray, duration_grid: np.ndarray
 ) -> np.ndarray:
-    """Spin-up fraction vs (static Rabi error, duration) at zero detuning.
+    """Spin-up fraction vs (static Rabi error, duration) in the first frame.
 
     Returns shape (len(rabi_error_grid), len(duration_grid)).
     """
-    base = cfg.with_errors(detuning=0.0)
-    return _duration_sweep(base, "rabi_error", rabi_error_grid, duration_grid)
+    return _duration_sweep(cfg, "rabi_error", rabi_error_grid, duration_grid)
 
 
 def _check_uniform(times: np.ndarray) -> float:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 4 or not np.isfinite(times).all():
-        raise ValueError("need a finite 1-D time grid with at least 4 points")
+        raise ConfigError("need a finite 1-D time grid with at least 4 points")
     steps = np.diff(times)
     dt = float(steps[0])
     # written so that a NaN step fails too
     if not (dt > 0.0 and np.all(np.abs(steps - dt) <= 1e-9 * dt)):
-        raise ValueError("time grid must be uniform and increasing")
+        raise ConfigError("time grid must be uniform and increasing")
     return dt
 
 
@@ -150,7 +152,7 @@ def hann_spectrum(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
     dt = _check_uniform(times)
     values = np.asarray(values, dtype=float)
     if values.shape[-1] != times.size:
-        raise ValueError("values last axis must match the time grid")
+        raise ConfigError("values last axis must match the time grid")
     window = np.hanning(times.size)
     centered = values - values.mean(axis=-1, keepdims=True)
     mags = np.abs(np.fft.rfft(centered * window, axis=-1))
@@ -172,7 +174,7 @@ def infidelity_curve(
     (len(grid),).
     """
     if error_axis not in ("detuning", "rabi"):
-        raise ValueError("error_axis must be 'detuning' or 'rabi'")
+        raise ConfigError("error_axis must be 'detuning' or 'rabi'")
     build, rate, _ = gate_frame(cfg)
     duration = math.pi / rate
     key = "detuning" if error_axis == "detuning" else "rabi_error"
@@ -202,9 +204,9 @@ def bloch_trajectory(
     quarter_turns = total_angle / (math.pi / 2.0)
     n_markers = round(quarter_turns)
     if abs(quarter_turns - n_markers) > 1e-9 or n_markers < 1:
-        raise ValueError("total_angle must be a positive multiple of pi/2")
+        raise ConfigError("total_angle must be a positive multiple of pi/2")
     if samples_per_pi2 < 1:
-        raise ValueError("samples_per_pi2 must be >= 1")
+        raise ConfigError("samples_per_pi2 must be >= 1")
     build, rate, _ = gate_frame(cfg)
     quarter = (math.pi / 2.0) / rate
     steps = np.arange(1, n_markers * samples_per_pi2 + 1) * (quarter / samples_per_pi2)
@@ -248,7 +250,7 @@ def dressed_sequence_experiment(
     segment-boundary rule. Returns an array of shape (len(sweep_values),).
     """
     if kind not in ("ccd_rabi", "ccd_ramsey", "two_axis"):
-        raise ValueError("kind must be ccd_rabi | ccd_ramsey | two_axis")
+        raise ConfigError("kind must be ccd_rabi | ccd_ramsey | two_axis")
     require_gate_lattice(cfg)
     sweep = np.asarray(sweep_values, dtype=float)
     eps = cfg.mod_strength

@@ -56,11 +56,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .drive import Hamiltonian, batch_coefficients
+from .errors import ConfigError, NumericalError
 from .qubit import QubitState
 
 __all__ = [
     "IntegratorSpec",
-    "IntegratorError",
     "LAB_SPEC",
     "ROTATING_SPEC",
     "su2_exp",
@@ -101,10 +101,6 @@ _CF4_W1 = 0.25 - math.sqrt(3.0) / 6.0
 _CF4_W2 = 0.25 + math.sqrt(3.0) / 6.0
 
 
-class IntegratorError(RuntimeError):
-    """Numerical failure during propagation (unitarity defect, bad step...)."""
-
-
 @dataclass(frozen=True)
 class IntegratorSpec:
     """Step-size policy of the propagators.
@@ -117,12 +113,12 @@ class IntegratorSpec:
 
     def __post_init__(self) -> None:
         if self.steps_per_fastest_period < 40:
-            raise ValueError("steps_per_fastest_period must be at least 40")
+            raise ConfigError("steps_per_fastest_period must be at least 40")
 
     def effective_step(self, fastest_period: float) -> float:
         step = fastest_period / self.steps_per_fastest_period
         if not (step > 0.0 and math.isfinite(step)):
-            raise IntegratorError(
+            raise NumericalError(
                 "cannot determine a finite step size; pass a Hamiltonian with a "
                 "finite fastest_period"
             )
@@ -335,20 +331,20 @@ def _unitaries(
 
     The core behind every entry point, and the one check of its times (1-D,
     finite, ascending, none before t0 by more than 1e-15 s) and of unitarity: a
-    max | |a|^2 + |b|^2 - 1 | above 1e-10, or NaN, raises ``IntegratorError``
+    max | |a|^2 + |b|^2 - 1 | above 1e-10, or NaN, raises ``NumericalError``
     naming ``context``. All Hamiltonians share the smallest step any of them
     needs. A lattice path is taken where one applies, else each interval is
     stepped onto the product so far.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
-        raise ValueError("times must be a 1-D array")
+        raise ConfigError("times must be a 1-D array")
     if not (math.isfinite(t0) and np.all(np.isfinite(times))):
-        raise ValueError("propagation times must be finite")
+        raise ConfigError("propagation times must be finite")
     if np.any(np.diff(times) < 0.0):
-        raise ValueError("propagation times must be ascending")
+        raise ConfigError("propagation times must be ascending")
     if times.size and times[0] < t0 - 1e-15:
-        raise ValueError(f"propagation times must not precede t0 = {t0}")
+        raise ConfigError(f"propagation times must not precede t0 = {t0}")
     step = min(spec.effective_step(h.fastest_period) for h in hams)
     batch = (len(hams),)
     coefficients = batch_coefficients(hams)
@@ -364,7 +360,7 @@ def _unitaries(
     a, b = us
     defect = float(np.abs(a.real**2 + a.imag**2 + b.real**2 + b.imag**2 - 1.0).max(initial=0.0))
     if not defect <= 1e-10:
-        raise IntegratorError(f"propagator unitarity defect {defect:.3e} in {context}")
+        raise NumericalError(f"propagator unitarity defect {defect:.3e} in {context}")
     return a, b
 
 

@@ -43,11 +43,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .drive import DriveConfig, Hamiltonian, second_frame_hamiltonian
+from .errors import ConfigError
 from .propagator import _states, propagator_grid
 from .qubit import QubitState, normalized
 
 __all__ = [
-    "CompileError",
     "piece_propagators",
     "simulate_program",
     "parse_program",
@@ -68,10 +68,6 @@ _MAX_FIELDS = {"gate": 2, "idle": 1, "pad": 0}
 BOUNDARY_TOLERANCE = 1e-9
 
 
-class CompileError(ValueError):
-    """A pulse program violates a structural invariant."""
-
-
 def require_gate_lattice(cfg: DriveConfig) -> None:
     """Refuse a drive that is not dressed, or whose eps_m is not Omega_0 / (4 n), n >= 1.
 
@@ -81,10 +77,10 @@ def require_gate_lattice(cfg: DriveConfig) -> None:
     boundaries on the period lattice.
     """
     if not cfg.dressed:
-        raise CompileError("gate sequences need a dressed drive (a CCD scheme at mod_ratio > 0)")
+        raise ConfigError("gate sequences need a dressed drive (a CCD scheme at mod_ratio > 0)")
     ratio = cfg.rabi / (4.0 * cfg.mod_strength)
     if not (abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1):
-        raise CompileError(
+        raise ConfigError(
             f"mod_ratio = {cfg.mod_strength / cfg.rabi!r} breaks the segment "
             "boundary rule; use mod_ratio = 1/(4 n) for gate sequences"
         )
@@ -97,13 +93,13 @@ def _segment(theta: float, index: int) -> str:
 def _checked(programs) -> np.ndarray:
     """``programs`` as a float (programs, pieces, 3) array of valid pieces.
 
-    Refuses, with ``CompileError`` naming the first faulty segment, a theta_m
+    Refuses, with ``ConfigError`` naming the first faulty segment, a theta_m
     other than ``GATE_MOD_PHASE`` or ``IDLE_MOD_PHASE``, a phi_mw that is not
     finite, and a duration that is negative or not finite.
     """
     programs = np.asarray(programs, dtype=float)
     if programs.ndim != 3 or programs.shape[-1] != 3:
-        raise CompileError(f"programs must have shape (programs, pieces, 3), got {programs.shape}")
+        raise ConfigError(f"programs must have shape (programs, pieces, 3), got {programs.shape}")
     theta, phi, duration = np.moveaxis(programs, -1, 0)
     kinds = np.isin(theta, (GATE_MOD_PHASE, IDLE_MOD_PHASE))
     for bad, message, values in (
@@ -114,7 +110,7 @@ def _checked(programs) -> np.ndarray:
         if bad.any():
             i, j = np.argwhere(bad)[0]
             where = _segment(theta[i, j], j) if kinds[i, j] else f"segment {j}"
-            raise CompileError(f"{where}: {message}, got {float(values[i, j])!r}")
+            raise ConfigError(f"{where}: {message}, got {float(values[i, j])!r}")
     return programs
 
 
@@ -158,14 +154,14 @@ def simulate_program(
     by default) and renormalized by :func:`qubit.normalized`, as one
     (len(programs), 2) complex array. The pieces must pass the value checks
     of a program, every drive :func:`require_gate_lattice`, and every piece
-    must end on its drive's modulation-period lattice (``CompileError``
+    must end on its drive's modulation-period lattice (``ConfigError``
     otherwise), before anything is integrated. The propagators of the
     distinct pieces under the distinct drives come from one
     :func:`piece_propagators` call at reference azimuth 0.
     """
     programs = _checked(programs)
     if len(drives) != len(programs):
-        raise CompileError(f"{len(drives)} drives for {len(programs)} programs")
+        raise ConfigError(f"{len(drives)} drives for {len(programs)} programs")
     index = {cfg: i for i, cfg in enumerate(dict.fromkeys(drives))}
     for cfg in index:
         require_gate_lattice(cfg)
@@ -177,7 +173,7 @@ def simulate_program(
     off = ~(np.abs(frac - np.round(frac)) <= BOUNDARY_TOLERANCE)
     if off.any():
         i, j = np.argwhere(off)[0]
-        raise CompileError(
+        raise ConfigError(
             f"{_segment(theta[i, j], j)} ends at {frac[i, j]:.6f} modulation periods; "
             "boundaries must fall on the period lattice (Omega_0 t = 0 mod 2 pi)"
         )
@@ -222,19 +218,21 @@ def parse_program(text: str, cfg: DriveConfig) -> np.ndarray:
             continue
         fields = line.split()
         kind, args = fields[0].lower(), fields[1:]
+        if kind not in _MAX_FIELDS:
+            raise ConfigError(f"unknown directive {fields[0]!r}", lineno)
+        if len(args) > _MAX_FIELDS[kind]:
+            extra = " ".join(args[_MAX_FIELDS[kind]:])
+            raise ConfigError(f"extra fields {extra!r} after {kind}", lineno)
         try:
-            if kind not in _MAX_FIELDS:
-                raise ValueError(f"unknown directive {fields[0]!r}")
-            if len(args) > _MAX_FIELDS[kind]:
-                extra = " ".join(args[_MAX_FIELDS[kind]:])
-                raise ValueError(f"extra fields {extra!r} after {kind}")
-            if kind == "gate":
-                angle, phi = float(args[0]), float(args[1]) if len(args) > 1 else 0.0
-                if not (0.0 < angle < math.inf):
-                    raise ValueError(f"gate angle must be positive and finite, got {angle!r}")
-                rows.append((GATE_MOD_PHASE, phi, angle / cfg.mod_strength))
-            else:
-                rows.append((IDLE_MOD_PHASE, 0.0, float(args[0]) if kind == "idle" else 0.0))
+            numbers = [float(arg) for arg in args]
+            first = numbers[0] if kind != "pad" else 0.0
         except (IndexError, ValueError) as exc:
-            raise CompileError(f"line {lineno}: {exc}") from exc
+            raise ConfigError(str(exc), lineno) from exc
+        if kind == "gate":
+            if not (0.0 < first < math.inf):
+                raise ConfigError(f"gate angle must be positive and finite, got {first!r}", lineno)
+            phi = numbers[1] if len(numbers) > 1 else 0.0
+            rows.append((GATE_MOD_PHASE, phi, first / cfg.mod_strength))
+        else:
+            rows.append((IDLE_MOD_PHASE, 0.0, first))
     return _checked(np.array(rows, dtype=float).reshape(1, -1, 3))[0]

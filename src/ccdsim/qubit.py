@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
     "IDENTITY",
     "QubitState",
-    "NormalizationError",
     "bloch_vector",
     "normalized",
     "population_up",
@@ -41,14 +42,10 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY):
 NORM_TOLERANCE = 1e-8
 
 
-class NormalizationError(ValueError):
-    """Raised when a state vector is too far from unit norm."""
-
-
 def normalized(amps) -> np.ndarray:
     """(..., 2) amplitudes divided by their norms, each checked within ``NORM_TOLERANCE`` of 1.
 
-    Raises ``NormalizationError`` at the worst row; a NaN norm fails. Each
+    Raises ``NumericalError`` at the worst row; a NaN norm fails. Each
     squared norm is two dot products of length 2 (stacked matmuls over the
     real and imaginary parts), which give the bits of ``np.linalg.norm`` of
     one row, so a batch and each of its rows alone normalize alike.
@@ -61,7 +58,7 @@ def normalized(amps) -> np.ndarray:
     if not np.all(deviation <= NORM_TOLERANCE):
         worst = int(np.argmax(deviation))  # the first NaN, if any
         where = f"state {worst} of {len(flat)}: " if len(flat) > 1 else "state "
-        raise NormalizationError(
+        raise NumericalError(
             f"{where}norm {float(norm[worst, 0])!r} deviates from 1 by more than {NORM_TOLERANCE}"
         )
     return (flat / norm).reshape(amps.shape)

@@ -49,6 +49,7 @@ from .clifford import (
     composed_indices,
 )
 from .drive import DriveConfig, gate_frame
+from .errors import ConfigError
 from .experiments import NoiseSpec
 from .pulses import GATE_MOD_PHASE, piece_propagators, require_gate_lattice
 
@@ -164,7 +165,7 @@ def _signal_matrix(clifford_us: np.ndarray, strings: list[np.ndarray]) -> np.nda
 
 
 def _sequence_indices(seed: int, m: int, k: int) -> np.ndarray:
-    bits = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF, counter=[0, 0, m, k])
+    bits = np.random.Philox(key=seed, counter=[0, 0, m, k])
     return np.random.Generator(bits).integers(0, 24, size=m)
 
 
@@ -261,9 +262,9 @@ def randomized_benchmarking(
     """
     lengths = np.asarray(m_list, dtype=int)
     if lengths.size == 0 or np.any(lengths <= 0) or np.any(np.diff(lengths) <= 0):
-        raise ValueError("m_list must be positive and strictly ascending")
+        raise ConfigError("m_list must be positive and strictly ascending")
     if k_randomizations < 1:
-        raise ValueError("need at least one randomization per length")
+        raise ConfigError("need at least one randomization per length")
     noise = noise or NoiseSpec()
     if not ideal and cfg.dressed:
         require_gate_lattice(cfg)

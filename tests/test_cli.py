@@ -19,8 +19,8 @@ from ccdsim.cli import build_parser, main
 from ccdsim.config import KEY_TYPES, RunConfig, flag, parse_config
 from ccdsim.dataset import emit_dataset
 from ccdsim.drive import default_config, drive_coefficient, Scheme
+from ccdsim.errors import NumericalError
 from ccdsim.experiments import noise_average
-from ccdsim.qubit import NormalizationError
 from ccdsim.rb import randomized_benchmarking
 
 
@@ -138,7 +138,7 @@ class TestConfigPrecedence:
 
     def test_normalization_error_is_numerical(self, monkeypatch, capsys):
         def handler(args):
-            raise NormalizationError("state norm 1.1 is off by more than 1e-08")
+            raise NumericalError("state norm 1.1 is off by more than 1e-08")
 
         monkeypatch.setattr(cli, "_cmd_selftest", handler)
         assert main(["selftest"]) == 3
@@ -147,7 +147,7 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize(
         "error, kind",
-        [(MemoryError, "memory"), (propagator.IntegratorError, "numerical")],
+        [(MemoryError, "memory"), (NumericalError, "numerical")],
     )
     def test_error_in_a_pool_block_exits_3(self, tmp_path, monkeypatch, capsys, error, kind):
         threads = []

@@ -88,6 +88,9 @@ class TestParse:
             ("threads", -3, "threads must be >= 0"),
             ("cliffords", (4, 2), "cliffords must be positive, ascending"),
             ("mod_ratio", -0.25, "mod_ratio must be >= 0"),
+            ("rabi_hz", -1.0, "rabi_hz must be positive"),
+            ("quarter_turns", 0, "quarter_turns must be >= 1"),
+            ("samples_per_quarter_turn", 0, "samples_per_quarter_turn must be >= 1"),
         ],
     )
     def test_direct_construction_validates_every_key(self, key, value, match):
@@ -100,6 +103,22 @@ class TestParse:
         with pytest.raises(ConfigError, match=f"^line 2: {match}") as parsed:
             parse_config(f"scheme = cm\n{key} = {text}\n")
         assert parsed.value.line == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rabi_hz", math.nan),
+            ("carrier_hz", math.inf),
+            ("duration_stop_s", math.nan),
+            ("gate_angle", math.nan),
+            ("sample_rate_hz", math.nan),
+        ],
+    )
+    def test_direct_construction_refuses_non_finite_values(self, key, value):
+        # parsing refuses these before construction, with the line and column
+        with pytest.raises(ConfigError, match=f"^{key} must be finite") as info:
+            RunConfig(**{key: value})
+        assert info.value.key == key
 
     def test_alphas_matching_no_scheme_rejected(self):
         with pytest.raises(ConfigError, match="matches no scheme") as excinfo:

@@ -13,6 +13,7 @@ from ccdsim.drive import (
     gate_frame,
     second_frame_hamiltonian,
 )
+from ccdsim.errors import ConfigError, NumericalError
 from ccdsim.experiments import (
     NoiseSpec,
     bloch_trajectory,
@@ -25,7 +26,7 @@ from ccdsim.experiments import (
     rabi_error_sweep,
     shot_mean,
 )
-from ccdsim.propagator import ROTATING_SPEC, IntegratorError, evolve_grid
+from ccdsim.propagator import ROTATING_SPEC, evolve_grid
 from ccdsim.qubit import QubitState
 
 from fits import dominant_frequency, fit_decaying_sinusoid
@@ -105,6 +106,16 @@ class TestRabiErrorSweep:
         err = rabi_error_sweep(CFG.with_scheme(Scheme.PMCCD), np.array([0.0]), durations)
         chev = chevron_sweep(CFG.with_scheme(Scheme.PMCCD), np.array([0.0]), durations)
         assert np.abs(err - chev).max() < 1e-12
+
+    @pytest.mark.parametrize("scheme", [Scheme.BARE, Scheme.AMCCD, Scheme.CMCCD])
+    def test_the_drive_keeps_its_static_detuning(self, scheme):
+        # the swept axis replaces the Rabi error only, as a chevron replaces the detuning
+        cfg, detuning = CFG.with_scheme(scheme), 0.05 * RABI
+        durations = lattice_times(CFG, 9)[1:]
+        swept = rabi_error_sweep(cfg.with_errors(detuning=detuning), np.array([0.0]), durations)
+        chev = chevron_sweep(cfg, np.array([detuning]), durations)
+        assert swept.tobytes() == chev.tobytes()
+        assert not np.array_equal(swept, rabi_error_sweep(cfg, np.array([0.0]), durations))
 
 
 class TestSpectrumGrid:
@@ -288,7 +299,7 @@ class TestSweepValueGuard:
             return amps
 
         monkeypatch.setattr(experiments, "evolve_grid", broken)
-        with pytest.raises(IntegratorError, match=r"\[0, 1\]"):
+        with pytest.raises(NumericalError, match=r"\[0, 1\]"):
             chevron_sweep(BARE, np.array([0.0]), np.array([1e-7, 2e-7]))
 
 
@@ -330,6 +341,14 @@ class TestNoiseShots:
     def test_nan_or_negative_sigma_rejected(self, axis, bad):
         with pytest.raises(ValueError, match="sigmas"):
             NoiseSpec(**{axis: bad})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the generators take a 64-bit key: 2^64 + 1 would draw as seed 1
+        with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\^64\)") as info:
+            NoiseSpec(sigma_detuning=1e5, samples=2, seed=seed)
+        assert info.value.key == "seed"
+        assert NoiseSpec(sigma_detuning=1e5, samples=2, seed=2**64 - 1).shots(self.ERRD)
 
 
 class TestNoiseAverage:

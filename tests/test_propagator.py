@@ -18,10 +18,10 @@ from ccdsim.drive import (
     lab_hamiltonian,
     second_frame_hamiltonian,
 )
+from ccdsim.errors import NumericalError
 from ccdsim.propagator import (
     LAB_SPEC,
     ROTATING_SPEC,
-    IntegratorError,
     IntegratorSpec,
     evolve,
     evolve_grid,
@@ -108,7 +108,7 @@ class TestEvolve:
 
     def test_requires_step_information(self):
         ham = constant(SIGMA_X)  # no period, unbounded step
-        with pytest.raises(IntegratorError):
+        with pytest.raises(NumericalError):
             evolve(ham, QubitState.zero(), 0.0, 1.0)
 
 
@@ -463,11 +463,11 @@ class TestLatticePaths:
             coefficients=lambda t: np.full(np.shape(t) + (3,), np.nan),
         )
         times = np.arange(1, 4) * cfg.mod_period
-        with pytest.raises(IntegratorError):
+        with pytest.raises(NumericalError):
             evolve_grid([ham], times, QubitState.zero())
-        with pytest.raises(IntegratorError):
+        with pytest.raises(NumericalError):
             propagator_unitary(ham, 0.0, times[-1])
-        with pytest.raises(IntegratorError):
+        with pytest.raises(NumericalError):
             evolve(ham, QubitState.zero(), 0.0, times[-1])
 
     def test_replaced_member_takes_the_per_member_path(self):
@@ -486,7 +486,7 @@ class TestLatticePaths:
         assert propagator_grid(mixed, times).tobytes() == propagator_grid(hams, times).tobytes()
         assert calls
         nan = replace(hams[1], coefficients=lambda t: np.full(np.shape(t) + (3,), np.nan))
-        with pytest.raises(IntegratorError):
+        with pytest.raises(NumericalError):
             propagator_grid([hams[0], nan, hams[2]], times)
 
 

@@ -51,10 +51,10 @@ from ccdsim.drive import (
     second_frame_hamiltonian,
     second_frame_unitary,
 )
+from ccdsim.errors import NumericalError
 from ccdsim.experiments import AxisDef
 from ccdsim.propagator import (
     LAB_SPEC,
-    IntegratorError,
     evolve,
     evolve_grid,
     propagator_grid,
@@ -64,7 +64,6 @@ from ccdsim.propagator import (
 )
 from ccdsim.qubit import (
     NORM_TOLERANCE,
-    NormalizationError,
     QubitState,
     bloch_vector,
     normalized,
@@ -246,7 +245,7 @@ def test_array_readout_refuses_the_worst_row(amps, row, off):
     else:
         bad[row] *= 1.0 + off
     where = f"state {row} of {len(amps)}: " if len(amps) > 1 else "state "
-    with pytest.raises(NormalizationError, match=f"^{where}norm "):
+    with pytest.raises(NumericalError, match=f"^{where}norm "):
         normalized(bad)
 
 
@@ -271,7 +270,7 @@ def test_core_pair_check_names_the_entry_point(monkeypatch, name):
         return ENTRY_POINTS[name](ham, times)
 
     run(1.0 + 1e-12)  # a defect of about 2e-12 passes
-    with pytest.raises(IntegratorError, match=rf"defect 2\.0\d*e-09 in {name}\b"):
+    with pytest.raises(NumericalError, match=rf"defect 2\.0\d*e-09 in {name}\b"):
         run(1.0 + 1e-9)
 
 
@@ -542,8 +541,9 @@ RESTRICTED = {
     "dressed_kind": st.sampled_from(["ccd_rabi", "ccd_ramsey", "two_axis"]),
     **{
         key: st.integers(1, 2**64)
-        for key in ("duration_points", "detuning_points", "rabi_error_points",
-                    "sweep_points", "k_randomizations", "noise_samples")
+        for key in ("duration_points", "detuning_points", "rabi_error_points", "quarter_turns",
+                    "samples_per_quarter_turn", "sweep_points", "k_randomizations",
+                    "noise_samples")
     },
 }
 

@@ -6,12 +6,12 @@ import pytest
 from ccdsim import experiments, pulses
 from ccdsim.config import parse_config
 from ccdsim.drive import Scheme, default_config, second_frame_unitary
+from ccdsim.errors import ConfigError
 from ccdsim.experiments import NoiseSpec, dressed_sequence_experiment, lattice_times, noise_average
 from ccdsim.propagator import ROTATING_SPEC, IntegratorSpec
 from ccdsim.pulses import (
     GATE_MOD_PHASE,
     IDLE_MOD_PHASE,
-    CompileError,
     parse_program,
     require_gate_lattice,
     simulate_program,
@@ -65,9 +65,9 @@ class TestSegments:
         refusals = []
         for refuse in (lambda: parse_program(f"gate {math.pi!r} 0.0\n", BARE_FROM_CONFIG),
                        lambda: require_gate_lattice(BARE_FROM_CONFIG)):
-            with pytest.raises(CompileError) as caught:
+            with pytest.raises(ConfigError) as caught:
                 refuse()
-            assert type(caught.value) is CompileError
+            assert type(caught.value) is ConfigError
             refusals.append(str(caught.value))
         assert refusals[0] == refusals[1]
 
@@ -109,30 +109,30 @@ class TestCompile:
         assert np.abs(out - oracle.amplitudes).max() <= 1e-10
 
     def test_misaligned_boundary_names_segment(self):
-        with pytest.raises(CompileError, match=r"segment 1 \(idle\)"):
+        with pytest.raises(ConfigError, match=r"segment 1 \(idle\)"):
             run([gate(math.pi / 2), idle(0.31 * PERIOD)])
 
     def test_gate_lattice_needs_quarter_over_n_mod_ratio(self):
         for ratio in (0.25, 0.125, 1.0 / 12.0):
             require_gate_lattice(default_config(Scheme.CMCCD, mod_ratio=ratio))
-        with pytest.raises(CompileError, match=r"1/\(4 n\)"):
+        with pytest.raises(ConfigError, match=r"1/\(4 n\)"):
             require_gate_lattice(default_config(Scheme.CMCCD, mod_ratio=0.3))
-        with pytest.raises(CompileError, match=r"1/\(4 n\)"):
+        with pytest.raises(ConfigError, match=r"1/\(4 n\)"):
             require_gate_lattice(default_config(Scheme.CMCCD, mod_ratio=0.5))
         for bare in (default_config(Scheme.BARE), BARE_FROM_CONFIG):
-            with pytest.raises(CompileError, match="dressed drive"):
+            with pytest.raises(ConfigError, match="dressed drive"):
                 require_gate_lattice(bare)
 
     def test_dressed_presets_refuse_a_mod_ratio_off_the_gate_lattice(self):
         cfg = default_config(Scheme.CMCCD, mod_ratio=0.3)
-        with pytest.raises(CompileError, match=r"1/\(4 n\)"):
+        with pytest.raises(ConfigError, match=r"1/\(4 n\)"):
             dressed_sequence_experiment("ccd_ramsey", cfg, lattice_times(cfg, 4))
 
     def test_simulate_refuses_a_drive_that_is_not_dressed(self, monkeypatch):
         # a program of idle pieces forms no gate duration, so the guard must sit in simulate_program
         sizes = spy_batches(monkeypatch)
         programs = np.array([[idle(3 * PERIOD)]] * 2)
-        with pytest.raises(CompileError, match="dressed drive"):
+        with pytest.raises(ConfigError, match="dressed drive"):
             simulate_program([CFG, BARE_FROM_CONFIG], programs, plus_state())
         assert sizes == []  # refused before anything is integrated
 
@@ -148,7 +148,7 @@ class TestCompile:
     )
     def test_bad_piece_values_are_refused(self, monkeypatch, piece, match):
         sizes = spy_batches(monkeypatch)
-        with pytest.raises(CompileError, match=match):
+        with pytest.raises(ConfigError, match=match):
             run([gate(math.pi / 2), piece])
         assert sizes == []
 
@@ -293,11 +293,11 @@ class TestParseProgram:
         assert program[0, 2] == pytest.approx(2 * PERIOD, rel=1e-12)
 
     def test_unknown_directive_reports_line(self):
-        with pytest.raises(CompileError, match="line 2"):
+        with pytest.raises(ConfigError, match="line 2"):
             parse_program("gate 1.0 0.0\nwiggle 3\n", CFG)
 
     def test_bad_arity_reports_line(self):
-        with pytest.raises(CompileError, match="line 1"):
+        with pytest.raises(ConfigError, match="line 1"):
             parse_program("idle\n", CFG)
 
     @pytest.mark.parametrize(
@@ -305,15 +305,15 @@ class TestParseProgram:
     )
     def test_extra_fields_report_line(self, line):
         # a stray field (say, a gate duration) must not run silently
-        with pytest.raises(CompileError, match="line 2: .*extra"):
+        with pytest.raises(ConfigError, match="line 2: .*extra"):
             parse_program(f"idle 0\n{line}\n", CFG)
 
     @pytest.mark.parametrize("angle", ["0", "-1.5707963267948966", "inf", "nan"])
     def test_bad_gate_angle_reports_line(self, angle):
-        with pytest.raises(CompileError, match="line 2: gate angle must be positive and finite"):
+        with pytest.raises(ConfigError, match="line 2: gate angle must be positive and finite"):
             parse_program(f"idle 0\ngate {angle} 0\n", CFG)
 
     def test_bad_idle_duration_names_segment(self):
         # a directive's values are checked as the pieces of any program are
-        with pytest.raises(CompileError, match=r"segment 1 \(idle\): duration must be finite"):
+        with pytest.raises(ConfigError, match=r"segment 1 \(idle\): duration must be finite"):
             parse_program("pad\nidle -1e-7\n", CFG)

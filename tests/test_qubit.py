@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from ccdsim.errors import NumericalError
 from ccdsim.qubit import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
-    NormalizationError,
     QubitState,
     bloch_vector,
     pauli_axis,
@@ -21,13 +21,13 @@ def test_basis_states_normalized():
 
 
 def test_construction_rejects_bad_norm():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NumericalError):
         QubitState(np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_construction_rejects_non_finite_amplitudes(bad):
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NumericalError):
         QubitState(np.array([bad, 0.0]))
 
 
