@@ -2,7 +2,7 @@
 
 Modules
 -------
-qubit        SU(2) states, Pauli/axis operators, Bloch conversion, fidelity
+qubit        state arrays (|0>, norm, readout), Pauli/axis operators
 drive        CCD drive model: lab / first / second frame Hamiltonians, frames, I/Q
 propagator   4th-order commutator-free unitary propagation, closed-form and Floquet paths
 pulses       pulse programs as piece arrays, the gate-lattice guard, piece propagators
@@ -14,8 +14,7 @@ dataset      deterministic CSV/JSON dataset serialization
 cli          command-line interface
 """
 from .drive import DriveConfig, Scheme, default_config
-from .qubit import QubitState
 
 __version__ = "0.1.0"
 
-__all__ = ["DriveConfig", "Scheme", "QubitState", "default_config", "__version__"]
+__all__ = ["DriveConfig", "Scheme", "default_config", "__version__"]

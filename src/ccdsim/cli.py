@@ -11,7 +11,8 @@ only ``--axis`` (spectrum, infidelity), ``--program`` (dressed) and
 ``--ideal`` (rb).
 
 Exit codes, mapped by class in ``main`` alone (see ``errors``): 0 success; 2
-``ConfigError`` or a file that is not UTF-8; 3 ``NumericalError``, numpy's
+``ConfigError`` (a ``--config`` or ``--program`` file that is not UTF-8
+included, named with its flag); 3 ``NumericalError``, numpy's
 ``FloatingPointError`` or out of memory; 4 ``OSError``. Each prints one JSON
 error record to stderr, and nothing else. Any other exception is a
 programming error, and leaves with its traceback (exit 1). The stepped engine
@@ -42,8 +43,6 @@ from .drive import (
     first_frame_hamiltonian,
     gate_frame,
     iq_baseband,
-    second_frame_hamiltonian,
-    to_second_frame,
 )
 from .errors import ConfigError, NumericalError
 from .experiments import (
@@ -57,9 +56,9 @@ from .experiments import (
     rabi_error_sweep,
     shot_mean,
 )
-from .propagator import evolve
-from .pulses import require_gate_lattice
-from .qubit import QubitState, state_fidelity
+from .propagator import evolve_grid
+from .pulses import GATE_MOD_PHASE, require_gate_lattice
+from .qubit import ZERO_STATE
 from .rb import randomized_benchmarking
 
 __all__ = ["main"]
@@ -82,11 +81,18 @@ _ERROR_POINTS = {"detuning": "detuning_points", "rabi": "rabi_error_points"}
 _ERROR_AXIS = {"detuning": "detuning", "rabi": "rabi_error"}
 
 
+def _read_text(path: str, option: str) -> str:
+    """The text of the file ``path`` given as ``option``; one that is not
+    UTF-8 is a ``ConfigError`` naming both."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{option} file {path!r} is not UTF-8: {exc}") from exc
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    text = ""
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    text = _read_text(args.config, "--config") if args.config else ""
     return parse_config(text, overrides={key: getattr(args, key) for key in KEY_TYPES})
 
 
@@ -234,8 +240,7 @@ def _run_program_file(args: argparse.Namespace, cfg: RunConfig, drive: DriveConf
     from .pulses import parse_program, simulate_program
     from .qubit import bloch_vector, population_up
 
-    with open(args.program, "r", encoding="utf-8") as handle:
-        program = parse_program(handle.read(), drive)
+    program = parse_program(_read_text(args.program, "--program"), drive)
     shots = cfg.noise_spec().shots(drive)
     finals = simulate_program(shots, np.broadcast_to(program, (len(shots),) + program.shape))
     mean = shot_mean(np.column_stack([population_up(finals), bloch_vector(finals)]))
@@ -300,25 +305,27 @@ def _selftest_checks():
                 return f"{scheme.label}: {got} != {expected} * eps_m"
         return None
 
+    # the three state checks call the entry points of chevron, infidelity and
+    # dressed --program, looked up where those subcommands look them up
     def check_bare_rabi():
         base = default_config(Scheme.BARE)
-        cfg = base.with_errors(detuning=base.rabi)
-        final = evolve(first_frame_hamiltonian(cfg), QubitState.zero(), 0.0, math.pi / cfg.rabi)
+        p_up = float(chevron_sweep(base, [base.rabi], [math.pi / base.rabi])[0, 0])
         expected = 0.5 * math.sin(math.sqrt(2.0) * math.pi / 2.0) ** 2
-        if abs(final.population_up() - expected) > 1e-8:
-            return f"P_up {final.population_up()} != analytic {expected}"
+        if not abs(p_up - expected) <= 1e-8:
+            return f"P_up {p_up} != analytic {expected}"
         return None
 
     def check_cm_gate():
-        cfg = default_config(Scheme.CMCCD)
-        final = evolve(
-            second_frame_hamiltonian(cfg), QubitState.zero(), 0.0, math.pi / cfg.mod_strength
-        )
-        if 1.0 - final.population_up() > 1e-8:
-            return f"CM Y_pi infidelity {1.0 - final.population_up():.3e}"
+        from .experiments import infidelity_curve
+
+        infidelity = float(infidelity_curve(default_config(Scheme.CMCCD), "detuning", [0.0])[0])
+        if not infidelity <= 1e-8:
+            return f"CM Y_pi infidelity {infidelity:.3e}"
         return None
 
     def check_frame_equivalence():
+        from .pulses import simulate_program
+
         for _ in range(5):
             scheme = rng.choice([Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD])
             cfg = default_config(
@@ -326,11 +333,13 @@ def _selftest_checks():
                 detuning=float(rng.uniform(-0.2, 0.2)) * default_config(scheme).rabi,
                 rabi_error=float(rng.uniform(-0.1, 0.1)) * default_config(scheme).rabi,
             )
+            # 2 pi / eps_m is four Rabi periods, where the second-frame unitary
+            # is I: the two frames' states agree with no transform
             t1 = 2.0 * math.pi / cfg.mod_strength
-            first = evolve(first_frame_hamiltonian(cfg), QubitState.zero(), 0.0, t1)
-            second = evolve(second_frame_hamiltonian(cfg), QubitState.zero(), 0.0, t1)
-            fidelity = state_fidelity(to_second_frame(first, cfg, t1), second)
-            if fidelity < 1.0 - 1e-8:
+            (second,) = simulate_program([cfg], [[(GATE_MOD_PHASE, 0.0, t1)]])
+            first = evolve_grid([first_frame_hamiltonian(cfg)], [t1], ZERO_STATE)[0, 0]
+            fidelity = float(np.abs(np.vdot(second, first)) ** 2)
+            if not fidelity >= 1.0 - 1e-8:
                 return f"{scheme.label}: frame fidelity {fidelity}"
         return None
 
@@ -456,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         # raised, not warned, in the block pool too: stderr holds only the JSON record
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.handler(args)
-    except (ConfigError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 included
+    except ConfigError as exc:
         _report_error("config", exc)
         return 2
     except (NumericalError, FloatingPointError) as exc:

@@ -113,7 +113,6 @@ DERIVED = {
     "detuning_span_hz": (("detuning_start_hz", "detuning_stop_hz"), _span),
     "rabi_error_span_frac": (("rabi_error_start_frac", "rabi_error_stop_frac"), _span),
     "static_detuning_frac": (("detuning_hz",), lambda v, rabi_hz: (v * rabi_hz,)),
-    "static_rabi_error_frac": (("rabi_error_frac",), lambda v, _: (v,)),
 }
 
 #: every key a file line or a flag may set and the type of its value: the

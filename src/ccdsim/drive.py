@@ -2,9 +2,10 @@
 
 Builds the lab-frame Hamiltonian of the generalized amplitude/phase-modulated
 drive, its first and second rotating-frame reductions (their coefficients
-held as data, evaluated a batch at a time), the second-frame unitary, the
-counter-rotating coefficient of the doubly-rotating frame, and baseband I/Q
-envelopes for waveform export.
+held as data, evaluated a batch at a time), the counter-rotating
+coefficient of the doubly-rotating frame, and baseband I/Q envelopes for
+waveform export. The frame unitaries themselves are test oracles
+(``tests/oracles.py``): no run maps a state between frames.
 
 Conventions (hbar = 1, all frequencies angular, rad/s):
 
@@ -33,7 +34,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .qubit import QubitState, rotation
 
 __all__ = [
     "Scheme",
@@ -45,8 +45,6 @@ __all__ = [
     "gate_frame",
     "batch_coefficients",
     "FrameCoefficients",
-    "second_frame_unitary",
-    "to_second_frame",
     "counter_rotating_coefficient",
     "drive_coefficient",
     "iq_baseband",
@@ -448,16 +446,6 @@ def gate_frame(cfg: DriveConfig) -> tuple[Callable[[DriveConfig], Hamiltonian], 
     if cfg.dressed:
         return second_frame_hamiltonian, cfg.mod_strength, -math.pi / 2.0
     return first_frame_hamiltonian, cfg.rabi, 0.0
-
-
-def second_frame_unitary(cfg: DriveConfig, t: float) -> np.ndarray:
-    """Frame unitary exp(-i (Omega_0 t / 2) sigma_{phi_mw}) of the second frame."""
-    return rotation(cfg.mw_phase, cfg.rabi * t)
-
-
-def to_second_frame(state: QubitState, cfg: DriveConfig, t: float) -> QubitState:
-    """Map a first-frame state at time t into the second rotating frame."""
-    return state.apply(second_frame_unitary(cfg, t).conj().T)
 
 
 def iq_baseband(cfg: DriveConfig, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,9 @@ trajectory its times, Bloch vectors, marker mask and spread, and the other
 experiments one value per grid point.
 A dressed preset builds its sweep as one (points, pieces, 3) array of pulse
 programs (see ``pulses``).
-No state object is built per sample; states are read out by
-``qubit.normalized``, ``qubit.bloch_vector`` and ``qubit.population_up``.
+There is no state object: every experiment starts from ``qubit.ZERO_STATE``,
+and states are read out by ``qubit.normalized``, ``qubit.bloch_vector`` and
+``qubit.population_up``.
 Each sweep propagates all its grid rows as one ``evolve_grid`` batch, which
 fixes one global step size across the rows. No experiment takes a step
 setting: each propagates at the propagator's default, ``ROTATING_SPEC``.
@@ -30,7 +31,7 @@ from .drive import DriveConfig, first_frame_hamiltonian, gate_frame
 from .errors import ConfigError, NumericalError
 from .propagator import evolve_grid
 from .pulses import GATE_MOD_PHASE, IDLE_MOD_PHASE, require_gate_lattice, simulate_program
-from .qubit import QubitState, bloch_vector, normalized, population_up
+from .qubit import ZERO_STATE, bloch_vector, normalized, population_up
 
 __all__ = [
     "AxisDef",
@@ -104,7 +105,7 @@ def _duration_sweep(
     if np.any(np.diff(errors) <= 0.0) or np.any(np.diff(durations) <= 0.0):
         raise ConfigError("grids must be strictly increasing")
     hams = [first_frame_hamiltonian(base.with_errors(**{axis: e})) for e in errors]
-    values = np.abs(evolve_grid(hams, durations, QubitState.zero())[..., 1]) ** 2
+    values = np.abs(evolve_grid(hams, durations, ZERO_STATE)[..., 1]) ** 2
     if not np.all((values >= -1e-9) & (values <= 1.0 + 1e-9)):
         # a population outside [0, 1] is a numerical failure, not bad input
         raise NumericalError("sweep values must lie in [0, 1]")
@@ -179,7 +180,7 @@ def infidelity_curve(
     duration = math.pi / rate
     key = "detuning" if error_axis == "detuning" else "rabi_error"
     hams = [build(cfg.with_errors(**{key: float(err)})) for err in np.asarray(grid, dtype=float)]
-    states = evolve_grid(hams, np.array([duration]), QubitState.zero())
+    states = evolve_grid(hams, np.array([duration]), ZERO_STATE)
     return 1.0 - np.abs(states[:, 0, 1]) ** 2
 
 
@@ -210,9 +211,8 @@ def bloch_trajectory(
     build, rate, _ = gate_frame(cfg)
     quarter = (math.pi / 2.0) / rate
     steps = np.arange(1, n_markers * samples_per_pi2 + 1) * (quarter / samples_per_pi2)
-    psi0 = QubitState.zero()
-    amps = evolve_grid([build(cfg)], steps, psi0)[0]
-    xyz = bloch_vector(normalized(np.concatenate([psi0.amplitudes[None], amps])))
+    amps = evolve_grid([build(cfg)], steps, ZERO_STATE)[0]
+    xyz = bloch_vector(normalized(np.concatenate([ZERO_STATE[None], amps])))
     index = np.arange(xyz.shape[0])
     is_marker = (index > 0) & (index % samples_per_pi2 == 0)
     markers, spread = xyz[is_marker], 0.0

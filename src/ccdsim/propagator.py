@@ -27,9 +27,10 @@ signed zeros included, which ``tests/oracles.py`` keeps as oracles.
 and ``propagator_grid`` are thin callers of one core, which checks the times
 (finite, ascending, none before t0) and returns the pairs of U(t, t0) for a
 batch of Hamiltonians at every requested time, checked unitary within 1e-10.
-Only the last two build the 2x2 form; the first two map psi0 straight from the
-pairs. The core takes one of three paths, chosen from ``Hamiltonian.period``
-and the requested times:
+Only the last two build the 2x2 form; the first two map a (2,) start psi0,
+checked by ``qubit.initial_state``, straight from the pairs. The core takes
+one of three paths, chosen from ``Hamiltonian.period`` and the requested
+times:
 
 * **closed form** — every Hamiltonian in the batch is constant
   (``period == 0``): U(t, t0) = exp(-i (t - t0) H) at any times;
@@ -57,7 +58,7 @@ import numpy as np
 
 from .drive import Hamiltonian, batch_coefficients
 from .errors import ConfigError, NumericalError
-from .qubit import QubitState
+from .qubit import initial_state, normalized
 
 __all__ = [
     "IntegratorSpec",
@@ -372,11 +373,16 @@ def _states(a: np.ndarray, b: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def evolve(
-    h: Hamiltonian, psi0: QubitState, t0: float, t1: float, spec: IntegratorSpec = ROTATING_SPEC
-) -> QubitState:
-    """Solve i dpsi/dt = H(t) psi from t0 to t1; the final state, mapped from the core's pair."""
+    h: Hamiltonian, psi0, t0: float, t1: float, spec: IntegratorSpec = ROTATING_SPEC
+) -> np.ndarray:
+    """Solve i dpsi/dt = H(t) psi from the (2,) state ``psi0`` at t0 to t1.
+
+    Returns the final (2,) amplitudes, mapped from the core's pair and
+    renormalized by :func:`qubit.normalized`.
+    """
+    psi0 = initial_state(psi0)
     a, b = _unitaries([h], t0, [t1], spec, f"evolve over [{t0}, {t1}]")
-    return QubitState(_states(a, b, psi0.amplitudes)[0, 0])
+    return normalized(_states(a, b, psi0)[0, 0])
 
 
 def propagator_unitary(
@@ -405,22 +411,23 @@ def propagator_grid(
 def evolve_grid(
     hamiltonians: Sequence[Hamiltonian],
     times: np.ndarray,
-    psi0: QubitState,
+    psi0,
     spec: IntegratorSpec = ROTATING_SPEC,
 ) -> np.ndarray:
-    """Evolve one initial state under a batch of Hamiltonians, sampling ``times``.
+    """Evolve one (2,) initial state under a batch of Hamiltonians, sampling ``times``.
 
     Returns the states :func:`propagator_grid` carries ``psi0`` to, shape
     (batch, len(times), 2), mapped straight from the core's checked pairs.
     """
-    return _states(*_unitaries(hamiltonians, 0.0, times, spec, "evolve_grid"), psi0.amplitudes)
+    psi0 = initial_state(psi0)
+    return _states(*_unitaries(hamiltonians, 0.0, times, spec, "evolve_grid"), psi0)
 
 
 def richardson_check(
-    h: Hamiltonian, psi0: QubitState, t0: float, t1: float, spec: IntegratorSpec = ROTATING_SPEC
-) -> tuple[QubitState, float]:
+    h: Hamiltonian, psi0, t0: float, t1: float, spec: IntegratorSpec = ROTATING_SPEC
+) -> tuple[np.ndarray, float]:
     """Step-halving convergence check: evolve at h and h/2, report the gap."""
     coarse = evolve(h, psi0, t0, t1, spec)
     fine = evolve(h, psi0, t0, t1, spec.halved())
-    gap = float(np.abs(coarse.amplitudes - fine.amplitudes).max())
+    gap = float(np.abs(coarse - fine).max())
     return fine, gap

@@ -11,10 +11,11 @@ zero-duration rows, which take no time and are skipped.
 Gate sequences run only on a dressed drive (``DriveConfig.dressed``) with
 eps_m = Omega_0 / (4 n); ``require_gate_lattice`` is the one guard of both,
 and ``simulate_program`` applies it to every drive it is given.
-``simulate_program`` runs program i under drive i in the second rotating
-frame, the frame ``drive.gate_frame`` picks for a dressed drive, refuses a
-program with a piece boundary off the modulation-period lattice
-(Omega_0 t = 0 mod 2pi), and returns the final amplitudes as one array. On
+``simulate_program`` runs program i under drive i, from one (2,) start state
+(|0> by default), in the second rotating frame, the frame
+``drive.gate_frame`` picks for a dressed drive, refuses a program with a
+piece boundary off the modulation-period lattice (Omega_0 t = 0 mod 2pi),
+and returns the final amplitudes as one array. On
 that lattice the second-frame unitary is +-I, so the per-piece second frames
 coincide (up to a physically irrelevant global sign) and a program is
 simulated piece by piece with no hand-off bookkeeping. Every program that
@@ -45,7 +46,7 @@ import numpy as np
 from .drive import DriveConfig, Hamiltonian, second_frame_hamiltonian
 from .errors import ConfigError
 from .propagator import _states, propagator_grid
-from .qubit import QubitState, normalized
+from .qubit import ZERO_STATE, initial_state, normalized
 
 __all__ = [
     "piece_propagators",
@@ -145,21 +146,22 @@ def piece_propagators(
 def simulate_program(
     drives: Sequence[DriveConfig],
     programs,
-    psi0: QubitState | None = None,
+    psi0=ZERO_STATE,
 ) -> np.ndarray:
     """Propagate program i of a (programs, pieces, 3) batch under ``drives[i]``,
     in the second rotating frame.
 
-    Returns the final amplitudes of each program, started from ``psi0`` (|0>
-    by default) and renormalized by :func:`qubit.normalized`, as one
-    (len(programs), 2) complex array. The pieces must pass the value checks
+    Returns the final amplitudes of each program, started from the (2,) state
+    ``psi0`` (|0> by default; checked by :func:`qubit.initial_state`) and
+    renormalized by :func:`qubit.normalized`, as one (len(programs), 2)
+    complex array. The pieces must pass the value checks
     of a program, every drive :func:`require_gate_lattice`, and every piece
     must end on its drive's modulation-period lattice (``ConfigError``
     otherwise), before anything is integrated. The propagators of the
     distinct pieces under the distinct drives come from one
     :func:`piece_propagators` call at reference azimuth 0.
     """
-    programs = _checked(programs)
+    programs, psi0 = _checked(programs), initial_state(psi0)
     if len(drives) != len(programs):
         raise ConfigError(f"{len(drives)} drives for {len(programs)} programs")
     index = {cfg: i for i, cfg in enumerate(dict.fromkeys(drives))}
@@ -179,8 +181,7 @@ def simulate_program(
         )
     active = duration > 0.0  # a piece's span is its clock end minus its clock start
     spans = np.stack([theta, phi, np.diff(clock, axis=1, prepend=0.0)], axis=-1)[active]
-    amps = (psi0 if psi0 is not None else QubitState.zero()).amplitudes
-    amps = np.broadcast_to(amps, (len(programs), 2))
+    amps = np.broadcast_to(psi0, (len(programs), 2))
     if not active.any():
         return normalized(amps)
     # the distinct spans in sorted order; a batch's member order keeps each member's bits

@@ -1,43 +1,44 @@
-"""SU(2) primitives: qubit states, Pauli operators, axis operators and fidelity.
+"""SU(2) primitives: qubit states, Pauli operators and axis operators.
 
-States are pure two-component amplitude vectors, read out as arrays over
-(..., 2): ``normalized`` is the one norm rule and ``bloch_vector`` the one
-Bloch readout. ``QubitState`` is a single checked state (an initial state,
-or the result of ``evolve``); operators are plain 2x2 complex ndarrays. All
-values are immutable after construction and all functions are pure, so
-everything here is safe to share across threads.
+A state is a pure two-component complex amplitude array, and a batch of
+states a (..., 2) array: ``normalized`` is the one norm rule,
+``initial_state`` the one check of a propagation's start, and
+``bloch_vector`` and ``population_up`` the readouts. Every experiment starts
+from ``ZERO_STATE``, |0>. Operators are plain 2x2 complex ndarrays. The
+constants are read-only and all functions are pure, so everything here is
+safe to share across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
     "IDENTITY",
-    "QubitState",
+    "ZERO_STATE",
     "bloch_vector",
+    "initial_state",
     "normalized",
     "population_up",
     "pauli_axis",
     "rotation",
-    "state_fidelity",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
+#: |0>, the start of every experiment
+ZERO_STATE = np.array([1.0, 0.0], dtype=complex)
 
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY):
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY, ZERO_STATE):
     _m.setflags(write=False)
 
-#: Norm deviation accepted at construction; larger deviations are treated as
+#: Norm deviation ``normalized`` accepts; larger deviations are treated as
 #: upstream numerical failures rather than silently renormalized away.
 NORM_TOLERANCE = 1e-8
 
@@ -64,32 +65,16 @@ def normalized(amps) -> np.ndarray:
     return (flat / norm).reshape(amps.shape)
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Normalized two-component pure state.
+def initial_state(psi0) -> np.ndarray:
+    """The start ``psi0`` of a propagation as a (2,) complex array, divided by its norm.
 
-    The constructor validates the norm within ``NORM_TOLERANCE`` and then
-    renormalizes exactly, so ``|a0|^2 + |a1|^2 == 1`` holds to 1e-12 for
-    every state instance.
+    Refuses another shape (``ConfigError``) and a norm off 1
+    (``NumericalError``, from :func:`normalized`).
     """
-
-    amplitudes: np.ndarray = field()
-
-    def __post_init__(self) -> None:
-        amps = normalized(np.asarray(self.amplitudes, dtype=complex).reshape(2))
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls) -> "QubitState":
-        return cls(np.array([1.0, 0.0], dtype=complex))
-
-    def apply(self, unitary: np.ndarray) -> "QubitState":
-        return QubitState(np.asarray(unitary, dtype=complex) @ self.amplitudes)
-
-    def population_up(self) -> float:
-        """Spin-up fraction |<1|psi>|^2."""
-        return float(population_up(self.amplitudes))
+    amps = np.asarray(psi0, dtype=complex)
+    if amps.shape != (2,):
+        raise ConfigError(f"psi0 must have shape (2,), got {amps.shape}")
+    return normalized(amps)
 
 
 def bloch_vector(amps) -> np.ndarray:
@@ -135,8 +120,3 @@ def rotation(phi: float, angle: float) -> np.ndarray:
         np.cos(angle / 2.0) * IDENTITY
         - 1.0j * np.sin(angle / 2.0) * pauli_axis(phi)
     )
-
-
-def state_fidelity(a: QubitState, b: QubitState) -> float:
-    """Overlap fidelity |<b|a>|^2; invariant under global phases."""
-    return float(np.abs(np.vdot(b.amplitudes, a.amplitudes)) ** 2)

@@ -3,8 +3,8 @@
 ``first_frame_coefficients`` and ``second_frame_coefficients`` are the
 closures the rotating-frame builders returned before their coefficients
 became data (``drive.FrameCoefficients``); the batch evaluator must match
-``np.stack`` of them bit for bit. The first-frame unitary and the frame
-transforms other than ``to_second_frame`` check the drive model itself,
+``np.stack`` of them bit for bit. The frame unitaries, the frame transforms
+of (2,) states and ``state_fidelity`` check the drive model itself,
 ``clifford_sequence_program`` is the piece-by-piece oracle of the RB
 primitives, ``per_piece_oracle`` steps each piece of a program under its
 own drive, the oracle of ``pulses.piece_propagators``, and ``program_loop``
@@ -36,11 +36,10 @@ from ccdsim.drive import (
     counter_rotating_coefficient,
     first_frame_hamiltonian,
     second_frame_hamiltonian,
-    second_frame_unitary,
 )
 from ccdsim.propagator import ROTATING_SPEC, evolve
 from ccdsim.pulses import GATE_MOD_PHASE, piece_propagators
-from ccdsim.qubit import QubitState
+from ccdsim.qubit import ZERO_STATE, normalized, rotation
 
 
 def clifford(index: int) -> CliffordGate:
@@ -49,12 +48,17 @@ def clifford(index: int) -> CliffordGate:
     return clifford_group()[index]
 
 
-def one_state() -> QubitState:
-    return QubitState(np.array([0.0, 1.0], dtype=complex))
+def one_state() -> np.ndarray:
+    return normalized(np.array([0.0, 1.0], dtype=complex))
 
 
-def plus_state() -> QubitState:
-    return QubitState(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+def plus_state() -> np.ndarray:
+    return normalized(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+
+
+def state_fidelity(a, b) -> float:
+    """Overlap fidelity |<b|a>|^2 of two (2,) states; invariant under global phases."""
+    return float(np.abs(np.vdot(b, a)) ** 2)
 
 
 def scalar_normalized(amps) -> np.ndarray:
@@ -199,17 +203,27 @@ def first_frame_unitary(cfg, t):
     return np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
 
 
-def to_first_frame(state: QubitState, cfg, t) -> QubitState:
-    """Map a lab-frame state at time t into the first rotating frame."""
-    return state.apply(first_frame_unitary(cfg, t).conj().T)
+def second_frame_unitary(cfg, t):
+    """Frame unitary exp(-i (Omega_0 t / 2) sigma_{phi_mw}) of the second frame."""
+    return rotation(cfg.mw_phase, cfg.rabi * t)
 
 
-def from_first_frame(state: QubitState, cfg, t) -> QubitState:
-    return state.apply(first_frame_unitary(cfg, t))
+def to_first_frame(state, cfg, t):
+    """Map a lab-frame (2,) state at time t into the first rotating frame."""
+    return first_frame_unitary(cfg, t).conj().T @ state
 
 
-def from_second_frame(state: QubitState, cfg, t) -> QubitState:
-    return state.apply(second_frame_unitary(cfg, t))
+def from_first_frame(state, cfg, t):
+    return first_frame_unitary(cfg, t) @ state
+
+
+def to_second_frame(state, cfg, t):
+    """Map a first-frame (2,) state at time t into the second rotating frame."""
+    return second_frame_unitary(cfg, t).conj().T @ state
+
+
+def from_second_frame(state, cfg, t):
+    return second_frame_unitary(cfg, t) @ state
 
 
 def clifford_sequence_program(gates: list[CliffordGate], cfg: DriveConfig) -> np.ndarray:
@@ -231,13 +245,13 @@ def clifford_sequence_program(gates: list[CliffordGate], cfg: DriveConfig) -> np
     ).reshape(-1, 3)
 
 
-def per_piece_oracle(cfg: DriveConfig, pieces, frame: str, spec=ROTATING_SPEC) -> QubitState:
+def per_piece_oracle(cfg: DriveConfig, pieces, frame: str, spec=ROTATING_SPEC) -> np.ndarray:
     """Final state of the program ``pieces`` (n, 3) from |0>: stepped evolve of
     each piece under its own drive ``cfg.with_pulse(theta_m, phi_mw)``, from its
     start to its end time, with the Hamiltonian's period cleared so that no
     lattice path applies."""
     build = first_frame_hamiltonian if frame == "first" else second_frame_hamiltonian
-    state, t = QubitState.zero(), 0.0
+    state, t = ZERO_STATE, 0.0
     for theta, phi, duration in np.asarray(pieces, dtype=float).tolist():
         if duration > 0.0:
             drive = cfg.with_pulse(theta, phi)
@@ -246,7 +260,7 @@ def per_piece_oracle(cfg: DriveConfig, pieces, frame: str, spec=ROTATING_SPEC) -
     return state
 
 
-def program_loop(drives, programs, psi0=None) -> np.ndarray:
+def program_loop(drives, programs, psi0=ZERO_STATE) -> np.ndarray:
     """``simulate_program`` as it was before it composed over programs: each
     program lowered to its pieces on a Python clock, the distinct pieces and
     drives integrated in one ``piece_propagators`` call, and a 2x2 ``@`` per
@@ -263,7 +277,7 @@ def program_loop(drives, programs, psi0=None) -> np.ndarray:
     index = {cfg: i for i, cfg in enumerate(dict.fromkeys(drives))}
     column = {piece: j for j, piece in enumerate(dict.fromkeys(p for ps in lowered for p in ps))}
     us = piece_propagators(list(index), list(column), second_frame_hamiltonian, 0.0)
-    start = (psi0 if psi0 is not None else QubitState.zero()).amplitudes
+    start = normalized(psi0)
     finals = np.empty((len(lowered), 2), dtype=complex)
     for i, (cfg, pieces) in enumerate(zip(drives, lowered)):
         amps, row = start, us[index[cfg]]

@@ -31,7 +31,6 @@ from ccdsim.drive import (
     iq_baseband,
     lab_hamiltonian,
     second_frame_hamiltonian,
-    to_second_frame,
 )
 from ccdsim.experiments import (
     NoiseSpec,
@@ -49,10 +48,11 @@ from ccdsim.propagator import (
     propagator_unitary,
     richardson_check,
 )
-from ccdsim.qubit import QubitState, normalized, population_up, state_fidelity
+from ccdsim.qubit import ZERO_STATE, normalized, population_up
 from ccdsim.rb import randomized_benchmarking
 
 from fits import dominant_frequency, fit_decaying_sinusoid
+from oracles import state_fidelity, to_second_frame
 
 RABI = 2 * math.pi * 3.6e6
 FIG8_RABI = 2 * math.pi * 2.2e6
@@ -115,8 +115,8 @@ class TestFrameEquivalence:
             )
             gate_rate = cfg.mod_strength or cfg.rabi / 4.0
             t1 = float(rng.uniform(0.5, 3.0)) * math.pi / gate_rate
-            first = evolve(first_frame_hamiltonian(cfg), QubitState.zero(), 0.0, t1)
-            second = evolve(second_frame_hamiltonian(cfg), QubitState.zero(), 0.0, t1)
+            first = evolve(first_frame_hamiltonian(cfg), ZERO_STATE, 0.0, t1)
+            second = evolve(second_frame_hamiltonian(cfg), ZERO_STATE, 0.0, t1)
             fidelity = state_fidelity(to_second_frame(first, cfg, t1), second)
             worst = min(worst, fidelity)
         assert worst >= 1.0 - 1e-8
@@ -131,8 +131,8 @@ class TestCarrierRwa:
                 cfg = default_config(scheme, omega_mw=ratio * RABI)
                 em = cfg.mod_strength
                 durations = np.array([math.pi / (2 * em), math.pi / em, 2 * math.pi / em])
-                lab = evolve_grid([lab_hamiltonian(cfg)], durations, QubitState.zero(), LAB_CF4)
-                rot = evolve_grid([first_frame_hamiltonian(cfg)], durations, QubitState.zero())
+                lab = evolve_grid([lab_hamiltonian(cfg)], durations, ZERO_STATE, LAB_CF4)
+                rot = evolve_grid([first_frame_hamiltonian(cfg)], durations, ZERO_STATE)
                 bound = 2.0 / ratio
                 gaps = np.abs(population_up(normalized(lab[0])) - population_up(normalized(rot[0])))
                 for gap in gaps:
@@ -345,13 +345,13 @@ class TestNumericalHygiene:
         worst_unitarity = 0.0
         worst_drift = 0.0
         worst_gap = 0.0
-        psi0 = QubitState.zero()
+        psi0 = ZERO_STATE
         for ham, duration in self.presets():
             u = propagator_unitary(ham, 0.0, duration)
             worst_unitarity = max(
                 worst_unitarity, float(np.abs(u.conj().T @ u - np.eye(2)).max())
             )
-            amps = u @ psi0.amplitudes
+            amps = u @ psi0
             worst_drift = max(worst_drift, abs(float(np.linalg.norm(amps)) - 1.0))
             _, gap = richardson_check(ham, psi0, 0.0, duration)
             worst_gap = max(worst_gap, gap)

@@ -195,7 +195,7 @@ class TestConfigPrecedence:
             ["chevron", "--scheme", "foo"],
             ["chevron", "--durations", "4.5"],
             ["rb", "--static-detuning-frac", "abc"],
-            ["rb", "--static-rabi-error-frac", "nan"],
+            ["rb", "--static-detuning-frac", "nan"],
             ["spectrum", "--axis", "foo"],
             ["chevron", "--bananas", "1"],
         ],
@@ -214,7 +214,8 @@ class TestConfigPrecedence:
         "flags, line",
         [
             (["--static-detuning-frac", "0.05"], "detuning_hz = 180000.0"),
-            (["--static-rabi-error-frac", "0.05"], "rabi_error_frac = 0.05"),
+            # the static Rabi error is spelled by its key alone
+            (["--rabi-error-frac", "0.05"], "rabi_error_frac = 0.05"),
         ],
         ids=["static-detuning", "static-rabi-error"],
     )
@@ -226,6 +227,19 @@ class TestConfigPrecedence:
         meta_plain, meta = read_csv(plain)[0], read_csv(static)[0]
         assert meta["config_hash"] != meta_plain["config_hash"]
         assert line in meta.values()
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_the_removed_static_rabi_error_alias_exits_2(self, tmp_path, capsys, source):
+        config = tmp_path / "old.cfg"
+        config.write_text("static_rabi_error_frac = 0.05\n" if source == "file" else "")
+        extra = ["--static-rabi-error-frac", "0.05"] if source == "flag" else []
+        out = tmp_path / "o.csv"
+        args = ["rb", "--cliffords", "1,2", "--k", "2", "--config", str(config), *extra]
+        assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "config"
+        assert "static" in record["error"]["message"]
 
     @pytest.mark.parametrize(
         "file_text, args, keys",
@@ -256,7 +270,6 @@ class TestConfigPrecedence:
             "out": "elsewhere.csv", "cliffords": "1,3", "mod_strength_hz": "1e6",
             "alpha_a": "1.0", "alpha_p": "0.0", "detuning_span_hz": "2e6",
             "rabi_error_span_frac": "0.2", "static_detuning_frac": "0.05",
-            "static_rabi_error_frac": "-0.02",
         }
         for key, kind in KEY_TYPES.items():
             if key not in texts:
@@ -712,6 +725,29 @@ class TestSubcommands:
         assert main(["selftest"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize(
+        "module, name, wrong, check",
+        [
+            (cli, "chevron_sweep", lambda *args: np.full((1, 1), 0.5),
+             "bare detuned Rabi analytic value"),
+            (experiments, "infidelity_curve", lambda *args: np.array([0.5]),
+             "CMCCD resonant Y_pi gate"),
+            (pulses, "simulate_program", lambda drives, programs: np.array([[0.6, 0.8j]]),
+             "first/second frame equivalence"),
+        ],
+        ids=["chevron", "infidelity", "dressed-program"],
+    )
+    def test_selftest_checks_the_entry_points_of_the_subcommands(
+        self, capsys, monkeypatch, module, name, wrong, check
+    ):
+        # each state check calls what chevron, infidelity or dressed --program calls
+        monkeypatch.setattr(module, name, wrong)
+        assert main(["selftest"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if not line.startswith("PASS ")]
+        assert len(lines) == 7 and len(failed) == 1
+        assert failed[0].startswith(f"FAIL {check}: ")
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "c.json"

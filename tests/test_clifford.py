@@ -14,7 +14,7 @@ from ccdsim.clifford import (
 )
 from ccdsim.drive import Scheme, default_config
 from ccdsim.pulses import simulate_program
-from ccdsim.qubit import IDENTITY, QubitState, population_up
+from ccdsim.qubit import IDENTITY, ZERO_STATE, population_up
 from oracles import clifford, clifford_sequence_program
 
 
@@ -98,10 +98,8 @@ class TestSequenceProgram:
             gate = clifford(int(index))
             program = clifford_sequence_program([gate], cfg)
             simulated = simulate_program([cfg], program[None])[0]
-            ideal = QubitState(gate.matrix @ QubitState.zero().amplitudes)
-            assert population_up(simulated) == pytest.approx(
-                ideal.population_up(), abs=1e-8
-            )
+            ideal = gate.matrix @ ZERO_STATE
+            assert population_up(simulated) == pytest.approx(population_up(ideal), abs=1e-8)
 
     def test_programs_end_on_the_period_lattice(self):
         cfg = default_config(Scheme.CMCCD)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ccdsim.config import ConfigError, RunConfig, emit_config, flag, parse_config
+from ccdsim.config import KEY_TYPES, ConfigError, RunConfig, emit_config, flag, parse_config
 from ccdsim.drive import Scheme
 
 
@@ -35,6 +35,13 @@ class TestParse:
         assert excinfo.value.line == 2
         assert excinfo.value.column == 1
         assert "bananas" in str(excinfo.value)
+
+    def test_static_rabi_error_frac_is_an_unknown_key(self):
+        # the static Rabi error has one spelling, rabi_error_frac, already a fraction of Omega_0
+        with pytest.raises(ConfigError, match="unknown key 'static_rabi_error_frac'") as excinfo:
+            parse_config("static_rabi_error_frac = 0.02\n")
+        assert excinfo.value.line == 1
+        assert "static_rabi_error_frac" not in KEY_TYPES
 
     def test_malformed_line_reports_line(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -138,9 +145,8 @@ class TestParse:
             ("rabi_error_span_frac = 0.4",
              "rabi_error_start_frac = -0.2\nrabi_error_stop_frac = 0.2"),
             ("static_detuning_frac = 0.05", "detuning_hz = 110000.0"),
-            ("static_rabi_error_frac = -0.02", "rabi_error_frac = -0.02"),
         ],
-        ids=["detuning_span", "rabi_error_span", "static_detuning", "static_rabi_error"],
+        ids=["detuning_span", "rabi_error_span", "static_detuning"],
     )
     def test_derived_spellings_resolve_into_their_keys(self, derived, resolved):
         cfg = parse_config(f"rabi_hz = 2.2e6\n{derived}\n")
@@ -153,7 +159,6 @@ class TestParse:
             "detuning_start_hz = -1e6\ndetuning_span_hz = 2e6\n",
             "rabi_error_stop_frac = 0.1\nrabi_error_span_frac = 0.4\n",
             "detuning_hz = 1e4\nstatic_detuning_frac = 0.05\n",
-            "rabi_error_frac = 0.01\nstatic_rabi_error_frac = 0.02\n",
         ],
         ids=lambda text: text.split()[3],
     )

@@ -99,5 +99,6 @@ def test_a_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys, option):
     assert main(command) == 2
     record = error_record(capsys)
     assert record["kind"] == "config"
+    assert record["message"].startswith(f"{option} file {str(path)!r} is not UTF-8: ")
     assert "utf-8" in record["message"]
     assert not out.exists()

@@ -27,7 +27,7 @@ from ccdsim.experiments import (
     shot_mean,
 )
 from ccdsim.propagator import ROTATING_SPEC, evolve_grid
-from ccdsim.qubit import QubitState
+from ccdsim.qubit import ZERO_STATE
 
 from fits import dominant_frequency, fit_decaying_sinusoid
 from oracles import pairwise_spread
@@ -305,7 +305,7 @@ class TestSweepValueGuard:
 
 def bare_rabi_experiment(times):
     def run(shot):
-        states = evolve_grid([first_frame_hamiltonian(shot)], times, QubitState.zero())
+        states = evolve_grid([first_frame_hamiltonian(shot)], times, ZERO_STATE)
         return np.abs(states[0, :, 1]) ** 2
 
     return run
@@ -431,7 +431,7 @@ class TestNoiseAverage:
         ccd_times = lattice_times(CFG, 48)[1:]
 
         def ccd_run(shot):
-            states = evolve_grid([second_frame_hamiltonian(shot)], ccd_times, QubitState.zero())
+            states = evolve_grid([second_frame_hamiltonian(shot)], ccd_times, ZERO_STATE)
             return np.abs(states[0, :, 1]) ** 2
 
         ccd_avg = noise_average(ccd_run, noise, CFG)

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -18,7 +19,7 @@ from ccdsim.drive import (
     lab_hamiltonian,
     second_frame_hamiltonian,
 )
-from ccdsim.errors import NumericalError
+from ccdsim.errors import ConfigError, NumericalError
 from ccdsim.propagator import (
     LAB_SPEC,
     ROTATING_SPEC,
@@ -31,8 +32,9 @@ from ccdsim.propagator import (
     su2_exp,
     su2_power,
 )
-from ccdsim.qubit import IDENTITY, QubitState, SIGMA_X, state_fidelity
-from oracles import one_state, plus_state, second_frame_coefficients
+from ccdsim.pulses import GATE_MOD_PHASE, simulate_program
+from ccdsim.qubit import IDENTITY, SIGMA_X, ZERO_STATE, population_up
+from oracles import one_state, plus_state, second_frame_coefficients, state_fidelity
 
 RABI = 2 * math.pi * 3.6e6
 
@@ -81,35 +83,35 @@ class TestEvolve:
     def test_constant_pi_pulse(self):
         omega = RABI
         ham = constant(omega / 2 * SIGMA_X, fastest_period=2 * math.pi / omega)
-        out = evolve(ham, QubitState.zero(), 0.0, math.pi / omega)
+        out = evolve(ham, ZERO_STATE, 0.0, math.pi / omega)
         assert state_fidelity(out, one_state()) >= 1.0 - 1e-10
 
     def test_detuned_rabi_against_analytic_oracle(self):
         # bare first frame, delta = Omega_0, duration pi/Omega_0
         cfg = default_config(Scheme.BARE).with_errors(detuning=RABI)
-        out = evolve(first_frame_hamiltonian(cfg), QubitState.zero(), 0.0, math.pi / RABI)
+        out = evolve(first_frame_hamiltonian(cfg), ZERO_STATE, 0.0, math.pi / RABI)
         expected = rabi_population(RABI, RABI, math.pi / RABI)
         assert expected == pytest.approx(0.31656383551035387, rel=1e-12)
-        assert out.population_up() == pytest.approx(expected, abs=1e-10)
+        assert population_up(out) == pytest.approx(expected, abs=1e-10)
 
     def test_grid_sampling_matches_single_shots(self):
         cfg = default_config(Scheme.CMCCD, detuning=0.05 * RABI)
         ham = second_frame_hamiltonian(cfg)
         times = np.linspace(0.2e-6, 1.0e-6, 5)
-        sampled = evolve_grid([ham], times, QubitState.zero())[0]
+        sampled = evolve_grid([ham], times, ZERO_STATE)[0]
         for t, amps in zip(times, sampled):
-            single = evolve(ham, QubitState.zero(), 0.0, float(t))
-            assert state_fidelity(QubitState(amps), single) >= 1.0 - 1e-9
+            single = evolve(ham, ZERO_STATE, 0.0, float(t))
+            assert state_fidelity(amps, single) >= 1.0 - 1e-9
 
     def test_rejects_reversed_interval(self):
         ham = constant(SIGMA_X, fastest_period=1.0)
         with pytest.raises(ValueError):
-            evolve(ham, QubitState.zero(), 1.0, 0.0)
+            evolve(ham, ZERO_STATE, 1.0, 0.0)
 
     def test_requires_step_information(self):
         ham = constant(SIGMA_X)  # no period, unbounded step
         with pytest.raises(NumericalError):
-            evolve(ham, QubitState.zero(), 0.0, 1.0)
+            evolve(ham, ZERO_STATE, 0.0, 1.0)
 
 
 class TestTimeChecks:
@@ -118,7 +120,7 @@ class TestTimeChecks:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda h: evolve(h, QubitState.zero(), math.nan, 1e-6),
+            lambda h: evolve(h, ZERO_STATE, math.nan, 1e-6),
             lambda h: propagator_unitary(h, 0.0, math.inf),
             lambda h: propagator_grid([h], [0.0, math.inf]),
         ],
@@ -127,6 +129,39 @@ class TestTimeChecks:
     def test_non_finite_time_is_refused(self, call):
         with pytest.raises(ValueError, match="must be finite"):
             call(self.HAM)
+
+
+GATE_CFG = default_config(Scheme.CMCCD)
+#: every entry point that takes a start state, run for one modulation period
+START_STATE_ENTRY_POINTS = {
+    "evolve": lambda psi0: evolve(
+        second_frame_hamiltonian(GATE_CFG), psi0, 0.0, GATE_CFG.mod_period
+    ),
+    "evolve_grid": lambda psi0: evolve_grid(
+        [second_frame_hamiltonian(GATE_CFG)], [GATE_CFG.mod_period], psi0
+    ),
+    "richardson_check": lambda psi0: richardson_check(
+        second_frame_hamiltonian(GATE_CFG), psi0, 0.0, GATE_CFG.mod_period
+    ),
+    "simulate_program": lambda psi0: simulate_program(
+        [GATE_CFG], [[(GATE_MOD_PHASE, 0.0, GATE_CFG.mod_period)]], psi0
+    ),
+}
+
+
+class TestStartState:
+    @pytest.mark.parametrize("name", START_STATE_ENTRY_POINTS)
+    @pytest.mark.parametrize("shape", [(3,), (1, 2)])
+    def test_a_start_of_another_shape_is_a_config_error(self, name, shape):
+        psi0 = np.full(shape, 1.0 / math.sqrt(np.prod(shape)), dtype=complex)  # of unit norm
+        message = rf"^psi0 must have shape \(2,\), got {re.escape(str(shape))}$"
+        with pytest.raises(ConfigError, match=message):
+            START_STATE_ENTRY_POINTS[name](psi0)
+
+    @pytest.mark.parametrize("name", START_STATE_ENTRY_POINTS)
+    def test_an_unnormalized_start_is_a_numerical_error(self, name):
+        with pytest.raises(NumericalError, match="norm 1.414"):
+            START_STATE_ENTRY_POINTS[name](np.array([1.0, 1.0]))
 
 
 class TestPropagatorUnitary:
@@ -178,7 +213,7 @@ class TestAccuracy:
             cfg = default_config(scheme, detuning=0.07 * RABI, rabi_error=-0.05 * RABI)
             gate_time = math.pi / (cfg.mod_strength or cfg.rabi)
             for build in (first_frame_hamiltonian, second_frame_hamiltonian):
-                _, gap = richardson_check(build(cfg), QubitState.zero(), 0.0, gate_time)
+                _, gap = richardson_check(build(cfg), ZERO_STATE, 0.0, gate_time)
                 assert gap <= 1e-8
 
     def test_cf4_is_fourth_order(self):
@@ -186,12 +221,12 @@ class TestAccuracy:
         ham = first_frame_hamiltonian(cfg)
         t1 = 3 * cfg.mod_period
         reference = evolve(
-            ham, QubitState.zero(), 0.0, t1, IntegratorSpec(steps_per_fastest_period=6400)
+            ham, ZERO_STATE, 0.0, t1, IntegratorSpec(steps_per_fastest_period=6400)
         )
 
         def error(spec):
-            out = evolve(ham, QubitState.zero(), 0.0, t1, spec)
-            return np.abs(out.amplitudes - reference.amplitudes).max()
+            out = evolve(ham, ZERO_STATE, 0.0, t1, spec)
+            return np.abs(out - reference).max()
 
         cf4_coarse = error(IntegratorSpec(steps_per_fastest_period=100))
         cf4_fine = error(IntegratorSpec(steps_per_fastest_period=200))
@@ -200,8 +235,8 @@ class TestAccuracy:
     def test_two_methods_agree(self):
         cfg = default_config(Scheme.AMCCD, detuning=0.02 * RABI)
         ham = second_frame_hamiltonian(cfg)
-        mid = evolve(ham, QubitState.zero(), 0.0, 1e-6, IntegratorSpec(steps_per_fastest_period=800))
-        cf4 = evolve(ham, QubitState.zero(), 0.0, 1e-6, IntegratorSpec())
+        mid = evolve(ham, ZERO_STATE, 0.0, 1e-6, IntegratorSpec(steps_per_fastest_period=800))
+        cf4 = evolve(ham, ZERO_STATE, 0.0, 1e-6, IntegratorSpec())
         assert state_fidelity(mid, cf4) >= 1.0 - 1e-9
 
 
@@ -211,18 +246,18 @@ class TestEvolveGrid:
         detunings = np.array([-0.2, 0.0, 0.15]) * RABI
         hams = [first_frame_hamiltonian(base.with_errors(detuning=d)) for d in detunings]
         times = np.arange(1, 6) * base.mod_period
-        states = evolve_grid(hams, times, QubitState.zero())
+        states = evolve_grid(hams, times, ZERO_STATE)
         # every |delta| < Omega_0, so each Hamiltonian alone takes the batch's step
         for row, ham in enumerate(hams):
             for col, t in enumerate(times):
-                single = evolve(ham, QubitState.zero(), 0.0, float(t), ROTATING_SPEC)
-                overlap = abs(np.vdot(single.amplitudes, states[row, col])) ** 2
+                single = evolve(ham, ZERO_STATE, 0.0, float(t), ROTATING_SPEC)
+                overlap = abs(np.vdot(single, states[row, col])) ** 2
                 assert overlap >= 1.0 - 1e-12
 
     def test_rejects_descending_times(self):
         cfg = default_config(Scheme.CMCCD)
         with pytest.raises(ValueError):
-            evolve_grid([first_frame_hamiltonian(cfg)], np.array([2e-6, 1e-6]), QubitState.zero())
+            evolve_grid([first_frame_hamiltonian(cfg)], np.array([2e-6, 1e-6]), ZERO_STATE)
 
     def test_stepped_chunks_bound_batch_times_steps(self, monkeypatch):
         base = default_config(Scheme.CMCCD)
@@ -231,7 +266,7 @@ class TestEvolveGrid:
             for d in (-0.2, 0.0, 0.15)
         ]
         times = np.array([0.37, 1.9, 3.3]) * base.mod_period  # off the lattice: stepped
-        reference = evolve_grid(hams, times, QubitState.zero())
+        reference = evolve_grid(hams, times, ZERO_STATE)
         sizes = []
         inner = propagator._step_unitaries
 
@@ -242,7 +277,7 @@ class TestEvolveGrid:
 
         monkeypatch.setattr(propagator, "_CHUNK", 64)
         monkeypatch.setattr(propagator, "_step_unitaries", spy)
-        chunked = evolve_grid(hams, times, QubitState.zero())
+        chunked = evolve_grid(hams, times, ZERO_STATE)
         assert len(sizes) > 2 * len(times)  # several chunks per interval
         assert max(sizes) <= 64
         assert np.abs(chunked - reference).max() < 1e-12
@@ -352,16 +387,16 @@ class TestLatticePaths:
         hams = _random_hamiltonians(scheme, build, 3, seed=list(Scheme).index(scheme))
         period = default_config(scheme).mod_period
         times = LATTICE_COUNTS * period
-        fast = evolve_grid(hams, times, QubitState.zero())
+        fast = evolve_grid(hams, times, ZERO_STATE)
         if hams[0].period == 0.0:
             # constant H is in closed form at any time; step it by clearing the period
             stepped = evolve_grid(
-                [replace(h, period=math.inf) for h in hams], times, QubitState.zero()
+                [replace(h, period=math.inf) for h in hams], times, ZERO_STATE
             )
         else:
             # one extra sample half a period past the lattice forces stepping
             nudged = np.append(times, times[-1] + 0.5 * period)
-            stepped = evolve_grid(hams, nudged, QubitState.zero())[:, :-1]
+            stepped = evolve_grid(hams, nudged, ZERO_STATE)[:, :-1]
         assert spy.paths == [True, False]
         assert np.abs(fast - stepped).max() <= 1e-7
 
@@ -378,7 +413,7 @@ class TestLatticePaths:
             assert np.abs(u_fast - u_step).max() <= 1e-7
             psi_fast = evolve(ham, plus_state(), t0, t1)
             psi_step = evolve(stepped_ham, plus_state(), t0, t1)
-            assert np.abs(psi_fast.amplitudes - psi_step.amplitudes).max() <= 1e-7
+            assert np.abs(psi_fast - psi_step).max() <= 1e-7
         assert spy.paths == [True, False, True, False] * len(Scheme)
 
     def test_constant_hamiltonian_closed_form_off_lattice(self):
@@ -386,8 +421,8 @@ class TestLatticePaths:
         ham = first_frame_hamiltonian(cfg)
         assert ham.period == 0.0
         times = np.linspace(0.0, 7.3e-6, 57)
-        closed = evolve_grid([ham], times, QubitState.zero())
-        stepped = evolve_grid([replace(ham, period=math.inf)], times, QubitState.zero())
+        closed = evolve_grid([ham], times, ZERO_STATE)
+        stepped = evolve_grid([replace(ham, period=math.inf)], times, ZERO_STATE)
         assert np.abs(closed - stepped).max() <= 1e-9
         u = propagator_unitary(ham, 0.13e-6, 2.9e-6)
         coeffs = ham.coefficients(np.array(0.0))
@@ -403,9 +438,9 @@ class TestLatticePaths:
         assert [h.period for h in hams] == [base.mod_period, 0.0, base.mod_period]
         spy = _PathSpy(monkeypatch)
         times = LATTICE_COUNTS * base.mod_period
-        fast = evolve_grid(hams, times, QubitState.zero())
+        fast = evolve_grid(hams, times, ZERO_STATE)
         stepped = evolve_grid(
-            [replace(h, period=math.inf) for h in hams], times, QubitState.zero()
+            [replace(h, period=math.inf) for h in hams], times, ZERO_STATE
         )
         assert spy.paths == [True, False]
         assert np.abs(fast - stepped).max() <= 1e-7
@@ -415,9 +450,9 @@ class TestLatticePaths:
         period = default_config(Scheme.PMCCD).mod_period
         times = np.array([0.0, 1.0, 2.5, 4.0, 9.0]) * period
         spy = _PathSpy(monkeypatch)
-        grid = evolve_grid(hams, times, QubitState.zero())
+        grid = evolve_grid(hams, times, ZERO_STATE)
         reference = evolve_grid(
-            [replace(h, period=math.inf) for h in hams], times, QubitState.zero()
+            [replace(h, period=math.inf) for h in hams], times, ZERO_STATE
         )
         assert spy.paths == [False, False]
         assert np.array_equal(grid, reference)
@@ -429,9 +464,9 @@ class TestLatticePaths:
         period = default_config(Scheme.CMCCD).mod_period
         times = np.array([0.0, 1e-10, 7.0]) * period
         spy = _PathSpy(monkeypatch)
-        grid = evolve_grid(hams, times, QubitState.zero())
+        grid = evolve_grid(hams, times, ZERO_STATE)
         oracle = evolve_grid(
-            [replace(h, period=math.inf) for h in hams], times, QubitState.zero()
+            [replace(h, period=math.inf) for h in hams], times, ZERO_STATE
         )
         assert spy.paths == [False, False]
         assert np.abs(grid - oracle).max() <= 1e-12
@@ -443,8 +478,8 @@ class TestLatticePaths:
         times = np.arange(4) * period
         aperiodic = replace(second_frame_hamiltonian(cfg), period=math.inf)
         assert lab_hamiltonian(cfg).period == math.inf
-        evolve_grid([aperiodic], times, QubitState.zero())
-        evolve(aperiodic, QubitState.zero(), 0.0, 2 * period)
+        evolve_grid([aperiodic], times, ZERO_STATE)
+        evolve(aperiodic, ZERO_STATE, 0.0, 2 * period)
         propagator_unitary(aperiodic, period, 3 * period)
         assert spy.paths == [False] * 3
 
@@ -453,7 +488,7 @@ class TestLatticePaths:
         slow = default_config(Scheme.CMCCD, rabi=RABI / 2, detuning=0.1 * RABI)
         fast = default_config(Scheme.CMCCD, detuning=0.1 * RABI)
         hams = [first_frame_hamiltonian(slow), first_frame_hamiltonian(fast)]
-        evolve_grid(hams, np.arange(3) * slow.mod_period, QubitState.zero())
+        evolve_grid(hams, np.arange(3) * slow.mod_period, ZERO_STATE)
         assert spy.paths == [False]
 
     def test_nan_on_fast_path_raises(self):
@@ -464,11 +499,11 @@ class TestLatticePaths:
         )
         times = np.arange(1, 4) * cfg.mod_period
         with pytest.raises(NumericalError):
-            evolve_grid([ham], times, QubitState.zero())
+            evolve_grid([ham], times, ZERO_STATE)
         with pytest.raises(NumericalError):
             propagator_unitary(ham, 0.0, times[-1])
         with pytest.raises(NumericalError):
-            evolve(ham, QubitState.zero(), 0.0, times[-1])
+            evolve(ham, ZERO_STATE, 0.0, times[-1])
 
     def test_replaced_member_takes_the_per_member_path(self):
         # one member with a replaced coefficients keeps the whole batch off

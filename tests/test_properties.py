@@ -49,7 +49,6 @@ from ccdsim.drive import (
     first_frame_hamiltonian,
     lab_hamiltonian,
     second_frame_hamiltonian,
-    second_frame_unitary,
 )
 from ccdsim.errors import NumericalError
 from ccdsim.experiments import AxisDef
@@ -64,7 +63,7 @@ from ccdsim.propagator import (
 )
 from ccdsim.qubit import (
     NORM_TOLERANCE,
-    QubitState,
+    ZERO_STATE,
     bloch_vector,
     normalized,
     pauli_axis,
@@ -80,6 +79,7 @@ from oracles import (
     scalar_normalized,
     scalar_population_up,
     second_frame_coefficients,
+    second_frame_unitary,
 )
 from oracles import matrix as frame_matrix
 
@@ -133,14 +133,14 @@ def test_entry_points_match_stepped_oracle(case):
     hams, times = case
     psi0 = plus_state()
     oracles = np.array([stepped_oracle(h, 0.0, times) for h in hams])
-    expected = oracles @ psi0.amplitudes  # (batch, times, 2)
+    expected = oracles @ psi0  # (batch, times, 2)
 
     grid = evolve_grid(hams, times, psi0)
     assert np.abs(grid - expected).max() <= TOLERANCE
 
     for ham, oracle, want in zip(hams, oracles, expected):
         final = evolve(ham, psi0, 0.0, float(times[-1]))
-        assert np.abs(final.amplitudes - want[-1]).max() <= TOLERANCE
+        assert np.abs(final - want[-1]).max() <= TOLERANCE
         u = propagator_unitary(ham, 0.0, float(times[-1]))
         assert np.abs(u - oracle[-1]).max() <= TOLERANCE
 
@@ -149,14 +149,14 @@ def test_entry_points_match_stepped_oracle(case):
 @given(cases())
 def test_nonzero_start_matches_stepped_oracle(case):
     hams, times = case
-    psi0 = QubitState.zero()
+    psi0 = ZERO_STATE
     for ham in hams:
         t0 = float(times[0])
         oracle = stepped_oracle(ham, t0, times)
         got = np.array([propagator_unitary(ham, t0, float(t)) for t in times])
         assert np.abs(got - oracle).max() <= TOLERANCE
         final = evolve(ham, psi0, t0, float(times[-1]))
-        assert np.abs(final.amplitudes - oracle[-1] @ psi0.amplitudes).max() <= TOLERANCE
+        assert np.abs(final - oracle[-1] @ psi0).max() <= TOLERANCE
 
 
 @st.composite
@@ -165,7 +165,7 @@ def states(draw):
     parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
     amps = np.array([complex(*parts[:2]), complex(*parts[2:])])
     norm = np.linalg.norm(amps)
-    return QubitState(amps / norm) if norm > 0.1 else plus_state()
+    return normalized(amps / norm) if norm > 0.1 else plus_state()
 
 
 @PROPERTY
@@ -175,17 +175,17 @@ def test_state_entry_points_apply_the_matrix_entry_point(case, psi0):
     # the 2x2 form; they must give what propagator_grid's matrices give
     hams, times = case
     unitaries = propagator_grid(hams, times)
-    for psi, exact in ((psi0, False), (QubitState.zero(), True), (one_state(), True)):
-        want = unitaries @ psi.amplitudes
+    for psi, exact in ((psi0, False), (ZERO_STATE, True), (one_state(), True)):
+        want = unitaries @ psi
         grid = evolve_grid(hams, times, psi)
         if exact:
             assert grid.tobytes() == want.tobytes()
         assert np.abs(grid - want).max() <= 1e-15
-        # evolve returns a QubitState, which renormalizes: so is the matrix form's
+        # evolve renormalizes its final state: so is the matrix form's
         for h in hams:
-            got = evolve(h, psi, 0.0, float(times[-1])).amplitudes
+            got = evolve(h, psi, 0.0, float(times[-1]))
             u = propagator_grid([h], times[-1:])[0, 0]
-            want_state = QubitState(u @ psi.amplitudes).amplitudes
+            want_state = normalized(u @ psi)
             if exact:
                 assert got.tobytes() == want_state.tobytes()
             assert np.abs(got - want_state).max() <= 1e-15
@@ -219,7 +219,7 @@ READOUT = settings(derandomize=True, max_examples=200, deadline=None, database=N
 @given(near_unit_batches())
 def test_array_readout_matches_the_one_state_readout(amps):
     got = normalized(amps)
-    assert bits(got) == bits([QubitState(row).amplitudes for row in amps])
+    assert bits(got) == bits([normalized(row) for row in amps])
     assert bits(got) == bits([scalar_normalized(row) for row in amps])
     xyz, p_up = bloch_vector(got), population_up(got)
     want = np.array([scalar_bloch_vector(row) for row in got])
@@ -250,8 +250,8 @@ def test_array_readout_refuses_the_worst_row(amps, row, off):
 
 
 ENTRY_POINTS = {
-    "evolve": lambda h, ts: evolve(h, QubitState.zero(), 0.0, float(ts[-1])),
-    "evolve_grid": lambda h, ts: evolve_grid([h], ts, QubitState.zero()),
+    "evolve": lambda h, ts: evolve(h, ZERO_STATE, 0.0, float(ts[-1])),
+    "evolve_grid": lambda h, ts: evolve_grid([h], ts, ZERO_STATE),
     "propagator_unitary": lambda h, ts: propagator_unitary(h, 0.0, float(ts[-1])),
     "propagator_grid": lambda h, ts: propagator_grid([h], ts),
 }
@@ -478,7 +478,7 @@ def test_batch_order_keeps_each_members_bits(case):
 
 
 #: a start state with negative zeros, which a program of no pieces must keep
-SIGNED_ZEROS = QubitState(np.array([complex(1.0, -0.0), complex(-0.0, -0.0)]))
+SIGNED_ZEROS = np.array([complex(1.0, -0.0), complex(-0.0, -0.0)])
 
 
 @st.composite
@@ -499,7 +499,7 @@ def program_batches(draw):
                 draw(st.integers(0, 3)) * PERIOD,
             )
     owners = [drives[draw(st.integers(0, len(drives) - 1))] for _ in range(count)]
-    psi0 = draw(st.sampled_from([QubitState.zero(), one_state(), plus_state(), SIGNED_ZEROS]))
+    psi0 = draw(st.sampled_from([ZERO_STATE, one_state(), plus_state(), SIGNED_ZEROS]))
     return owners, programs, psi0
 
 
