@@ -58,8 +58,8 @@ from .experiments import (
 )
 from .propagator import evolve_grid
 from .pulses import GATE_MOD_PHASE, require_gate_lattice
-from .qubit import ZERO_STATE
-from .rb import randomized_benchmarking
+from .qubit import ZERO_STATE, rotation
+from .rb import _bloch_rotations, _clifford_unitaries, randomized_benchmarking
 
 __all__ = ["main"]
 
@@ -356,18 +356,29 @@ def _selftest_checks():
                 return f"{scheme.label}: IQ reconstruction error"
         return None
 
-    def check_cliffords():
-        group = clifford_mod.clifford_group()
-        count = sum(len(g.decomposition) for g in group)
-        if count / 24.0 != clifford_mod.AVERAGE_PRIMITIVES_PER_CLIFFORD:
-            return f"average primitive count {count / 24.0}"
-        for a in group[:6]:
-            for b in group[:6]:
-                product = a.matrix @ b.matrix
-                if not any(
-                    clifford_mod.equal_up_to_phase(product, c.matrix) for c in group
-                ):
-                    return f"closure violated at ({a.index}, {b.index})"
+    def check_latin_square():
+        table, every = clifford_mod.multiplication_table(), np.arange(24)
+        if not all(np.all(np.sort(t, axis=1) == every) for t in (table, table.T)):
+            return "a row or a column of the multiplication table repeats a Clifford"
+        return None
+
+    def check_primitive_count():
+        average = sum(map(len, clifford_mod._DECOMPOSITIONS)) / 24.0
+        if average != clifford_mod.AVERAGE_PRIMITIVES_PER_CLIFFORD:
+            return f"average primitive count {average}"
+        return None
+
+    def check_clifford_rotations():
+        # the exact table against qubit.rotation about x (azimuth 0) or y
+        # (pi/2), composed over the decompositions as the pulse path composes
+        ideal = {
+            name: rotation(math.pi / 2 if axis == "y" else 0.0, angle)[None]
+            for name, axis, angle in clifford_mod.PRIMITIVES
+        }
+        rotations = _bloch_rotations(_clifford_unitaries(ideal))[..., 0]
+        gap = float(np.abs(rotations - clifford_mod.ROTATIONS).max())
+        if not gap <= 1e-12:
+            return f"rotations differ from the primitive unitaries by {gap:.1e}"
         return None
 
     def check_config_round_trip():
@@ -382,7 +393,9 @@ def _selftest_checks():
         ("CMCCD resonant Y_pi gate", check_cm_gate),
         ("first/second frame equivalence", check_frame_equivalence),
         ("I/Q round trip", check_iq_round_trip),
-        ("Clifford table", check_cliffords),
+        ("Clifford table is a Latin square", check_latin_square),
+        ("Clifford decompositions average 1.875 primitives", check_primitive_count),
+        ("Clifford rotations match the primitive unitaries", check_clifford_rotations),
         ("config round trip", check_config_round_trip),
     ]
 

@@ -8,7 +8,7 @@ The average single-gate fidelity follows as F = 1 - (1 - F_c) / 1.875.
 
 Gate draws use a counter-based generator keyed on (seed, M, k), so each
 sequence is reproducible independently of execution order; the recovery
-Cliffords are read from the group's multiplication table. Gates are
+Cliffords are read from the exact integer tables of ``clifford``. Gates are
 simulated at pulse level in the frame and at the rate that
 ``drive.gate_frame`` gives. Each noise shot is a drive from
 ``NoiseSpec.shots``, so a static error is the drive's own detuning or Rabi
@@ -42,10 +42,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clifford import (
+    _DECOMPOSITIONS,
     AVERAGE_PRIMITIVES_PER_CLIFFORD,
     PRIMITIVES,
+    ROTATIONS,
     _recovery_table,
-    clifford_group,
     composed_indices,
 )
 from .drive import DriveConfig, gate_frame
@@ -71,7 +72,6 @@ class RBResult:
 
     lengths: np.ndarray
     signal: np.ndarray  # mean up/down recovery difference per length
-    k_randomizations: int
     clifford_fidelity: float  # F_c
     average_gate_fidelity: float  # F = 1 - (1 - F_c)/1.875
     fit_amplitude: float
@@ -87,17 +87,19 @@ def _primitive_unitaries(shots: list[DriveConfig]) -> dict[str, np.ndarray]:
     Every shot drive gates in the frame and at the rate of the first, and the
     primitive about azimuth phi is the gate pulse at phi_mw = phi + phi_0, with
     phi_0 the frame's axis offset: ``piece_propagators`` at reference phi_0.
+    The x axis is at azimuth 0 and the y axis at pi/2; a negative angle is
+    realized as a positive rotation by |angle| about the opposite azimuth, phi + pi.
     """
     build, rate, axis_offset = gate_frame(shots[0])
-    pulsed = [prim for prim in PRIMITIVES.values() if prim.axis != "i"]
+    pulsed = [row for row in PRIMITIVES if row[1] != "i"]
     # theta_m selects the dressed gate drive; the bare first frame ignores it
-    pieces = [
-        (GATE_MOD_PHASE, prim.rotation_azimuth + axis_offset, abs(prim.angle) / rate)
-        for prim in pulsed
-    ]
+    pieces = []
+    for _, axis, angle in pulsed:
+        azimuth = (0.0 if axis == "x" else math.pi / 2) + (math.pi if angle < 0.0 else 0.0)
+        pieces.append((GATE_MOD_PHASE, azimuth + axis_offset, abs(angle) / rate))
     us = piece_propagators(shots, pieces, build, axis_offset)
     out = {"I": np.broadcast_to(np.eye(2, dtype=complex), (len(shots), 2, 2))}
-    out.update((prim.name, us[:, index]) for index, prim in enumerate(pulsed))
+    out.update((name, us[:, index]) for index, (name, _, _) in enumerate(pulsed))
     return out
 
 
@@ -108,9 +110,9 @@ def _clifford_unitaries(primitive_us: dict[str, np.ndarray]) -> np.ndarray:
     (..., 24, 2, 2).
     """
     out = []
-    for gate in clifford_group():
-        u = primitive_us[gate.decomposition[0]]
-        for name in gate.decomposition[1:]:
+    for names in _DECOMPOSITIONS:
+        u = primitive_us[names[0]]
+        for name in names[1:]:
             u = primitive_us[name] @ u
         out.append(u)
     return np.stack(out, axis=-3)
@@ -131,8 +133,9 @@ def _bloch_rotations(us: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.reshape(rows, (3, 3) + us.shape[:-2]).transpose(3, 0, 1, 2))
 
 
-def _signal_matrix(clifford_us: np.ndarray, strings: list[np.ndarray]) -> np.ndarray:
-    """Shot mean of each string's up/down recovery difference, (lengths, K).
+def _signal_matrix(rotations: np.ndarray, strings: list[np.ndarray]) -> np.ndarray:
+    """Shot mean of each string's up/down recovery difference, (lengths, K),
+    from the (24, 3, 3, shots) Bloch rotations of the Cliffords.
 
     Each string is composed once on the multiplication table and read at
     both recoveries. Its Bloch vector, spin-down |0> at z = +1, is carried
@@ -143,7 +146,6 @@ def _signal_matrix(clifford_us: np.ndarray, strings: list[np.ndarray]) -> np.nda
     order with the block shape, and the blocks are reduced in shot order, so
     results do not depend on the block size.
     """
-    rotations = _bloch_rotations(clifford_us)
     shots, k = rotations.shape[-1], strings[0].shape[0]
     recoveries = [_recovery_table()[:, composed_indices(s)] for s in strings]  # (down, up)
     matrix = np.zeros((len(strings), k))
@@ -252,8 +254,9 @@ def randomized_benchmarking(
     """Run the randomized-benchmarking procedure on the drive ``cfg`` and fit the decay.
 
     The drive's modulation ratios are its scheme (``cfg.with_scheme`` switches
-    it). ``ideal=True`` replaces pulse dynamics with the ideal Clifford matrices
-    (engine self-check; errors and noise are then irrelevant). Otherwise a
+    it). ``ideal=True`` replaces pulse dynamics with the exact Clifford
+    rotations ``ROTATIONS`` as one shot (engine self-check: the signal is
+    exactly 1; errors and noise are then irrelevant). Otherwise a
     dressed drive needs eps_m = Omega_0 / (4 n) so that each primitive spans
     whole modulation periods; any other drive (a CCD scheme at eps_m = 0
     included) gates the bare qubit. Static errors are those of ``cfg``
@@ -274,10 +277,10 @@ def randomized_benchmarking(
         for m in lengths
     ]
     if ideal:
-        clifford_us = np.stack([g.matrix for g in clifford_group()])[None]
+        rotations = ROTATIONS.astype(float)[..., None]
     else:
-        clifford_us = _clifford_unitaries(_primitive_unitaries(noise.shots(cfg)))
-    matrix = _signal_matrix(clifford_us, strings)
+        rotations = _bloch_rotations(_clifford_unitaries(_primitive_unitaries(noise.shots(cfg))))
+    matrix = _signal_matrix(rotations, strings)
 
     signal = matrix.mean(axis=1)
     amplitude, p, residual, converged = _fit_decay(lengths, signal)
@@ -295,12 +298,11 @@ def randomized_benchmarking(
     return RBResult(
         lengths=lengths,
         signal=signal,
-        k_randomizations=k_randomizations,
         clifford_fidelity=f_c,
         average_gate_fidelity=1.0 - (1.0 - f_c) / AVERAGE_PRIMITIVES_PER_CLIFFORD,
         fit_amplitude=amplitude,
         fit_residual=residual,
         converged=converged,
         warnings=tuple(warnings),
-        meta={"ideal": ideal, "noise": noise, "signal_matrix": matrix},
+        meta={"signal_matrix": matrix},
     )

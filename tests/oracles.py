@@ -19,18 +19,22 @@ composition as it was before it moved to Bloch vectors: 4x4 real forms of
 SU(2) acting on 4-component states, each recovery found by its own
 composition of the string. ``recovery_indices`` gives those recoveries for
 a whole array of strings, from the recovery table that ``rb`` reads.
+``clifford_group`` (2x2 unitaries, equal up to a global phase) and
+``recovery_clifford`` (a search over them) are the reference implementations
+of the exact rotation tables of ``clifford``.
 ``clifford``, ``one_state`` and ``plus_state`` are lookups only the tests
 use. ``scalar_normalized``, ``scalar_bloch_vector`` and
 ``scalar_population_up`` are the one-state readout as it was before it took
 arrays: the array rules of ``qubit`` must match their bits (x and y and the
 normalized amplitudes) or come within 1 ulp (z and p_up).
 """
+import functools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ccdsim.clifford import CliffordGate, _recovery_table, clifford_group, composed_indices
+from ccdsim.clifford import _DECOMPOSITIONS, PRIMITIVES, _recovery_table, composed_indices
 from ccdsim.drive import (
     DriveConfig,
     counter_rotating_coefficient,
@@ -39,7 +43,60 @@ from ccdsim.drive import (
 )
 from ccdsim.propagator import ROTATING_SPEC, evolve
 from ccdsim.pulses import GATE_MOD_PHASE, piece_propagators
-from ccdsim.qubit import ZERO_STATE, normalized, rotation
+from ccdsim.qubit import IDENTITY, ZERO_STATE, normalized, rotation
+
+#: (axis, angle) of each primitive by name
+PRIMITIVE_AXES = {name: (axis, angle) for name, axis, angle in PRIMITIVES}
+
+
+@dataclass(frozen=True)
+class CliffordGate:
+    """One Clifford group element with its pulse decomposition."""
+
+    index: int
+    decomposition: tuple[str, ...]
+    matrix: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def clifford_group() -> tuple[CliffordGate, ...]:
+    """The 24 Cliffords as 2x2 unitaries: each primitive turns by its angle
+    about x (azimuth 0) or y (pi/2), first primitive applied first."""
+    gates = []
+    for index, names in enumerate(_DECOMPOSITIONS):
+        u = IDENTITY.copy()
+        for axis, angle in (PRIMITIVE_AXES[name] for name in names):
+            if axis != "i":
+                u = rotation(0.0 if axis == "x" else math.pi / 2, angle) @ u
+        gates.append(CliffordGate(index, names, u))
+    return tuple(gates)
+
+
+def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
+    """True when a = exp(i gamma) b for some global phase gamma."""
+    return bool(abs(abs(np.trace(a.conj().T @ b)) - 2.0) <= atol)
+
+
+def compose_cliffords(gates: list[CliffordGate]) -> np.ndarray:
+    """Ideal composed matrix, first gate applied first."""
+    u = IDENTITY.copy()
+    for gate in gates:
+        u = gate.matrix @ u
+    return u
+
+
+def recovery_clifford(applied: list[CliffordGate], target: str) -> CliffordGate:
+    """The lowest-index Clifford returning |0> through ``applied`` to ``target``,
+    "up" (|1>) or "down" (|0>), by a search over the 2x2 group."""
+    if target not in ("up", "down"):
+        raise ValueError("target must be 'up' or 'down'")
+    if not applied:
+        raise ValueError("applied sequence must be non-empty")
+    state = compose_cliffords(applied) @ np.array([1.0, 0.0], dtype=complex)
+    component = 1 if target == "up" else 0
+    return next(
+        gate for gate in clifford_group() if abs((gate.matrix @ state)[component]) >= 1.0 - 1e-9
+    )
 
 
 def clifford(index: int) -> CliffordGate:
@@ -234,15 +291,13 @@ def clifford_sequence_program(gates: list[CliffordGate], cfg: DriveConfig) -> np
     (zero duration). The drive azimuth is offset by -pi/2 because the dressed
     drive axis sits at phi_mw + pi/2. A gate of angle theta lasts theta / eps_m.
     """
-    return np.array(
-        [
-            (GATE_MOD_PHASE, prim.rotation_azimuth - math.pi / 2.0, abs(prim.angle) / cfg.mod_strength)
-            for gate in gates
-            for prim in gate.primitives()
-            if prim.axis != "i" and prim.angle != 0.0
-        ],
-        dtype=float,
-    ).reshape(-1, 3)
+    pieces = []
+    for name in (name for gate in gates for name in gate.decomposition):
+        axis, angle = PRIMITIVE_AXES[name]
+        if axis != "i":
+            azimuth = (0.0 if axis == "x" else math.pi / 2) + (math.pi if angle < 0.0 else 0.0)
+            pieces.append((GATE_MOD_PHASE, azimuth - math.pi / 2.0, abs(angle) / cfg.mod_strength))
+    return np.array(pieces, dtype=float).reshape(-1, 3)
 
 
 def per_piece_oracle(cfg: DriveConfig, pieces, frame: str, spec=ROTATING_SPEC) -> np.ndarray:

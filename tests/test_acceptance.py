@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from ccdsim.clifford import clifford_group, equal_up_to_phase
 from ccdsim.drive import (
     Scheme,
     counter_rotating_coefficient,
@@ -52,7 +51,7 @@ from ccdsim.qubit import ZERO_STATE, normalized, population_up
 from ccdsim.rb import randomized_benchmarking
 
 from fits import dominant_frequency, fit_decaying_sinusoid
-from oracles import state_fidelity, to_second_frame
+from oracles import clifford_group, equal_up_to_phase, state_fidelity, to_second_frame
 
 RABI = 2 * math.pi * 3.6e6
 FIG8_RABI = 2 * math.pi * 2.2e6

@@ -746,7 +746,7 @@ class TestSubcommands:
         assert main(["selftest"]) == 3
         lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if not line.startswith("PASS ")]
-        assert len(lines) == 7 and len(failed) == 1
+        assert len(lines) == 9 and len(failed) == 1
         assert failed[0].startswith(f"FAIL {check}: ")
 
     def test_json_format(self, tmp_path):

@@ -4,18 +4,19 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ccdsim.clifford import (
-    AVERAGE_PRIMITIVES_PER_CLIFFORD,
-    PRIMITIVES,
+from ccdsim.clifford import AVERAGE_PRIMITIVES_PER_CLIFFORD, ROTATIONS
+from ccdsim.drive import Scheme, default_config
+from ccdsim.pulses import simulate_program
+from ccdsim.qubit import IDENTITY, ZERO_STATE, population_up
+from ccdsim.rb import _bloch_rotations
+from oracles import (
+    clifford,
     clifford_group,
+    clifford_sequence_program,
     compose_cliffords,
     equal_up_to_phase,
     recovery_clifford,
 )
-from ccdsim.drive import Scheme, default_config
-from ccdsim.pulses import simulate_program
-from ccdsim.qubit import IDENTITY, ZERO_STATE, population_up
-from oracles import clifford, clifford_sequence_program
 
 
 class TestGroupStructure:
@@ -40,11 +41,9 @@ class TestGroupStructure:
         assert total / len(group) == AVERAGE_PRIMITIVES_PER_CLIFFORD
 
     def test_decompositions_match_stored_matrices(self):
-        for gate in clifford_group():
-            rebuilt = IDENTITY.copy()
-            for name in gate.decomposition:
-                rebuilt = PRIMITIVES[name].matrix @ rebuilt
-            assert np.abs(rebuilt - gate.matrix).max() < 1e-12
+        # the 2x2 unitaries of the decompositions turn the Bloch sphere by ROTATIONS
+        unitaries = np.stack([gate.matrix for gate in clifford_group()])[None]
+        assert np.abs(_bloch_rotations(unitaries)[..., 0] - ROTATIONS).max() < 1e-12
 
     def test_identity_element(self):
         gate = clifford(0)
@@ -56,6 +55,17 @@ class TestGroupStructure:
             clifford(24)
         with pytest.raises(ValueError):
             clifford(-1)
+
+
+class TestRotationTable:
+    def test_signed_permutations_of_determinant_one(self):
+        assert ROTATIONS.shape == (24, 3, 3) and ROTATIONS.dtype.kind == "i"
+        assert not ROTATIONS.flags.writeable
+        for r in ROTATIONS:
+            # an orthogonal integer matrix is a signed permutation
+            assert np.array_equal(r @ r.T, np.eye(3, dtype=int))
+            assert np.array_equal(np.cross(r[0], r[1]), r[2])  # det +1
+        assert len({r.tobytes() for r in ROTATIONS}) == 24
 
 
 class TestRecovery:

@@ -14,10 +14,7 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "ccdsim"
 #: the run failures, one class per exit code
 FAILURES = {"ConfigError", "NumericalError"}
 #: programming errors, which ``main`` does not map: (module, function, class)
-PROGRAMMING_ERRORS = {
-    ("propagator", "su2_power", "TypeError"),
-    ("clifford", "recovery_clifford", "RuntimeError"),
-}
+PROGRAMMING_ERRORS = {("propagator", "su2_power", "TypeError")}
 
 
 def modules():

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from ccdsim import rb
-from ccdsim.clifford import (
-    PRIMITIVES,
-    clifford_group,
-    equal_up_to_phase,
-    multiplication_table,
-    recovery_clifford,
-)
+from ccdsim.clifford import PRIMITIVES, multiplication_table
 from ccdsim.config import parse_config
 from ccdsim.drive import FrameCoefficients, Scheme, default_config, gate_frame
 from ccdsim.experiments import NoiseSpec
@@ -30,8 +24,11 @@ from ccdsim.rb import (
 )
 from oracles import (
     clifford,
+    clifford_group,
     clifford_sequence_program,
+    equal_up_to_phase,
     real_form_signal_matrix,
+    recovery_clifford,
     recovery_indices,
 )
 
@@ -60,12 +57,12 @@ class TestDraws:
 
 class TestIdealEngine:
     def test_ideal_matrices_give_unit_fidelity(self):
-        result = randomized_benchmarking(
-            CFG, M_LIST, 5, NoiseSpec(seed=1), ideal=True
-        )
-        assert np.allclose(result.signal, 1.0, atol=1e-12)
-        assert result.clifford_fidelity == pytest.approx(1.0, abs=1e-9)
-        assert result.average_gate_fidelity == pytest.approx(1.0, abs=1e-9)
+        # the exact rotations compose without rounding at every length
+        lengths = [1, 2, 4, 8, 16, 32, 64, 128, 256]
+        result = randomized_benchmarking(CFG, lengths, 5, NoiseSpec(seed=1), ideal=True)
+        assert result.signal.tolist() == [1.0] * len(lengths)
+        assert (result.fit_residual, result.clifford_fidelity) == (0.0, 1.0)
+        assert result.average_gate_fidelity == 1.0
 
     def test_forced_identity_draw_gives_unit_signal(self):
         # find a (seed, M=1, k) draw that lands on the identity Clifford
@@ -88,13 +85,15 @@ class TestBatchedPrimitives:
         prims = _primitive_unitaries(shots)
         build, rate, axis_offset = gate_frame(base)
         for shot, errd in enumerate(shots):
-            for name, prim in PRIMITIVES.items():
-                if prim.axis == "i":
+            for name, axis, angle in PRIMITIVES:
+                if axis == "i":
                     expected = np.eye(2)
                 else:
-                    pulse = errd.with_pulse(GATE_MOD_PHASE, prim.rotation_azimuth + axis_offset)
+                    # a positive turn by |angle|, about the opposite axis when angle < 0
+                    azimuth = {"x": 0.0, "y": math.pi / 2}[axis] + math.pi * (angle < 0.0)
+                    pulse = errd.with_pulse(GATE_MOD_PHASE, azimuth + axis_offset)
                     stepped = replace(build(pulse), period=math.inf)
-                    expected = propagator_unitary(stepped, 0.0, abs(prim.angle) / rate)
+                    expected = propagator_unitary(stepped, 0.0, abs(angle) / rate)
                 assert np.abs(prims[name][shot] - expected).max() <= 1e-10
 
     def test_rb_long_shots_evaluate_each_block_as_one_batch(self, monkeypatch):
@@ -310,7 +309,7 @@ def test_bloch_composition_matches_real_form(seed, shots, lengths, k, ideal):
         z = rng.normal(size=(2, shots, 24, 2, 2))
         us = np.linalg.qr(z[0] + 1j * z[1])[0]
     strings = [rng.integers(0, 24, size=(k, m)) for m in sorted(lengths)]
-    bloch = rb._signal_matrix(us, strings)
+    bloch = rb._signal_matrix(rb._bloch_rotations(us), strings)
     assert np.abs(bloch - real_form_signal_matrix(us, strings)).max() <= 1e-13
 
 
