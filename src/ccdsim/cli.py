@@ -116,14 +116,14 @@ def _duration_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def _coarse_grid_warning(drive: DriveConfig, durations: np.ndarray) -> list[str]:
-    """A warning when a dressed drive's duration grid has < 8 points per modulation period."""
+    """A warning when a dressed drive's grid has < 8 points per dressed Rabi period 2 pi / eps_m."""
     if not drive.dressed or durations.size < 2:
         return []
     dt = float(np.min(np.diff(durations)))
     per_period = (TWO_PI / drive.mod_strength) / dt
     if per_period < 8.0:
         return [
-            f"duration grid has {per_period:.2f} points per modulation period "
+            f"duration grid has {per_period:.2f} points per dressed Rabi period 2 pi / eps_m "
             "(< 8); the sampled spectrum relies on aliasing"
         ]
     return []

@@ -5,7 +5,9 @@ frequencies internally; angles are radians, durations seconds. Unknown keys
 and malformed or non-finite values are rejected with line/column positions,
 or by the flag that gave them. CLI flags override file values, which override
 the documented defaults; then each derived spelling (``DERIVED``) is resolved
-into the keys it sets, and is refused if any of them is given too.
+into the keys it sets, and is refused if any of them is given too. The
+``scheme`` key (bare, am, pm or cm) is the one key for the modulation ratios:
+``drive_config`` takes (alpha_A, alpha_P) from it.
 """
 from __future__ import annotations
 
@@ -34,8 +36,6 @@ class RunConfig:
     mod_ratio: float = 0.25
     mod_phase: float = math.pi / 2.0
     mw_phase: float = 0.0
-    alpha_a: float = 0.5
-    alpha_p: float = 0.5
     # duration axis (stop 0 = automatic, see duration_grid)
     duration_start_s: float = 0.0
     duration_stop_s: float = 0.0
@@ -71,16 +71,11 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        # the scheme is a name for the modulation ratios, so it must be theirs
-        if Scheme.of(self.alpha_a, self.alpha_p) is not Scheme.parse(self.scheme):
-            raise ConfigError(
-                f"scheme {self.scheme!r} does not name (alpha_a, alpha_p) = "
-                f"({self.alpha_a}, {self.alpha_p})"
-            )
         _validate(self)
 
     def drive_config(self) -> DriveConfig:
         rabi = TWO_PI * self.rabi_hz
+        alpha_a, alpha_p = Scheme.parse(self.scheme).value
         return DriveConfig(
             omega_mw=TWO_PI * self.carrier_hz,
             rabi=rabi,
@@ -89,8 +84,8 @@ class RunConfig:
             mod_strength=self.mod_ratio * rabi,
             mod_phase=self.mod_phase,
             mw_phase=self.mw_phase,
-            alpha_A=self.alpha_a,
-            alpha_P=self.alpha_p,
+            alpha_A=alpha_a,
+            alpha_P=alpha_p,
         )
 
     def noise_spec(self) -> NoiseSpec:
@@ -173,6 +168,10 @@ def _validate(cfg: RunConfig) -> None:
         fail("threads", "threads must be >= 0")
     if not 0 <= cfg.seed < 2**64:  # the random generators take a 64-bit key
         fail("seed", f"seed must lie in [0, 2^64), got {cfg.seed}")
+    try:
+        Scheme.parse(cfg.scheme)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, key="scheme") from None
     if cfg.format not in ("csv", "json"):
         fail("format", f"format must be csv or json, got {cfg.format!r}")
     if cfg.dressed_kind not in ("ccd_rabi", "ccd_ramsey", "two_axis"):
@@ -226,12 +225,6 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
             raw[key] = _parse_value(key, str(value), name(key))
             lines.pop(key, None)
 
-    scheme_text = str(raw.get("scheme", RunConfig.scheme))
-    try:
-        scheme = Scheme.parse(scheme_text)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), lines.get("scheme")) from exc
-
     rabi_hz = float(raw.get("rabi_hz", RunConfig.rabi_hz))
     if not rabi_hz > 0.0:
         raise ConfigError("rabi_hz must be positive", lines.get("rabi_hz"))
@@ -253,21 +246,6 @@ def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
             )
         raw.update(zip(targets, resolved))
 
-    if "alpha_a" in raw or "alpha_p" in raw:
-        alpha_a = raw.setdefault("alpha_a", RunConfig.alpha_a)
-        alpha_p = raw.setdefault("alpha_p", RunConfig.alpha_p)
-        try:
-            matched = Scheme.of(alpha_a, alpha_p)
-        except ConfigError as exc:
-            raise ConfigError(
-                f"alpha_a + alpha_p = {alpha_a} + {alpha_p} matches no scheme "
-                "(bare 0 + 0, am 1 + 0, pm 0 + 1, cm 0.5 + 0.5)",
-                lines.get("alpha_a"),
-            ) from exc
-        if matched is not scheme:  # explicit alphas win, and the scheme names them
-            raw["scheme"] = matched.label
-    else:
-        raw["alpha_a"], raw["alpha_p"] = scheme.value
     try:
         return RunConfig(**raw)
     except ConfigError as exc:

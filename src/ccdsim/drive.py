@@ -92,14 +92,6 @@ class Scheme(enum.Enum):
             raise ConfigError(f"unknown scheme {text!r} (expected bare|am|pm|cm)")
         return aliases[key]
 
-    @classmethod
-    def of(cls, alpha_a: float, alpha_p: float) -> "Scheme":
-        """The scheme whose modulation ratios match (alpha_a, alpha_p) within 1e-12."""
-        for scheme in cls:
-            if abs(alpha_a - scheme.alpha_a) <= 1e-12 and abs(alpha_p - scheme.alpha_p) <= 1e-12:
-                return scheme
-        raise ConfigError(f"(alpha_A, alpha_P) = ({alpha_a}, {alpha_p}) matches no named scheme")
-
     @property
     def label(self) -> str:
         return {
@@ -167,10 +159,6 @@ class DriveConfig:
     def omega_L(self) -> float:
         """Qubit Larmor frequency omega_mw + delta (rad/s); only the lab frame reads it."""
         return self.omega_mw + self.detuning
-
-    @property
-    def scheme(self) -> Scheme:
-        return Scheme.of(self.alpha_A, self.alpha_P)
 
     @property
     def dressed(self) -> bool:

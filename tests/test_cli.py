@@ -261,6 +261,38 @@ class TestConfigPrecedence:
         assert record["error"]["kind"] == "config"
         assert all(key in record["error"]["message"] for key in keys)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["chevron", "--durations", "8", "--detuning-points", "3"],
+            ["rabi-error", "--durations", "8", "--rabi-error-points", "3", "--scheme", "pm"],
+            ["spectrum", "--durations", "16", "--detuning-points", "3", "--scheme", "bare"],
+            ["infidelity", "--detuning-points", "5", "--scheme", "am"],
+            ["trajectory", "--quarter-turns", "4", "--samples-per-quarter-turn", "4"],
+            ["dressed", "--kind", "ccd_ramsey", "--points", "4", "--rabi-hz", "2.2e6",
+             "--noise-detuning-sigma-hz", "3e5", "--noise-samples", "2", "--seed", "5"],
+            ["rb", "--cliffords", "1,2", "--k", "2", "--scheme", "amccd"],
+            ["iq-export", "--sample-rate-hz", "1e8", "--format", "json"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_embedded_config_runs_again_to_the_same_bytes(self, tmp_path, args):
+        # a dataset records its whole config: the block alone, as a --config
+        # file, reproduces the file byte for byte
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(args + ["--out", str(first)]) == 0
+        text = first.read_text(encoding="utf-8")
+        if args[-1] == "json":
+            meta = json.loads(text)["meta"]
+            lines = [value for key, value in sorted(meta.items()) if key.startswith("config.")]
+        else:
+            lines = re.findall(r"^# config\.\d{3}=(.*)$", text, flags=re.M)
+        assert lines and not any("alpha" in line for line in lines)
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert main([args[0], "--config", str(config), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
     def test_every_config_flag_sets_its_field(self):
         # a flag's text must give what the same text gives on a config line;
         # ints are spelled "257.0" and the scheme "cmccd", as files may spell them
@@ -268,14 +300,12 @@ class TestConfigPrecedence:
         texts = {
             "scheme": "cmccd", "dressed_kind": "two_axis", "format": "json",
             "out": "elsewhere.csv", "cliffords": "1,3", "mod_strength_hz": "1e6",
-            "alpha_a": "1.0", "alpha_p": "0.0", "detuning_span_hz": "2e6",
-            "rabi_error_span_frac": "0.2", "static_detuning_frac": "0.05",
+            "detuning_span_hz": "2e6", "rabi_error_span_frac": "0.2", "static_detuning_frac": "0.05",
         }
         for key, kind in KEY_TYPES.items():
             if key not in texts:
                 default = getattr(defaults, key)
                 texts[key] = f"{default + 1}.0" if kind is int else repr(default + 1)
-        alphas = ("alpha_a", "alpha_p")  # one alone matches no scheme
         parser = build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         checked = 0
@@ -285,12 +315,10 @@ class TestConfigPrecedence:
             actions = {a.dest: a for a in sub._actions if a.dest in KEY_TYPES}
             assert set(actions) == set(KEY_TYPES), command
             for key, action in actions.items():
-                keys = alphas if key in alphas else (key,)
-                expected = parse_config("".join(f"{k} = {texts[k]}\n" for k in keys))
+                expected = parse_config(f"{key} = {texts[key]}\n")
                 assert expected != defaults, key
-                partner = [f"--{k.replace('_', '-')}={texts[k]}" for k in keys if k != key]
                 for option in action.option_strings:
-                    args = parser.parse_args([command, f"{option}={texts[key]}", *partner])
+                    args = parser.parse_args([command, f"{option}={texts[key]}"])
                     assert cli._load_config(args) == expected, (command, option)
                     checked += 1
         assert checked == 8 * (len(KEY_TYPES) + 4)  # 4 short spellings
@@ -500,15 +528,14 @@ class TestSubcommands:
         assert code == 2
         assert not out.exists()
 
-    def test_explicit_alphas_name_the_scheme_of_every_subcommand(self, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("scheme = bare\nalpha_a = 0.5\nalpha_p = 0.5\n")
-        explicit, named = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["iq-export", "--config", str(config), "--out", str(explicit)]) == 0
-        assert main(["iq-export", "--scheme", "cm", "--out", str(named)]) == 0
-        meta, _, rows = read_csv(explicit)
-        assert meta["meta.scheme"] == "cm"
-        assert np.array_equal(rows, read_csv(named)[2])
+    def test_modulation_ratio_flag_exits_2(self, tmp_path, capsys):
+        # the scheme is the one key for the modulation ratios: --alpha-a is no flag
+        out = tmp_path / "x.csv"
+        assert main(["iq-export", "--alpha-a", "0.5", "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "config"
+        assert "--alpha-a" in record["error"]["message"]
+        assert not out.exists()
 
     def test_rb_ideal(self, tmp_path):
         out = tmp_path / "rb.csv"

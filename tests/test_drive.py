@@ -72,7 +72,8 @@ class TestDriveConfig:
 
     def test_scheme_round_trip(self):
         for scheme in Scheme:
-            assert make(scheme).scheme is scheme
+            drive = make(scheme)
+            assert (drive.alpha_A, drive.alpha_P) == scheme.value
             assert Scheme.parse(scheme.label) is scheme
 
 

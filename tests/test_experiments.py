@@ -80,7 +80,12 @@ class TestChevron:
 
     def test_coarse_grid_warning_on_lattice_sampling(self):
         durations = lattice_times(CFG, 17)[1:]
-        assert _coarse_grid_warning(CFG, durations)  # 4 points per eps_m period < 8
+        # the lattice samples once per modulation period 2 pi / Omega_0, four
+        # times per dressed Rabi period 2 pi / eps_m at eps_m = Omega_0 / 4
+        assert _coarse_grid_warning(CFG, durations) == [
+            "duration grid has 4.00 points per dressed Rabi period 2 pi / eps_m "
+            "(< 8); the sampled spectrum relies on aliasing"
+        ]
 
     def test_no_coarse_grid_warning_without_modulation(self):
         # the bare drive keeps CFG's eps_m > 0, but it has no modulation period

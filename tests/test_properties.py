@@ -537,6 +537,7 @@ RESTRICTED = {
     "gate_angle": positive,
     "threads": st.integers(0, 2**64),
     "seed": st.integers(0, 2**64 - 1),
+    "scheme": st.sampled_from(["bare", "am", "amccd", "pm", "pmccd", "cm", "cmccd"]),
     "format": st.sampled_from(["csv", "json"]),
     "dressed_kind": st.sampled_from(["ccd_rabi", "ccd_ramsey", "two_axis"]),
     **{
@@ -550,14 +551,10 @@ RESTRICTED = {
 
 @st.composite
 def run_configs(draw):
-    values = {
+    return RunConfig(**{
         f.name: draw(RESTRICTED.get(f.name, BY_TYPE[KEY_TYPES[f.name]]))
         for f in fields(RunConfig)
-    }
-    name = draw(st.sampled_from(["bare", "am", "amccd", "pm", "pmccd", "cm", "cmccd"]))
-    scheme = Scheme.parse(name)
-    values.update(scheme=name, alpha_a=scheme.alpha_a, alpha_p=scheme.alpha_p)
-    return RunConfig(**values)
+    })
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
