@@ -10,14 +10,14 @@ u = [[a, -b*], [b, a*]] is held as its Cayley-Klein pair (a, b): a product
 is four complex multiplies. Steps are reduced as pairwise trees (rounding
 growth logarithmic in the step count) over chunks of at most ``_CHUNK``
 steps, which bound memory. A chunk's tree is built from the trees of its
-aligned power-of-two blocks, which give the same bits; when an interval has
-several blocks they run on a module-level thread pool of ``_WORKERS`` threads
-(one per usable CPU, at most ``_CHUNK // _BLOCK``), built on first use. The
-result is the same for any thread count. Each block runs in a copy of the
-caller's context, so numpy's error state holds there too, and evaluates the
-coefficients of the whole batch in one call per cf4 node
+aligned power-of-two blocks, which give the same bits for any block size. The
+calling thread and up to ``_WORKERS - 1`` threads of a pool built on first use
+share an interval's blocks, which split one serial block's steps among them:
+neither memory nor the result changes with the thread count. Each pool thread
+runs in a copy of the caller's context, so numpy's error state holds there too.
+A block evaluates the batch's coefficients in one call per cf4 node
 (``drive.batch_coefficients``): one call for rotating-frame data of one frame,
-else one per Hamiltonian, possibly from several pool threads at once. The step
+else one per Hamiltonian, possibly from several threads at once. The step
 kernel keeps numpy passes and temporaries few, and each thread writes a block's
 steps over those of its last; every value takes the IEEE operations, in order,
 of the plain numpy expressions it replaced (np.sinc, complex arithmetic),
@@ -84,12 +84,12 @@ LATTICE_TOLERANCE = 1e-12
 #: products (memory bound: a few MB of pairs and temporaries per chunk).
 _CHUNK = 1 << 16
 
-#: Steps per block, summed over the batch: a chunk is reduced as aligned
-#: power-of-two blocks of at most this many steps, run on the block pool.
+#: Steps per serial block, summed over the batch: a chunk is reduced as aligned
+#: power-of-two blocks of at most this many steps, which the threads split.
 _BLOCK = 1 << 14
 
-#: Block pool threads: one per usable CPU, and at most _CHUNK // _BLOCK, so
-#: the steps in flight never exceed _CHUNK whatever the CPU count.
+#: Threads per interval, the caller's included: one per usable CPU, at most
+#: _CHUNK // _BLOCK. They split one serial block, so memory does not grow with them.
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
     _CHUNK // _BLOCK,
@@ -241,10 +241,10 @@ def _tree_product(u) -> np.ndarray:
 
 @functools.cache
 def _pool(workers: int):
-    """The block pool, built on first use so that importing starts no thread."""
+    """The ``workers - 1`` threads that help the calling thread, built on first use."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(workers, thread_name_prefix="ccdsim-block")
+    return ThreadPoolExecutor(workers - 1, thread_name_prefix="ccdsim-block")
 
 
 def _interval_unitary(
@@ -259,10 +259,10 @@ def _interval_unitary(
     ``batch`` is the leading shape of ``coefficients``' output. Each chunk
     holds at most ``_CHUNK`` steps over the whole batch (at least one step),
     which bounds memory whatever the batch. A chunk is cut into blocks of a
-    power-of-two step count B, starting at multiples of B, with at most
-    ``_BLOCK`` steps over the batch. Every level of the chunk's pairwise tree
-    below B pairs steps within one block, so the tree over the blocks' trees
-    is the chunk's tree, bit for bit, and the blocks can run on the pool.
+    power-of-two step count B, starting at multiples of B. Every level of the
+    chunk's pairwise tree below B pairs steps within one block, so the tree
+    over the blocks' trees is the chunk's tree, bit for bit, for any B. The
+    caller and T - 1 pool threads claim blocks of 1 / T serial block in order.
     """
     span = t1 - t0
     if span == 0.0:
@@ -271,28 +271,48 @@ def _interval_unitary(
     h = span / n_steps
     size = math.prod(batch)
     chunk_steps = max(1, _CHUNK // size)
+    chunks = [(done, min(chunk_steps, n_steps - done)) for done in range(0, n_steps, chunk_steps)]
     block = 1 << (min(chunk_steps, max(1, _BLOCK // size)).bit_length() - 1)
-    total, steps = None, {}
-    for done in range(0, n_steps, chunk_steps):
-        m = min(chunk_steps, n_steps - done)
-        start = t0 + done * h
+    threads = min(_WORKERS, block, sum(-(-m // block) for _, m in chunks))
+    block >>= (threads - 1).bit_length()  # B1 / T (T <= B1), rounded down to a power of two
+    left = [-(-m // block) for _, m in chunks]  # each chunk's blocks not yet in
+    tasks = iter([(c, j) for c, (_, m) in enumerate(chunks) for j in range(0, m, block)])
+    lock, trees, failures, total, folded = threading.Lock(), {}, {}, None, 0
 
-        def block_tree(j: int) -> np.ndarray:
-            # sample times count steps from the chunk start, as in one chunk-wide call
-            k = np.arange(j, min(j + block, m))
-            # each thread writes the steps of a block over those of its last of that
-            # size: a long interval keeps its pages instead of faulting them in anew
-            key = threading.get_ident(), k.size
-            u = steps[key] = _step_unitaries(coefficients, start, h, k, steps.get(key, (None,) * 2))
-            return _tree_product(u)
+    def work() -> None:
+        nonlocal total, folded
+        steps = {}  # each block overwrites this thread's last of its size: no page re-faults
+        while True:
+            with lock:
+                task = None if failures else next(tasks, None)
+            if task is None:
+                return
+            (c, j), (done, m) = task, chunks[task[0]]
+            try:
+                # sample times count steps from the chunk start, as in one chunk-wide call
+                k = np.arange(j, min(j + block, m))
+                out = steps.get(k.size, (None, None))
+                u = steps[k.size] = _step_unitaries(coefficients, t0 + done * h, h, k, out)
+                tree = _tree_product(u)
+                with lock:
+                    trees[task], left[c] = tree, left[c] - 1
+                    while folded < len(chunks) and not left[folded]:
+                        starts = range(0, chunks[folded][1], block)
+                        chunk = _tree_product(np.stack([trees.pop((folded, b)) for b in starts], -1))
+                        total = chunk if total is None else _product(chunk, total)
+                        folded += 1
+            except BaseException as error:  # raised by the caller
+                failures[task] = error
+                return
 
-        blocks = range(0, m, block)
-        run = _pool(_WORKERS).map if len(blocks) > 1 and _WORKERS > 1 else map
-        # each block runs in a copy of the caller's context, which holds numpy's error state
-        contexts = [contextvars.copy_context() for _ in blocks]
-        trees = run(lambda context, j: context.run(block_tree, j), contexts, blocks)
-        chunk = _tree_product(np.stack(list(trees), axis=-1))
-        total = chunk if total is None else _product(chunk, total)
+    # each helper runs in a copy of the caller's context, which holds numpy's error state
+    submit = _pool(_WORKERS).submit if threads > 1 else None
+    helpers = [submit(contextvars.copy_context().run, work) for _ in range(threads - 1)]
+    work()
+    for helper in helpers:
+        helper.result()
+    if failures:
+        raise failures[min(failures)]  # the first failing block's, once every thread stopped
     return total
 
 

@@ -7,7 +7,6 @@ import re
 import shlex
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from ccdsim.drive import default_config, drive_coefficient, Scheme
 from ccdsim.errors import NumericalError
 from ccdsim.experiments import noise_average
 from ccdsim.rb import randomized_benchmarking
+from blockpool import hold_the_first_blocks
 
 
 def read_csv(path):
@@ -72,6 +72,32 @@ class TestChevron:
             assert main(args + ["--out", str(outputs[-1])]) == 0
         assert set(pools) == {2, 4}
         assert len({out.read_bytes() for out in outputs}) == 1
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["chevron", "--scheme", "cm"],
+            [
+                "dressed", "--scheme", "cm", "--kind", "ccd_ramsey", "--rabi-hz", "2.2e6",
+                "--points", "64", "--noise-detuning-sigma-hz", "2e4", "--noise-samples", "8",
+            ],
+            [
+                "rb", "--scheme", "cm", "--rabi-hz", "2.2e6", "--cliffords", "1,2", "--k", "2",
+                "--static-detuning-frac", "0.02", "--noise-detuning-sigma-hz", "1e5",
+                "--noise-samples", "64",
+            ],
+        ],
+        ids=["sweep_lattice", "sequence_noise", "rb_long_batch"],
+    )
+    def test_benchmark_runs_never_build_the_pool(self, tmp_path, monkeypatch, args):
+        # every interval of these runs fits one serial block, which the calling
+        # thread steps alone, however many CPUs there are
+        pools, pool = [], propagator._pool
+        monkeypatch.setattr(propagator, "_pool", lambda workers: pools.append(workers) or pool(workers))
+        monkeypatch.setattr(propagator, "_WORKERS", 4)
+        assert main(args + ["--out", str(tmp_path / "run.csv")]) == 0
+        assert pools == []
 
 
 class TestConfigPrecedence:
@@ -150,23 +176,21 @@ class TestConfigPrecedence:
         [(MemoryError, "memory"), (NumericalError, "numerical")],
     )
     def test_error_in_a_pool_block_exits_3(self, tmp_path, monkeypatch, capsys, error, kind):
-        threads = []
-
-        def failing_block(*args):
-            threads.append(threading.current_thread().name)
+        def failing_block(step_unitaries, *args):
             raise error("cannot allocate the step unitaries")
 
-        # several blocks per stepped interval, run on the pool
+        # several blocks per stepped interval, shared with the pool; the blocks
+        # of the calling thread run, and a pool thread's first block fails
         monkeypatch.setattr(propagator, "_BLOCK", 4)
         monkeypatch.setattr(propagator, "_WORKERS", 2)
-        monkeypatch.setattr(propagator, "_step_unitaries", failing_block)
+        threads = hold_the_first_blocks(monkeypatch, failing_block)
         out = tmp_path / "t.csv"
         code = main(["trajectory", "--scheme", "am", "--quarter-turns", "2", "--out", str(out)])
         assert code == 3
         assert not out.exists()
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == {"kind": kind, "message": "cannot allocate the step unitaries"}
-        assert threads and all(name.startswith("ccdsim-block") for name in threads)
+        assert any(name.startswith("ccdsim-block") for name in threads)
 
     def test_sweep_value_outside_unit_interval_is_numerical(self, tmp_path, monkeypatch, capsys):
         evolve_grid = experiments.evolve_grid
