@@ -16,9 +16,9 @@ included, named with its flag); 3 ``NumericalError``, numpy's
 ``FloatingPointError`` or out of memory; 4 ``OSError``. Each prints one JSON
 error record to stderr, and nothing else. Any other exception is a
 programming error, and leaves with its traceback (exit 1). The stepped engine
-spreads long intervals over up to 4 threads, one per usable CPU, with the
-same bytes for any count; ``--threads`` and the ``threads`` key are accepted
-and validated (exit 2 on a negative count), but select nothing.
+steps long intervals block by block on the calling thread; ``--threads`` and
+the ``threads`` key are accepted and validated (exit 2 on a negative count),
+but select nothing.
 """
 from __future__ import annotations
 
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # raised, not warned, in the block pool too: stderr holds only the JSON record
+        # raised, not warned: stderr holds only the JSON record
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.handler(args)
     except ConfigError as exc:

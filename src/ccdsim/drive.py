@@ -220,8 +220,8 @@ class Hamiltonian:
     """Time-dependent 2x2 Hamiltonian H(t) = hx sigma_x + hy sigma_y + hz sigma_z.
 
     ``coefficients`` maps an array of times to an (..., 3) array of real
-    Pauli coefficients. The stepped propagator may call it from several
-    threads at once, so it must be a pure function of the times. The rotating
+    Pauli coefficients. The stepped propagator calls it once per cf4 node
+    of each block, so it must be a pure function of the times. The rotating
     frames give it as data (:class:`FrameCoefficients`), evaluated for a whole
     batch in one call; any other callable, a replaced one included, is called
     per Hamiltonian. ``fastest_period`` is the shortest oscillation period

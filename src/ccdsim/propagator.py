@@ -11,17 +11,15 @@ is four complex multiplies. Steps are reduced as pairwise trees (rounding
 growth logarithmic in the step count) over chunks of at most ``_CHUNK``
 steps, which bound memory. A chunk's tree is built from the trees of its
 aligned power-of-two blocks, which give the same bits for any block size. The
-calling thread and up to ``_WORKERS - 1`` threads of a pool built on first use
-share an interval's blocks, which split one serial block's steps among them:
-neither memory nor the result changes with the thread count. Each pool thread
-runs in a copy of the caller's context, so numpy's error state holds there too.
-A block evaluates the batch's coefficients in one call per cf4 node
-(``drive.batch_coefficients``): one call for rotating-frame data of one frame,
-else one per Hamiltonian, possibly from several threads at once. The step
-kernel keeps numpy passes and temporaries few, and each thread writes a block's
-steps over those of its last; every value takes the IEEE operations, in order,
-of the plain numpy expressions it replaced (np.sinc, complex arithmetic),
-signed zeros included, which ``tests/oracles.py`` keeps as oracles.
+calling thread steps an interval's blocks one at a time, in order, so memory
+holds at most one serial block's steps (and a shorter last block's). A block
+evaluates the batch's coefficients in one call per cf4 node
+(``drive.batch_coefficients``): one call for rotating-frame data of one
+frame, else one per Hamiltonian. The step kernel keeps numpy passes and
+temporaries few, and each block writes its steps over those of the last block
+of its size; every value takes the IEEE operations, in order, of the plain
+numpy expressions it replaced (np.sinc, complex arithmetic), signed zeros
+included, which ``tests/oracles.py`` keeps as oracles.
 
 ``evolve``, ``evolve_grid`` (the one sampled entry point), ``propagator_unitary``
 and ``propagator_grid`` are thin callers of one core, which checks the times
@@ -46,11 +44,7 @@ times:
 """
 from __future__ import annotations
 
-import contextvars
-import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -85,15 +79,8 @@ LATTICE_TOLERANCE = 1e-12
 _CHUNK = 1 << 16
 
 #: Steps per serial block, summed over the batch: a chunk is reduced as aligned
-#: power-of-two blocks of at most this many steps, which the threads split.
+#: power-of-two blocks of at most this many steps, stepped one at a time.
 _BLOCK = 1 << 14
-
-#: Threads per interval, the caller's included: one per usable CPU, at most
-#: _CHUNK // _BLOCK. They split one serial block, so memory does not grow with them.
-_WORKERS = min(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-    _CHUNK // _BLOCK,
-)
 
 # Gauss-Legendre nodes and weights of the 4th-order commutator-free scheme.
 _CF4_NODE_A = 0.5 - math.sqrt(3.0) / 6.0
@@ -239,14 +226,6 @@ def _tree_product(u) -> np.ndarray:
     return np.stack((a[..., 0], b[..., 0]))
 
 
-@functools.cache
-def _pool(workers: int):
-    """The ``workers - 1`` threads that help the calling thread, built on first use."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(workers - 1, thread_name_prefix="ccdsim-block")
-
-
 def _interval_unitary(
     coefficients: Callable[[np.ndarray], np.ndarray],
     batch: tuple[int, ...],
@@ -262,7 +241,8 @@ def _interval_unitary(
     power-of-two step count B, starting at multiples of B. Every level of the
     chunk's pairwise tree below B pairs steps within one block, so the tree
     over the blocks' trees is the chunk's tree, bit for bit, for any B. The
-    caller and T - 1 pool threads claim blocks of 1 / T serial block in order.
+    blocks are stepped in order, so at most one serial block's steps (plus a
+    shorter last one) are held at a time.
     """
     span = t1 - t0
     if span == 0.0:
@@ -271,48 +251,18 @@ def _interval_unitary(
     h = span / n_steps
     size = math.prod(batch)
     chunk_steps = max(1, _CHUNK // size)
-    chunks = [(done, min(chunk_steps, n_steps - done)) for done in range(0, n_steps, chunk_steps)]
     block = 1 << (min(chunk_steps, max(1, _BLOCK // size)).bit_length() - 1)
-    threads = min(_WORKERS, block, sum(-(-m // block) for _, m in chunks))
-    block >>= (threads - 1).bit_length()  # B1 / T (T <= B1), rounded down to a power of two
-    left = [-(-m // block) for _, m in chunks]  # each chunk's blocks not yet in
-    tasks = iter([(c, j) for c, (_, m) in enumerate(chunks) for j in range(0, m, block)])
-    lock, trees, failures, total, folded = threading.Lock(), {}, {}, None, 0
-
-    def work() -> None:
-        nonlocal total, folded
-        steps = {}  # each block overwrites this thread's last of its size: no page re-faults
-        while True:
-            with lock:
-                task = None if failures else next(tasks, None)
-            if task is None:
-                return
-            (c, j), (done, m) = task, chunks[task[0]]
-            try:
-                # sample times count steps from the chunk start, as in one chunk-wide call
-                k = np.arange(j, min(j + block, m))
-                out = steps.get(k.size, (None, None))
-                u = steps[k.size] = _step_unitaries(coefficients, t0 + done * h, h, k, out)
-                tree = _tree_product(u)
-                with lock:
-                    trees[task], left[c] = tree, left[c] - 1
-                    while folded < len(chunks) and not left[folded]:
-                        starts = range(0, chunks[folded][1], block)
-                        chunk = _tree_product(np.stack([trees.pop((folded, b)) for b in starts], -1))
-                        total = chunk if total is None else _product(chunk, total)
-                        folded += 1
-            except BaseException as error:  # raised by the caller
-                failures[task] = error
-                return
-
-    # each helper runs in a copy of the caller's context, which holds numpy's error state
-    submit = _pool(_WORKERS).submit if threads > 1 else None
-    helpers = [submit(contextvars.copy_context().run, work) for _ in range(threads - 1)]
-    work()
-    for helper in helpers:
-        helper.result()
-    if failures:
-        raise failures[min(failures)]  # the first failing block's, once every thread stopped
+    steps, total = {}, None  # each block overwrites the last of its size: no page re-faults
+    for done in range(0, n_steps, chunk_steps):
+        m, trees = min(chunk_steps, n_steps - done), []
+        for j in range(0, m, block):
+            # sample times count steps from the chunk start, as in one chunk-wide call
+            k = np.arange(j, min(j + block, m))
+            out = steps.get(k.size, (None, None))
+            steps[k.size] = _step_unitaries(coefficients, t0 + done * h, h, k, out)
+            trees.append(_tree_product(steps[k.size]))
+        chunk = _tree_product(np.stack(trees, -1))
+        total = chunk if total is None else _product(chunk, total)
     return total
 
 

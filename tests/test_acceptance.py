@@ -367,23 +367,24 @@ class TestNumericalHygiene:
         from ccdsim import propagator
         from ccdsim.cli import main
 
-        # 128 noise shots give every interval of the rb primitives two
-        # blocks, which run on a pool of propagator._WORKERS threads
+        # 128 noise shots give the one stepped interval of the rb primitives two blocks
         args = [
             "rb", "--scheme", "cm", "--rabi-hz", "2.2e6", "--cliffords", "1,2,4",
             "--k", "3", "--noise-detuning-sigma-hz", "1e5", "--noise-samples", "128",
             "--seed", "3",
         ]
-        pools, pool = [], propagator._pool
-        monkeypatch.setattr(propagator, "_pool", lambda workers: pools.append(workers) or pool(workers))
         outputs = {}
-        for workers in (1, 2, 4):
-            monkeypatch.setattr(propagator, "_WORKERS", workers)
-            outputs[workers] = tmp_path / f"{workers}.csv"
-            assert main(args + ["--out", str(outputs[workers])]) == 0
-        assert set(pools) == {2, 4}
-        assert outputs[1].read_bytes() == outputs[2].read_bytes() == outputs[4].read_bytes()
-        report("10b determinism", "byte-identical rb output for 1, 2 and 4 block-pool workers")
+        for threads in ("1", "2", "4"):
+            outputs[threads] = tmp_path / f"{threads}.csv"
+            assert main(args + ["--threads", threads, "--out", str(outputs[threads])]) == 0
+        monkeypatch.setattr(propagator, "_BLOCK", propagator._CHUNK)
+        outputs["one block per chunk"] = tmp_path / "one_block_per_chunk.csv"
+        assert main(args + ["--out", str(outputs["one block per chunk"])]) == 0
+        assert len({out.read_bytes() for out in outputs.values()}) == 1
+        report(
+            "10b determinism",
+            "byte-identical rb output for --threads 1, 2 and 4 and for one block per chunk",
+        )
 
     def test_10c_lab_frame_performance_budget(self):
         import time

@@ -21,7 +21,6 @@ from ccdsim.drive import default_config, drive_coefficient, Scheme
 from ccdsim.errors import NumericalError
 from ccdsim.experiments import noise_average
 from ccdsim.rb import randomized_benchmarking
-from blockpool import hold_the_first_blocks
 
 
 def read_csv(path):
@@ -58,46 +57,19 @@ class TestChevron:
 
     def test_determinism_across_runs_and_threads(self, tmp_path, monkeypatch):
         # 128 noise shots give the rb primitives two blocks per interval;
-        # the worker count is the block pool's, which --threads does not select
+        # --threads selects nothing, and one block per chunk gives the same bits
         args = [
             "rb", "--scheme", "cm", "--rabi-hz", "2.2e6", "--cliffords", "1,2",
             "--k", "2", "--noise-detuning-sigma-hz", "1e5", "--noise-samples", "128",
         ]
-        pools, pool = [], propagator._pool
-        monkeypatch.setattr(propagator, "_pool", lambda workers: pools.append(workers) or pool(workers))
         outputs = []
-        for workers in (1, 2, 4, 4):
-            monkeypatch.setattr(propagator, "_WORKERS", workers)
+        for threads in ("1", "2", "4", "4"):
             outputs.append(tmp_path / f"{len(outputs)}.csv")
-            assert main(args + ["--out", str(outputs[-1])]) == 0
-        assert set(pools) == {2, 4}
+            assert main(args + ["--threads", threads, "--out", str(outputs[-1])]) == 0
+        monkeypatch.setattr(propagator, "_BLOCK", propagator._CHUNK)
+        outputs.append(tmp_path / "one_block_per_chunk.csv")
+        assert main(args + ["--out", str(outputs[-1])]) == 0
         assert len({out.read_bytes() for out in outputs}) == 1
-
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["chevron", "--scheme", "cm"],
-            [
-                "dressed", "--scheme", "cm", "--kind", "ccd_ramsey", "--rabi-hz", "2.2e6",
-                "--points", "64", "--noise-detuning-sigma-hz", "2e4", "--noise-samples", "8",
-            ],
-            [
-                "rb", "--scheme", "cm", "--rabi-hz", "2.2e6", "--cliffords", "1,2", "--k", "2",
-                "--static-detuning-frac", "0.02", "--noise-detuning-sigma-hz", "1e5",
-                "--noise-samples", "64",
-            ],
-        ],
-        ids=["sweep_lattice", "sequence_noise", "rb_long_batch"],
-    )
-    def test_benchmark_runs_never_build_the_pool(self, tmp_path, monkeypatch, args):
-        # every interval of these runs fits one serial block, which the calling
-        # thread steps alone, however many CPUs there are
-        pools, pool = [], propagator._pool
-        monkeypatch.setattr(propagator, "_pool", lambda workers: pools.append(workers) or pool(workers))
-        monkeypatch.setattr(propagator, "_WORKERS", 4)
-        assert main(args + ["--out", str(tmp_path / "run.csv")]) == 0
-        assert pools == []
 
 
 class TestConfigPrecedence:
@@ -176,21 +148,24 @@ class TestConfigPrecedence:
         [(MemoryError, "memory"), (NumericalError, "numerical")],
     )
     def test_error_in_a_pool_block_exits_3(self, tmp_path, monkeypatch, capsys, error, kind):
-        def failing_block(step_unitaries, *args):
-            raise error("cannot allocate the step unitaries")
+        inner, blocks = propagator._step_unitaries, []
 
-        # several blocks per stepped interval, shared with the pool; the blocks
-        # of the calling thread run, and a pool thread's first block fails
+        def failing_block(*args):
+            blocks.append(args)
+            if len(blocks) == 2:
+                raise error("cannot allocate the step unitaries")
+            return inner(*args)
+
+        # several blocks per stepped interval; the first runs, the second fails
         monkeypatch.setattr(propagator, "_BLOCK", 4)
-        monkeypatch.setattr(propagator, "_WORKERS", 2)
-        threads = hold_the_first_blocks(monkeypatch, failing_block)
+        monkeypatch.setattr(propagator, "_step_unitaries", failing_block)
         out = tmp_path / "t.csv"
         code = main(["trajectory", "--scheme", "am", "--quarter-turns", "2", "--out", str(out)])
         assert code == 3
         assert not out.exists()
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == {"kind": kind, "message": "cannot allocate the step unitaries"}
-        assert any(name.startswith("ccdsim-block") for name in threads)
+        assert len(blocks) == 2
 
     def test_sweep_value_outside_unit_interval_is_numerical(self, tmp_path, monkeypatch, capsys):
         evolve_grid = experiments.evolve_grid

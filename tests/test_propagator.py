@@ -1,9 +1,5 @@
-import concurrent.futures
 import math
 import re
-import subprocess
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +30,6 @@ from ccdsim.propagator import (
 )
 from ccdsim.pulses import GATE_MOD_PHASE, simulate_program
 from ccdsim.qubit import IDENTITY, SIGMA_X, ZERO_STATE, population_up
-from blockpool import WAIT_S, hold_the_first_blocks, on_pool_thread
 from oracles import one_state, plus_state, second_frame_coefficients, state_fidelity
 
 RABI = 2 * math.pi * 3.6e6
@@ -556,41 +551,23 @@ def _second_frame_batch():
 
 
 class TestBlockPool:
+    """The aligned blocks an interval's chunks are stepped in, one at a time."""
+
     @pytest.mark.parametrize(
         "compute, sizes",
         [(_lab_trace, SMALL), (_first_frame_rows, SMALL), (_second_frame_batch, DEFAULT)],
         ids=["lab", "first_frame_41_rows", "second_frame_256"],
     )
     def test_any_worker_count_gives_the_same_bytes(self, monkeypatch, compute, sizes):
+        # blocks of a half and a quarter serial block give the chunk's tree too
         chunk, block = sizes
         monkeypatch.setattr(propagator, "_CHUNK", chunk)
         # one block per chunk reduces each chunk in one tree, as unblocked stepping did
         monkeypatch.setattr(propagator, "_BLOCK", chunk)
-        monkeypatch.setattr(propagator, "_WORKERS", 1)
         reference = compute().tobytes()
-        monkeypatch.setattr(propagator, "_BLOCK", block)
-        threads = hold_the_first_blocks(monkeypatch)
-        for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(propagator, "_WORKERS", workers)
-            threads.clear()
-            assert compute().tobytes() == reference, workers
-            on_pool = {name for name in threads if name.startswith("ccdsim-block")}
-            assert bool(on_pool) == (workers > 1) and len(on_pool) <= workers - 1
-
-    def test_blocks_run_under_the_callers_numpy_error_state(self, monkeypatch):
-        def overflowing_on_the_pool(t):
-            # on a pool thread |c|^2 overflows and sin(inf) is invalid
-            value = 1e300 if on_pool_thread() else 1.0
-            return np.full(np.shape(t) + (3,), value)
-
-        monkeypatch.setattr(propagator, "_BLOCK", 4)
-        monkeypatch.setattr(propagator, "_WORKERS", 2)
-        threads = hold_the_first_blocks(monkeypatch)
-        ham = Hamiltonian(overflowing_on_the_pool, fastest_period=1.0)  # 200 steps in 100 blocks
-        # a pool thread in the default state would warn: a RuntimeWarning under pytest
-        with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
-            propagator_unitary(ham, 0.0, 1.0)
-        assert any(name.startswith("ccdsim-block") for name in threads)
+        for shift in (0, 1, 2):
+            monkeypatch.setattr(propagator, "_BLOCK", block >> shift)
+            assert compute().tobytes() == reference, block >> shift
 
     def test_steps_in_flight_never_exceed_one_serial_block(self, monkeypatch):
         base = default_config(Scheme.CMCCD)
@@ -598,130 +575,42 @@ class TestBlockPool:
         chunk, block = SMALL
         monkeypatch.setattr(propagator, "_CHUNK", chunk)
         monkeypatch.setattr(propagator, "_BLOCK", block)
-        # counted outside the hold: the first blocks of the caller and of a pool
-        # thread each wait in flight until the other has started, so they overlap
-        hold_the_first_blocks(monkeypatch)
-        lock, in_flight, peak = threading.Lock(), [0], [0]
+        in_flight, peak = [0], [0]
         inner = propagator._step_unitaries
 
         def spy(coefficients, t0, h, k, *out):
-            steps = len(hams) * k.size
-            with lock:
-                in_flight[0] += steps
-                peak[0] = max(peak[0], in_flight[0])
+            in_flight[0] += len(hams) * k.size
+            peak[0] = max(peak[0], in_flight[0])
             try:
                 return inner(coefficients, t0, h, k, *out)
             finally:
-                with lock:
-                    in_flight[0] -= steps
+                in_flight[0] -= len(hams) * k.size
 
         monkeypatch.setattr(propagator, "_step_unitaries", spy)
         times = np.array([0.37, 9.9]) * base.mod_period  # chunks of 1,365 steps x 3
-        # the serial block is 256 steps x 3, the largest power of two <= block // 3;
-        # T threads claim blocks of 256 / T steps, rounded down to a power of two
-        serial = 256 * len(hams)
-        for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(propagator, "_WORKERS", workers)
-            peak[0] = 0
-            propagator.propagator_grid(hams, times)
-            per_thread = serial >> (workers - 1).bit_length()
-            assert (per_thread < peak[0] <= serial) if workers > 1 else peak[0] == serial
-            assert in_flight[0] == 0
+        propagator.propagator_grid(hams, times)
+        # the serial block is 256 steps x 3, the largest power of two <= block // 3
+        assert peak[0] == 256 * len(hams) and in_flight[0] == 0
 
-    def test_the_shared_queue_holds_under_rapid_thread_switches(self, monkeypatch):
-        # more threads than CPUs on many small blocks, switching every
-        # microsecond: a lost or doubled claim, or a lost count of the blocks
-        # a chunk still waits for, changes the bytes or the blocks stepped
+    @pytest.mark.parametrize(
+        "failing",
+        [{0}, {1}, {0, 1}, {20}],
+        ids=["first", "second", "first_and_second", "in_a_later_chunk"],
+    )
+    def test_a_failing_block_stops_the_stepping(self, monkeypatch, failing):
         monkeypatch.setattr(propagator, "_CHUNK", 64)
-        monkeypatch.setattr(propagator, "_BLOCK", 16)
-        monkeypatch.setattr(propagator, "_WORKERS", 1)
-        reference = _lab_trace().tobytes()
-        blocks, inner = [], propagator._step_unitaries
+        monkeypatch.setattr(propagator, "_BLOCK", 4)
+        inner, started = propagator._step_unitaries, []
 
         def spy(coefficients, t0, h, k, *out):
-            blocks.append((t0, int(k[0])))
+            started.append(len(started))
+            if started[-1] in failing:
+                raise NumericalError(str(started[-1]))
             return inner(coefficients, t0, h, k, *out)
 
         monkeypatch.setattr(propagator, "_step_unitaries", spy)
-        monkeypatch.setattr(propagator, "_WORKERS", 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(2):
-                blocks.clear()
-                assert _lab_trace().tobytes() == reference
-                # 187 chunks of 64 steps and one of 32, serial blocks of 16,
-                # so 4 threads on blocks of 4: 187 x 16 + 8
-                assert len(blocks) == len(set(blocks)) == 3000
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("failing", ["caller", "pool", "both"])
-    def test_a_failing_block_stops_the_claims(self, monkeypatch, failing):
-        # each thread's first block is held until the other thread's first has
-        # failed or run, and a thread that fails stops: exactly two blocks start
-        monkeypatch.setattr(propagator, "_BLOCK", 4)
-        monkeypatch.setattr(propagator, "_WORKERS", 2)
-        pool, inner = propagator._pool, propagator._step_unitaries
-        lock, started, failed, in_flight = threading.Lock(), [], [], [0]
-        claimed, joined, helpers = threading.Event(), threading.Event(), []
-
-        class Helper:  # sets ``joined`` when the caller waits for its pool thread
-            def __init__(self, future):
-                self.future = future
-
-            def result(self):
-                joined.set()
-                return self.future.result()
-
-        class Pool:
-            def __init__(self, workers):
-                self.submit_to = pool(workers).submit
-
-            def submit(self, *args):
-                helpers.append(self.submit_to(*args))
-                return Helper(helpers[-1])
-
-        def spy(coefficients, t0, h, k, *out):
-            block, thread = (t0, int(k[0])), threading.current_thread().name
-            with lock:
-                in_flight[0] += 1
-                first = thread not in {name for name, _ in started}
-                started.append((thread, block))
-            try:
-                if first and on_pool_thread():
-                    claimed.set()
-                    if failing != "caller":
-                        failed.append(block)
-                        raise NumericalError(str(block))
-                    assert joined.wait(WAIT_S)  # the caller has stopped claiming
-                elif first:
-                    assert claimed.wait(WAIT_S)
-                    if failing != "pool":
-                        failed.append(block)
-                        raise NumericalError(str(block))
-                    # the pool thread has stopped, so its failure is recorded
-                    assert not concurrent.futures.wait(helpers, WAIT_S).not_done
-                return inner(coefficients, t0, h, k, *out)
-            finally:
-                with lock:
-                    in_flight[0] -= 1
-
-        monkeypatch.setattr(propagator, "_pool", Pool)
-        monkeypatch.setattr(propagator, "_step_unitaries", spy)
-        ham = constant(np.diag([1.0, -1.0]), fastest_period=1.0)  # 200 steps in 100 blocks
+        ham = constant(np.diag([1.0, -1.0]), fastest_period=1.0)  # 200 steps in 50 blocks of 4
         with pytest.raises(NumericalError) as raised:
             propagator_unitary(ham, 0.0, 1.0)
-        # the first failing (chunk, block) by start time, whichever thread claimed it
-        assert str(raised.value) == str(min(failed))
-        assert len(failed) == (2 if failing == "both" else 1)
-        assert len(started) == 2 and in_flight[0] == 0
-
-
-def test_importing_the_cli_starts_no_pool():
-    probe = "import sys, ccdsim.cli; print('concurrent.futures' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+        # the first failing block's error, and no block stepped after it
+        assert str(raised.value) == str(min(failing)) == str(started[-1])
