@@ -55,6 +55,7 @@ from .experiments import (
     noise_average,
     rabi_error_sweep,
     shot_mean,
+    _numpy_random,
 )
 from .propagator import evolve_grid
 from .pulses import GATE_MOD_PHASE, require_gate_lattice
@@ -295,7 +296,7 @@ def _cmd_iq_export(args: argparse.Namespace) -> int:
 
 
 def _selftest_checks():
-    rng = np.random.default_rng(20260809)
+    rng = _numpy_random().default_rng(20260809)
 
     def check_counter_rotating():
         for scheme, expected in ((Scheme.CMCCD, 0.0), (Scheme.AMCCD, -0.5), (Scheme.PMCCD, 0.5)):

@@ -13,7 +13,9 @@ and repeated into row order, and each value column is rendered in blocks of
 ``_BLOCK_ROWS`` rows, which are joined into lines and encoded block by block.
 The config hash comes from CPython's built-in ``_sha1``, which ``hashlib``
 itself falls back to: ``hashlib`` loads OpenSSL, about 3.5 MB of resident
-memory that a run drawing no random numbers then never maps.
+memory. numpy's random generators are imported with OpenSSL blocked
+(``experiments._numpy_random``), so no run maps it; a later
+``import hashlib`` in the same process loads it as usual.
 """
 from __future__ import annotations
 

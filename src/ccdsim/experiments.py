@@ -22,6 +22,7 @@ setting: each propagates at the propagator's default, ``ROTATING_SPEC``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -58,6 +59,31 @@ class AxisDef(NamedTuple):
     values: np.ndarray
 
 
+def _numpy_random():
+    """``numpy.random``, imported without mapping OpenSSL.
+
+    Its bit generators import ``secrets``, whose ``hmac`` and ``hashlib``
+    load ``_hashlib`` (OpenSSL): about 3.5 MB of resident memory for digests
+    that no draw takes (``import numpy.random`` peaks at 33.0 MB with it and
+    29.5 MB without). The first import here blocks ``_hashlib``, so those
+    modules fall back to CPython's built-in digests, then lifts the block and
+    unloads the modules it created: a later ``import hashlib`` in the same
+    process loads OpenSSL as usual. The generators and draws are numpy's own.
+    The block holds only if no other thread imports meanwhile; ccdsim steps
+    every block on the calling thread.
+    """
+    if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+        fresh = [name for name in ("secrets", "hmac", "hashlib") if name not in sys.modules]
+        sys.modules["_hashlib"] = None
+        try:
+            import numpy.random
+        finally:
+            del sys.modules["_hashlib"]
+            for name in fresh:
+                sys.modules.pop(name, None)
+    return np.random
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Quasi-static Gaussian noise: one (detuning, Rabi-error) draw per shot."""
@@ -84,7 +110,7 @@ class NoiseSpec:
         """
         if self.sigma_detuning == 0.0 and self.sigma_rabi_frac == 0.0:
             return [cfg]
-        rng = np.random.default_rng(self.seed)
+        rng = _numpy_random().default_rng(self.seed)
         deltas = rng.normal(0.0, self.sigma_detuning, self.samples)
         rabi_errors = rng.normal(0.0, self.sigma_rabi_frac * cfg.rabi, self.samples)
         return [

@@ -32,7 +32,9 @@ least-squares amplitude, and p comes from a bracketed golden-section search
 (``_fit_decay``). A non-finite signal, a single length, or a best amplitude
 of 0 (an all-zero or negative signal) leaves p unidentified; the fit then
 reports ``converged=False`` with the log-linear estimate, and the result
-carries a warning.
+carries a warning. With fewer than two usable lengths there is no estimate
+at all: the fit reports the placeholder (A, p) = (1, 0.5), and the warning
+says so.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from .clifford import (
 )
 from .drive import DriveConfig, gate_frame
 from .errors import ConfigError
-from .experiments import NoiseSpec
+from .experiments import NoiseSpec, _numpy_random
 from .pulses import GATE_MOD_PHASE, piece_propagators, require_gate_lattice
 
 __all__ = ["RBResult", "randomized_benchmarking"]
@@ -167,8 +169,9 @@ def _signal_matrix(rotations: np.ndarray, strings: list[np.ndarray]) -> np.ndarr
 
 
 def _sequence_indices(seed: int, m: int, k: int) -> np.ndarray:
-    bits = np.random.Philox(key=seed, counter=[0, 0, m, k])
-    return np.random.Generator(bits).integers(0, 24, size=m)
+    random = _numpy_random()
+    bits = random.Philox(key=seed, counter=[0, 0, m, k])
+    return random.Generator(bits).integers(0, 24, size=m)
 
 
 def _projected_fit(p: np.ndarray, m: np.ndarray, signal: np.ndarray):
@@ -216,20 +219,22 @@ def _search_decay(m: np.ndarray, signal: np.ndarray) -> tuple[float, float]:
     return float(amplitudes[pick]), float(candidates[pick])
 
 
-def _fit_decay(lengths: np.ndarray, signal: np.ndarray) -> tuple[float, float, float, bool]:
-    """Fit A p^M with A in [0, 2] and p in [0, 1]; returns (A, p, residual_rms, converged).
+def _fit_decay(lengths: np.ndarray, signal: np.ndarray) -> tuple[float, float, float, str | None]:
+    """Fit A p^M with A in [0, 2] and p in [0, 1]; returns (A, p, residual_rms, warning).
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973):
     ``_projected_fit`` eliminates the amplitude and ``_search_decay`` searches
-    p. p is not identified by a non-finite signal, by a single length, or
-    when the best amplitude is 0 (an all-zero or negative signal); the
-    log-linear estimate is then returned with ``converged=False``.
+    p. ``warning`` is None when the fit converged. p is not identified by a
+    non-finite signal, by a single length, or when the best amplitude is 0
+    (an all-zero or negative signal); the log-linear estimate is then
+    returned with a warning, or, with fewer than two usable lengths, the
+    placeholder (1, 0.5) with a warning that no estimate exists.
     """
     a = 0.0
     if lengths.size >= 2 and np.all(np.isfinite(signal)):
         a, p = _search_decay(lengths.astype(float), signal)
-    converged = a > 0.0
-    if not converged:  # the log-linear estimate
+    warning = None
+    if not a > 0.0:  # the log-linear estimate
         magnitude = np.abs(signal)
         usable = np.isfinite(magnitude) & (magnitude > 1e-12)
         if usable.sum() >= 2:
@@ -237,10 +242,15 @@ def _fit_decay(lengths: np.ndarray, signal: np.ndarray) -> tuple[float, float, f
             # capped before exp: a steep drop between two long lengths overflows it
             p = float(np.clip(math.exp(min(slope, 0.0)), 1e-6, 1.0))
             a = float(np.clip(math.exp(min(intercept, math.log(2.0))), 1e-6, 2.0))
+            warning = "decay fit did not converge; log-linear estimate reported"
         else:
             a, p = 1.0, 0.5
+            warning = (
+                "decay fit did not converge: fewer than two usable lengths, so no decay "
+                "estimate exists; the fidelity and fit fields are placeholders"
+            )
     residual = float(np.sqrt(np.mean((signal - a * p**lengths) ** 2)))
-    return a, p, residual, converged
+    return a, p, residual, warning
 
 
 def randomized_benchmarking(
@@ -283,11 +293,9 @@ def randomized_benchmarking(
     matrix = _signal_matrix(rotations, strings)
 
     signal = matrix.mean(axis=1)
-    amplitude, p, residual, converged = _fit_decay(lengths, signal)
+    amplitude, p, residual, fit_warning = _fit_decay(lengths, signal)
     f_c = (1.0 + p) / 2.0
-    warnings = []
-    if not converged:
-        warnings.append("decay fit did not converge; log-linear estimate reported")
+    warnings = [] if fit_warning is None else [fit_warning]
     if k_randomizations > 1:
         sem = float(matrix[-1].std(ddof=1)) / math.sqrt(k_randomizations)
         if sem > 0.0 and abs(signal[-1]) < 3.0 * sem:
@@ -302,7 +310,7 @@ def randomized_benchmarking(
         average_gate_fidelity=1.0 - (1.0 - f_c) / AVERAGE_PRIMITIVES_PER_CLIFFORD,
         fit_amplitude=amplitude,
         fit_residual=residual,
-        converged=converged,
+        converged=fit_warning is None,
         warnings=tuple(warnings),
         meta={"signal_matrix": matrix},
     )

@@ -889,17 +889,45 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert result.stdout.strip() == "False"
 
 
-def test_deterministic_run_leaves_openssl_unloaded(tmp_path):
-    # the config hash uses the built-in _sha1: hashlib would load OpenSSL
-    # (_hashlib), megabytes of resident memory, in a run that draws no random numbers
+#: a run without draws, the noise shots of the sequence_noise benchmark, RB
+#: sequences with noise shots, a program file's noise shots and the selftest's
+#: own draws; OUT and PROGRAM are filled in per run
+OPENSSL_FREE_RUNS = {
+    "chevron": ["chevron", "--detuning-points", "3", "--durations", "8", "--out", "OUT"],
+    "sequence_noise": [
+        "dressed", "--scheme", "cm", "--kind", "ccd_ramsey", "--rabi-hz", "2.2e6",
+        "--points", "64", "--noise-detuning-sigma-hz", "2e4", "--noise-samples", "8",
+        "--threads", "2", "--out", "OUT",
+    ],
+    "rb-noise": [
+        "rb", "--cliffords", "1,2", "--k", "2", "--noise-samples", "2",
+        "--noise-detuning-sigma-hz", "1e5", "--out", "OUT",
+    ],
+    "dressed-program-noise": [
+        "dressed", "--program", "PROGRAM", "--noise-detuning-sigma-hz", "3e5",
+        "--noise-samples", "4", "--out", "OUT",
+    ],
+    "selftest": ["selftest"],
+}
+
+
+@pytest.mark.parametrize("name", OPENSSL_FREE_RUNS)
+def test_run_leaves_openssl_unloaded(tmp_path, name):
+    # hashlib would load OpenSSL (_hashlib), megabytes of resident memory: the
+    # config hash uses the built-in _sha1, and numpy.random is imported with
+    # _hashlib blocked. Each run is a fresh interpreter, because Hypothesis
+    # imports hashlib into this one first.
+    program = tmp_path / "ypi.seq"
+    program.write_text("gate 3.141592653589793 0.0\npad\n")
+    fill = {"OUT": str(tmp_path / "out.csv"), "PROGRAM": str(program)}
+    argv = [fill.get(arg, arg) for arg in OPENSSL_FREE_RUNS[name]]
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys, ccdsim.cli; code = ccdsim.cli.main(sys.argv[1:]); "
         "print(code, '_hashlib' in sys.modules)"
     )
-    args = ["chevron", "--detuning-points", "3", "--durations", "8"]
     result = subprocess.run(
-        [sys.executable, "-c", probe, *args, "--out", str(tmp_path / "c.csv")],
+        [sys.executable, "-c", probe, *argv],
         capture_output=True,
         text=True,
         timeout=300,
@@ -907,6 +935,56 @@ def test_deterministic_run_leaves_openssl_unloaded(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 False"
+
+
+#: draws noise shots and one RB sequence (after importing hashlib when the
+#: first argument says so), then imports hashlib; prints what it saw as JSON
+DRAW_THEN_HASHLIB_PROBE = """
+import json, sys
+if sys.argv[1] == "hashlib-first":
+    import hashlib
+from ccdsim import rb
+from ccdsim.drive import Scheme, default_config
+from ccdsim.experiments import NoiseSpec
+shots = NoiseSpec(1e5, 0.01, 3, seed=5).shots(default_config(Scheme.CMCCD))
+draws = [[shot.detuning, shot.rabi_error] for shot in shots]
+indices = rb._sequence_indices(5, 16, 2).tolist()
+openssl_at_draws = "_hashlib" in sys.modules
+import hashlib
+print(json.dumps({
+    "draws": [[x.hex() for x in pair] for pair in draws],
+    "indices": indices,
+    "openssl_at_draws": openssl_at_draws,
+    "openssl": "_hashlib" in sys.modules,
+    "algorithms": sorted(hashlib.algorithms_available),
+}))
+"""
+
+
+def test_draws_leave_hashlib_as_a_fresh_interpreter_has_it():
+    # the OpenSSL block lasts only for the numpy.random import: hashlib
+    # imported afterwards is the usual one, and the draws are those of
+    # numpy's usual import path (hashlib, and so OpenSSL, loaded first)
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(*args):
+        result = subprocess.run(
+            [sys.executable, "-c", *args],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    fresh = run("import hashlib, json; print(json.dumps(sorted(hashlib.algorithms_available)))")
+    blocked = run(DRAW_THEN_HASHLIB_PROBE, "draws-first")
+    usual = run(DRAW_THEN_HASHLIB_PROBE, "hashlib-first")
+    assert not blocked["openssl_at_draws"] and usual["openssl_at_draws"]
+    assert blocked["openssl"]
+    assert blocked["algorithms"] == fresh
+    assert (blocked["draws"], blocked["indices"]) == (usual["draws"], usual["indices"])
 
 
 def test_numpy_is_the_only_dependency():

@@ -407,17 +407,17 @@ class TestDecayFit:
     @pytest.mark.parametrize("run", FIT_RUNS)
     def test_matches_bounded_curve_fit(self, run):
         result = FIT_RUNS[run]()
-        a, p, _, converged = _fit_decay(result.lengths, result.signal)
+        a, p, _, warning = _fit_decay(result.lengths, result.signal)
         expected_a, expected_p = curve_fit_decay(result.lengths, result.signal)
-        assert converged and result.converged
+        assert warning is None and result.converged
         assert abs(p - expected_p) <= 1e-9
         assert abs(a - expected_a) <= 1e-8
 
     def test_amplitude_above_its_bound_is_clipped(self):
         lengths = np.array(ACCEPTANCE_M)
         signal = 2.5 * 0.9**lengths
-        a, p, _, converged = _fit_decay(lengths, signal)
-        assert converged and a == 2.0
+        a, p, _, warning = _fit_decay(lengths, signal)
+        assert warning is None and a == 2.0
         assert abs(p - curve_fit_decay(lengths, signal)[1]) <= 1e-9
 
     def test_finds_the_lower_of_two_residual_minima(self):
@@ -426,41 +426,46 @@ class TestDecayFit:
         signal = np.array([0.6075, 0.4552, 0.4483, 0.0394, 0.2106, 0.2805, 0.23])
         scan = np.linspace(0.0, 1.0, 100_001)
         _, costs = rb._projected_fit(scan, lengths.astype(float), signal)
-        a, p, residual, converged = _fit_decay(lengths, signal)
-        assert converged
+        a, p, residual, warning = _fit_decay(lengths, signal)
+        assert warning is None
         assert abs(p - scan[np.argmin(costs)]) <= 1e-5
         assert residual**2 * lengths.size <= costs.min()
 
     def test_flat_signal_gives_unit_decay(self):
-        a, p, residual, converged = _fit_decay(np.array(M_LIST), np.ones(len(M_LIST)))
-        assert converged
+        a, p, residual, warning = _fit_decay(np.array(M_LIST), np.ones(len(M_LIST)))
+        assert warning is None
         assert abs(p - 1.0) <= 1e-12 and abs(a - 1.0) <= 1e-12
         assert residual <= 1e-12
 
     @pytest.mark.parametrize(
-        "m_list, signal",
+        "m_list, signal, reported",
         [
-            (M_LIST, [0.9, np.nan, 0.7, 0.5, 0.3]),
-            (M_LIST, [0.9, np.inf, 0.7, 0.5, 0.3]),
-            (M_LIST, [0.0, 0.0, 0.0, 0.0, 0.0]),
-            (M_LIST, [-0.9, -0.8, -0.7, -0.5, -0.3]),
-            ([255, 256], [-1.0, -1.1e-12]),  # log-linear intercept 7,000: exp overflows
+            (M_LIST, [0.9, np.nan, 0.7, 0.5, 0.3], "log-linear estimate reported"),
+            (M_LIST, [0.9, np.inf, 0.7, 0.5, 0.3], "log-linear estimate reported"),
+            # no usable length: no estimate, only placeholders
+            (M_LIST, [0.0, 0.0, 0.0, 0.0, 0.0], "no decay estimate exists"),
+            (M_LIST, [-0.9, -0.8, -0.7, -0.5, -0.3], "log-linear estimate reported"),
+            # log-linear intercept 7,000: exp overflows
+            ([255, 256], [-1.0, -1.1e-12], "log-linear estimate reported"),
         ],
         ids=["nan", "inf", "zero", "negative", "negative-steep"],
     )
-    def test_unidentified_decay_is_not_converged(self, monkeypatch, m_list, signal):
+    def test_unidentified_decay_is_not_converged(self, monkeypatch, m_list, signal, reported):
         signal = np.array(signal)
-        a, p, _, converged = _fit_decay(np.array(m_list), signal)
-        assert not converged
+        a, p, _, warning = _fit_decay(np.array(m_list), signal)
+        assert "did not converge" in warning and reported in warning
         assert 0.0 <= a <= 2.0 and 0.0 <= p <= 1.0
         # the run reports it: its signal replaced by this one at the fit
         monkeypatch.setattr(rb, "_fit_decay", lambda lengths, _: _fit_decay(lengths, signal))
         result = randomized_benchmarking(CFG, m_list, 2, NoiseSpec(seed=1))
         assert not result.converged
         assert (result.clifford_fidelity, result.fit_amplitude) == ((1.0 + p) / 2.0, a)
-        assert any("did not converge" in w for w in result.warnings)
+        assert warning in result.warnings
 
     def test_single_length_is_not_converged(self):
+        # one length identifies no decay: the fidelity fields are placeholders
         result = randomized_benchmarking(CFG, [4], 3, NoiseSpec(seed=1))
         assert not result.converged
-        assert any("did not converge" in w for w in result.warnings)
+        (warning,) = (w for w in result.warnings if "did not converge" in w)
+        assert "no decay estimate exists" in warning and "placeholders" in warning
+        assert "log-linear" not in warning
