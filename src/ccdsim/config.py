@@ -7,16 +7,18 @@ or by the flag that gave them. CLI flags override file values, which override
 the documented defaults; then each derived spelling (``DERIVED``) is resolved
 into the keys it sets, and is refused if any of them is given too. The
 ``scheme`` key (bare, am, pm or cm) is the one key for the modulation ratios:
-``drive_config`` takes (alpha_A, alpha_P) from it.
+``drive_config`` gives the drive its ``Scheme``. No key sets the carrier
+omega_mw: only the lab frame reads it, and no subcommand runs that frame, so
+every drive takes ``DEFAULT_CARRIER``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
 
-from .drive import DriveConfig, Scheme
+from .drive import DEFAULT_CARRIER, DriveConfig, Scheme
 from .errors import ConfigError
-from .experiments import NoiseSpec
+from .experiments import MAX_NOISE_SAMPLES, NoiseSpec
 
 __all__ = ["KEY_TYPES", "RunConfig", "flag", "parse_config", "emit_config"]
 
@@ -31,7 +33,6 @@ class RunConfig:
     scheme: str = "cm"
     rabi_hz: float = 3.6e6
     detuning_hz: float = 0.0
-    carrier_hz: float = 15e9
     rabi_error_frac: float = 0.0
     mod_ratio: float = 0.25
     mod_phase: float = math.pi / 2.0
@@ -75,17 +76,15 @@ class RunConfig:
 
     def drive_config(self) -> DriveConfig:
         rabi = TWO_PI * self.rabi_hz
-        alpha_a, alpha_p = Scheme.parse(self.scheme).value
         return DriveConfig(
-            omega_mw=TWO_PI * self.carrier_hz,
+            omega_mw=DEFAULT_CARRIER,
             rabi=rabi,
             detuning=TWO_PI * self.detuning_hz,
             rabi_error=self.rabi_error_frac * rabi,
             mod_strength=self.mod_ratio * rabi,
             mod_phase=self.mod_phase,
             mw_phase=self.mw_phase,
-            alpha_A=alpha_a,
-            alpha_P=alpha_p,
+            scheme=Scheme.parse(self.scheme),
         )
 
     def noise_spec(self) -> NoiseSpec:
@@ -168,6 +167,8 @@ def _validate(cfg: RunConfig) -> None:
         fail("threads", "threads must be >= 0")
     if not 0 <= cfg.seed < 2**64:  # the random generators take a 64-bit key
         fail("seed", f"seed must lie in [0, 2^64), got {cfg.seed}")
+    if not cfg.noise_samples <= MAX_NOISE_SAMPLES:
+        fail("noise_samples", f"noise_samples must be at most {MAX_NOISE_SAMPLES}")
     try:
         Scheme.parse(cfg.scheme)
     except ConfigError as exc:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,14 +67,6 @@ class Scheme(enum.Enum):
     AMCCD = (1.0, 0.0)
     PMCCD = (0.0, 1.0)
     CMCCD = (0.5, 0.5)
-
-    @property
-    def alpha_a(self) -> float:
-        return self.value[0]
-
-    @property
-    def alpha_p(self) -> float:
-        return self.value[1]
 
     @classmethod
     def parse(cls, text: str) -> "Scheme":
@@ -123,9 +115,9 @@ class DriveConfig:
         Modulation phase theta_m (rad).
     mw_phase : float
         Carrier phase phi_mw (rad).
-    alpha_A, alpha_P : float
-        Amplitude/phase modulation ratios; either alpha_A + alpha_P = 1
-        or both are zero (bare qubit).
+    scheme : Scheme
+        Modulation scheme; its value is the (alpha_A, alpha_P) pair of
+        amplitude/phase modulation ratios, read as ``alpha_A`` and ``alpha_P``.
     """
 
     omega_mw: float
@@ -135,11 +127,12 @@ class DriveConfig:
     mod_strength: float = 0.0
     mod_phase: float = math.pi / 2
     mw_phase: float = 0.0
-    alpha_A: float = 0.0
-    alpha_P: float = 0.0
+    scheme: Scheme = Scheme.BARE
 
     def __post_init__(self) -> None:
-        for item in fields(self):
+        if not isinstance(self.scheme, Scheme):
+            raise ConfigError(f"scheme must be a Scheme, got {self.scheme!r}")
+        for item in fields(self)[:-1]:  # the float fields; scheme is last
             value = getattr(self, item.name)
             if not abs(value) < math.inf:
                 raise ConfigError(f"{item.name} must be finite, got {value!r}")
@@ -147,13 +140,16 @@ class DriveConfig:
             raise ConfigError(f"rabi must be positive, got {self.rabi!r}")
         if not self.mod_strength >= 0.0:
             raise ConfigError(f"mod_strength must be >= 0, got {self.mod_strength!r}")
-        if not (self.alpha_A >= 0.0 and self.alpha_P >= 0.0):
-            raise ConfigError("modulation ratios must be non-negative")
-        total = self.alpha_A + self.alpha_P
-        if not (abs(total - 1.0) <= 1e-12 or total == 0.0):
-            raise ConfigError(
-                f"alpha_A + alpha_P must equal 1 (or both be 0), got {total!r}"
-            )
+
+    @property
+    def alpha_A(self) -> float:
+        """Amplitude-modulation ratio of the scheme."""
+        return self.scheme.value[0]
+
+    @property
+    def alpha_P(self) -> float:
+        """Phase-modulation ratio of the scheme."""
+        return self.scheme.value[1]
 
     @property
     def omega_L(self) -> float:
@@ -162,32 +158,14 @@ class DriveConfig:
 
     @property
     def dressed(self) -> bool:
-        """Whether CCD dresses the qubit: a modulated scheme (alpha_A + alpha_P
-        > 0) at eps_m > 0. Every other drive acts on the bare qubit."""
-        return self.alpha_A + self.alpha_P > 0.0 and self.mod_strength > 0.0
+        """Whether CCD dresses the qubit: a modulated scheme (not bare) at
+        eps_m > 0. Every other drive acts on the bare qubit."""
+        return self.scheme is not Scheme.BARE and self.mod_strength > 0.0
 
     @property
     def mod_period(self) -> float:
         """One modulation period 2 pi / Omega_0 (s)."""
         return TWO_PI / self.rabi
-
-    def with_errors(self, detuning: float | None = None,
-                    rabi_error: float | None = None) -> "DriveConfig":
-        """Copy with the detuning and/or Rabi error replaced."""
-        kwargs = {}
-        if detuning is not None:
-            kwargs["detuning"] = detuning
-        if rabi_error is not None:
-            kwargs["rabi_error"] = rabi_error
-        return replace(self, **kwargs)
-
-    def with_pulse(self, mod_phase: float, mw_phase: float) -> "DriveConfig":
-        """Copy with per-segment pulse parameters (theta_m, phi_mw) replaced."""
-        return replace(self, mod_phase=mod_phase, mw_phase=mw_phase)
-
-    def with_scheme(self, scheme: Scheme) -> "DriveConfig":
-        """Copy with the modulation ratios of ``scheme``."""
-        return replace(self, alpha_A=scheme.alpha_a, alpha_P=scheme.alpha_p)
 
 
 def default_config(
@@ -210,8 +188,7 @@ def default_config(
         mod_strength=0.0 if scheme is Scheme.BARE else mod_ratio * rabi,
         mod_phase=mod_phase,
         mw_phase=mw_phase,
-        alpha_A=scheme.alpha_a,
-        alpha_P=scheme.alpha_p,
+        scheme=scheme,
     )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from .qubit import ZERO_STATE, bloch_vector, normalized, population_up
 
 __all__ = [
     "AxisDef",
+    "MAX_NOISE_SAMPLES",
     "NoiseSpec",
     "chevron_sweep",
     "rabi_error_sweep",
@@ -51,6 +52,8 @@ __all__ = [
 
 #: Bytes of one block of pairwise marker differences in ``bloch_trajectory``.
 _SPREAD_BLOCK_BYTES = 1 << 20
+#: Most noise shots a ``NoiseSpec`` draws.
+MAX_NOISE_SAMPLES = 10**6
 
 
 class AxisDef(NamedTuple):
@@ -96,8 +99,11 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not (self.sigma_detuning >= 0.0 and self.sigma_rabi_frac >= 0.0):
             raise ConfigError("noise sigmas must be >= 0")
-        if self.samples < 1:
-            raise ConfigError("need at least one noise sample")
+        if not 1 <= self.samples <= MAX_NOISE_SAMPLES:
+            raise ConfigError(
+                f"noise_samples must lie in [1, {MAX_NOISE_SAMPLES}], got {self.samples}",
+                key="noise_samples",
+            )
         if not 0 <= self.seed < 2**64:  # the random generators take a 64-bit key
             raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}", key="seed")
 
@@ -114,7 +120,7 @@ class NoiseSpec:
         deltas = rng.normal(0.0, self.sigma_detuning, self.samples)
         rabi_errors = rng.normal(0.0, self.sigma_rabi_frac * cfg.rabi, self.samples)
         return [
-            cfg.with_errors(detuning=cfg.detuning + d, rabi_error=cfg.rabi_error + e)
+            replace(cfg, detuning=cfg.detuning + d, rabi_error=cfg.rabi_error + e)
             for d, e in zip(deltas, rabi_errors)
         ]
 
@@ -124,13 +130,13 @@ def _duration_sweep(
 ) -> np.ndarray:
     """Spin-up fraction vs (error, duration) in the first frame, as one batch.
 
-    ``axis`` names the :meth:`DriveConfig.with_errors` argument swept.
+    ``axis`` names the :class:`DriveConfig` field swept.
     """
     errors = np.asarray(error_grid, dtype=float)
     durations = np.asarray(duration_grid, dtype=float)
     if np.any(np.diff(errors) <= 0.0) or np.any(np.diff(durations) <= 0.0):
         raise ConfigError("grids must be strictly increasing")
-    hams = [first_frame_hamiltonian(base.with_errors(**{axis: e})) for e in errors]
+    hams = [first_frame_hamiltonian(replace(base, **{axis: e})) for e in errors]
     values = np.abs(evolve_grid(hams, durations, ZERO_STATE)[..., 1]) ** 2
     if not np.all((values >= -1e-9) & (values <= 1.0 + 1e-9)):
         # a population outside [0, 1] is a numerical failure, not bad input
@@ -205,7 +211,7 @@ def infidelity_curve(
     build, rate, _ = gate_frame(cfg)
     duration = math.pi / rate
     key = "detuning" if error_axis == "detuning" else "rabi_error"
-    hams = [build(cfg.with_errors(**{key: float(err)})) for err in np.asarray(grid, dtype=float)]
+    hams = [build(replace(cfg, **{key: float(err)})) for err in np.asarray(grid, dtype=float)]
     states = evolve_grid(hams, np.array([duration]), ZERO_STATE)
     return 1.0 - np.abs(states[:, 0, 1]) ** 2
 

@@ -242,12 +242,16 @@ def _interval_unitary(
     chunk's pairwise tree below B pairs steps within one block, so the tree
     over the blocks' trees is the chunk's tree, bit for bit, for any B. The
     blocks are stepped in order, so at most one serial block's steps (plus a
-    shorter last one) are held at a time.
+    shorter last one) are held at a time. A step count that is not finite
+    raises ``NumericalError``.
     """
     span = t1 - t0
     if span == 0.0:
         return np.ones(batch, dtype=complex), np.zeros(batch, dtype=complex)
-    n_steps = max(1, math.ceil(span / step - 1e-9))
+    count = span / step
+    if not math.isfinite(count):
+        raise NumericalError(f"step count {count} over [{t0}, {t1}] s is not finite")
+    n_steps = max(1, math.ceil(count - 1e-9))
     h = span / n_steps
     size = math.prod(batch)
     chunk_steps = max(1, _CHUNK // size)

@@ -39,6 +39,7 @@ phi_mw, has no such symmetry; no program or RB primitive runs in it.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,7 +133,8 @@ def piece_propagators(
         return np.empty((len(drives), 0, 2, 2), dtype=complex)
     rows = {theta: i for i, theta in enumerate(dict.fromkeys(theta for theta, _, _ in pieces))}
     columns = {duration: j for j, duration in enumerate(sorted({d for _, _, d in pieces}))}
-    hams = [build(drive.with_pulse(theta, reference)) for drive in drives for theta in rows]
+    hams = [build(replace(drive, mod_phase=theta, mw_phase=reference))
+            for drive in drives for theta in rows]
     us = propagator_grid(hams, list(columns)).reshape(len(drives), len(rows), len(columns), 2, 2)
     out = us[:, [rows[theta] for theta, _, _ in pieces], [columns[d] for _, _, d in pieces]]
     turn = np.array([phi for _, phi, _ in pieces]) - reference

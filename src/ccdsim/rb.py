@@ -263,15 +263,14 @@ def randomized_benchmarking(
 ) -> RBResult:
     """Run the randomized-benchmarking procedure on the drive ``cfg`` and fit the decay.
 
-    The drive's modulation ratios are its scheme (``cfg.with_scheme`` switches
-    it). ``ideal=True`` replaces pulse dynamics with the exact Clifford
-    rotations ``ROTATIONS`` as one shot (engine self-check: the signal is
-    exactly 1; errors and noise are then irrelevant). Otherwise a
-    dressed drive needs eps_m = Omega_0 / (4 n) so that each primitive spans
-    whole modulation periods; any other drive (a CCD scheme at eps_m = 0
-    included) gates the bare qubit. Static errors are those of ``cfg``
-    (``cfg.with_errors(...)``); the shots of ``noise.shots`` add their draws
-    to them and are composed as one batch.
+    The drive holds its scheme (``cfg.scheme``). ``ideal=True`` replaces
+    pulse dynamics with the exact Clifford rotations ``ROTATIONS`` as one
+    shot (engine self-check: the signal is exactly 1; errors and noise are
+    then irrelevant). Otherwise a dressed drive needs eps_m = Omega_0 / (4 n)
+    so that each primitive spans whole modulation periods; any other drive
+    (a CCD scheme at eps_m = 0 included) gates the bare qubit. Static errors
+    are those of ``cfg`` (its ``detuning`` and ``rabi_error``); the shots of
+    ``noise.shots`` add their draws to them and are composed as one batch.
     """
     lengths = np.asarray(m_list, dtype=int)
     if lengths.size == 0 or np.any(lengths <= 0) or np.any(np.diff(lengths) <= 0):

@@ -302,14 +302,14 @@ def clifford_sequence_program(gates: list[CliffordGate], cfg: DriveConfig) -> np
 
 def per_piece_oracle(cfg: DriveConfig, pieces, frame: str, spec=ROTATING_SPEC) -> np.ndarray:
     """Final state of the program ``pieces`` (n, 3) from |0>: stepped evolve of
-    each piece under its own drive ``cfg.with_pulse(theta_m, phi_mw)``, from its
+    each piece under its own drive (``cfg`` at its theta_m and phi_mw), from its
     start to its end time, with the Hamiltonian's period cleared so that no
     lattice path applies."""
     build = first_frame_hamiltonian if frame == "first" else second_frame_hamiltonian
     state, t = ZERO_STATE, 0.0
     for theta, phi, duration in np.asarray(pieces, dtype=float).tolist():
         if duration > 0.0:
-            drive = cfg.with_pulse(theta, phi)
+            drive = replace(cfg, mod_phase=theta, mw_phase=phi)
             state = evolve(replace(build(drive), period=math.inf), state, t, t + duration, spec)
         t += duration
     return state

@@ -16,6 +16,7 @@ reading would check something else (README "Install and test"):
   on so short a record near Nyquist.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ class TestGateInfidelity:
         cfg = default_config(Scheme.CMCCD)
         bare_cfg = default_config(Scheme.BARE)
         on_res = {
-            s: infidelity_curve(cfg.with_scheme(s), "detuning", np.array([0.0]))[0]
+            s: infidelity_curve(replace(cfg, scheme=s), "detuning", np.array([0.0]))[0]
             for s in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD)
         }
         assert on_res[Scheme.CMCCD] <= 1e-8
@@ -175,7 +176,7 @@ class TestGateInfidelity:
             bare = infidelity_curve(bare_cfg, "detuning", grid)[0]
             assert bare == pytest.approx(bare_analytic, abs=1e-4)
             for s in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
-                ccd = infidelity_curve(cfg.with_scheme(s), "detuning", grid)[0]
+                ccd = infidelity_curve(replace(cfg, scheme=s), "detuning", grid)[0]
                 assert ccd < bare, f"{s.label} at delta={sign * 0.1:+.1f} Omega_0"
         report(
             "05 Y_pi infidelity map",
@@ -189,10 +190,10 @@ class TestTrajectoryMarkers:
     def test_06a_zero_error_marker_spread(self):
         cfg = default_config(Scheme.CMCCD)
         for scheme in (Scheme.BARE, Scheme.CMCCD):
-            spread = bloch_trajectory(cfg.with_scheme(scheme), 20 * math.pi, 8)[3]
+            spread = bloch_trajectory(replace(cfg, scheme=scheme), 20 * math.pi, 8)[3]
             assert spread <= 1e-8, f"{scheme.label} spread {spread:.2e}"
         for scheme in (Scheme.AMCCD, Scheme.PMCCD):
-            spread = bloch_trajectory(cfg.with_scheme(scheme), 20 * math.pi, 8)[3]
+            spread = bloch_trajectory(replace(cfg, scheme=scheme), 20 * math.pi, 8)[3]
             assert spread > 1e-6, f"{scheme.label} spread {spread:.2e}"
         report("06a zero-error marker spread", "bare/CM exact, AM/PM spread > 0")
 
@@ -202,15 +203,15 @@ class TestTrajectoryMarkers:
         # already spread by 0.112 at delta = 0 (the pulse-area error of 06a),
         # which is not detuning sensitivity.
         cfg = default_config(Scheme.CMCCD)
-        detuned = cfg.with_errors(detuning=0.1 * RABI)
+        detuned = replace(cfg, detuning=0.1 * RABI)
 
         def markers(drive) -> np.ndarray:
             _, xyz, is_marker, _ = bloch_trajectory(drive, 20 * math.pi, 8)
             return xyz[is_marker]
 
         def displacement(s: Scheme) -> float:
-            ideal = markers(cfg.with_scheme(s))
-            moved = markers(detuned.with_scheme(s))
+            ideal = markers(replace(cfg, scheme=s))
+            moved = markers(replace(detuned, scheme=s))
             return float(np.linalg.norm(moved - ideal, axis=1).max())
 
         bare = displacement(Scheme.BARE)
@@ -233,7 +234,7 @@ class TestSpectralFlatBands:
         bin_width = 1.0 / (durations[-1] - durations[0])
         detunings = np.linspace(-0.3, 0.3, 9) * RABI
         for scheme in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
-            grid = chevron_sweep(cfg.with_scheme(scheme), detunings, durations)
+            grid = chevron_sweep(replace(cfg, scheme=scheme), detunings, durations)
             for delta, row in zip(detunings, grid):
                 measured = dominant_frequency(durations, row)
                 assert abs(measured - target) <= bin_width, (
@@ -249,7 +250,7 @@ class TestSpectralFlatBands:
         durations = lattice_times(cfg, 9)[1:]
         bin_width = 1.0 / (durations[-1] - durations[0])
         errors = np.linspace(-0.2, 0.2, 9) * RABI
-        grid = rabi_error_sweep(cfg.with_scheme(scheme), errors, durations)
+        grid = rabi_error_sweep(replace(cfg, scheme=scheme), errors, durations)
         for error, row in zip(errors, grid):
             measured, rms = single_tone_fit(durations, row)
             assert rms <= 1e-6, (
@@ -316,10 +317,10 @@ class TestRandomizedBenchmarking:
         cfg = default_config(Scheme.CMCCD, rabi=FIG8_RABI)
         drops = {}
         for scheme in (Scheme.BARE, Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
-            drive = cfg.with_scheme(scheme)
+            drive = replace(cfg, scheme=scheme)
             base = randomized_benchmarking(drive, self.M_LIST, 15, NoiseSpec(seed=7))
             hurt = randomized_benchmarking(
-                drive.with_errors(detuning=0.05 * cfg.rabi), self.M_LIST, 15, NoiseSpec(seed=7)
+                replace(drive, detuning=0.05 * cfg.rabi), self.M_LIST, 15, NoiseSpec(seed=7)
             )
             drops[scheme] = base.average_gate_fidelity - hurt.average_gate_fidelity
         for scheme in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):

@@ -240,6 +240,44 @@ class TestConfigPrecedence:
         assert record["error"]["kind"] == "config"
         assert "static" in record["error"]["message"]
 
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_the_removed_carrier_key_exits_2(self, tmp_path, capsys, source):
+        # no subcommand reads the carrier: an older dataset's carrier_hz line
+        # is an unknown key, as its alpha_a line is
+        config = tmp_path / "old.cfg"
+        config.write_text("scheme = cm\ncarrier_hz = 15000000000.0\n" if source == "file" else "")
+        extra = ["--carrier-hz", "1e300"] if source == "flag" else []
+        out = tmp_path / "o.csv"
+        args = ["chevron", "--durations", "8", "--detuning-points", "3", "--config", str(config)]
+        assert main(args + extra + ["--out", str(out)]) == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "config"
+        assert ("carrier_hz" if source == "file" else "--carrier-hz") in record["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "args, code, kind, word",
+        [
+            # the Floquet period of about 1e300 s over the step that the
+            # 4 MHz detuning axis sets is an infinite step count
+            (["infidelity", "--detuning-points", "5", "--rabi-hz", "1e-300"],
+             3, "numerical", "step count"),
+            # refused before numpy is asked for 2^63 - 1 draws
+            (["dressed", "--points", "8", "--noise-detuning-sigma-hz", "1e4",
+              "--noise-samples", "9223372036854775807"], 2, "config", "noise_samples"),
+        ],
+        ids=["infinite-step-count", "noise-samples-beyond-the-cap"],
+    )
+    def test_former_tracebacks_leave_one_error_record(
+        self, tmp_path, capsys, args, code, kind, word
+    ):
+        out = tmp_path / "o.csv"
+        assert main(args + ["--out", str(out)]) == code
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == kind
+        assert word in record["error"]["message"]
+
     @pytest.mark.parametrize(
         "file_text, args, keys",
         [
@@ -286,7 +324,7 @@ class TestConfigPrecedence:
             lines = [value for key, value in sorted(meta.items()) if key.startswith("config.")]
         else:
             lines = re.findall(r"^# config\.\d{3}=(.*)$", text, flags=re.M)
-        assert lines and not any("alpha" in line for line in lines)
+        assert lines and not any(line.startswith(("alpha", "carrier")) for line in lines)
         config = tmp_path / "run.cfg"
         config.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         assert main([args[0], "--config", str(config), "--out", str(again)]) == 0

@@ -87,6 +87,7 @@ class TestParse:
             ("rabi_hz", -1.0, "rabi_hz must be positive"),
             ("quarter_turns", 0, "quarter_turns must be >= 1"),
             ("samples_per_quarter_turn", 0, "samples_per_quarter_turn must be >= 1"),
+            ("noise_samples", 10**6 + 1, "noise_samples must be at most 1000000"),
         ],
     )
     def test_direct_construction_validates_every_key(self, key, value, match):
@@ -104,7 +105,7 @@ class TestParse:
         "key, value",
         [
             ("rabi_hz", math.nan),
-            ("carrier_hz", math.inf),
+            ("mw_phase", math.inf),
             ("duration_stop_s", math.nan),
             ("gate_angle", math.nan),
             ("sample_rate_hz", math.nan),

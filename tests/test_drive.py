@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ccdsim.drive import (
     lab_hamiltonian,
     second_frame_hamiltonian,
 )
+from ccdsim.errors import ConfigError
 from ccdsim.qubit import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, ZERO_STATE, population_up
 from oracles import first_frame_phase, first_frame_unitary, matrix, second_frame_unitary
 
@@ -29,16 +31,22 @@ def make(scheme, **kwargs):
 
 class TestDriveConfig:
     def test_scheme_alpha_mapping(self):
-        assert (Scheme.BARE.alpha_a, Scheme.BARE.alpha_p) == (0.0, 0.0)
-        assert (Scheme.AMCCD.alpha_a, Scheme.AMCCD.alpha_p) == (1.0, 0.0)
-        assert (Scheme.PMCCD.alpha_a, Scheme.PMCCD.alpha_p) == (0.0, 1.0)
-        assert (Scheme.CMCCD.alpha_a, Scheme.CMCCD.alpha_p) == (0.5, 0.5)
+        ratios = {
+            Scheme.BARE: (0.0, 0.0),
+            Scheme.AMCCD: (1.0, 0.0),
+            Scheme.PMCCD: (0.0, 1.0),
+            Scheme.CMCCD: (0.5, 0.5),
+        }
+        for scheme, pair in ratios.items():
+            drive = DriveConfig(omega_mw=1.0, rabi=1.0, scheme=scheme)
+            assert (drive.alpha_A, drive.alpha_P) == pair
 
     def test_alpha_constraint_enforced(self):
-        with pytest.raises(ValueError):
-            DriveConfig(omega_mw=1.0, rabi=1.0, alpha_A=0.7, alpha_P=0.7)
-        with pytest.raises(ValueError):
-            DriveConfig(omega_mw=1.0, rabi=1.0, alpha_A=0.3, alpha_P=0.0)
+        # the drive holds a Scheme, so the four schemes' pairs are the only
+        # modulation ratios it can have: a name or a pair of its own is refused
+        for scheme in ("cm", (0.5, 0.5), (0.7, 0.7), None):
+            with pytest.raises(ConfigError, match="^scheme must be a Scheme"):
+                DriveConfig(omega_mw=1.0, rabi=1.0, scheme=scheme)
 
     def test_rabi_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -68,7 +76,7 @@ class TestDriveConfig:
         assert make(Scheme.CMCCD).dressed and make(Scheme.AMCCD).dressed
         assert not make(Scheme.CMCCD, mod_ratio=0.0).dressed
         assert not make(Scheme.BARE).dressed
-        assert not make(Scheme.CMCCD).with_scheme(Scheme.BARE).dressed
+        assert not replace(make(Scheme.CMCCD), scheme=Scheme.BARE).dressed
 
     def test_scheme_round_trip(self):
         for scheme in Scheme:

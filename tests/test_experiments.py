@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,8 +73,8 @@ class TestChevron:
     def test_values_bounded_and_deterministic(self):
         detunings = np.linspace(-0.4, 0.4, 7) * RABI
         durations = lattice_times(CFG, 33)[1:]
-        a = chevron_sweep(CFG.with_scheme(Scheme.PMCCD), detunings, durations)
-        b = chevron_sweep(CFG.with_scheme(Scheme.PMCCD), detunings, durations)
+        a = chevron_sweep(replace(CFG, scheme=Scheme.PMCCD), detunings, durations)
+        b = chevron_sweep(replace(CFG, scheme=Scheme.PMCCD), detunings, durations)
         assert a.shape == (detunings.size, durations.size)
         assert np.array_equal(a, b)
         assert a.min() >= 0.0 and a.max() <= 1.0 + 1e-9
@@ -90,7 +91,7 @@ class TestChevron:
     def test_no_coarse_grid_warning_without_modulation(self):
         # the bare drive keeps CFG's eps_m > 0, but it has no modulation period
         durations = lattice_times(CFG, 17)[1:]
-        assert _coarse_grid_warning(CFG.with_scheme(Scheme.BARE), durations) == []
+        assert _coarse_grid_warning(replace(CFG, scheme=Scheme.BARE), durations) == []
 
     def test_monotonicity_validation(self):
         with pytest.raises(ValueError):
@@ -108,16 +109,16 @@ class TestRabiErrorSweep:
 
     def test_zero_error_row_equals_zero_detuning_chevron_row(self):
         durations = lattice_times(CFG, 17)[1:]
-        err = rabi_error_sweep(CFG.with_scheme(Scheme.PMCCD), np.array([0.0]), durations)
-        chev = chevron_sweep(CFG.with_scheme(Scheme.PMCCD), np.array([0.0]), durations)
+        err = rabi_error_sweep(replace(CFG, scheme=Scheme.PMCCD), np.array([0.0]), durations)
+        chev = chevron_sweep(replace(CFG, scheme=Scheme.PMCCD), np.array([0.0]), durations)
         assert np.abs(err - chev).max() < 1e-12
 
     @pytest.mark.parametrize("scheme", [Scheme.BARE, Scheme.AMCCD, Scheme.CMCCD])
     def test_the_drive_keeps_its_static_detuning(self, scheme):
         # the swept axis replaces the Rabi error only, as a chevron replaces the detuning
-        cfg, detuning = CFG.with_scheme(scheme), 0.05 * RABI
+        cfg, detuning = replace(CFG, scheme=scheme), 0.05 * RABI
         durations = lattice_times(CFG, 9)[1:]
-        swept = rabi_error_sweep(cfg.with_errors(detuning=detuning), np.array([0.0]), durations)
+        swept = rabi_error_sweep(replace(cfg, detuning=detuning), np.array([0.0]), durations)
         chev = chevron_sweep(cfg, np.array([detuning]), durations)
         assert swept.tobytes() == chev.tobytes()
         assert not np.array_equal(swept, rabi_error_sweep(cfg, np.array([0.0]), durations))
@@ -150,8 +151,8 @@ class TestInfidelity:
 
     def test_am_pm_resonant_positive_and_worse_than_cm(self):
         cm = infidelity_curve(CFG, "detuning", np.array([0.0]))[0]
-        am = infidelity_curve(CFG.with_scheme(Scheme.AMCCD), "detuning", np.array([0.0]))[0]
-        pm = infidelity_curve(CFG.with_scheme(Scheme.PMCCD), "detuning", np.array([0.0]))[0]
+        am = infidelity_curve(replace(CFG, scheme=Scheme.AMCCD), "detuning", np.array([0.0]))[0]
+        pm = infidelity_curve(replace(CFG, scheme=Scheme.PMCCD), "detuning", np.array([0.0]))[0]
         assert am > 1e-7 and pm > 1e-7
         assert cm < min(am, pm)
 
@@ -166,18 +167,18 @@ class TestInfidelity:
 class TestTrajectory:
     def test_bare_and_cm_zero_error_markers_coincide(self):
         for scheme in (Scheme.BARE, Scheme.CMCCD):
-            _, _, is_marker, spread = bloch_trajectory(CFG.with_scheme(scheme), 20 * math.pi, 8)
+            _, _, is_marker, spread = bloch_trajectory(replace(CFG, scheme=scheme), 20 * math.pi, 8)
             assert spread <= 1e-8
             assert is_marker.sum() == 40
 
     def test_am_pm_zero_error_spread_positive(self):
         for scheme in (Scheme.AMCCD, Scheme.PMCCD):
-            spread = bloch_trajectory(CFG.with_scheme(scheme), 20 * math.pi, 8)[3]
+            spread = bloch_trajectory(replace(CFG, scheme=scheme), 20 * math.pi, 8)[3]
             assert spread > 1e-3
 
     def test_detuned_bare_spread_large(self):
         spread = bloch_trajectory(
-            CFG.with_errors(detuning=0.1 * RABI).with_scheme(Scheme.BARE), 20 * math.pi, 8
+            replace(CFG, detuning=0.1 * RABI, scheme=Scheme.BARE), 20 * math.pi, 8
         )[3]
         assert spread > 0.1
 
@@ -196,7 +197,7 @@ class TestTrajectory:
         self, scheme, detuning, quarter_turns, samples
     ):
         # 1,200 markers put 300 in each class: more than one block of rows
-        cfg = CFG.with_scheme(scheme).with_errors(detuning=detuning * RABI)
+        cfg = replace(CFG, scheme=scheme, detuning=detuning * RABI)
         _, xyz, is_marker, spread = bloch_trajectory(cfg, quarter_turns * math.pi / 2, samples)
         assert spread > 0.0
         assert spread == pairwise_spread(xyz[is_marker])
@@ -206,7 +207,7 @@ class TestTrajectory:
         quarter_turns, per_class = 4000, 1000
         tracemalloc.start()
         try:
-            bloch_trajectory(CFG.with_scheme(Scheme.AMCCD), quarter_turns * math.pi / 2, 1)
+            bloch_trajectory(replace(CFG, scheme=Scheme.AMCCD), quarter_turns * math.pi / 2, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -218,13 +219,13 @@ class TestGateFrame:
     def test_rate_used_by_every_gate_experiment(self, scheme, monkeypatch, tmp_path):
         # CFG has eps_m > 0, so only the bare scheme stays in the first frame
         rate = RABI if scheme is Scheme.BARE else EM
-        build, got_rate, offset = gate_frame(CFG.with_scheme(scheme))
+        build, got_rate, offset = gate_frame(replace(CFG, scheme=scheme))
         assert got_rate == rate
         dressed = scheme is not Scheme.BARE
         assert build is (second_frame_hamiltonian if dressed else first_frame_hamiltonian)
         assert offset == (-math.pi / 2.0 if dressed else 0.0)
 
-        times = bloch_trajectory(CFG.with_scheme(scheme), 2 * math.pi, 4)[0]
+        times = bloch_trajectory(replace(CFG, scheme=scheme), 2 * math.pi, 4)[0]
         assert times[4] == pytest.approx((math.pi / 2.0) / rate, rel=1e-12)
 
         spans = []
@@ -234,7 +235,7 @@ class TestGateFrame:
             return evolve_grid(hams, times, psi0, spec)
 
         monkeypatch.setattr(experiments, "evolve_grid", spy)
-        infidelity_curve(CFG.with_scheme(scheme), "detuning", np.array([0.0]))
+        infidelity_curve(replace(CFG, scheme=scheme), "detuning", np.array([0.0]))
         assert spans == [pytest.approx(math.pi / rate, rel=1e-12)]
 
         out = tmp_path / "iq.csv"
@@ -255,8 +256,8 @@ class TestGateFrame:
             bare = infidelity_curve(BARE, axis, grid)
             assert np.abs(ccd - bare).max() <= 1e-12
         detuned = 0.1 * RABI
-        ccd = bloch_trajectory(no_mod.with_errors(detuning=detuned), 10 * math.pi, 4)
-        bare = bloch_trajectory(BARE.with_errors(detuning=detuned), 10 * math.pi, 4)
+        ccd = bloch_trajectory(replace(no_mod, detuning=detuned), 10 * math.pi, 4)
+        bare = bloch_trajectory(replace(BARE, detuning=detuned), 10 * math.pi, 4)
         ccd_xyz = np.column_stack(ccd[:2])
         bare_xyz = np.column_stack(bare[:2])
         assert np.abs(ccd_xyz - bare_xyz).max() <= 1e-12
@@ -318,7 +319,7 @@ def bare_rabi_experiment(times):
 
 class TestNoiseShots:
     # a drive that already carries static errors, so each draw must add to them
-    ERRD = CFG.with_errors(detuning=0.03 * RABI, rabi_error=-0.01 * RABI)
+    ERRD = replace(CFG, detuning=0.03 * RABI, rabi_error=-0.01 * RABI)
 
     @pytest.mark.parametrize(
         "sigma_detuning, sigma_rabi_frac",
@@ -331,9 +332,7 @@ class TestNoiseShots:
         deltas = rng.normal(0.0, sigma_detuning, 5)
         rabi_errors = rng.normal(0.0, sigma_rabi_frac * RABI, 5)
         expected = [
-            self.ERRD.with_errors(
-                detuning=self.ERRD.detuning + d, rabi_error=self.ERRD.rabi_error + e
-            )
+            replace(self.ERRD, detuning=self.ERRD.detuning + d, rabi_error=self.ERRD.rabi_error + e)
             for d, e in zip(deltas, rabi_errors)
         ]
         assert noise.shots(self.ERRD) == expected
@@ -354,6 +353,15 @@ class TestNoiseShots:
             NoiseSpec(sigma_detuning=1e5, samples=2, seed=seed)
         assert info.value.key == "seed"
         assert NoiseSpec(sigma_detuning=1e5, samples=2, seed=2**64 - 1).shots(self.ERRD)
+
+    @pytest.mark.parametrize("samples", [0, 10**6 + 1, 2**63 - 1])
+    def test_samples_outside_the_cap_rejected(self, samples):
+        # refused before numpy is asked for that many draws
+        with pytest.raises(ConfigError, match=r"noise_samples must lie in \[1, 1000000\]") as info:
+            NoiseSpec(sigma_detuning=1e5, samples=samples)
+        assert info.value.key == "noise_samples"
+        assert experiments.MAX_NOISE_SAMPLES == 10**6
+        NoiseSpec(sigma_detuning=1e5, samples=10**6)  # the cap itself is admitted
 
 
 class TestNoiseAverage:

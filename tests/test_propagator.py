@@ -84,7 +84,7 @@ class TestEvolve:
 
     def test_detuned_rabi_against_analytic_oracle(self):
         # bare first frame, delta = Omega_0, duration pi/Omega_0
-        cfg = default_config(Scheme.BARE).with_errors(detuning=RABI)
+        cfg = replace(default_config(Scheme.BARE), detuning=RABI)
         out = evolve(first_frame_hamiltonian(cfg), ZERO_STATE, 0.0, math.pi / RABI)
         expected = rabi_population(RABI, RABI, math.pi / RABI)
         assert expected == pytest.approx(0.31656383551035387, rel=1e-12)
@@ -240,7 +240,7 @@ class TestEvolveGrid:
     def test_matches_scalar_evolutions(self):
         base = default_config(Scheme.CMCCD)
         detunings = np.array([-0.2, 0.0, 0.15]) * RABI
-        hams = [first_frame_hamiltonian(base.with_errors(detuning=d)) for d in detunings]
+        hams = [first_frame_hamiltonian(replace(base, detuning=d)) for d in detunings]
         times = np.arange(1, 6) * base.mod_period
         states = evolve_grid(hams, times, ZERO_STATE)
         # every |delta| < Omega_0, so each Hamiltonian alone takes the batch's step
@@ -258,7 +258,7 @@ class TestEvolveGrid:
     def test_stepped_chunks_bound_batch_times_steps(self, monkeypatch):
         base = default_config(Scheme.CMCCD)
         hams = [
-            first_frame_hamiltonian(base.with_errors(detuning=d * RABI))
+            first_frame_hamiltonian(replace(base, detuning=d * RABI))
             for d in (-0.2, 0.0, 0.15)
         ]
         times = np.array([0.37, 1.9, 3.3]) * base.mod_period  # off the lattice: stepped
@@ -352,7 +352,7 @@ def _random_hamiltonians(scheme, build, count, seed):
     rng = np.random.default_rng(seed)
     base = default_config(scheme)
     return [
-        build(base.with_errors(detuning=d * RABI, rabi_error=e * RABI))
+        build(replace(base, detuning=d * RABI, rabi_error=e * RABI))
         for d, e in rng.uniform(-0.3, 0.3, size=(count, 2))
     ]
 
@@ -428,7 +428,7 @@ class TestLatticePaths:
         # a constant member is periodic with every period, so the batch keeps the fast path
         base = default_config(Scheme.CMCCD)
         hams = [
-            second_frame_hamiltonian(base.with_errors(detuning=d))
+            second_frame_hamiltonian(replace(base, detuning=d))
             for d in (-0.1 * RABI, 0.0, 0.1 * RABI)
         ]
         assert [h.period for h in hams] == [base.mod_period, 0.0, base.mod_period]
@@ -536,7 +536,7 @@ def _lab_trace():
 def _first_frame_rows():
     base = default_config(Scheme.CMCCD)
     hams = [
-        first_frame_hamiltonian(base.with_errors(detuning=d * RABI))
+        first_frame_hamiltonian(replace(base, detuning=d * RABI))
         for d in np.linspace(-0.3, 0.3, 41)
     ]
     return propagator.propagator_grid(hams, OFF_LATTICE * base.mod_period)
@@ -571,7 +571,10 @@ class TestBlockPool:
 
     def test_steps_in_flight_never_exceed_one_serial_block(self, monkeypatch):
         base = default_config(Scheme.CMCCD)
-        hams = [first_frame_hamiltonian(base.with_errors(detuning=d * RABI)) for d in (-0.2, 0.0, 0.15)]
+        hams = [
+            first_frame_hamiltonian(replace(base, detuning=d * RABI))
+            for d in (-0.2, 0.0, 0.15)
+        ]
         chunk, block = SMALL
         monkeypatch.setattr(propagator, "_CHUNK", chunk)
         monkeypatch.setattr(propagator, "_BLOCK", block)

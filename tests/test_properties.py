@@ -51,7 +51,7 @@ from ccdsim.drive import (
     second_frame_hamiltonian,
 )
 from ccdsim.errors import NumericalError
-from ccdsim.experiments import AxisDef
+from ccdsim.experiments import MAX_NOISE_SAMPLES, AxisDef
 from ccdsim.propagator import (
     LAB_SPEC,
     evolve,
@@ -540,11 +540,11 @@ RESTRICTED = {
     "scheme": st.sampled_from(["bare", "am", "amccd", "pm", "pmccd", "cm", "cmccd"]),
     "format": st.sampled_from(["csv", "json"]),
     "dressed_kind": st.sampled_from(["ccd_rabi", "ccd_ramsey", "two_axis"]),
+    "noise_samples": st.integers(1, MAX_NOISE_SAMPLES),
     **{
         key: st.integers(1, 2**64)
         for key in ("duration_points", "detuning_points", "rabi_error_points", "quarter_turns",
-                    "samples_per_quarter_turn", "sweep_points", "k_randomizations",
-                    "noise_samples")
+                    "samples_per_quarter_turn", "sweep_points", "k_randomizations")
     },
 }
 

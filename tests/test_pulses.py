@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ class TestSimulate:
 
     def test_first_and_second_frame_populations_agree_at_readout(self):
         # programs end on the lattice: z populations agree across frames
-        cfg = CFG.with_errors(detuning=0.08 * CFG.rabi, rabi_error=-0.05 * CFG.rabi)
+        cfg = replace(CFG, detuning=0.08 * CFG.rabi, rabi_error=-0.05 * CFG.rabi)
         pieces = [gate(math.pi / 2, 0.0, cfg), idle(2 * PERIOD), gate(math.pi / 2, 0.7, cfg)]
         first = per_piece_oracle(cfg, pieces, "first", IntegratorSpec(steps_per_fastest_period=400))
         second = run(pieces, cfg=cfg)
@@ -259,7 +260,7 @@ class TestBatchedEngine:
 
     def test_one_propagator_call_over_distinct_configurations(self, monkeypatch):
         sizes = spy_batches(monkeypatch)
-        cfg = CFG.with_errors(detuning=0.03 * CFG.rabi)
+        cfg = replace(CFG, detuning=0.03 * CFG.rabi)
         dressed_sequence_experiment("ccd_ramsey", cfg, lattice_times(cfg, 6))
         assert sizes == [2]  # the gate and the idle configuration
 

@@ -80,8 +80,8 @@ class TestBatchedPrimitives:
     def test_match_per_shot_stepped_propagators(self, scheme):
         rng = np.random.default_rng(11)
         deltas, rabi_errors = rng.normal(0.0, 0.05 * RABI, size=(2, 3))
-        base = CFG.with_scheme(scheme)
-        shots = [base.with_errors(detuning=d, rabi_error=e) for d, e in zip(deltas, rabi_errors)]
+        base = replace(CFG, scheme=scheme)
+        shots = [replace(base, detuning=d, rabi_error=e) for d, e in zip(deltas, rabi_errors)]
         prims = _primitive_unitaries(shots)
         build, rate, axis_offset = gate_frame(base)
         for shot, errd in enumerate(shots):
@@ -91,7 +91,7 @@ class TestBatchedPrimitives:
                 else:
                     # a positive turn by |angle|, about the opposite axis when angle < 0
                     azimuth = {"x": 0.0, "y": math.pi / 2}[axis] + math.pi * (angle < 0.0)
-                    pulse = errd.with_pulse(GATE_MOD_PHASE, azimuth + axis_offset)
+                    pulse = replace(errd, mod_phase=GATE_MOD_PHASE, mw_phase=azimuth + axis_offset)
                     stepped = replace(build(pulse), period=math.inf)
                     expected = propagator_unitary(stepped, 0.0, abs(angle) / rate)
                 assert np.abs(prims[name][shot] - expected).max() <= 1e-10
@@ -122,14 +122,14 @@ class TestPulseLevel:
 
     def test_bare_noiseless_fidelity_exact(self):
         result = randomized_benchmarking(
-            CFG.with_scheme(Scheme.BARE), M_LIST, 5, NoiseSpec(seed=7)
+            replace(CFG, scheme=Scheme.BARE), M_LIST, 5, NoiseSpec(seed=7)
         )
         assert result.average_gate_fidelity >= 1.0 - 1e-9
 
     def test_cached_primitives_match_program_simulation(self):
         # one (M, k) sequence evaluated via the per-shot cache must agree with
         # the segment-by-segment compiled-program propagation
-        cfg = CFG.with_errors(detuning=0.07 * RABI, rabi_error=-0.04 * RABI)
+        cfg = replace(CFG, detuning=0.07 * RABI, rabi_error=-0.04 * RABI)
         gates = [clifford(int(i)) for i in _sequence_indices(3, 6, 0)]
         recovery = recovery_clifford(gates, "up")
         program = clifford_sequence_program(gates + [recovery], cfg)
@@ -153,10 +153,10 @@ class TestPulseLevel:
     def test_static_detuning_drop_smaller_for_ccd(self):
         drops = {}
         for scheme in (Scheme.BARE, Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
-            cfg = CFG.with_scheme(scheme)
+            cfg = replace(CFG, scheme=scheme)
             base = randomized_benchmarking(cfg, M_LIST, 5, NoiseSpec(seed=7))
             hurt = randomized_benchmarking(
-                cfg.with_errors(detuning=0.05 * RABI), M_LIST, 5, NoiseSpec(seed=7)
+                replace(cfg, detuning=0.05 * RABI), M_LIST, 5, NoiseSpec(seed=7)
             )
             drops[scheme] = base.average_gate_fidelity - hurt.average_gate_fidelity
         for scheme in (Scheme.AMCCD, Scheme.PMCCD, Scheme.CMCCD):
@@ -164,7 +164,7 @@ class TestPulseLevel:
 
     def test_noise_produces_decay_and_convergent_fit(self):
         noise = NoiseSpec(sigma_detuning=0.15 * RABI, samples=25, seed=13)
-        result = randomized_benchmarking(CFG.with_scheme(Scheme.BARE), M_LIST, 6, noise)
+        result = randomized_benchmarking(replace(CFG, scheme=Scheme.BARE), M_LIST, 6, noise)
         assert result.converged
         assert result.clifford_fidelity < 1.0
         assert result.signal[0] > result.signal[-1]
@@ -177,7 +177,7 @@ class TestPulseLevel:
 
     def test_invariants_of_result(self):
         result = randomized_benchmarking(
-            CFG.with_scheme(Scheme.PMCCD), M_LIST, 4, NoiseSpec(seed=9)
+            replace(CFG, scheme=Scheme.PMCCD), M_LIST, 4, NoiseSpec(seed=9)
         )
         f_c = result.clifford_fidelity
         assert 0.0 <= f_c <= 1.0
@@ -189,7 +189,7 @@ class TestPulseLevel:
         # heavy noise drives the long-sequence signal under 3x its standard error
         noise = NoiseSpec(sigma_detuning=0.5 * RABI, samples=8, seed=21)
         result = randomized_benchmarking(
-            CFG.with_scheme(Scheme.BARE), [1, 4, 16, 64, 256], 4, noise
+            replace(CFG, scheme=Scheme.BARE), [1, 4, 16, 64, 256], 4, noise
         )
         assert any("standard error" in w for w in result.warnings)
 
@@ -214,7 +214,7 @@ def looped_signal(base, m_list, k_randomizations, noise, *, ideal=False):
         shots.append([gate.matrix for gate in clifford_group()])
     else:
         for delta, rabi_error in zip(deltas, rabi_errors):
-            shot = base.with_errors(detuning=delta, rabi_error=rabi_error)
+            shot = replace(base, detuning=delta, rabi_error=rabi_error)
             prims = {
                 name: u[0] for name, u in _primitive_unitaries([shot]).items()
             }
@@ -249,11 +249,11 @@ DRAWS = {
     "ideal": dict(noise=NoiseSpec(seed=4), ideal=True),
     "static": dict(
         noise=NoiseSpec(seed=4),
-        cfg=CFG.with_errors(detuning=0.03 * RABI, rabi_error=-0.02 * RABI),
+        cfg=replace(CFG, detuning=0.03 * RABI, rabi_error=-0.02 * RABI),
     ),
     "noisy": dict(
         noise=NoiseSpec(sigma_detuning=0.04 * RABI, sigma_rabi_frac=0.02, samples=3, seed=4),
-        cfg=CFG.with_errors(detuning=0.01 * RABI),
+        cfg=replace(CFG, detuning=0.01 * RABI),
     ),
 }
 
@@ -264,7 +264,7 @@ class TestBatchedComposition:
     def test_matches_per_sequence_loop(self, scheme, draw):
         kwargs = dict(DRAWS[draw])
         noise = kwargs.pop("noise")
-        cfg = kwargs.pop("cfg", CFG).with_scheme(scheme)
+        cfg = replace(kwargs.pop("cfg", CFG), scheme=scheme)
         m_list = [1, 3, 8]
         batched = randomized_benchmarking(cfg, m_list, 3, noise, **kwargs)
         looped = looped_signal(cfg, m_list, 3, noise, **kwargs)
@@ -273,7 +273,7 @@ class TestBatchedComposition:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
     def test_noiseless_shots_are_one_shot(self, scheme):
         # without noise every shot is the drive itself, whatever noise.samples says
-        cfg = CFG.with_errors(detuning=0.03 * RABI).with_scheme(scheme)
+        cfg = replace(CFG, detuning=0.03 * RABI, scheme=scheme)
         one = randomized_benchmarking(cfg, M_LIST, 3, NoiseSpec(samples=1, seed=4))
         eight = randomized_benchmarking(cfg, M_LIST, 3, NoiseSpec(samples=8, seed=4))
         assert eight.signal.tobytes() == one.signal.tobytes()
@@ -378,7 +378,7 @@ def rb_long(seed):
     cfg = parse_config(RB_LONG + f"seed = {seed}\n")
     drive = cfg.drive_config()
     return randomized_benchmarking(
-        drive.with_errors(detuning=0.02 * 2 * math.pi * cfg.rabi_hz),
+        replace(drive, detuning=0.02 * 2 * math.pi * cfg.rabi_hz),
         list(cfg.cliffords), cfg.k_randomizations, cfg.noise_spec(),
     )
 
@@ -386,13 +386,13 @@ def rb_long(seed):
 #: RB runs of the test suite (the noisy M_LIST run, 09b and 09c) and of rb_long
 FIT_RUNS = {
     "noisy-M_LIST": lambda: randomized_benchmarking(
-        CFG.with_scheme(Scheme.BARE), M_LIST, 6,
+        replace(CFG, scheme=Scheme.BARE), M_LIST, 6,
         NoiseSpec(sigma_detuning=0.15 * RABI, samples=25, seed=13),
     ),
     **{
         f"09c-{scheme.label}{'-detuned' * hurt}": (
             lambda scheme=scheme, hurt=hurt: randomized_benchmarking(
-                CFG.with_errors(detuning=0.05 * RABI * hurt).with_scheme(scheme), ACCEPTANCE_M,
+                replace(CFG, detuning=0.05 * RABI * hurt, scheme=scheme), ACCEPTANCE_M,
                 15, NoiseSpec(seed=7),
             )
         )
