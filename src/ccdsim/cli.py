@@ -148,7 +148,7 @@ def _write(cfg: RunConfig, axes, value_names, values, **meta) -> int:
     """
     if not cfg.out:
         raise ConfigError("no output path; pass --out or set out in the config")
-    meta = {"scheme": cfg.scheme, "seed": cfg.seed, **meta}
+    meta = {"scheme": cfg.scheme.label, "seed": cfg.seed, **meta}
     warnings = "; ".join(meta.pop("warnings", ()))
     if warnings:
         meta["warnings"] = warnings

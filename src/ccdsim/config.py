@@ -5,9 +5,11 @@ frequencies internally; angles are radians, durations seconds. Unknown keys
 and malformed or non-finite values are rejected with line/column positions,
 or by the flag that gave them. CLI flags override file values, which override
 the documented defaults; then each derived spelling (``DERIVED``) is resolved
-into the keys it sets, and is refused if any of them is given too. The
-``scheme`` key (bare, am, pm or cm) is the one key for the modulation ratios:
-``drive_config`` gives the drive its ``Scheme``. No key sets the carrier
+into the keys it sets, and is refused if any of them is given too. Each value
+is parsed once, into its field's type: ``scheme``, the one key for the
+modulation ratios, by ``Scheme.parse``, and emitted as its label whatever
+spelling gave it. A list value is comma-separated integers with no empty field.
+``NoiseSpec`` alone checks the noise keys and ``seed``. No key sets the carrier
 omega_mw: only the lab frame reads it, and no subcommand runs that frame, so
 every drive takes ``DEFAULT_CARRIER``.
 """
@@ -16,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .dataset import FORMATS
 from .drive import DEFAULT_CARRIER, DriveConfig, Scheme
 from .errors import ConfigError
-from .experiments import MAX_NOISE_SAMPLES, NoiseSpec
+from .experiments import DRESSED_KINDS, NoiseSpec
 
 __all__ = ["KEY_TYPES", "RunConfig", "flag", "parse_config", "emit_config"]
 
@@ -30,7 +33,7 @@ class RunConfig:
     """Fully resolved run parameters; serializable and losslessly re-parsable."""
 
     # drive
-    scheme: str = "cm"
+    scheme: Scheme = Scheme.CMCCD
     rabi_hz: float = 3.6e6
     detuning_hz: float = 0.0
     rabi_error_frac: float = 0.0
@@ -84,7 +87,7 @@ class RunConfig:
             mod_strength=self.mod_ratio * rabi,
             mod_phase=self.mod_phase,
             mw_phase=self.mw_phase,
-            scheme=Scheme.parse(self.scheme),
+            scheme=self.scheme,
         )
 
     def noise_spec(self) -> NoiseSpec:
@@ -126,8 +129,10 @@ def _parse_value(key: str, text: str, name: str, line: int | None = None,
     try:
         if kind is str:
             return text
-        if kind is tuple:
-            return tuple(int(part) for part in text.split(",") if part.strip())
+        if kind is Scheme:
+            return Scheme.parse(text)
+        if kind is tuple:  # no text is the empty list; an empty field is no integer
+            return tuple(int(part) for part in text.split(",")) if text else ()
         if kind is int:
             try:
                 return int(text)  # exact past 2^53, where floats skip integers
@@ -160,28 +165,21 @@ def _validate(cfg: RunConfig) -> None:
     if not cfg.mod_ratio >= 0.0:
         fail("mod_ratio", "mod_ratio must be >= 0")
     for key in ("duration_points", "detuning_points", "rabi_error_points", "quarter_turns",
-                "samples_per_quarter_turn", "sweep_points", "k_randomizations", "noise_samples"):
+                "samples_per_quarter_turn", "sweep_points", "k_randomizations"):
         if not getattr(cfg, key) >= 1:
             fail(key, f"{key} must be >= 1")
     if not cfg.threads >= 0:
         fail("threads", "threads must be >= 0")
-    if not 0 <= cfg.seed < 2**64:  # the random generators take a 64-bit key
-        fail("seed", f"seed must lie in [0, 2^64), got {cfg.seed}")
-    if not cfg.noise_samples <= MAX_NOISE_SAMPLES:
-        fail("noise_samples", f"noise_samples must be at most {MAX_NOISE_SAMPLES}")
-    try:
-        Scheme.parse(cfg.scheme)
-    except ConfigError as exc:
-        raise ConfigError(exc.message, key="scheme") from None
-    if cfg.format not in ("csv", "json"):
-        fail("format", f"format must be csv or json, got {cfg.format!r}")
-    if cfg.dressed_kind not in ("ccd_rabi", "ccd_ramsey", "two_axis"):
+    if not isinstance(cfg.scheme, Scheme):
+        fail("scheme", f"scheme must be a Scheme, got {cfg.scheme!r}")
+    if cfg.format not in FORMATS:
+        fail("format", f"format must be {' or '.join(FORMATS)}, got {cfg.format!r}")
+    if cfg.dressed_kind not in DRESSED_KINDS:
         fail("dressed_kind", f"unknown dressed_kind {cfg.dressed_kind!r}")
-    if any(m <= 0 for m in cfg.cliffords) or list(cfg.cliffords) != sorted(set(cfg.cliffords)):
-        fail("cliffords", "cliffords must be positive, ascending, without repeats")
-    for key in ("noise_detuning_sigma_hz", "noise_rabi_sigma_frac"):
-        if not getattr(cfg, key) >= 0:
-            fail(key, f"{key} must be >= 0")
+    lengths = list(cfg.cliffords)
+    if not lengths or lengths[0] <= 0 or lengths != sorted(set(lengths)):
+        fail("cliffords", "cliffords must be positive, ascending, without repeats and not empty")
+    cfg.noise_spec()  # the noise keys and the seed
 
 
 def parse_config(text: str, *, overrides: dict | None = None) -> RunConfig:
@@ -269,6 +267,8 @@ def emit_config(cfg: RunConfig, *, include_runtime: bool = True) -> str:
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
+        elif isinstance(value, Scheme):
+            rendered = value.label
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)
         parts.append(f"{f.name} = {rendered}")

@@ -33,9 +33,11 @@ import numpy as np
 from .errors import ConfigError
 from .experiments import AxisDef
 
-__all__ = ["Dataset", "emit_dataset", "write_dataset", "config_hash", "TOOL_VERSION"]
+__all__ = ["Dataset", "FORMATS", "emit_dataset", "write_dataset", "config_hash", "TOOL_VERSION"]
 
 TOOL_VERSION = "ccdsim 0.1.0"
+#: the serializations, by their ``format`` config value
+FORMATS = ("csv", "json")
 
 #: CSV rows rendered, joined and encoded together
 _BLOCK_ROWS = 1024
@@ -106,11 +108,9 @@ class Dataset:
 
 def emit_dataset(data: Dataset, fmt: str = "csv") -> bytes:
     """Serialize to bytes; byte-identical for identical inputs."""
-    if fmt == "csv":
-        return _emit_csv(data)
-    if fmt == "json":
-        return _emit_json(data)
-    raise ConfigError(f"unknown dataset format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown dataset format {fmt!r}")
+    return _emit_csv(data) if fmt == "csv" else _emit_json(data)
 
 
 def _emit_csv(data: Dataset) -> bytes:

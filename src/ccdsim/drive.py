@@ -23,6 +23,10 @@ identically for equal amplitude/phase modulation at zero Rabi error.
 
 All modulation arguments use global time from sequence start; the modulation
 clock is never reset per pulse.
+
+A ``Scheme`` is one of the four (alpha_A, alpha_P) pairs. ``Scheme.parse`` reads
+its label (bare, am, pm, cm) or its member name in any case, and configs and
+datasets record the label.
 """
 from __future__ import annotations
 
@@ -70,28 +74,17 @@ class Scheme(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Scheme":
-        key = text.strip().lower()
-        aliases = {
-            "bare": cls.BARE,
-            "am": cls.AMCCD,
-            "amccd": cls.AMCCD,
-            "pm": cls.PMCCD,
-            "pmccd": cls.PMCCD,
-            "cm": cls.CMCCD,
-            "cmccd": cls.CMCCD,
-        }
-        if key not in aliases:
-            raise ConfigError(f"unknown scheme {text!r} (expected bare|am|pm|cm)")
-        return aliases[key]
+        """The scheme whose label or member name is ``text``, stripped and case-folded."""
+        key = text.strip().casefold()
+        for scheme in cls:
+            if key in (scheme.label, scheme.name.casefold()):
+                return scheme
+        raise ConfigError("unknown scheme, expected bare|am|pm|cm")
 
     @property
     def label(self) -> str:
-        return {
-            Scheme.BARE: "bare",
-            Scheme.AMCCD: "am",
-            Scheme.PMCCD: "pm",
-            Scheme.CMCCD: "cm",
-        }[self]
+        """The name a config and a dataset give the scheme: bare, am, pm or cm."""
+        return self.name.lower().removesuffix("ccd")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .qubit import ZERO_STATE, bloch_vector, normalized, population_up
 
 __all__ = [
     "AxisDef",
+    "DRESSED_KINDS",
     "MAX_NOISE_SAMPLES",
     "NoiseSpec",
     "chevron_sweep",
@@ -54,6 +55,8 @@ __all__ = [
 _SPREAD_BLOCK_BYTES = 1 << 20
 #: Most noise shots a ``NoiseSpec`` draws.
 MAX_NOISE_SAMPLES = 10**6
+#: The presets of ``dressed_sequence_experiment``, by their ``dressed_kind`` config value.
+DRESSED_KINDS = ("ccd_rabi", "ccd_ramsey", "two_axis")
 
 
 class AxisDef(NamedTuple):
@@ -97,8 +100,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.sigma_detuning >= 0.0 and self.sigma_rabi_frac >= 0.0):
-            raise ConfigError("noise sigmas must be >= 0")
+        # each check is written so that NaN fails it, and names its config key
+        if not self.sigma_detuning >= 0.0:
+            raise ConfigError("noise_detuning_sigma_hz must be >= 0", key="noise_detuning_sigma_hz")
+        if not self.sigma_rabi_frac >= 0.0:
+            raise ConfigError("noise_rabi_sigma_frac must be >= 0", key="noise_rabi_sigma_frac")
         if not 1 <= self.samples <= MAX_NOISE_SAMPLES:
             raise ConfigError(
                 f"noise_samples must lie in [1, {MAX_NOISE_SAMPLES}], got {self.samples}",
@@ -281,8 +287,8 @@ def dressed_sequence_experiment(
     modulation-period lattice so that every program satisfies the
     segment-boundary rule. Returns an array of shape (len(sweep_values),).
     """
-    if kind not in ("ccd_rabi", "ccd_ramsey", "two_axis"):
-        raise ConfigError("kind must be ccd_rabi | ccd_ramsey | two_axis")
+    if kind not in DRESSED_KINDS:
+        raise ConfigError(f"kind must be {' | '.join(DRESSED_KINDS)}")
     require_gate_lattice(cfg)
     sweep = np.asarray(sweep_values, dtype=float)
     eps = cfg.mod_strength

@@ -55,6 +55,22 @@ class TestChevron:
         assert meta["meta.scheme"] == "bare"
         assert rows[:, 2].min() >= 0.0 and rows[:, 2].max() <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_scheme_spelling_does_not_reach_the_dataset(self, tmp_path, source):
+        # one scheme, one report: the dataset records the label, whatever
+        # spelling chose the scheme
+        args = ["chevron", "--durations", "8", "--detuning-points", "3"]
+        label, spelled = tmp_path / "label.csv", tmp_path / "spelled.csv"
+        assert main(args + ["--scheme", "cm", "--out", str(label)]) == 0
+        if source == "flag":
+            assert main(args + ["--scheme", "CMCCD", "--out", str(spelled)]) == 0
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("scheme =  CMCCD \n")
+            assert main(args + ["--config", str(config), "--out", str(spelled)]) == 0
+        assert spelled.read_bytes() == label.read_bytes()
+        assert read_csv(spelled)[0]["meta.scheme"] == "cm"
+
     def test_determinism_across_runs_and_threads(self, tmp_path, monkeypatch):
         # 128 noise shots give the rb primitives two blocks per interval;
         # --threads selects nothing, and one block per chunk gives the same bits
@@ -197,6 +213,8 @@ class TestConfigPrecedence:
             ["rb", "--static-detuning-frac", "nan"],
             ["spectrum", "--axis", "foo"],
             ["chevron", "--bananas", "1"],
+            ["rb", "--cliffords", ","],
+            ["rb", "--cliffords", "1,,2"],
         ],
     )
     def test_malformed_flag_is_config_error(self, tmp_path, capsys, args):
@@ -332,10 +350,10 @@ class TestConfigPrecedence:
 
     def test_every_config_flag_sets_its_field(self):
         # a flag's text must give what the same text gives on a config line;
-        # ints are spelled "257.0" and the scheme "cmccd", as files may spell them
+        # ints are spelled "257.0" and the scheme "PMCCD", as files may spell them
         defaults = RunConfig()
         texts = {
-            "scheme": "cmccd", "dressed_kind": "two_axis", "format": "json",
+            "scheme": "PMCCD", "dressed_kind": "two_axis", "format": "json",
             "out": "elsewhere.csv", "cliffords": "1,3", "mod_strength_hz": "1e6",
             "detuning_span_hz": "2e6", "rabi_error_span_frac": "0.2", "static_detuning_frac": "0.05",
         }

@@ -9,7 +9,7 @@ from ccdsim.drive import Scheme
 class TestParse:
     def test_minimal_reference_config(self):
         cfg = parse_config("scheme = cm\nrabi_hz = 3.6e6\nmod_ratio = 0.25\n")
-        assert cfg.scheme == "cm"
+        assert cfg.scheme is Scheme.CMCCD
         drive = cfg.drive_config()
         assert drive.rabi == pytest.approx(2 * math.pi * 3.6e6)
         assert drive.mod_strength == pytest.approx(drive.rabi / 4.0)
@@ -18,7 +18,7 @@ class TestParse:
     def test_empty_file_gives_defaults(self):
         cfg = parse_config("")
         assert cfg == RunConfig()
-        assert cfg.scheme == "cm"
+        assert cfg.scheme is Scheme.CMCCD
         assert cfg.rabi_hz == 3.6e6
 
     def test_comments_and_blank_lines_ignored(self):
@@ -27,16 +27,46 @@ class TestParse:
 
     @pytest.mark.parametrize("name", ["bare", "am", "amccd", "pm", "pmccd", "cm", "cmccd"])
     def test_scheme_alone_sets_the_modulation_ratios(self, name):
-        drive = RunConfig(scheme=name).drive_config()
+        drive = RunConfig(scheme=Scheme.parse(name)).drive_config()
         assert (drive.alpha_A, drive.alpha_P) == Scheme.parse(name).value
         assert parse_config(f"scheme = {name}\n").drive_config() == drive
 
     def test_unknown_scheme_reports_its_line(self):
-        with pytest.raises(ConfigError, match="^line 2: unknown scheme 'xm'") as excinfo:
+        # parsed once, where the text is read, so the error names the line and column
+        with pytest.raises(
+            ConfigError, match=r"^line 2, col 1: bad value for scheme: 'xm' \(unknown scheme"
+        ):
             parse_config("rabi_hz = 1e6\nscheme = xm\n")
-        assert excinfo.value.key == "scheme"
-        with pytest.raises(ConfigError, match="^unknown scheme 'xm'"):
+        # a RunConfig holds a Scheme, not a spelling of one
+        with pytest.raises(ConfigError, match="^scheme must be a Scheme, got 'xm'") as excinfo:
             RunConfig(scheme="xm")
+        assert excinfo.value.key == "scheme"
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize(
+        "text, scheme",
+        [
+            ("bare", Scheme.BARE),
+            ("am", Scheme.AMCCD),
+            ("amccd", Scheme.AMCCD),
+            ("pm", Scheme.PMCCD),
+            ("pmccd", Scheme.PMCCD),
+            ("cm", Scheme.CMCCD),
+            ("cmccd", Scheme.CMCCD),
+        ],
+        ids=lambda value: getattr(value, "name", value),
+    )
+    def test_every_scheme_spelling_parses_to_one_scheme(self, text, scheme, source):
+        # upper case and padded with spaces, from a file line or a flag: one
+        # Scheme, emitted as its label
+        spelled = f"  {text.upper()} "
+        if source == "file":
+            cfg = parse_config(f"scheme ={spelled}\n")
+        else:
+            cfg = parse_config("", overrides={"scheme": spelled})
+        assert cfg.scheme is scheme
+        assert f"\nscheme = {scheme.label}\n" in "\n" + emit_config(cfg)
+        assert scheme.label == text.removesuffix("ccd")
 
     @pytest.mark.parametrize("key", ["alpha_a", "alpha_p"])
     def test_modulation_ratio_is_an_unknown_key(self, key):
@@ -79,7 +109,7 @@ class TestParse:
         "key, value, match",
         [
             ("duration_points", 0, "duration_points must be >= 1"),
-            ("noise_samples", 0, "noise_samples must be >= 1"),
+            ("noise_samples", 0, r"noise_samples must lie in \[1, 1000000\]"),
             ("format", "xml", "format must be csv or json"),
             ("threads", -3, "threads must be >= 0"),
             ("cliffords", (4, 2), "cliffords must be positive, ascending"),
@@ -87,7 +117,12 @@ class TestParse:
             ("rabi_hz", -1.0, "rabi_hz must be positive"),
             ("quarter_turns", 0, "quarter_turns must be >= 1"),
             ("samples_per_quarter_turn", 0, "samples_per_quarter_turn must be >= 1"),
-            ("noise_samples", 10**6 + 1, "noise_samples must be at most 1000000"),
+            ("noise_samples", 10**6 + 1, r"noise_samples must lie in \[1, 1000000\]"),
+            ("seed", -1, r"seed must lie in \[0, 2\^64\)"),
+            ("seed", 2**64, r"seed must lie in \[0, 2\^64\)"),
+            ("noise_detuning_sigma_hz", -1.0, "noise_detuning_sigma_hz must be >= 0"),
+            ("noise_rabi_sigma_frac", -1.0, "noise_rabi_sigma_frac must be >= 0"),
+            ("cliffords", (), "cliffords must be positive, ascending, without repeats and not empty"),
         ],
     )
     def test_direct_construction_validates_every_key(self, key, value, match):
@@ -167,6 +202,14 @@ class TestParse:
         assert cfg.cliffords == (1, 2, 4, 8)
         with pytest.raises(ConfigError, match="ascending"):
             parse_config("cliffords = 4,2\n")
+
+    @pytest.mark.parametrize("text", [",", "1,,2", "1,"])
+    def test_list_with_an_empty_field_names_its_key(self, text):
+        # an empty field holds no integer: refused, not dropped
+        with pytest.raises(ConfigError, match=rf"^line 2, col 1: bad value for cliffords: '{text}'"):
+            parse_config(f"scheme = cm\ncliffords = {text}\n")
+        with pytest.raises(ConfigError, match=r"^bad value for --cliffords \(cliffords\)"):
+            parse_config("", overrides={"cliffords": text})
 
     def test_integer_keys_reject_fractions(self):
         with pytest.raises(ConfigError, match="seed"):

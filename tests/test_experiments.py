@@ -343,8 +343,11 @@ class TestNoiseShots:
     @pytest.mark.parametrize("axis", ["sigma_detuning", "sigma_rabi_frac"])
     @pytest.mark.parametrize("bad", [float("nan"), -1.0])
     def test_nan_or_negative_sigma_rejected(self, axis, bad):
-        with pytest.raises(ValueError, match="sigmas"):
+        # each sigma names its config key, so a config line is named too
+        key = {"sigma_detuning": "noise_detuning_sigma_hz", "sigma_rabi_frac": "noise_rabi_sigma_frac"}
+        with pytest.raises(ConfigError, match=f"^{key[axis]} must be >= 0") as info:
             NoiseSpec(**{axis: bad})
+        assert info.value.key == key[axis]
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_seed_outside_64_bits_rejected(self, seed):

@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 
 from ccdsim import propagator
 from ccdsim.config import KEY_TYPES, RunConfig, emit_config, parse_config
-from ccdsim.dataset import Dataset, emit_dataset
+from ccdsim.dataset import FORMATS, Dataset, emit_dataset
 from ccdsim.drive import (
     Scheme,
     batch_coefficients,
@@ -51,7 +51,7 @@ from ccdsim.drive import (
     second_frame_hamiltonian,
 )
 from ccdsim.errors import NumericalError
-from ccdsim.experiments import MAX_NOISE_SAMPLES, AxisDef
+from ccdsim.experiments import DRESSED_KINDS, MAX_NOISE_SAMPLES, AxisDef
 from ccdsim.propagator import (
     LAB_SPEC,
     evolve,
@@ -523,7 +523,8 @@ BY_TYPE = {
     float: finite,
     int: st.integers(-(2**64), 2**64),
     str: st.text(string.ascii_letters + string.digits + "/._-", max_size=12),
-    tuple: st.lists(st.integers(1, 2**64), unique=True, max_size=6).map(
+    Scheme: st.sampled_from(list(Scheme)),
+    tuple: st.lists(st.integers(1, 2**64), unique=True, min_size=1, max_size=6).map(
         lambda xs: tuple(sorted(xs))
     ),
 }
@@ -537,9 +538,8 @@ RESTRICTED = {
     "gate_angle": positive,
     "threads": st.integers(0, 2**64),
     "seed": st.integers(0, 2**64 - 1),
-    "scheme": st.sampled_from(["bare", "am", "amccd", "pm", "pmccd", "cm", "cmccd"]),
-    "format": st.sampled_from(["csv", "json"]),
-    "dressed_kind": st.sampled_from(["ccd_rabi", "ccd_ramsey", "two_axis"]),
+    "format": st.sampled_from(FORMATS),
+    "dressed_kind": st.sampled_from(DRESSED_KINDS),
     "noise_samples": st.integers(1, MAX_NOISE_SAMPLES),
     **{
         key: st.integers(1, 2**64)
@@ -576,7 +576,7 @@ def test_dataset_bytes_are_deterministic(cfg, values, fmt):
         # as the CLI writes a dataset: meta and config text from the run's config
         return emit_dataset(
             Dataset(
-                meta={"scheme": run.scheme, "seed": run.seed},
+                meta={"scheme": run.scheme.label, "seed": run.seed},
                 axes=(AxisDef("duration", "s", np.arange(len(values)) * 1.5e-9),),
                 value_names=("p_up",),
                 values=np.array(values)[:, None],
